@@ -26,7 +26,15 @@ from .errors import (
 from .framework import RandomSource, exact_distribution_oracle, fixed_order_selector, ruleset_value_selector
 from .hybrid import hwfc_exact_distribution, hwfc_generate
 from .model import ContentInstance, Distribution
-from .quantum import build_circuit, exact_distribution, export_qasm, lower_to_gates, sample_shots, simulate
+from .quantum import (
+    QubitLayout,
+    build_circuit,
+    exact_distribution,
+    export_qasm,
+    lower_to_gates,
+    sample_shots,
+    simulate,
+)
 from .render import FORMATS, render
 
 _EXTENSIONS = {"ascii": "txt", "ppm": "ppm", "voxel-slices": "txt", "structured-dump": "txt"}
@@ -173,7 +181,7 @@ def run(config: RunConfig, args) -> int:
                 hwfc_generate(adjacency, n_values, config.ruleset, config.partitioning, rng)
             )
         qubits = max(
-            len(block) * (n_values - 1).bit_length() if n_values > 1 else len(block)
+            QubitLayout(tuple(sorted(block)), n_values).n_qubits
             for block in config.partitioning.blocks
         )
         if args.exact_dist:

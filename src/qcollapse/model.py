@@ -256,8 +256,10 @@ class Rule:
     pattern: Pattern
 
     def __post_init__(self):
-        if not isinstance(self.weight, FunctionalWeight) and self.weight <= 0:
-            raise ValueError("constant rule weights must be > 0")
+        if not isinstance(self.weight, FunctionalWeight) and not (
+            math.isfinite(self.weight) and self.weight > 0
+        ):
+            raise ValueError(f"constant rule weights must be finite and > 0, got {self.weight}")
 
 
 @dataclass(frozen=True)
@@ -285,12 +287,15 @@ class _CompiledRuleset:
 
     def __init__(self, ruleset: Ruleset, n_directions: int):
         m = len(ruleset.rules)
-        self.dist_cache: dict[tuple[int, tuple[int, ...]], object] = {}
+        self.dist_cache: dict[tuple[int, tuple[int, ...], int], object] = {}
         self.entropy_cache: dict[tuple[int, tuple[int, ...]], float] = {}
         self.required = np.zeros((m, n_directions), dtype=np.int64)
         self.values = np.zeros(m, dtype=np.int64)
         self.const_u = np.zeros(m, dtype=np.float64)
         self.func_rows: list[tuple[int, FunctionalWeight]] = []
+        self.pattern_directions = frozenset(
+            d for rule in ruleset.rules for d, _ in rule.pattern.pairs
+        )
         for row, rule in enumerate(ruleset.rules):
             self.values[row] = rule.value
             for d, v in rule.pattern.pairs:
@@ -466,11 +471,13 @@ def value_distribution(
     signature = constraint_signature(segment, adjacency, placed, extra)
 
     # Constant-weight rulesets admit caching by the constraint signature,
-    # which makes repeated sampling over the same world cheap.
+    # which makes repeated sampling over the same world cheap.  The alphabet
+    # size is part of the key because it fixes the vector's length.
+    key = (segment, signature, n_values)
     cache = None
     if not comp.func_rows and len(comp.dist_cache) < _DIST_CACHE_CAP:
         cache = comp.dist_cache
-        hit = cache.get((segment, signature))
+        hit = cache.get(key)
         if hit is not None:
             if hit is _CONFLICT:
                 raise ConflictError(segment, content)
@@ -489,20 +496,22 @@ def value_distribution(
             merged.update(extra)
         for row, fw in comp.func_rows:
             w = fw.fn(segment, merged)
-            if w < 0:
-                raise ValueError(f"functional factor {fw.name!r} returned {w} < 0")
+            if not (math.isfinite(w) and w >= 0):
+                raise ValueError(
+                    f"functional factor {fw.name!r} returned {w}, expected a finite value >= 0"
+                )
             u[row] = w
 
     weights = np.bincount(comp.values[match] - 1, weights=u[match], minlength=n_values)
     total = weights.sum()
     if total <= 0.0:
         if cache is not None:
-            cache[(segment, signature)] = _CONFLICT
+            cache[key] = _CONFLICT
         raise ConflictError(segment, content)
     probs = weights / total
     if cache is not None:
         probs.setflags(write=False)
-        cache[(segment, signature)] = probs
+        cache[key] = probs
     return probs
 
 

@@ -120,7 +120,7 @@ def dependency_set(
     a direction that appears in some rule pattern.
     """
     target = order[k - 1]
-    dirs = {d for rule in ruleset.rules for d, _ in rule.pattern.pairs}
+    dirs = ruleset._compiled(adjacency.n_directions).pattern_directions
     earlier = set(order[: k - 1])
     deps = set()
     for d in dirs:
@@ -145,6 +145,11 @@ def build_circuit(
     a load; unreachable assignments carry zero amplitude and can be skipped
     without changing the prepared state.  Frozen segments never receive
     qubits; they are folded into the classical pattern evaluation.
+
+    The frontier holds assignments of the boundary only: the placed segments
+    that some later step still names as a dependency.  Each boundary
+    assignment carries the number of reachable full assignments that project
+    onto it, and ``max_support`` caps the sum of those counts.
     """
     order = tuple(order)
     if len(set(order)) != len(order):
@@ -153,12 +158,16 @@ def build_circuit(
         raise ValueError("segment order overlaps the frozen context")
 
     layout = QubitLayout(tuple(sorted(order)), n_values)
-    position = {seg: pos for pos, seg in enumerate(order)}
+    step_deps = [
+        sorted(dependency_set(k, order, adjacency, ruleset)) for k in range(1, len(order) + 1)
+    ]
+    last_use = {seg: k for k, deps in enumerate(step_deps, start=1) for seg in deps}
     loads: list[ConditionalLoad] = []
-    frontier: list[tuple[int, ...]] = [()]
+    boundary: tuple[int, ...] = ()
+    frontier: dict[tuple[int, ...], int] = {(): 1}
 
-    for k, target in enumerate(order, start=1):
-        deps = sorted(dependency_set(k, order, adjacency, ruleset))
+    for k, (target, deps) in enumerate(zip(order, step_deps), start=1):
+        position = {seg: pos for pos, seg in enumerate(boundary)}
         dep_pos = [position[s] for s in deps]
         assignments = sorted({tuple(a[p] for p in dep_pos) for a in frontier})
         if len(assignments) > max_loads_per_step:
@@ -183,13 +192,22 @@ def build_circuit(
             )
             support[assignment] = tuple(int(v) + 1 for v in np.nonzero(probs > 0.0)[0])
 
-        frontier = [
-            a + (v,) for a in frontier for v in support[tuple(a[p] for p in dep_pos)]
-        ]
-        if len(frontier) > max_support:
+        extended = boundary + (target,)
+        keep = [p for p, seg in enumerate(extended) if last_use.get(seg, 0) > k]
+        boundary = tuple(extended[p] for p in keep)
+        reachable = 0
+        projected: dict[tuple[int, ...], int] = {}
+        for a, count in frontier.items():
+            values = support[tuple(a[p] for p in dep_pos)]
+            reachable += count * len(values)
+            for v in values:
+                key = tuple((a + (v,))[p] for p in keep)
+                projected[key] = projected.get(key, 0) + count
+        if reachable > max_support:
             raise CapacityError(
                 f"reachable support grew past {max_support} at iteration {k}"
             )
+        frontier = projected
     return CircuitProgram(layout, tuple(loads))
 
 
@@ -225,6 +243,10 @@ def _split_selectors(bits, t0, width, n_qubits):
 def simulate(circuit: CircuitProgram, memory_cap_qubits: int = DEFAULT_QUBIT_CAP) -> np.ndarray:
     """Execute the conditional loads from |0>; returns the final statevector.
 
+    The loads act on the support only: basis indices and amplitudes of the
+    nonzero entries, which a load's controls match with one bitmask compare.
+    The 2^Q statevector is written once, at the end.
+
     Raises CapacityError above the qubit cap and ContractError if a load
     finds its target group outside the ground state on a matched subspace
     (which signals a malformed circuit).
@@ -232,34 +254,44 @@ def simulate(circuit: CircuitProgram, memory_cap_qubits: int = DEFAULT_QUBIT_CAP
     n_qubits = circuit.n_qubits
     if n_qubits > memory_cap_qubits:
         raise CapacityError(f"{n_qubits} qubits exceed the cap of {memory_cap_qubits}")
-    q = circuit.layout.bits_per_value
-    dim_t = 1 << q
-    psi = np.zeros(1 << n_qubits, dtype=np.complex128)
-    psi[0] = 1.0
+    layout = circuit.layout
+    group = (1 << layout.bits_per_value) - 1
+    idx = np.zeros(1, dtype=np.int64)
+    amp = np.ones(1, dtype=np.complex128)
 
     for load in circuit.loads:
-        t0 = circuit.layout.group_offset(load.target)
-        view = psi.reshape(1 << (n_qubits - t0 - q), dim_t, 1 << t0)
-        hi_idx, lo_idx = _split_selectors(
-            _control_qubits(load, circuit.layout), t0, q, n_qubits
+        cmask = cval = 0
+        for seg, val in load.controls:
+            off = layout.group_offset(seg)
+            cmask |= group << off
+            cval |= ((val - 1) & group) << off
+        matched = (idx & cmask) == cval
+        t0 = layout.group_offset(load.target)
+        base_idx = idx[matched]
+        base_amp = amp[matched]
+        lifted = (base_idx & (group << t0)) != 0
+        if lifted.any():
+            if np.abs(base_amp[lifted]).max() > _SIM_NORM_TOL:
+                raise ContractError(
+                    f"target group of segment {load.target} not in the ground state "
+                    f"on the control subspace at step {load.step}"
+                )
+            base_idx = base_idx[~lifted]
+            base_amp = base_amp[~lifted]
+        amplitudes = np.array(load.amplitudes)
+        values = np.nonzero(amplitudes)[0]
+        idx = np.concatenate(
+            [idx[~matched], (base_idx[:, None] | (values << t0)[None, :]).ravel()]
         )
-        if len(hi_idx) == 0 or len(lo_idx) == 0:
-            continue
-        block = view[np.ix_(hi_idx, np.arange(dim_t), lo_idx)]
-        if dim_t > 1 and np.abs(block[:, 1:, :]).max() > _SIM_NORM_TOL:
-            raise ContractError(
-                f"target group of segment {load.target} not in the ground state "
-                f"on the control subspace at step {load.step}"
-            )
-        full = np.zeros(dim_t)
-        full[: len(load.amplitudes)] = load.amplitudes
-        view[np.ix_(hi_idx, np.arange(dim_t), lo_idx)] = (
-            full[None, :, None] * block[:, 0, :][:, None, :]
+        amp = np.concatenate(
+            [amp[~matched], (base_amp[:, None] * amplitudes[values][None, :]).ravel()]
         )
 
-    norm = np.linalg.norm(psi)
+    norm = np.linalg.norm(amp)
     if abs(norm - 1.0) > _SIM_NORM_TOL:
         raise ContractError(f"statevector norm drifted to {norm}")
+    psi = np.zeros(1 << n_qubits, dtype=np.complex128)
+    psi[idx] = amp
     return psi
 
 

@@ -190,6 +190,28 @@ def test_cli_exit_code_capacity(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_hwfc_single_value_has_no_qubits(tmp_path, capsys):
+    doc = """
+seed: 1
+mode: hwfc
+topology: {type: grid2d, width: 3, height: 2}
+alphabet: [rock]
+rules:
+  - {value: rock}
+partitions: "columns:3"
+"""
+    cfg = _write(tmp_path, doc)
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert "qubits=0 " in capsys.readouterr().out
+
+
+def test_cli_rejects_non_finite_weight(tmp_path, capsys):
+    for bad in (".nan", ".inf"):
+        cfg = _write(tmp_path, LITERAL.replace("{value: black,", f"{{value: black, weight: {bad},"))
+        assert main(["--config", str(cfg)]) == 2
+        assert "finite" in capsys.readouterr().err
+
+
 def test_cli_deterministic_artifacts(tmp_path):
     cfg = _write(tmp_path, CHECKER.replace("qwfc", "hwfc"))
     outs = []

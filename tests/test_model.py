@@ -5,6 +5,7 @@ from qcollapse import (
     Alphabet,
     ConflictError,
     ContentInstance,
+    FunctionalWeight,
     Pattern,
     Rule,
     Ruleset,
@@ -83,6 +84,9 @@ def test_pattern_and_rule_validation():
         Pattern.of((1, 1), (1, 2))  # repeated direction
     with pytest.raises(ValueError):
         Rule(1, 0.0, Pattern.of())
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="finite"):
+            Rule(1, bad, Pattern.of())
     with pytest.raises(ValueError):
         Ruleset(())
 
@@ -124,6 +128,27 @@ def test_value_distribution_weights():
     adj = build_grid2d(1, 1)
     rs = Ruleset((Rule(1, 1.0, Pattern.of()), Rule(2, 3.0, Pattern.of())))
     np.testing.assert_allclose(value_distribution(1, adj, ContentInstance(), rs, 2), [0.25, 0.75])
+
+
+def test_value_distribution_cache_keyed_on_alphabet_size():
+    adj = build_grid2d(1, 1)
+    rs = Ruleset((Rule(1, 1.0, Pattern.of()), Rule(2, 3.0, Pattern.of())))
+    np.testing.assert_allclose(value_distribution(1, adj, ContentInstance(), rs, 2), [0.25, 0.75])
+    # same ruleset and signature, larger alphabet: the vector grows a zero
+    np.testing.assert_allclose(value_distribution(1, adj, ContentInstance(), rs, 3), [0.25, 0.75, 0])
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_functional_factor_must_return_finite(bad):
+    adj = build_grid2d(1, 1)
+    rs = Ruleset(
+        (
+            Rule(1, 1.0, Pattern.of()),
+            Rule(2, FunctionalWeight("broken", (), lambda _seg, _content: bad), Pattern.of()),
+        )
+    )
+    with pytest.raises(ValueError, match="finite"):
+        value_distribution(1, adj, ContentInstance(), rs, 2)
 
 
 def test_functional_factor_layers():

@@ -111,6 +111,16 @@ def test_capacity_caps():
         build_circuit(adj, 2, rs, tuple(range(1, 9)), max_support=16)
 
 
+def test_support_cap_counts_full_assignments():
+    # no rule names a direction, so the boundary stays empty while the
+    # reachable full assignments double each step
+    adj = chain_adjacency(8)
+    rs = conflict_free_ruleset((), 2)
+    build_circuit(adj, 2, rs, tuple(range(1, 9)), max_support=256)
+    with pytest.raises(CapacityError, match="iteration 8"):
+        build_circuit(adj, 2, rs, tuple(range(1, 9)), max_support=255)
+
+
 def test_simulate_matches_reference_distribution():
     adj = chain_adjacency(4)
     rs = conflict_free_ruleset(
