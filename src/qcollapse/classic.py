@@ -15,7 +15,6 @@ from .model import (
     Alphabet,
     ContentInstance,
     Ruleset,
-    constraint_signature,
     value_distribution,
 )
 
@@ -30,26 +29,14 @@ def shannon_entropy(
     n_values: int,
     frozen: ContentInstance | None = None,
 ) -> float:
-    """Entropy in nats of the segment's value distribution (0 ln 0 := 0)."""
-    comp = ruleset._compiled(adjacency.n_directions)
-    key = None
-    if not comp.func_rows:
-        signature = constraint_signature(
-            segment,
-            adjacency,
-            content.mapping,
-            frozen.mapping if frozen is not None else None,
-        )
-        key = (segment, signature)
-        cached = comp.entropy_cache.get(key)
-        if cached is not None:
-            return cached
+    """Entropy in nats of the segment's value distribution (0 ln 0 := 0).
+
+    Read off ``value_distribution``'s cached vector: with constant weights
+    the signature and W fix the distribution, so they fix its entropy too.
+    """
     p = value_distribution(segment, adjacency, content, ruleset, n_values, frozen)
     nz = p[p > 0.0]
-    h = float(-(nz * np.log(nz)).sum())
-    if key is not None and len(comp.entropy_cache) < 1 << 18:
-        comp.entropy_cache[key] = h
-    return h
+    return float(-(nz * np.log(nz)).sum())
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,7 @@ from .model import (
     Symbol,
     make_factor,
 )
+from .render import FORMATS
 from .topology import Topology, grid2d_topology, grid3d_topology, hexgrid_topology
 
 MODES = ("cwfc", "qwfc", "hwfc", "oracle")
@@ -111,6 +112,8 @@ def _build_topology(spec) -> Topology:
         n = _int_field(spec, "segments", minimum=1)
         d = _int_field(spec, "directions", minimum=1)
         edges_spec = spec.get("edges", {})
+        if not isinstance(edges_spec, dict):
+            raise ConfigError(f"topology.edges must map directions to [i, j] pairs, got {edges_spec!r}")
         edge_sets = []
         for direction in range(1, d + 1):
             pairs = edges_spec.get(direction, edges_spec.get(str(direction), []))
@@ -138,7 +141,10 @@ def _build_alphabet(spec) -> Alphabet:
             raise ConfigError(f"alphabet entry {entry!r} needs a 'name'")
         color = entry.get("color")
         if color is not None:
-            color = tuple(int(c) for c in color)
+            try:
+                color = tuple(int(c) for c in color)
+            except (TypeError, ValueError):
+                color = ()
             if len(color) != 3:
                 raise ConfigError(f"alphabet color for {entry['name']!r} must be an RGB triple")
         symbols.append(Symbol(entry["name"], color, entry.get("glyph")))
@@ -194,11 +200,17 @@ def _build_literal_rules(spec, alphabet, topology) -> Ruleset:
             except (KeyError, TypeError) as exc:
                 raise ConfigError(f"rule weight: {exc}") from None
         else:
-            weight = float(weight_spec)
+            try:
+                weight = float(weight_spec)
+            except (TypeError, ValueError):
+                raise ConfigError(f"rule weight must be a number, got {weight_spec!r}") from None
             if weight <= 0:
                 raise ConfigError(f"rule weight must be > 0, got {weight}")
+        pattern = entry.get("pattern") or {}
+        if not isinstance(pattern, dict):
+            raise ConfigError(f"rule pattern must map directions to values, got {pattern!r}")
         pairs = []
-        for draw, vraw in (entry.get("pattern") or {}).items():
+        for draw, vraw in pattern.items():
             pairs.append((_resolve_direction(draw, topology), _resolve_value(vraw, alphabet)))
         try:
             rules.append(Rule(value, weight, Pattern(frozenset(pairs))))
@@ -246,7 +258,10 @@ def _build_order(spec, topology: Topology) -> tuple[int, ...]:
         return tuple(range(1, n + 1))
     if not isinstance(spec, list):
         raise ConfigError(f"field 'order' must be 'raster', 'spiral' or a list, got {spec!r}")
-    order = tuple(int(i) for i in spec)
+    try:
+        order = tuple(int(i) for i in spec)
+    except (TypeError, ValueError):
+        raise ConfigError(f"field 'order' must list segment ids, got {spec!r}") from None
     if sorted(order) != list(range(1, n + 1)):
         raise ConfigError("field 'order' must be a permutation of all segment ids")
     return order
@@ -257,7 +272,10 @@ def _build_partitioning(spec, topology: Topology) -> Partitioning | None:
         return None
     n = topology.adjacency.n_segments
     if isinstance(spec, list):
-        part = Partitioning(tuple(tuple(int(i) for i in block) for block in spec))
+        try:
+            part = Partitioning(tuple(tuple(int(i) for i in block) for block in spec))
+        except (TypeError, ValueError):
+            raise ConfigError(f"field 'partitions' must list blocks of segment ids, got {spec!r}") from None
     elif isinstance(spec, str) and ":" in spec:
         scheme, _, count = spec.partition(":")
         if not count.isdigit():
@@ -327,6 +345,8 @@ def _build(doc: dict) -> RunConfig:
         raise ConfigError("mode 'hwfc' requires a 'partitions' field")
 
     output_format = doc.get("format", "ascii")
+    if output_format not in FORMATS:
+        raise ConfigError(f"field 'format' must be one of {FORMATS}, got {output_format!r}")
     return RunConfig(
         name=str(doc.get("name", "run")),
         seed=seed,

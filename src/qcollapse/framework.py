@@ -30,11 +30,13 @@ class RandomSource:
     def uniform(self) -> float:
         return self._rng.random()
 
-    def categorical(self, probs: np.ndarray) -> int:
-        """Single inverse-CDF draw; returns a 0-based index, ties ascending."""
+    def categorical(self, probs: np.ndarray, draws: int | None = None) -> int | np.ndarray:
+        """Inverse-CDF draw of a 0-based index, ties ascending; with ``draws``,
+        an array of that many indices, equal to as many single draws."""
         cum = np.cumsum(probs)
-        u = self._rng.random() * cum[-1]
-        return int(np.searchsorted(cum, u, side="right"))
+        u = self._rng.random(draws) * cum[-1]
+        idx = np.searchsorted(cum, u, side="right")
+        return int(idx) if draws is None else idx
 
 
 def fixed_order_selector(order: tuple[int, ...], n_segments: int):

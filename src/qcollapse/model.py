@@ -256,6 +256,8 @@ class Rule:
     pattern: Pattern
 
     def __post_init__(self):
+        if self.value < 1:
+            raise ValueError(f"rule values must be >= 1, got {self.value}")
         if not isinstance(self.weight, FunctionalWeight) and not (
             math.isfinite(self.weight) and self.weight > 0
         ):
@@ -287,8 +289,8 @@ class _CompiledRuleset:
 
     def __init__(self, ruleset: Ruleset, n_directions: int):
         m = len(ruleset.rules)
-        self.dist_cache: dict[tuple[int, tuple[int, ...], int], object] = {}
-        self.entropy_cache: dict[tuple[int, tuple[int, ...]], float] = {}
+        self.dist_cache: dict[tuple[tuple[int, ...], int], object] = {}
+        self.max_value = max(rule.value for rule in ruleset.rules)
         self.required = np.zeros((m, n_directions), dtype=np.int64)
         self.values = np.zeros(m, dtype=np.int64)
         self.const_u = np.zeros(m, dtype=np.float64)
@@ -463,17 +465,21 @@ def value_distribution(
 
     Each value's weight is the sum of rule weights whose pattern matches the
     placed content (plus the frozen context, if any).  Raises ConflictError
-    when every weight vanishes.
+    when every weight vanishes, and ValueError when a rule's value lies
+    outside [1, n_values].
     """
     comp = ruleset._compiled(adjacency.n_directions)
+    if comp.max_value > n_values:
+        raise ValueError(f"rule value {comp.max_value} outside the alphabet [1,{n_values}]")
     placed = content.mapping
     extra = frozen.mapping if frozen is not None else None
     signature = constraint_signature(segment, adjacency, placed, extra)
 
-    # Constant-weight rulesets admit caching by the constraint signature,
-    # which makes repeated sampling over the same world cheap.  The alphabet
-    # size is part of the key because it fixes the vector's length.
-    key = (segment, signature, n_values)
+    # With constant weights the result reads the signature, never the
+    # segment: one entry (a conflict included) serves every segment and every
+    # adjacency with this D that shows the same neighbourhood.  W is part of
+    # the key because it fixes the vector's length.
+    key = (signature, n_values)
     cache = None
     if not comp.func_rows and len(comp.dist_cache) < _DIST_CACHE_CAP:
         cache = comp.dist_cache

@@ -315,7 +315,7 @@ def sample_shots(
     probs = np.abs(statevector) ** 2
     support = np.nonzero(probs > 0.0)[0]
     weights = probs[support]
-    return [layout.decode(int(support[rng.categorical(weights)])) for _ in range(shots)]
+    return [layout.decode(int(b)) for b in support[rng.categorical(weights, shots)]]
 
 
 # --------------------------------------------------------------------------

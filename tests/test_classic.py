@@ -5,6 +5,7 @@ import pytest
 from conftest import chain_adjacency
 
 from qcollapse import (
+    ConflictError,
     ContentInstance,
     Pattern,
     RandomSource,
@@ -16,6 +17,7 @@ from qcollapse import (
     entropy_report,
     entropy_selector,
     shannon_entropy,
+    value_distribution,
 )
 from qcollapse.usecases import checkerboard_ruleset, checkerboard_usecase
 
@@ -64,6 +66,40 @@ def test_entropy_selector_matches_fresh_report():
     # fresh trajectory after the selector saw unrelated content
     probs = selector(1, ContentInstance())
     np.testing.assert_allclose(probs, np.full(9, 1.0 / 9))
+
+
+def test_shared_ruleset_cache_matches_fresh_ruleset():
+    """One ruleset reused across segments, grid sizes and alphabet sizes gives
+    the vectors a fresh ruleset gives, and entropy is read off them."""
+    rules = (
+        Rule(1, 1.0, Pattern.of()),
+        Rule(2, 2.0, Pattern.of((1, 1))),
+        Rule(1, 3.0, Pattern.of((2, 2), (3, 1))),
+        Rule(2, 0.5, Pattern.of((4, 2), (1, 2))),
+    )
+    for shared in (Ruleset(rules), checkerboard_ruleset()):
+        for adj in (build_grid2d(3, 3), build_grid2d(4, 2)):
+            n = adj.n_segments
+            rng = np.random.default_rng(5)
+            for _ in range(6):
+                placed = rng.permutation(n)[: rng.integers(0, n)] + 1
+                content = ContentInstance(tuple((int(s), int(rng.integers(1, 3))) for s in placed))
+                for n_values in (2, 3):
+                    for seg in range(1, n + 1):
+                        if seg in content.mapping:
+                            continue
+                        try:
+                            expected = value_distribution(seg, adj, content, Ruleset(shared.rules), n_values)
+                        except ConflictError:
+                            with pytest.raises(ConflictError):
+                                value_distribution(seg, adj, content, shared, n_values)
+                            continue
+                        p = value_distribution(seg, adj, content, shared, n_values)
+                        assert p.tobytes() == expected.tobytes()
+                        nz = p[p > 0.0]
+                        assert shannon_entropy(seg, adj, content, shared, n_values) == float(
+                            -(nz * np.log(nz)).sum()
+                        )
 
 
 def test_cwfc_checkerboard_valid_and_deterministic():

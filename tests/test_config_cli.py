@@ -212,6 +212,40 @@ def test_cli_rejects_non_finite_weight(tmp_path, capsys):
         assert "finite" in capsys.readouterr().err
 
 
+TWO_CELLS = """
+seed: 1
+mode: cwfc
+topology: {type: grid2d, width: 2, height: 1}
+alphabet: [a, b]
+rules:
+  - {value: a}
+  - {value: b}
+"""
+
+
+# one malformed field each; all used to exit 1 with a traceback
+MALFORMED = {
+    "weight": TWO_CELLS.replace("{value: a}", "{value: a, weight: heavy}"),
+    "color": TWO_CELLS.replace("[a, b]", "[{name: a, color: red}, b]"),
+    "pattern": TWO_CELLS.replace("{value: a}", "{value: a, pattern: [1, 2]}"),
+    "edges": TWO_CELLS.replace(
+        "{type: grid2d, width: 2, height: 1}", "{type: custom, segments: 2, directions: 1, edges: 5}"
+    ),
+    "order": TWO_CELLS + "order: [1, x]\n",
+    "partitions": TWO_CELLS + "partitions: [[1], [x]]\n",
+    "format": TWO_CELLS + "format: bogus\n",
+}
+
+
+@pytest.mark.parametrize("field", sorted(MALFORMED))
+def test_cli_malformed_field_exits_2(tmp_path, capsys, field):
+    cfg = _write(tmp_path, MALFORMED[field])
+    assert main(["--config", str(cfg), "--validate-only"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and field in err
+    assert "Traceback" not in err
+
+
 def test_cli_deterministic_artifacts(tmp_path):
     cfg = _write(tmp_path, CHECKER.replace("qwfc", "hwfc"))
     outs = []

@@ -35,6 +35,14 @@ def test_categorical_respects_support():
     assert draws == {1, 2}
 
 
+def test_categorical_draw_count_matches_single_draws():
+    probs = np.array([0.1, 0.0, 0.6, 2.3])
+    batch = RandomSource(3).categorical(probs, 500)
+    rng = RandomSource(3)
+    assert batch.tolist() == [rng.categorical(probs) for _ in range(500)]
+    assert set(batch.tolist()) == {0, 2, 3}
+
+
 def test_fixed_order_selector():
     sel = fixed_order_selector((3, 1, 2), 3)
     np.testing.assert_array_equal(sel(1, ContentInstance()), [0, 0, 1])

@@ -1,5 +1,5 @@
 """Golden outputs: samples and circuits pinned to values recorded before the
-circuit compiler and simulator were last rewritten.
+code that produces them was last rewritten.
 
 Same config and seed must give the same outputs.  A change that moves any
 value here changes what users get, and must say why and re-check the
@@ -13,10 +13,13 @@ import pytest
 from qcollapse import (
     ConflictError,
     RandomSource,
+    RestartsExhaustedError,
     build_circuit,
+    cwfc_generate,
     encode_values,
     exact_distribution,
     hwfc_generate,
+    sample_shots,
     simulate,
 )
 from qcollapse.usecases import (
@@ -82,6 +85,47 @@ QWFC_CIRCUITS = {
 }
 
 
+SAMPLE_SEED = 2024
+
+# sha256 of the canonical keys of three consecutive cwfc instances from
+# RandomSource(SAMPLE_SEED)
+CWFC_KEYS = {
+    "hexmap-r6": (
+        lambda: hexmap_usecase(6),
+        "ee9feb156104946e572339b7af21a7c262b7ee5a7b84c5e4709d017840e78ad5",
+    ),
+    "pipes-20x8": (
+        lambda: pipes_usecase(20, 8),
+        "5f05e2b5e6ca9b8827ea41b89c5a7a1835b6a7d3ee4af308549c68a67a3ed9df",
+    ),
+    "checkerboard-16x16": (
+        lambda: checkerboard_usecase(16, 16),
+        "d1808667eb58ef873d0849061a937f8579101593a3b40e92e6f6363810aac0e0",
+    ),
+    "platformer-10x10": (
+        lambda: platformer_usecase(10, 10),
+        "60a6823313af648f374892705b3392f67ee641e3118a07a8566869b05dec5a83",
+    ),
+}
+
+# sha256 of the canonical keys of the first 1,000 qwfc shots from
+# RandomSource(SAMPLE_SEED)
+SHOT_KEYS = {
+    "voxels-3x3x2": (
+        lambda: voxel_skyline_usecase(3, 3, 2),
+        "ad6df77acc32cf4c0ba315ddae6153319d6a0146fe96c6885bea26d5d4a84cfe",
+    ),
+    "platformer-3x2": (
+        lambda: platformer_usecase(3, 2),
+        "448947c7599da4ce6a39494fbfad0b71e56f4a155fc808f1a7cf65d9b2b6ad6b",
+    ),
+}
+
+
+def _digest(keys) -> str:
+    return hashlib.sha256(",".join(map(str, keys)).encode()).hexdigest()
+
+
 @pytest.mark.parametrize("world", sorted(HWFC_KEYS))
 def test_hwfc_samples_golden(world):
     make, expected = HWFC_KEYS[world]
@@ -108,3 +152,30 @@ def test_qwfc_circuit_golden(world):
     support = sorted(exact_distribution(simulate(circuit), circuit.layout).probs)
     digest = hashlib.sha256(",".join(map(str, support)).encode()).hexdigest()
     assert (len(circuit.loads), circuit.n_qubits, len(support), digest) == expected
+
+
+@pytest.mark.parametrize("world", sorted(CWFC_KEYS))
+def test_cwfc_samples_golden(world):
+    make, expected = CWFC_KEYS[world]
+    uc = make()
+    n_values = uc.alphabet.n_values
+    segments = tuple(range(1, uc.adjacency.n_segments + 1))
+    rng = RandomSource(SAMPLE_SEED)
+    keys = []
+    for _ in range(3):
+        try:
+            instance = cwfc_generate(uc.adjacency, uc.alphabet, uc.ruleset, rng)
+        except RestartsExhaustedError:
+            keys.append(None)
+        else:
+            keys.append(encode_values(instance.mapping, segments, n_values))
+    assert _digest(keys) == expected
+
+
+@pytest.mark.parametrize("world", sorted(SHOT_KEYS))
+def test_qwfc_shots_golden(world):
+    make, expected = SHOT_KEYS[world]
+    uc = make()
+    circuit = build_circuit(uc.adjacency, uc.alphabet.n_values, uc.ruleset, uc.order)
+    shots = sample_shots(simulate(circuit), circuit.layout, 1000, RandomSource(SAMPLE_SEED))
+    assert _digest(circuit.layout.encode(s.mapping) for s in shots) == expected

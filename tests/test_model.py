@@ -7,13 +7,16 @@ from qcollapse import (
     ContentInstance,
     FunctionalWeight,
     Pattern,
+    RandomSource,
     Rule,
     Ruleset,
     Symbol,
     bits_per_value,
+    build_circuit,
     build_grid2d,
     build_grid3d_columns,
     build_hexgrid,
+    cwfc_generate,
     decode_values,
     encode_values,
     make_alphabet,
@@ -89,6 +92,23 @@ def test_pattern_and_rule_validation():
             Rule(1, bad, Pattern.of())
     with pytest.raises(ValueError):
         Ruleset(())
+
+
+def test_rule_values_outside_alphabet_rejected():
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match=">= 1"):
+            Rule(bad, 1.0, Pattern.of())
+    # a value-3 rule at W=2 used to give [0.5, 0, 0.5] and a load that
+    # spilled into the next segment's qubits
+    adj = build_grid2d(2, 1)
+    rs = Ruleset((Rule(1, 1.0, Pattern.of()), Rule(3, 1.0, Pattern.of())))
+    with pytest.raises(ValueError, match="outside the alphabet"):
+        value_distribution(1, adj, ContentInstance(), rs, 2)
+    with pytest.raises(ValueError, match="outside the alphabet"):
+        build_circuit(adj, 2, rs, (1, 2))
+    with pytest.raises(ValueError, match="outside the alphabet"):
+        cwfc_generate(adj, make_alphabet("a", "b"), rs, RandomSource(1))
+    np.testing.assert_allclose(value_distribution(1, adj, ContentInstance(), rs, 3), [0.5, 0, 0.5])
 
 
 def test_content_instance():
