@@ -53,7 +53,6 @@ from .model import (
     encode_values,
     make_alphabet,
     make_factor,
-    pattern_matches,
     register_factor,
     value_distribution,
 )

@@ -27,14 +27,13 @@ def shannon_entropy(
     content: ContentInstance,
     ruleset: Ruleset,
     n_values: int,
-    frozen: ContentInstance | None = None,
 ) -> float:
     """Entropy in nats of the segment's value distribution (0 ln 0 := 0).
 
     Read off ``value_distribution``'s cached vector: with constant weights
     the signature and W fix the distribution, so they fix its entropy too.
     """
-    p = value_distribution(segment, adjacency, content, ruleset, n_values, frozen)
+    p = value_distribution(segment, adjacency, content, ruleset, n_values)
     nz = p[p > 0.0]
     return float(-(nz * np.log(nz)).sum())
 
@@ -46,17 +45,11 @@ class EntropyReport:
 
 
 def entropy_report(
-    adjacency: AdjacencyConfig,
-    content: ContentInstance,
-    ruleset: Ruleset,
-    n_values: int,
-    frozen: ContentInstance | None = None,
+    adjacency: AdjacencyConfig, content: ContentInstance, ruleset: Ruleset, n_values: int
 ) -> EntropyReport:
-    placed = set(content.mapping)
-    if frozen is not None:
-        placed |= set(frozen.mapping)
+    placed = content.mapping
     entropies = {
-        i: shannon_entropy(i, adjacency, content, ruleset, n_values, frozen)
+        i: shannon_entropy(i, adjacency, content, ruleset, n_values)
         for i in range(1, adjacency.n_segments + 1)
         if i not in placed
     }
@@ -74,17 +67,10 @@ class EntropySelector:
     affected by newly placed values, so repeated sampling stays cheap.
     """
 
-    def __init__(
-        self,
-        adjacency: AdjacencyConfig,
-        ruleset: Ruleset,
-        n_values: int,
-        frozen: ContentInstance | None = None,
-    ):
+    def __init__(self, adjacency: AdjacencyConfig, ruleset: Ruleset, n_values: int):
         self.adjacency = adjacency
         self.ruleset = ruleset
         self.n_values = n_values
-        self.frozen = frozen
         self._cache: dict[int, float] = {}
         self._seen: tuple[tuple[int, int], ...] = ()
 
@@ -104,20 +90,19 @@ class EntropySelector:
     def __call__(self, k: int, content: ContentInstance) -> np.ndarray:
         self._sync(content)
         placed = content.mapping
-        extra = self.frozen.mapping if self.frozen is not None else {}
         h_min = math.inf
         for i in range(1, self.adjacency.n_segments + 1):
-            if i in placed or i in extra:
+            if i in placed:
                 continue
             h = self._cache.get(i)
             if h is None:
-                h = shannon_entropy(i, self.adjacency, content, self.ruleset, self.n_values, self.frozen)
+                h = shannon_entropy(i, self.adjacency, content, self.ruleset, self.n_values)
                 self._cache[i] = h
             if h < h_min:
                 h_min = h
         probs = np.zeros(self.adjacency.n_segments)
         for i, h in self._cache.items():
-            if i not in placed and i not in extra and h <= h_min + _ENTROPY_TIE_TOL:
+            if i not in placed and h <= h_min + _ENTROPY_TIE_TOL:
                 probs[i - 1] = 1.0
         total = probs.sum()
         if total > 0.0:
@@ -125,10 +110,8 @@ class EntropySelector:
         return probs
 
 
-def entropy_selector(
-    adjacency: AdjacencyConfig, ruleset: Ruleset, n_values: int, frozen: ContentInstance | None = None
-) -> EntropySelector:
-    return EntropySelector(adjacency, ruleset, n_values, frozen)
+def entropy_selector(adjacency: AdjacencyConfig, ruleset: Ruleset, n_values: int) -> EntropySelector:
+    return EntropySelector(adjacency, ruleset, n_values)
 
 
 def cwfc_generate(
@@ -137,7 +120,6 @@ def cwfc_generate(
     ruleset: Ruleset,
     rng: RandomSource,
     max_restarts: int = 100,
-    frozen: ContentInstance | None = None,
     on_restart=None,
 ) -> ContentInstance:
     """Entropy-driven generation with restart-from-scratch on conflicts.
@@ -148,12 +130,11 @@ def cwfc_generate(
     conflict again.
     """
     n_values = alphabet.n_values
-    n_free = adjacency.n_segments - (len(frozen) if frozen is not None else 0)
-    value_sel = ruleset_value_selector(adjacency, ruleset, n_values, frozen)
+    value_sel = ruleset_value_selector(adjacency, ruleset, n_values)
     for attempt in range(max_restarts + 1):
-        id_sel = entropy_selector(adjacency, ruleset, n_values, frozen)
+        id_sel = entropy_selector(adjacency, ruleset, n_values)
         try:
-            return generate(n_free, id_sel, value_sel, rng)
+            return generate(adjacency.n_segments, id_sel, value_sel, rng)
         except ConflictError:
             if attempt == max_restarts:
                 raise RestartsExhaustedError(max_restarts) from None

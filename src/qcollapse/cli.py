@@ -73,6 +73,8 @@ def _apply_overrides(config: RunConfig, args) -> RunConfig:
     if args.mode is not None:
         updates["mode"] = args.mode
     if args.seed is not None:
+        if args.seed < 0:
+            raise ConfigError("--seed must be >= 0")
         updates["seed"] = args.seed
     if args.shots is not None:
         if args.shots < 1:

@@ -7,6 +7,7 @@ every run is reproducible.  See demos/configs/ for working documents.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -139,6 +140,8 @@ def _build_alphabet(spec) -> Alphabet:
             continue
         if not isinstance(entry, dict) or "name" not in entry:
             raise ConfigError(f"alphabet entry {entry!r} needs a 'name'")
+        if not isinstance(entry["name"], str):
+            raise ConfigError(f"alphabet entry name must be a string, got {entry['name']!r}")
         color = entry.get("color")
         if color is not None:
             try:
@@ -186,6 +189,15 @@ def _resolve_direction(raw, topology: Topology) -> int:
     return d
 
 
+def _is_finite_number(raw) -> bool:
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+        return False
+    try:
+        return math.isfinite(raw)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
 def _build_literal_rules(spec, alphabet, topology) -> Ruleset:
     rules = []
     for entry in spec:
@@ -194,9 +206,15 @@ def _build_literal_rules(spec, alphabet, topology) -> Ruleset:
         value = _resolve_value(entry["value"], alphabet)
         weight_spec = entry.get("weight", 1.0)
         if isinstance(weight_spec, dict):
+            factor = weight_spec.get("factor", "")
             params = {k: v for k, v in weight_spec.items() if k != "factor"}
+            for key, raw in params.items():
+                if not _is_finite_number(raw):
+                    raise ConfigError(
+                        f"rule weight: factor {factor!r} parameter {key!r} must be a finite number, got {raw!r}"
+                    )
             try:
-                weight = make_factor(weight_spec.get("factor", ""), **params)
+                weight = make_factor(factor, **params)
             except (KeyError, TypeError) as exc:
                 raise ConfigError(f"rule weight: {exc}") from None
         else:
@@ -278,9 +296,11 @@ def _build_partitioning(spec, topology: Topology) -> Partitioning | None:
             raise ConfigError(f"field 'partitions' must list blocks of segment ids, got {spec!r}") from None
     elif isinstance(spec, str) and ":" in spec:
         scheme, _, count = spec.partition(":")
-        if not count.isdigit():
+        if not count.isdecimal():
             raise ConfigError(f"partition count in {spec!r} must be an integer")
         h = int(count)
+        if not 1 <= h <= n:
+            raise ConfigError(f"partition count in {spec!r} must be in [1,{n}]")
         if scheme == "blocks":
             part = equal_blocks(n, h)
         elif scheme == "rows" and topology.kind == "grid2d":
@@ -314,7 +334,7 @@ def _build_partitioning(spec, topology: Topology) -> Partitioning | None:
 
 
 def _build(doc: dict) -> RunConfig:
-    seed = _int_field(doc, "seed")
+    seed = _int_field(doc, "seed", minimum=0)
     mode = _require(doc, "mode")
     if mode not in MODES:
         raise ConfigError(f"field 'mode' must be one of {MODES}, got {mode!r}")

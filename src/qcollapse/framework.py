@@ -51,16 +51,11 @@ def fixed_order_selector(order: tuple[int, ...], n_segments: int):
     return select
 
 
-def ruleset_value_selector(
-    adjacency: AdjacencyConfig,
-    ruleset: Ruleset,
-    n_values: int,
-    frozen: ContentInstance | None = None,
-):
+def ruleset_value_selector(adjacency: AdjacencyConfig, ruleset: Ruleset, n_values: int):
     """Value selector backed by the pattern-based value distribution."""
 
     def select(k: int, segment: int, content: ContentInstance) -> np.ndarray:
-        return value_distribution(segment, adjacency, content, ruleset, n_values, frozen)
+        return value_distribution(segment, adjacency, content, ruleset, n_values)
 
     return select
 
@@ -70,7 +65,6 @@ def generate(
     identifier_selector,
     value_selector,
     rng: RandomSource,
-    start: ContentInstance | None = None,
 ) -> ContentInstance:
     """Run the three-step iteration until ``n_segments`` entries are placed.
 
@@ -78,8 +72,8 @@ def generate(
     SelectorContractError if the identifier distribution puts mass on an
     already-placed id.
     """
-    content = start if start is not None else ContentInstance()
-    for k in range(len(content) + 1, n_segments + 1):
+    content = ContentInstance()
+    for k in range(1, n_segments + 1):
         id_probs = np.asarray(identifier_selector(k, content), dtype=float)
         placed = content.mapping
         for seg in placed:
@@ -167,48 +161,36 @@ def validate_selectors(
     S1: mass on a placed id.  S2: no admissible unplaced id.  V1: mass outside
     the alphabet (wrong support length or negative entries).  V2: empty value
     support for a reachable (id, content) pair.
+
+    Runs the oracle's walk with selectors that record each violation and hand
+    the walk zero mass in its place, which ends that branch.
     """
-    _check_budget(n_segments, n_values, budget)
     violations: list[SelectorViolation] = []
-    frontier: set[frozenset[tuple[int, int]]] = {frozenset()}
-    for k in range(1, n_segments + 1):
-        nxt: set[frozenset[tuple[int, int]]] = set()
-        for state in frontier:
-            content = ContentInstance(tuple(sorted(state)))
-            placed = {i for i, _ in state}
-            id_probs = np.asarray(identifier_selector(k, content), dtype=float)
-            for seg in placed:
-                if id_probs[seg - 1] > 0.0:
-                    violations.append(
-                        SelectorViolation("S1", k, content, f"mass on placed id {seg}")
-                    )
-            open_mass = sum(id_probs[i - 1] for i in range(1, n_segments + 1) if i not in placed)
-            if open_mass <= 0.0:
-                violations.append(
-                    SelectorViolation("S2", k, content, "no admissible unplaced id")
-                )
-            for seg0 in np.nonzero(id_probs > 0.0)[0]:
-                segment = int(seg0) + 1
-                if segment in placed:
-                    continue
-                try:
-                    value_probs = np.asarray(value_selector(k, segment, content), dtype=float)
-                except ConflictError:
-                    violations.append(
-                        SelectorViolation("V2", k, content, f"conflict for id {segment}")
-                    )
-                    continue
-                if len(value_probs) != n_values or np.any(value_probs < 0.0):
-                    violations.append(
-                        SelectorViolation("V1", k, content, f"bad support for id {segment}")
-                    )
-                    continue
-                if value_probs.sum() <= 0.0:
-                    violations.append(
-                        SelectorViolation("V2", k, content, f"empty support for id {segment}")
-                    )
-                    continue
-                for v0 in np.nonzero(value_probs > 0.0)[0]:
-                    nxt.add(state | {(segment, int(v0) + 1)})
-        frontier = nxt
+
+    def record(condition: str, k: int, content: ContentInstance, detail: str) -> np.ndarray:
+        violations.append(SelectorViolation(condition, k, content, detail))
+        return np.zeros(n_values)
+
+    def checked_ids(k: int, content: ContentInstance) -> np.ndarray:
+        id_probs = np.array(identifier_selector(k, content), dtype=float)
+        for seg in content.mapping:
+            if id_probs[seg - 1] > 0.0:
+                record("S1", k, content, f"mass on placed id {seg}")
+            id_probs[seg - 1] = 0.0
+        if sum(id_probs) <= 0.0:
+            record("S2", k, content, "no admissible unplaced id")
+        return id_probs
+
+    def checked_values(k: int, segment: int, content: ContentInstance) -> np.ndarray:
+        try:
+            value_probs = np.asarray(value_selector(k, segment, content), dtype=float)
+        except ConflictError:
+            return record("V2", k, content, f"conflict for id {segment}")
+        if len(value_probs) != n_values or np.any(value_probs < 0.0):
+            return record("V1", k, content, f"bad support for id {segment}")
+        if value_probs.sum() <= 0.0:
+            return record("V2", k, content, f"empty support for id {segment}")
+        return value_probs
+
+    exact_distribution_oracle(n_segments, n_values, checked_ids, checked_values, budget)
     return violations

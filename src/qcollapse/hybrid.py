@@ -8,13 +8,7 @@ from dataclasses import dataclass
 from .errors import BudgetExceededError, CapacityError, ConflictError
 from .framework import RandomSource
 from .model import AdjacencyConfig, ContentInstance, Distribution, Ruleset, encode_values
-from .quantum import (
-    DEFAULT_QUBIT_CAP,
-    build_circuit,
-    exact_distribution,
-    sample_shots,
-    simulate,
-)
+from .quantum import build_circuit, exact_distribution, sample_shots, simulate
 
 
 @dataclass(frozen=True)
@@ -68,7 +62,6 @@ def hwfc_generate(
     ruleset: Ruleset,
     partitioning: Partitioning,
     rng: RandomSource,
-    memory_cap_qubits: int = DEFAULT_QUBIT_CAP,
 ) -> ContentInstance:
     """One joint instance: per partition, compile, simulate, draw one shot.
 
@@ -79,7 +72,7 @@ def hwfc_generate(
     for h, block in enumerate(partitioning.blocks, start=1):
         try:
             circuit = build_circuit(adjacency, n_values, ruleset, block, frozen=frozen)
-            psi = simulate(circuit, memory_cap_qubits)
+            psi = simulate(circuit)
         except (ConflictError, CapacityError) as exc:
             exc.args = (f"partition {h}: {exc.args[0]}",) + exc.args[1:]
             raise
@@ -93,7 +86,6 @@ def hwfc_exact_distribution(
     ruleset: Ruleset,
     partitioning: Partitioning,
     budget: float = 1e6,
-    memory_cap_qubits: int = DEFAULT_QUBIT_CAP,
 ) -> Distribution:
     """Exact joint distribution by enumerating every prior-partition outcome."""
     n_segments = sum(len(b) for b in partitioning.blocks)
@@ -107,7 +99,7 @@ def hwfc_exact_distribution(
         for prior, mass in outcomes.items():
             frozen = ContentInstance(prior)
             circuit = build_circuit(adjacency, n_values, ruleset, block, frozen=frozen)
-            psi = simulate(circuit, memory_cap_qubits)
+            psi = simulate(circuit)
             part = exact_distribution(psi, circuit.layout)
             for key, p in part.probs.items():
                 joint = prior + part.decode(key).entries

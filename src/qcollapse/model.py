@@ -431,28 +431,6 @@ def constraint_signature(
     return tuple(out)
 
 
-def pattern_matches(
-    segment: int,
-    adjacency: AdjacencyConfig,
-    content: ContentInstance,
-    pattern: Pattern,
-    frozen: ContentInstance | None = None,
-) -> int:
-    """Pattern indicator: 1 iff every placed neighbor required by the pattern
-    carries the required value.  Unplaced or missing neighbors never constrain.
-    """
-    placed = content.mapping
-    extra = frozen.mapping if frozen is not None else None
-    for d, v in pattern.pairs:
-        for s in adjacency.neighbors(segment, d):
-            actual = placed.get(s)
-            if actual is None and extra is not None:
-                actual = extra.get(s)
-            if actual is not None and actual != v:
-                return 0
-    return 1
-
-
 def value_distribution(
     segment: int,
     adjacency: AdjacencyConfig,

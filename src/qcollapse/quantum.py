@@ -31,6 +31,7 @@ from .model import (
 
 _AMP_NORM_TOL = 1e-12
 _SIM_NORM_TOL = 1e-9
+_PROB_CUTOFF = 1e-15  # exact_distribution drops basis states at or below this
 
 DEFAULT_QUBIT_CAP = 26  # ~1 GiB of complex128 amplitudes
 DEFAULT_LOAD_CAP = 4096  # reachable control assignments per iteration
@@ -295,12 +296,10 @@ def simulate(circuit: CircuitProgram, memory_cap_qubits: int = DEFAULT_QUBIT_CAP
     return psi
 
 
-def exact_distribution(
-    statevector: np.ndarray, layout: QubitLayout, cutoff: float = 1e-15
-) -> Distribution:
+def exact_distribution(statevector: np.ndarray, layout: QubitLayout) -> Distribution:
     """Squared amplitudes as a distribution over basis integers."""
     probs = np.abs(statevector) ** 2
-    keys = np.nonzero(probs > cutoff)[0]
+    keys = np.nonzero(probs > _PROB_CUTOFF)[0]
     return Distribution(
         layout.segments, layout.n_values, {int(i): float(probs[i]) for i in keys}
     )

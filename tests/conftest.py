@@ -1,6 +1,6 @@
-"""Shared helpers: an independent chain-rule enumerator used as a reference
-for distribution checks, small ruleset builders, and the terminal report of
-the acceptance criteria."""
+"""Shared helpers: an independent chain-rule enumerator and a pattern
+indicator used as references for distribution checks, small ruleset
+builders, and the terminal report of the acceptance criteria."""
 
 from __future__ import annotations
 
@@ -69,6 +69,22 @@ def reference_chain_distribution(adjacency, ruleset, n_values, order):
 
     walk(1, {}, 1.0)
     return probs
+
+
+def pattern_matches(segment, adjacency, content, pattern, frozen=None):
+    """Pattern indicator: 1 iff every placed neighbor required by the pattern
+    carries the required value.  Unplaced or missing neighbors never constrain.
+    """
+    placed = content.mapping
+    extra = frozen.mapping if frozen is not None else None
+    for d, v in pattern.pairs:
+        for s in adjacency.neighbors(segment, d):
+            actual = placed.get(s)
+            if actual is None and extra is not None:
+                actual = extra.get(s)
+            if actual is not None and actual != v:
+                return 0
+    return 1
 
 
 def chain_adjacency(n_segments):

@@ -223,7 +223,19 @@ rules:
 """
 
 
-# one malformed field each; all used to exit 1 with a traceback
+FACTOR_WEIGHT = "{value: a, weight: {factor: bottom_layer_only, u: %s, layer_size: 1}}"
+
+HEXMAP_R0 = """
+seed: 6
+mode: hwfc
+topology: {type: hexgrid, radius: 0}
+rules: {generator: hexmap, u_blue: 5.0}
+partitions: "blocks:8"
+"""
+
+
+# one malformed field each, keyed by a word its error names; each used to
+# make a run exit 1 with a traceback
 MALFORMED = {
     "weight": TWO_CELLS.replace("{value: a}", "{value: a, weight: heavy}"),
     "color": TWO_CELLS.replace("[a, b]", "[{name: a, color: red}, b]"),
@@ -234,6 +246,18 @@ MALFORMED = {
     "order": TWO_CELLS + "order: [1, x]\n",
     "partitions": TWO_CELLS + "partitions: [[1], [x]]\n",
     "format": TWO_CELLS + "format: bogus\n",
+    "factor": TWO_CELLS.replace("{value: a}", FACTOR_WEIGHT % "x"),
+    "finite": TWO_CELLS.replace("{value: a}", FACTOR_WEIGHT % ".nan"),
+    "parameter": TWO_CELLS.replace("{value: a}", FACTOR_WEIGHT % ("9" * 400)),
+    "blocks:0": TWO_CELLS + 'partitions: "blocks:0"\n',
+    "blocks:3": TWO_CELLS + 'partitions: "blocks:3"\n',
+    "rows:0": TWO_CELLS + 'partitions: "rows:0"\n',
+    "columns:0": TWO_CELLS + 'partitions: "columns:0"\n',
+    "blocks:\u00b3": TWO_CELLS + 'partitions: "blocks:\u00b3"\n',
+    "blocks:8": HEXMAP_R0,
+    "name": TWO_CELLS.replace("[a, b]", "[{name: [1]}, b]"),
+    "alphabet": TWO_CELLS.replace("[a, b]", "[{name: {a: 1}}, b]"),
+    "seed": TWO_CELLS.replace("seed: 1", "seed: -1"),
 }
 
 

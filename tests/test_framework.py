@@ -155,3 +155,61 @@ def test_validate_selectors_clean_case():
         )
         == []
     )
+
+
+def _uniform(*_):
+    return np.full(2, 0.5)
+
+
+def _second_bad_third_negative(k, segment, content):
+    if segment == 2 and content.mapping[1] == 1:
+        return np.ones(3)  # one entry past the alphabet
+    if segment == 3 and content.mapping[2] == 1:
+        return np.array([-0.1, 1.1])
+    return _uniform()
+
+
+def _second_conflicts_third_empty(k, segment, content):
+    if segment == 2 and content.mapping[1] == 1:
+        raise ConflictError(segment, content, "no rule fits")
+    if segment == 3 and content.mapping[2] == 1:
+        return np.zeros(2)
+    return _uniform()
+
+
+# One setup per contract condition; expected lists recorded with the
+# validator's previous, separate walk.  A violating branch ends there and
+# the others walk on.
+VIOLATION_SETUPS = {
+    "S1": (
+        2,
+        _uniform,
+        _uniform,
+        [("S1", 2, ((1, 1),)), ("S1", 2, ((1, 2),)), ("S1", 2, ((2, 1),)), ("S1", 2, ((2, 2),))],
+    ),
+    "S2": (
+        2,
+        lambda k, content: np.array([1.0, 0.0]) if k == 1 else np.zeros(2),
+        _uniform,
+        [("S2", 2, ((1, 1),)), ("S2", 2, ((1, 2),))],
+    ),
+    "V1": (
+        3,
+        fixed_order_selector((1, 2, 3), 3),
+        _second_bad_third_negative,
+        [("V1", 2, ((1, 1),)), ("V1", 3, ((1, 2), (2, 1)))],
+    ),
+    "V2": (
+        3,
+        fixed_order_selector((1, 2, 3), 3),
+        _second_conflicts_third_empty,
+        [("V2", 2, ((1, 1),)), ("V2", 3, ((1, 2), (2, 1)))],
+    ),
+}
+
+
+@pytest.mark.parametrize("condition", sorted(VIOLATION_SETUPS))
+def test_validate_selectors_pins_each_condition(condition):
+    n, id_sel, val_sel, expected = VIOLATION_SETUPS[condition]
+    found = validate_selectors(n, 2, id_sel, val_sel)
+    assert sorted((v.condition, v.iteration, v.content.entries) for v in found) == expected

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import pattern_matches
 
 from qcollapse import (
     Alphabet,
@@ -21,7 +22,6 @@ from qcollapse import (
     encode_values,
     make_alphabet,
     make_factor,
-    pattern_matches,
     value_distribution,
 )
 from qcollapse.model import hexgrid_coordinates

@@ -1,7 +1,7 @@
 """Randomized invariants checked with hypothesis."""
 
 import numpy as np
-from conftest import chain_adjacency, conflict_free_ruleset, max_prob_deviation
+from conftest import chain_adjacency, conflict_free_ruleset, max_prob_deviation, pattern_matches
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,7 +18,6 @@ from qcollapse import (
     exact_distribution_oracle,
     fixed_order_selector,
     lower_to_gates,
-    pattern_matches,
     ruleset_value_selector,
     simulate,
     simulate_gates,
