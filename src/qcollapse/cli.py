@@ -135,13 +135,13 @@ def _emit_instances(config: RunConfig, instances: list[ContentInstance], out: Pa
     return violations
 
 
-def run(config: RunConfig, args) -> int:
+def run(config: RunConfig, args, started: float) -> int:
+    """Generate, write and summarise; ``wall_time`` counts from ``started``."""
     rng = RandomSource(config.seed)
     out: Path | None = args.out
     adjacency = config.topology.adjacency
     n = adjacency.n_segments
     n_values = config.alphabet.n_values
-    started = time.perf_counter()
     restarts = 0
     qubits = None
     instances: list[ContentInstance] = []
@@ -220,13 +220,14 @@ def run(config: RunConfig, args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    started = time.perf_counter()
     try:
         config = load_config(args.config)
         config = _apply_overrides(config, args)
         if args.validate_only:
             print(f"config ok: mode={config.mode} segments={config.topology.adjacency.n_segments}")
             return EXIT_OK
-        return run(config, args)
+        return run(config, args, started)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -144,13 +144,19 @@ def _build_alphabet(spec) -> Alphabet:
             raise ConfigError(f"alphabet entry name must be a string, got {entry['name']!r}")
         color = entry.get("color")
         if color is not None:
-            try:
-                color = tuple(int(c) for c in color)
-            except (TypeError, ValueError):
-                color = ()
-            if len(color) != 3:
-                raise ConfigError(f"alphabet color for {entry['name']!r} must be an RGB triple")
-        symbols.append(Symbol(entry["name"], color, entry.get("glyph")))
+            if not (
+                isinstance(color, list)
+                and len(color) == 3
+                and all(type(c) is int and 0 <= c <= 255 for c in color)
+            ):
+                raise ConfigError(
+                    f"alphabet color for {entry['name']!r} must be an RGB triple of ints in [0, 255]"
+                )
+            color = tuple(color)
+        glyph = entry.get("glyph")
+        if glyph is not None and not isinstance(glyph, str):
+            raise ConfigError(f"alphabet glyph for {entry['name']!r} must be a string, got {glyph!r}")
+        symbols.append(Symbol(entry["name"], color, glyph))
     try:
         return Alphabet(tuple(symbols))
     except ValueError as exc:

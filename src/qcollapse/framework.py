@@ -12,11 +12,12 @@ contracts (no mass on placed ids, at least one admissible id/value).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceededError, ConflictError, SelectorContractError
+from .errors import BudgetExceededError, ConflictError, ContractError, SelectorContractError
 from .model import ContentInstance, Distribution, Ruleset, AdjacencyConfig, encode_values, value_distribution
 
 
@@ -32,9 +33,17 @@ class RandomSource:
 
     def categorical(self, probs: np.ndarray, draws: int | None = None) -> int | np.ndarray:
         """Inverse-CDF draw of a 0-based index, ties ascending; with ``draws``,
-        an array of that many indices, equal to as many single draws."""
+        an array of that many indices, equal to as many single draws.
+
+        Raises ContractError on an empty table or a total mass that is not
+        finite and positive."""
         cum = np.cumsum(probs)
-        u = self._rng.random(draws) * cum[-1]
+        if cum.size == 0:
+            raise ContractError("categorical draw from an empty table")
+        total = cum[-1]
+        if not (math.isfinite(total) and total > 0.0):
+            raise ContractError(f"categorical draw needs a finite positive total mass, got {total}")
+        u = self._rng.random(draws) * total
         idx = np.searchsorted(cum, u, side="right")
         return int(idx) if draws is None else idx
 

@@ -5,10 +5,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import BudgetExceededError, CapacityError, ConflictError
 from .framework import RandomSource
 from .model import AdjacencyConfig, ContentInstance, Distribution, Ruleset, encode_values
-from .quantum import build_circuit, exact_distribution, sample_shots, simulate
+from .quantum import QubitLayout, _PROB_CUTOFF, build_circuit, simulate
+
+# Unused here; perfbench/layers.py wraps these names on this module.
+from .quantum import exact_distribution, sample_shots  # noqa: F401
+
+_BLOCK_CACHE_CAP = 1 << 20  # cached outcome entries per compiled ruleset (~16 MB)
 
 
 @dataclass(frozen=True)
@@ -56,6 +63,52 @@ def validate_partitioning(partitioning: Partitioning, n_segments: int) -> list[s
     return violations
 
 
+def _block_outcomes(
+    adjacency: AdjacencyConfig,
+    n_values: int,
+    ruleset: Ruleset,
+    block: tuple[int, ...],
+    frozen: ContentInstance,
+) -> tuple[QubitLayout, np.ndarray, np.ndarray]:
+    """The block's outcome table given the earlier blocks: its layout, the
+    ascending basis indices with nonzero probability, and those probabilities.
+
+    The block's state reads earlier blocks only through its interface, the
+    frozen segments adjacent to it in any direction (all that
+    ``constraint_signature`` reads), so the circuit is compiled on the
+    interface alone and its table is cached on the compiled ruleset under
+    that key.  Conflicts are not cached: they raise again on every call.
+    """
+    values = frozen.mapping
+    interface = tuple(
+        sorted(
+            {
+                (s, values[s])
+                for seg in block
+                for d in range(1, adjacency.n_directions + 1)
+                for s in adjacency.neighbors(seg, d)
+                if s in values
+            }
+        )
+    )
+    comp = ruleset._compiled(adjacency.n_directions)
+    key = (adjacency, n_values, block, interface)
+    table = comp.block_cache.get(key)
+    if table is not None:
+        return table
+    circuit = build_circuit(adjacency, n_values, ruleset, block, frozen=ContentInstance(interface))
+    probs = np.abs(simulate(circuit)) ** 2
+    support = np.nonzero(probs > 0.0)[0]
+    weights = probs[support]
+    support.setflags(write=False)
+    weights.setflags(write=False)
+    table = (circuit.layout, support, weights)
+    if comp.block_cache_entries + len(support) <= _BLOCK_CACHE_CAP:
+        comp.block_cache[key] = table
+        comp.block_cache_entries += len(support)
+    return table
+
+
 def hwfc_generate(
     adjacency: AdjacencyConfig,
     n_values: int,
@@ -63,7 +116,7 @@ def hwfc_generate(
     partitioning: Partitioning,
     rng: RandomSource,
 ) -> ContentInstance:
-    """One joint instance: per partition, compile, simulate, draw one shot.
+    """One joint instance: per partition, draw one outcome of its circuit.
 
     Each partition's circuit conditions classically on all earlier outcomes,
     so the joint distribution is the product of per-partition conditionals.
@@ -71,12 +124,11 @@ def hwfc_generate(
     frozen = ContentInstance()
     for h, block in enumerate(partitioning.blocks, start=1):
         try:
-            circuit = build_circuit(adjacency, n_values, ruleset, block, frozen=frozen)
-            psi = simulate(circuit)
+            layout, support, weights = _block_outcomes(adjacency, n_values, ruleset, block, frozen)
         except (ConflictError, CapacityError) as exc:
             exc.args = (f"partition {h}: {exc.args[0]}",) + exc.args[1:]
             raise
-        frozen = frozen.union(sample_shots(psi, circuit.layout, 1, rng)[0])
+        frozen = frozen.union(layout.decode(int(support[rng.categorical(weights, 1)[0]])))
     return frozen
 
 
@@ -97,13 +149,13 @@ def hwfc_exact_distribution(
     for block in partitioning.blocks:
         nxt: dict[tuple[tuple[int, int], ...], float] = {}
         for prior, mass in outcomes.items():
-            frozen = ContentInstance(prior)
-            circuit = build_circuit(adjacency, n_values, ruleset, block, frozen=frozen)
-            psi = simulate(circuit)
-            part = exact_distribution(psi, circuit.layout)
-            for key, p in part.probs.items():
-                joint = prior + part.decode(key).entries
-                nxt[joint] = nxt.get(joint, 0.0) + mass * p
+            layout, support, weights = _block_outcomes(
+                adjacency, n_values, ruleset, block, ContentInstance(prior)
+            )
+            for basis, p in zip(support.tolist(), weights.tolist()):
+                if p > _PROB_CUTOFF:
+                    joint = prior + layout.decode(basis).entries
+                    nxt[joint] = nxt.get(joint, 0.0) + mass * p
         outcomes = nxt
 
     segments = tuple(sorted(seg for block in partitioning.blocks for seg in block))

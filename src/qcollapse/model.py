@@ -241,7 +241,9 @@ class FunctionalWeight:
     """Named weight function resolved from the factor registry.
 
     The callable receives (segment id, merged placed-value mapping) and must
-    return a value >= 0.
+    return a value >= 0.  It may read only the segment and the values of its
+    neighbours: compiled circuits pass only those, and hwfc caches a block's
+    outcomes on the frozen values adjacent to the block.
     """
 
     name: str
@@ -290,6 +292,10 @@ class _CompiledRuleset:
     def __init__(self, ruleset: Ruleset, n_directions: int):
         m = len(ruleset.rules)
         self.dist_cache: dict[tuple[tuple[int, ...], int], object] = {}
+        # hwfc block outcome tables, keyed (adjacency, W, block, interface);
+        # see hybrid._block_outcomes.
+        self.block_cache: dict[tuple, tuple] = {}
+        self.block_cache_entries = 0
         self.max_value = max(rule.value for rule in ruleset.rules)
         self.required = np.zeros((m, n_directions), dtype=np.int64)
         self.values = np.zeros(m, dtype=np.int64)

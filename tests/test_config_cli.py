@@ -258,6 +258,9 @@ MALFORMED = {
     "name": TWO_CELLS.replace("[a, b]", "[{name: [1]}, b]"),
     "alphabet": TWO_CELLS.replace("[a, b]", "[{name: {a: 1}}, b]"),
     "seed": TWO_CELLS.replace("seed: 1", "seed: -1"),
+    "glyph": TWO_CELLS.replace("[a, b]", "[{name: a, glyph: [1, 2]}, b]"),
+    "255": TWO_CELLS.replace("[a, b]", "[{name: a, color: [900, -40, 40]}, b]"),
+    "ints": TWO_CELLS.replace("[a, b]", "[{name: a, color: [true, 0, 0]}, b]"),
 }
 
 
@@ -268,6 +271,24 @@ def test_cli_malformed_field_exits_2(tmp_path, capsys, field):
     err = capsys.readouterr().err
     assert err.startswith("config error:") and field in err
     assert "Traceback" not in err
+
+
+def test_cli_wall_time_counts_config_load(tmp_path, capsys, monkeypatch):
+    import time
+
+    from qcollapse import cli
+
+    real_load = cli.load_config
+
+    def slow_load(path):
+        time.sleep(0.05)
+        return real_load(path)
+
+    monkeypatch.setattr(cli, "load_config", slow_load)
+    assert main(["--config", str(_write(tmp_path, TWO_CELLS))]) == 0
+    summary = capsys.readouterr().out.splitlines()[-1]
+    wall_time = float(summary.split("wall_time=")[1].rstrip("s"))
+    assert wall_time >= 0.05
 
 
 def test_cli_deterministic_artifacts(tmp_path):

@@ -6,6 +6,7 @@ from qcollapse import (
     BudgetExceededError,
     ConflictError,
     ContentInstance,
+    ContractError,
     Pattern,
     RandomSource,
     Rule,
@@ -33,6 +34,19 @@ def test_categorical_respects_support():
     # unnormalized weights are fine
     draws = {rng.categorical(np.array([0.0, 2.0, 6.0])) for _ in range(200)}
     assert draws == {1, 2}
+
+
+@pytest.mark.parametrize(
+    "probs",
+    [[], [0.0, 0.0], [0.5, -1.0], [0.5, float("nan")], [0.5, float("inf")]],
+    ids=["empty", "zero", "negative", "nan", "inf"],
+)
+def test_categorical_rejects_tables_without_finite_positive_mass(probs):
+    rng = RandomSource(0)
+    with pytest.raises(ContractError):
+        rng.categorical(np.array(probs))
+    with pytest.raises(ContractError):
+        rng.categorical(np.array(probs), 3)
 
 
 def test_categorical_draw_count_matches_single_draws():

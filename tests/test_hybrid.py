@@ -6,6 +6,7 @@ from qcollapse import (
     ConflictError,
     Partitioning,
     RandomSource,
+    Ruleset,
     build_circuit,
     equal_blocks,
     exact_distribution,
@@ -14,7 +15,15 @@ from qcollapse import (
     simulate,
     validate_partitioning,
 )
-from qcollapse.usecases import checkerboard_usecase, hexmap_usecase
+from qcollapse import hybrid
+from qcollapse.model import build_grid2d
+from qcollapse.usecases import (
+    checkerboard_usecase,
+    hexmap_usecase,
+    pipes_usecase,
+    platformer_usecase,
+    voxel_skyline_usecase,
+)
 
 
 def test_equal_blocks():
@@ -74,3 +83,103 @@ def test_hwfc_conflict_names_partition():
     with pytest.raises(ConflictError) as err:
         hwfc_generate(adj, 2, rs, equal_blocks(2, 2), RandomSource(0))
     assert "partition 2" in str(err.value)
+
+
+# --------------------------------------------------------------------------
+# the block outcome cache
+# --------------------------------------------------------------------------
+
+
+def _samples(adjacency, n_values, ruleset, partitioning, seed, count):
+    """Entries of ``count`` consecutive instances, or the conflict message."""
+    rng = RandomSource(seed)
+    out = []
+    for _ in range(count):
+        try:
+            out.append(hwfc_generate(adjacency, n_values, ruleset, partitioning, rng).entries)
+        except ConflictError as exc:
+            out.append(str(exc))
+    return out
+
+
+def _compiled(ruleset, adjacency):
+    return ruleset._compiled(adjacency.n_directions)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: pipes_usecase(10, 4),
+        lambda: platformer_usecase(10, 10),
+        lambda: voxel_skyline_usecase(4, 4, 4),
+        lambda: hexmap_usecase(3, n_partitions=8),
+    ],
+    ids=["pipes-10x4", "platformer-10x10", "voxels-4x4x4", "hexmap-r3"],
+)
+def test_warm_block_cache_gives_cold_instances(make):
+    uc = make()
+    args = (uc.adjacency, uc.alphabet.n_values)
+    warm = _samples(*args, uc.ruleset, uc.partitioning, 2024, 4)
+    comp = _compiled(uc.ruleset, uc.adjacency)
+    filled = (len(comp.block_cache), comp.block_cache_entries)
+    assert filled[0] > 0
+    # the same draws again are served from the cache alone
+    assert _samples(*args, uc.ruleset, uc.partitioning, 2024, 4) == warm
+    assert (len(comp.block_cache), comp.block_cache_entries) == filled
+    for seed in (2024, 7):
+        cold = _samples(*args, Ruleset(uc.ruleset.rules), uc.partitioning, seed, 4)
+        assert _samples(*args, uc.ruleset, uc.partitioning, seed, 4) == cold
+
+
+def test_block_cache_keeps_adjacencies_and_alphabets_apart():
+    from qcollapse import Pattern, Rule
+    from qcollapse.model import EMPTY_PATTERN
+
+    # Value 2 needs the right neighbour to be 1.  Segment 1's right
+    # neighbour is 2 on the 2x2 grid and absent on the 1x4 column, so block
+    # (2, 1) has a different table on each under the same empty interface;
+    # W=2 and W=3 encode it differently.
+    shared = Ruleset((Rule(1, 1.0, EMPTY_PATTERN), Rule(2, 3.0, Pattern.of((1, 1)))))
+    partitioning = Partitioning(((2, 1), (4, 3)))
+    worlds = [(build_grid2d(w, h), n) for w, h in ((2, 2), (1, 4)) for n in (2, 3)]
+    for adjacency, n_values in worlds + worlds[::-1]:
+        fresh = Ruleset(shared.rules)
+        assert _samples(adjacency, n_values, shared, partitioning, 5, 6) == _samples(
+            adjacency, n_values, fresh, partitioning, 5, 6
+        )
+        got = hwfc_exact_distribution(adjacency, n_values, shared, partitioning)
+        want = hwfc_exact_distribution(adjacency, n_values, Ruleset(shared.rules), partitioning)
+        assert (got.segments, got.n_values, got.probs) == (want.segments, want.n_values, want.probs)
+    cache = _compiled(shared, worlds[0][0]).block_cache
+    assert {key[:2] for key in cache} == set(worlds)
+
+
+def test_block_cache_cap_stops_growth_not_output(monkeypatch):
+    uc = hexmap_usecase(3, n_partitions=8)
+    args = (uc.adjacency, uc.alphabet.n_values)
+    cold = _samples(*args, uc.ruleset, uc.partitioning, 11, 6)
+    cap = 3000
+    monkeypatch.setattr(hybrid, "_BLOCK_CACHE_CAP", cap)
+    capped = Ruleset(uc.ruleset.rules)
+    comp = _compiled(capped, uc.adjacency)
+    assert _samples(*args, capped, uc.partitioning, 11, 6) == cold
+    assert 0 < comp.block_cache_entries <= cap
+    assert comp.block_cache_entries == sum(len(t[1]) for t in comp.block_cache.values())
+    for seed in (12, 13):
+        _samples(*args, capped, uc.partitioning, seed, 6)
+        assert comp.block_cache_entries <= cap
+
+
+def test_repeated_conflicting_interface_raises_again():
+    from qcollapse import Pattern, Rule
+
+    adj = build_grid2d(2, 1)
+    rs = Ruleset((Rule(1, 1.0, Pattern.of((1, 2), (3, 2))),))  # value 2 unreachable
+    messages = []
+    for _ in range(2):
+        with pytest.raises(ConflictError) as err:
+            hwfc_generate(adj, 2, rs, equal_blocks(2, 2), RandomSource(0))
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+    assert messages[0].startswith("partition 2: ")
+    assert list(_compiled(rs, adj).block_cache) == [(adj, 2, (1,), ())]
