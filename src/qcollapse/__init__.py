@@ -7,7 +7,7 @@ brute-force chain-rule oracle, five demonstration use cases, renderers and
 an OpenQASM 3 exporter.
 """
 
-from .classic import EntropyReport, cwfc_generate, entropy_report, entropy_selector, shannon_entropy
+from .classic import EntropyReport, EntropySelector, cwfc_generate, entropy_report, shannon_entropy
 from .config import RunConfig, load_config, parse_config, serialize_config
 from .errors import (
     BudgetExceededError,
@@ -46,9 +46,6 @@ from .model import (
     Ruleset,
     Symbol,
     bits_per_value,
-    build_grid2d,
-    build_grid3d_columns,
-    build_hexgrid,
     decode_values,
     encode_values,
     make_alphabet,

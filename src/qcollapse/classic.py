@@ -110,10 +110,6 @@ class EntropySelector:
         return probs
 
 
-def entropy_selector(adjacency: AdjacencyConfig, ruleset: Ruleset, n_values: int) -> EntropySelector:
-    return EntropySelector(adjacency, ruleset, n_values)
-
-
 def cwfc_generate(
     adjacency: AdjacencyConfig,
     alphabet: Alphabet,
@@ -132,7 +128,7 @@ def cwfc_generate(
     n_values = alphabet.n_values
     value_sel = ruleset_value_selector(adjacency, ruleset, n_values)
     for attempt in range(max_restarts + 1):
-        id_sel = entropy_selector(adjacency, ruleset, n_values)
+        id_sel = EntropySelector(adjacency, ruleset, n_values)
         try:
             return generate(adjacency.n_segments, id_sel, value_sel, rng)
         except ConflictError:

@@ -15,7 +15,7 @@ import yaml
 
 from . import usecases
 from .errors import ConfigError
-from .hybrid import Partitioning, equal_blocks, validate_partitioning
+from .hybrid import Partitioning, column_blocks, equal_blocks, validate_partitioning
 from .model import (
     AdjacencyConfig,
     Alphabet,
@@ -261,8 +261,6 @@ def _build_from_generator(spec, topology: Topology):
         elif name == "hexmap":
             uc = usecases.hexmap_usecase(topology.param("radius"), **params)
         elif name == "platformer":
-            if topology.kind != "grid3d" or topology.param("depth") != 1:
-                raise ConfigError("generator 'platformer' needs a grid3d topology with depth 1")
             uc = usecases.platformer_usecase(*dims("width", "height"))
         elif name == "voxel_skyline":
             uc = usecases.voxel_skyline_usecase(*dims("width", "depth", "height"))
@@ -272,6 +270,9 @@ def _build_from_generator(spec, topology: Topology):
         raise ConfigError(f"generator {name!r} incompatible with topology: {exc}") from None
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"generator {name!r}: {exc}") from None
+    if uc.topology != topology:
+        shape = ", ".join(f"{k}={v}" for k, v in uc.topology.params)
+        raise ConfigError(f"generator {name!r} needs a {uc.topology.kind} topology with {shape}")
     return uc.alphabet, uc.ruleset, uc.validator, uc.partitioning
 
 
@@ -309,26 +310,15 @@ def _build_partitioning(spec, topology: Topology) -> Partitioning | None:
             raise ConfigError(f"partition count in {spec!r} must be in [1,{n}]")
         if scheme == "blocks":
             part = equal_blocks(n, h)
-        elif scheme == "rows" and topology.kind == "grid2d":
+        elif (scheme, topology.kind) in (("rows", "grid2d"), ("layers", "grid3d")):
             if topology.param("height") % h:
-                raise ConfigError(f"{h} row groups do not divide height {topology.param('height')}")
-            part = equal_blocks(n, h)
-        elif scheme == "layers" and topology.kind == "grid3d":
-            if topology.param("height") % h:
-                raise ConfigError(f"{h} layer groups do not divide height {topology.param('height')}")
+                raise ConfigError(f"{h} {scheme[:-1]} groups do not divide height {topology.param('height')}")
             part = equal_blocks(n, h)
         elif scheme == "columns" and topology.kind == "grid2d":
-            width, height = topology.param("width"), topology.param("height")
-            if width % h:
-                raise ConfigError(f"{h} column groups do not divide width {width}")
-            per = width // h
-            blocks = []
-            for g in range(h):
-                block = []
-                for x in range(g * per, (g + 1) * per):
-                    block.extend(x + 1 + y * width for y in range(height))
-                blocks.append(tuple(block))
-            part = Partitioning(tuple(blocks))
+            try:
+                part = column_blocks(topology.param("width"), topology.param("height"), h)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from None
         else:
             raise ConfigError(f"partition scheme {spec!r} not valid for topology {topology.kind!r}")
     else:

@@ -7,10 +7,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceededError, CapacityError, ConflictError
-from .framework import RandomSource
+from .errors import CapacityError, ConflictError
+from .framework import RandomSource, _check_budget
 from .model import AdjacencyConfig, ContentInstance, Distribution, Ruleset, encode_values
-from .quantum import QubitLayout, _PROB_CUTOFF, build_circuit, simulate
+from .quantum import QubitLayout, _PROB_CUTOFF, _support, build_circuit, simulate
 
 # Unused here; perfbench/layers.py wraps these names on this module.
 from .quantum import exact_distribution, sample_shots  # noqa: F401
@@ -42,6 +42,21 @@ def equal_blocks(n_segments: int, n_partitions: int) -> Partitioning:
         blocks.append(tuple(range(start, stop)))
         start = stop
     return Partitioning(tuple(blocks))
+
+
+def column_blocks(width: int, height: int, groups: int) -> Partitioning:
+    """Split a row-major width x height grid into ``groups`` blocks of whole
+    columns, left to right; each block lists its columns in turn, cells top
+    to bottom."""
+    if not 1 <= groups <= width or width % groups:
+        raise ValueError(f"{groups} column groups do not divide width {width}")
+    per = width // groups
+    return Partitioning(
+        tuple(
+            tuple(x + 1 + y * width for x in range(g * per, (g + 1) * per) for y in range(height))
+            for g in range(groups)
+        )
+    )
 
 
 def validate_partitioning(partitioning: Partitioning, n_segments: int) -> list[str]:
@@ -91,15 +106,13 @@ def _block_outcomes(
             }
         )
     )
-    comp = ruleset._compiled(adjacency.n_directions)
+    comp = ruleset.compiled
     key = (adjacency, n_values, block, interface)
     table = comp.block_cache.get(key)
     if table is not None:
         return table
     circuit = build_circuit(adjacency, n_values, ruleset, block, frozen=ContentInstance(interface))
-    probs = np.abs(simulate(circuit)) ** 2
-    support = np.nonzero(probs > 0.0)[0]
-    weights = probs[support]
+    support, weights = _support(simulate(circuit))
     support.setflags(write=False)
     weights.setflags(write=False)
     table = (circuit.layout, support, weights)
@@ -140,11 +153,7 @@ def hwfc_exact_distribution(
     budget: float = 1e6,
 ) -> Distribution:
     """Exact joint distribution by enumerating every prior-partition outcome."""
-    n_segments = sum(len(b) for b in partitioning.blocks)
-    if n_values ** n_segments > budget:
-        raise BudgetExceededError(
-            f"{n_values}^{n_segments} joint instances exceed the budget of {budget:g}"
-        )
+    _check_budget(sum(len(b) for b in partitioning.blocks), n_values, budget)
     outcomes: dict[tuple[tuple[int, int], ...], float] = {(): 1.0}
     for block in partitioning.blocks:
         nxt: dict[tuple[tuple[int, int], ...], float] = {}

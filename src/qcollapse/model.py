@@ -123,95 +123,6 @@ class AdjacencyConfig:
         return self._influencer_map.get(segment, ())
 
 
-def build_grid2d(width: int, height: int) -> AdjacencyConfig:
-    """Nearest-neighbor 2D grid, D=4: right (1), up (2), left (3), down (4).
-
-    Segment ids are row-major starting at 1 with y=0 the top row; boundaries
-    are open (missing neighbors impose no constraint).
-    """
-    if width < 1 or height < 1:
-        raise ValueError("grid dimensions must be >= 1")
-
-    def sid(x, y):
-        return y * width + x + 1
-
-    steps = ((1, 0), (0, -1), (-1, 0), (0, 1))
-    edges = []
-    for dx, dy in steps:
-        es = set()
-        for y in range(height):
-            for x in range(width):
-                nx, ny = x + dx, y + dy
-                if 0 <= nx < width and 0 <= ny < height:
-                    es.add((sid(x, y), sid(nx, ny)))
-        edges.append(frozenset(es))
-    return AdjacencyConfig(width * height, 4, tuple(edges))
-
-
-# Axial steps for a pointy-top layout, counterclockwise starting east.
-HEX_DIRECTIONS = ((1, 0), (1, -1), (0, -1), (-1, 0), (-1, 1), (0, 1))
-
-
-def hexgrid_coordinates(radius: int) -> tuple[tuple[int, int], ...]:
-    """Axial (q, r) coordinates of a hex disc, ring-spiral from the center.
-
-    Each ring starts at its easternmost cell and proceeds counterclockwise,
-    so segment ids double as a canonical center-out generation order.
-    """
-    if radius < 0:
-        raise ValueError("radius must be >= 0")
-    coords = [(0, 0)]
-    # Walk order that traverses a ring CCW when starting from its east cell.
-    walk = (2, 3, 4, 5, 0, 1)
-    for ring in range(1, radius + 1):
-        cur = (ring, 0)
-        for di in walk:
-            dq, dr = HEX_DIRECTIONS[di]
-            for _ in range(ring):
-                coords.append(cur)
-                cur = (cur[0] + dq, cur[1] + dr)
-    return tuple(coords)
-
-
-def build_hexgrid(radius: int) -> AdjacencyConfig:
-    """Hexagonal disc with D=6 nearest-neighbor directions (CCW from east)."""
-    coords = hexgrid_coordinates(radius)
-    index = {c: i + 1 for i, c in enumerate(coords)}
-    edges = []
-    for dq, dr in HEX_DIRECTIONS:
-        es = set()
-        for c, i in index.items():
-            j = index.get((c[0] + dq, c[1] + dr))
-            if j is not None:
-                es.add((i, j))
-        edges.append(frozenset(es))
-    return AdjacencyConfig(len(coords), 6, tuple(edges))
-
-
-def build_grid3d_columns(width: int, depth: int, height: int) -> AdjacencyConfig:
-    """3D grid with vertical adjacency only, D=2: above (1), below (2).
-
-    Ids are layer-major bottom-up: id = z*width*depth + y*width + x + 1 with
-    z=0 the ground layer, so ascending ids build from the ground up.
-    """
-    if width < 1 or depth < 1 or height < 1:
-        raise ValueError("grid dimensions must be >= 1")
-    layer = width * depth
-
-    def sid(x, y, z):
-        return z * layer + y * width + x + 1
-
-    above, below = set(), set()
-    for z in range(height):
-        for y in range(depth):
-            for x in range(width):
-                if z + 1 < height:
-                    above.add((sid(x, y, z), sid(x, y, z + 1)))
-                if z - 1 >= 0:
-                    below.add((sid(x, y, z), sid(x, y, z - 1)))
-    return AdjacencyConfig(layer * height, 2, (frozenset(above), frozenset(below)))
-
-
 # --------------------------------------------------------------------------
 # patterns and rules
 # --------------------------------------------------------------------------
@@ -227,6 +138,8 @@ class Pattern:
         dirs = [d for d, _ in self.pairs]
         if len(set(dirs)) != len(dirs):
             raise ValueError("pattern directions must be pairwise distinct")
+        if dirs and min(dirs) < 1:
+            raise ValueError(f"pattern directions must be >= 1, got {min(dirs)}")
 
     @classmethod
     def of(cls, *pairs: tuple[int, int]) -> "Pattern":
@@ -277,43 +190,53 @@ class Ruleset:
     def __len__(self) -> int:
         return len(self.rules)
 
-    def _compiled(self, n_directions: int) -> "_CompiledRuleset":
-        cache = self.__dict__.setdefault("_compile_cache", {})
-        comp = cache.get(n_directions)
-        if comp is None:
-            comp = _CompiledRuleset(self, n_directions)
-            cache[n_directions] = comp
-        return comp
+    @cached_property
+    def compiled(self) -> "CompiledRuleset":
+        return CompiledRuleset(self)
 
 
-class _CompiledRuleset:
-    """Array form of a ruleset for fast batched pattern matching."""
+class CompiledRuleset:
+    """Array form of a ruleset for batched pattern matching, and the caches
+    that read it.
 
-    def __init__(self, ruleset: Ruleset, n_directions: int):
+    ``required[row, d-1]`` is the value rule ``row`` needs in direction d
+    (0 = none), one column per direction up to the largest a pattern names,
+    so the compile serves every adjacency with at least that many directions.
+    """
+
+    def __init__(self, ruleset: Ruleset):
         m = len(ruleset.rules)
+        # value distributions keyed (signature, W); see value_distribution.
         self.dist_cache: dict[tuple[tuple[int, ...], int], object] = {}
         # hwfc block outcome tables, keyed (adjacency, W, block, interface);
         # see hybrid._block_outcomes.
         self.block_cache: dict[tuple, tuple] = {}
         self.block_cache_entries = 0
         self.max_value = max(rule.value for rule in ruleset.rules)
-        self.required = np.zeros((m, n_directions), dtype=np.int64)
-        self.values = np.zeros(m, dtype=np.int64)
-        self.const_u = np.zeros(m, dtype=np.float64)
-        self.func_rows: list[tuple[int, FunctionalWeight]] = []
         self.pattern_directions = frozenset(
             d for rule in ruleset.rules for d, _ in rule.pattern.pairs
         )
+        self.max_direction = max(self.pattern_directions, default=0)
+        self.required = np.zeros((m, self.max_direction), dtype=np.int64)
+        self.values = np.zeros(m, dtype=np.int64)
+        self.const_u = np.zeros(m, dtype=np.float64)
+        self.func_rows: list[tuple[int, FunctionalWeight]] = []
         for row, rule in enumerate(ruleset.rules):
             self.values[row] = rule.value
             for d, v in rule.pattern.pairs:
-                if not (1 <= d <= n_directions):
-                    raise ValueError(f"pattern direction {d} outside [1,{n_directions}]")
                 self.required[row, d - 1] = v
             if isinstance(rule.weight, FunctionalWeight):
                 self.func_rows.append((row, rule.weight))
             else:
                 self.const_u[row] = rule.weight
+
+    def check(self, n_directions: int, n_values: int | None = None) -> None:
+        """Raise ValueError if a pattern names a direction past
+        ``n_directions`` or, given ``n_values``, a rule's value lies past it."""
+        if self.max_direction > n_directions:
+            raise ValueError(f"pattern direction {self.max_direction} outside [1,{n_directions}]")
+        if n_values is not None and self.max_value > n_values:
+            raise ValueError(f"rule value {self.max_value} outside the alphabet [1,{n_values}]")
 
 
 # --- functional factor registry -------------------------------------------
@@ -399,9 +322,6 @@ class ContentInstance:
         return len(self.entries) == n_segments
 
 
-EMPTY_CONTENT = ContentInstance()
-
-
 # --------------------------------------------------------------------------
 # pattern matching and value distribution
 # --------------------------------------------------------------------------
@@ -450,19 +370,19 @@ def value_distribution(
     Each value's weight is the sum of rule weights whose pattern matches the
     placed content (plus the frozen context, if any).  Raises ConflictError
     when every weight vanishes, and ValueError when a rule's value lies
-    outside [1, n_values].
+    outside [1, n_values] or a pattern direction outside [1, D].
     """
-    comp = ruleset._compiled(adjacency.n_directions)
-    if comp.max_value > n_values:
-        raise ValueError(f"rule value {comp.max_value} outside the alphabet [1,{n_values}]")
+    comp = ruleset.compiled
+    comp.check(adjacency.n_directions, n_values)
     placed = content.mapping
     extra = frozen.mapping if frozen is not None else None
-    signature = constraint_signature(segment, adjacency, placed, extra)
+    # Directions past the last one a pattern names match every rule.
+    signature = constraint_signature(segment, adjacency, placed, extra)[: comp.max_direction]
 
     # With constant weights the result reads the signature, never the
     # segment: one entry (a conflict included) serves every segment and every
-    # adjacency with this D that shows the same neighbourhood.  W is part of
-    # the key because it fixes the vector's length.
+    # adjacency that shows the same neighbourhood.  W is part of the key
+    # because it fixes the vector's length.
     key = (signature, n_values)
     cache = None
     if not comp.func_rows and len(comp.dist_cache) < _DIST_CACHE_CAP:

@@ -121,10 +121,11 @@ def dependency_set(
     a direction that appears in some rule pattern.
     """
     target = order[k - 1]
-    dirs = ruleset._compiled(adjacency.n_directions).pattern_directions
+    comp = ruleset.compiled
+    comp.check(adjacency.n_directions)
     earlier = set(order[: k - 1])
     deps = set()
-    for d in dirs:
+    for d in comp.pattern_directions:
         for s in adjacency.neighbors(target, d):
             if s in earlier:
                 deps.add(s)
@@ -296,12 +297,21 @@ def simulate(circuit: CircuitProgram, memory_cap_qubits: int = DEFAULT_QUBIT_CAP
     return psi
 
 
+def _support(statevector: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending basis indices with nonzero probability, and those probabilities."""
+    probs = np.abs(statevector) ** 2
+    support = np.nonzero(probs > 0.0)[0]
+    return support, probs[support]
+
+
 def exact_distribution(statevector: np.ndarray, layout: QubitLayout) -> Distribution:
     """Squared amplitudes as a distribution over basis integers."""
-    probs = np.abs(statevector) ** 2
-    keys = np.nonzero(probs > _PROB_CUTOFF)[0]
+    support, probs = _support(statevector)
+    keep = probs > _PROB_CUTOFF
     return Distribution(
-        layout.segments, layout.n_values, {int(i): float(probs[i]) for i in keys}
+        layout.segments,
+        layout.n_values,
+        dict(zip(support[keep].tolist(), probs[keep].tolist())),
     )
 
 
@@ -311,9 +321,7 @@ def sample_shots(
     """Independent measurement samples, deterministic under a fixed seed."""
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    probs = np.abs(statevector) ** 2
-    support = np.nonzero(probs > 0.0)[0]
-    weights = probs[support]
+    support, weights = _support(statevector)
     return [layout.decode(int(b)) for b in support[rng.categorical(weights, shots)]]
 
 

@@ -4,7 +4,7 @@ voxel slice stacks and a structured dump with the canonical encoding."""
 from __future__ import annotations
 
 from .model import Alphabet, ContentInstance, encode_values
-from .topology import Topology, hex_coords
+from .topology import Topology, hexgrid_coordinates
 
 FORMATS = ("ascii", "ppm", "voxel-slices", "structured-dump")
 
@@ -47,8 +47,8 @@ def render_ascii(instance: ContentInstance, alphabet: Alphabet, topology: Topolo
 
 def _render_hex_ascii(instance, alphabet, topology):
     values = instance.mapping
-    coords = hex_coords(topology)
     radius = topology.param("radius")
+    coords = hexgrid_coordinates(radius)
     # char column 2q + r keeps pointy-top rows interleaved
     by_row: dict[int, list[tuple[int, int]]] = {}
     for idx, (q, r) in enumerate(coords):
@@ -110,8 +110,8 @@ def _voxel_elevation(instance, topology):
 
 def _hex_pixels(instance, alphabet, topology, scale):
     values = instance.mapping
-    coords = hex_coords(topology)
     radius = topology.param("radius")
+    coords = hexgrid_coordinates(radius)
     width = (2 * radius + 1) * scale + radius * (scale // 2)
     height = (2 * radius + 1) * scale
     background = (255, 255, 255)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Callable
 
-from .hybrid import Partitioning, equal_blocks
+from .hybrid import Partitioning, column_blocks, equal_blocks
 from .model import (
     Alphabet,
     ContentInstance,
@@ -136,17 +136,13 @@ def pipes_usecase(width: int, height: int) -> UseCase:
         return sorted(set(bad))
 
     n = adjacency.n_segments
-    # One partition per column, columns left to right, cells top to bottom.
-    columns = tuple(
-        tuple(x + 1 + y * width for y in range(height)) for x in range(width)
-    )
     return UseCase(
         "pipes",
         topology,
         alphabet,
         generate_pipes_ruleset(),
         tuple(range(1, n + 1)),
-        Partitioning(columns),
+        column_blocks(width, height, width),  # one partition per column
         validator,
     )
 

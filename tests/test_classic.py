@@ -12,10 +12,10 @@ from qcollapse import (
     RestartsExhaustedError,
     Rule,
     Ruleset,
-    build_grid2d,
+    grid2d_topology,
     cwfc_generate,
     entropy_report,
-    entropy_selector,
+    EntropySelector,
     shannon_entropy,
     value_distribution,
 )
@@ -31,7 +31,7 @@ def test_shannon_entropy_values():
 
 
 def test_entropy_report_minimizers():
-    adj = build_grid2d(3, 3)
+    adj = grid2d_topology(3, 3).adjacency
     rs = checkerboard_ruleset()
     # after placing the center, its four neighbors become deterministic
     content = ContentInstance(((5, 1),))
@@ -52,7 +52,7 @@ def test_entropy_selector_matches_fresh_report():
     """The cached selector must agree with a from-scratch report each step."""
     uc = checkerboard_usecase(3, 3)
     rng = RandomSource(9)
-    selector = entropy_selector(uc.adjacency, uc.ruleset, 2)
+    selector = EntropySelector(uc.adjacency, uc.ruleset, 2)
     content = ContentInstance()
     for k in range(1, 10):
         probs = selector(k, content)
@@ -78,7 +78,7 @@ def test_shared_ruleset_cache_matches_fresh_ruleset():
         Rule(2, 0.5, Pattern.of((4, 2), (1, 2))),
     )
     for shared in (Ruleset(rules), checkerboard_ruleset()):
-        for adj in (build_grid2d(3, 3), build_grid2d(4, 2)):
+        for adj in (grid2d_topology(3, 3).adjacency, grid2d_topology(4, 2).adjacency):
             n = adj.n_segments
             rng = np.random.default_rng(5)
             for _ in range(6):
@@ -112,7 +112,7 @@ def test_cwfc_checkerboard_valid_and_deterministic():
 
 def test_cwfc_restarts_exhausted():
     # 1x2 world where the second placement always dead-ends
-    adj = build_grid2d(2, 1)
+    adj = grid2d_topology(2, 1).adjacency
     from qcollapse import make_alphabet
 
     alphabet = make_alphabet("a", "b")

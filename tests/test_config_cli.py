@@ -233,6 +233,14 @@ rules: {generator: hexmap, u_blue: 5.0}
 partitions: "blocks:8"
 """
 
+# a generator whose use case has another topology than the configured one
+CUBE = """
+seed: 1
+mode: cwfc
+topology: {type: grid3d, width: 2, depth: 2, height: 2}
+rules: {generator: %s}
+"""
+
 
 # one malformed field each, keyed by a word its error names; each used to
 # make a run exit 1 with a traceback
@@ -261,6 +269,9 @@ MALFORMED = {
     "glyph": TWO_CELLS.replace("[a, b]", "[{name: a, glyph: [1, 2]}, b]"),
     "255": TWO_CELLS.replace("[a, b]", "[{name: a, color: [900, -40, 40]}, b]"),
     "ints": TWO_CELLS.replace("[a, b]", "[{name: a, color: [true, 0, 0]}, b]"),
+    "checkerboard": CUBE % "checkerboard",
+    "pipes": CUBE % "pipes",
+    "depth=1": CUBE % "platformer",
 }
 
 
@@ -271,6 +282,25 @@ def test_cli_malformed_field_exits_2(tmp_path, capsys, field):
     err = capsys.readouterr().err
     assert err.startswith("config error:") and field in err
     assert "Traceback" not in err
+
+
+GENERATORS = ("checkerboard", "pipes", "hexmap", "platformer", "voxel_skyline")
+TOPOLOGIES = {
+    "grid2d": "{type: grid2d, width: 2, height: 2}",
+    "hexgrid": "{type: hexgrid, radius: 1}",
+    "grid3d": "{type: grid3d, width: 2, depth: 1, height: 2}",
+    "custom": "{type: custom, segments: 2, directions: 1, edges: {1: [[1, 2]]}}",
+}
+
+
+@pytest.mark.parametrize("mode", ["cwfc", "qwfc", "hwfc"])
+@pytest.mark.parametrize("topology", sorted(TOPOLOGIES))
+@pytest.mark.parametrize("generator", GENERATORS)
+def test_cli_every_generator_on_every_topology(tmp_path, capsys, generator, topology, mode):
+    doc = f"seed: 1\nmode: {mode}\ntopology: {TOPOLOGIES[topology]}\nrules: {{generator: {generator}}}\n"
+    cfg = _write(tmp_path, doc)
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) in (0, 2, 3, 4)
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_cli_wall_time_counts_config_load(tmp_path, capsys, monkeypatch):

@@ -7,6 +7,7 @@ sampling criteria before updating the numbers.
 """
 
 import hashlib
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +23,7 @@ from qcollapse import (
     sample_shots,
     simulate,
 )
+from qcollapse.cli import main
 from qcollapse.usecases import (
     checkerboard_usecase,
     hexmap_usecase,
@@ -179,3 +181,55 @@ def test_qwfc_shots_golden(world):
     circuit = build_circuit(uc.adjacency, uc.alphabet.n_values, uc.ruleset, uc.order)
     shots = sample_shots(simulate(circuit), circuit.layout, 1000, RandomSource(SAMPLE_SEED))
     assert _digest(circuit.layout.encode(s.mapping) for s in shots) == expected
+
+
+DEMO_CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"
+
+# per demo config: (exit code, sha256 of the --out directory) as configured
+# and with --exact-dist.  The hwfc demos exceed the exact enumeration's
+# budget, so their second run exits 4 having written nothing.
+NOTHING_WRITTEN = hashlib.sha256().hexdigest()
+DEMO_ARTIFACTS = {
+    "checkerboard.yaml": (
+        (0, "ddc7445211d4bfda8ae26b373e2428fb1a2f201ed2da78810f37450533840fae"),
+        (0, "9c85a4ea4e62594353add7237f1f061ba4b75fa4a8bd2e2fc6b7160dcadeed42"),
+    ),
+    "custom_stripes.yaml": (
+        (0, "a2c86921eb1cd964d020044421d7587c60bff4b639f2ab53dd199a72ea2d629f"),
+        (0, "a2c86921eb1cd964d020044421d7587c60bff4b639f2ab53dd199a72ea2d629f"),
+    ),
+    "hexmap.yaml": (
+        (0, "00e123f11eebe88f5ed93752ed6ab51dbf98f847f37b5fa387d5d9ada85945f2"),
+        (4, NOTHING_WRITTEN),
+    ),
+    "pipes.yaml": (
+        (0, "b28dfad2f9cd5c673e9e847d8d76c8f589cbfffad17b653fe16c766ee62d6781"),
+        (4, NOTHING_WRITTEN),
+    ),
+    "platformer.yaml": (
+        (0, "5be1fecd581bcf3fc5f3300ec8a5bb7f34de5e24bbe22080173c6c481a2b81d0"),
+        (4, NOTHING_WRITTEN),
+    ),
+    "voxel.yaml": (
+        (0, "adc0f0cc2c4516a477ac7a8a8fb869f0416f723c1bd645b236fa7ac869a36914"),
+        (4, NOTHING_WRITTEN),
+    ),
+}
+
+
+def _out_digest(out: Path) -> str:
+    h = hashlib.sha256()
+    for path in sorted(out.iterdir()) if out.exists() else ():
+        h.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("config", sorted(p.name for p in DEMO_CONFIGS.glob("*.yaml")))
+def test_demo_artifacts_golden(tmp_path, capsys, config):
+    got = []
+    for extra in ([], ["--exact-dist"]):
+        out = tmp_path / str(len(got))
+        code = main(["--config", str(DEMO_CONFIGS / config), "--out", str(out), *extra])
+        got.append((code, _out_digest(out)))
+    capsys.readouterr()
+    assert tuple(got) == DEMO_ARTIFACTS[config]

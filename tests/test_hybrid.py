@@ -16,7 +16,7 @@ from qcollapse import (
     validate_partitioning,
 )
 from qcollapse import hybrid
-from qcollapse.model import build_grid2d
+from qcollapse.topology import grid2d_topology
 from qcollapse.usecases import (
     checkerboard_usecase,
     hexmap_usecase,
@@ -76,9 +76,9 @@ def test_hwfc_budget():
 
 def test_hwfc_conflict_names_partition():
     from qcollapse import Pattern, Rule, Ruleset
-    from qcollapse.model import build_grid2d
+    from qcollapse.topology import grid2d_topology
 
-    adj = build_grid2d(2, 1)
+    adj = grid2d_topology(2, 1).adjacency
     rs = Ruleset((Rule(1, 1.0, Pattern.of((1, 2), (3, 2))),))  # value 2 unreachable
     with pytest.raises(ConflictError) as err:
         hwfc_generate(adj, 2, rs, equal_blocks(2, 2), RandomSource(0))
@@ -102,10 +102,6 @@ def _samples(adjacency, n_values, ruleset, partitioning, seed, count):
     return out
 
 
-def _compiled(ruleset, adjacency):
-    return ruleset._compiled(adjacency.n_directions)
-
-
 @pytest.mark.parametrize(
     "make",
     [
@@ -120,7 +116,7 @@ def test_warm_block_cache_gives_cold_instances(make):
     uc = make()
     args = (uc.adjacency, uc.alphabet.n_values)
     warm = _samples(*args, uc.ruleset, uc.partitioning, 2024, 4)
-    comp = _compiled(uc.ruleset, uc.adjacency)
+    comp = uc.ruleset.compiled
     filled = (len(comp.block_cache), comp.block_cache_entries)
     assert filled[0] > 0
     # the same draws again are served from the cache alone
@@ -141,7 +137,7 @@ def test_block_cache_keeps_adjacencies_and_alphabets_apart():
     # W=2 and W=3 encode it differently.
     shared = Ruleset((Rule(1, 1.0, EMPTY_PATTERN), Rule(2, 3.0, Pattern.of((1, 1)))))
     partitioning = Partitioning(((2, 1), (4, 3)))
-    worlds = [(build_grid2d(w, h), n) for w, h in ((2, 2), (1, 4)) for n in (2, 3)]
+    worlds = [(grid2d_topology(w, h).adjacency, n) for w, h in ((2, 2), (1, 4)) for n in (2, 3)]
     for adjacency, n_values in worlds + worlds[::-1]:
         fresh = Ruleset(shared.rules)
         assert _samples(adjacency, n_values, shared, partitioning, 5, 6) == _samples(
@@ -150,7 +146,7 @@ def test_block_cache_keeps_adjacencies_and_alphabets_apart():
         got = hwfc_exact_distribution(adjacency, n_values, shared, partitioning)
         want = hwfc_exact_distribution(adjacency, n_values, Ruleset(shared.rules), partitioning)
         assert (got.segments, got.n_values, got.probs) == (want.segments, want.n_values, want.probs)
-    cache = _compiled(shared, worlds[0][0]).block_cache
+    cache = shared.compiled.block_cache
     assert {key[:2] for key in cache} == set(worlds)
 
 
@@ -161,7 +157,7 @@ def test_block_cache_cap_stops_growth_not_output(monkeypatch):
     cap = 3000
     monkeypatch.setattr(hybrid, "_BLOCK_CACHE_CAP", cap)
     capped = Ruleset(uc.ruleset.rules)
-    comp = _compiled(capped, uc.adjacency)
+    comp = capped.compiled
     assert _samples(*args, capped, uc.partitioning, 11, 6) == cold
     assert 0 < comp.block_cache_entries <= cap
     assert comp.block_cache_entries == sum(len(t[1]) for t in comp.block_cache.values())
@@ -173,7 +169,7 @@ def test_block_cache_cap_stops_growth_not_output(monkeypatch):
 def test_repeated_conflicting_interface_raises_again():
     from qcollapse import Pattern, Rule
 
-    adj = build_grid2d(2, 1)
+    adj = grid2d_topology(2, 1).adjacency
     rs = Ruleset((Rule(1, 1.0, Pattern.of((1, 2), (3, 2))),))  # value 2 unreachable
     messages = []
     for _ in range(2):
@@ -182,4 +178,4 @@ def test_repeated_conflicting_interface_raises_again():
         messages.append(str(err.value))
     assert messages[0] == messages[1]
     assert messages[0].startswith("partition 2: ")
-    assert list(_compiled(rs, adj).block_cache) == [(adj, 2, (1,), ())]
+    assert list(rs.compiled.block_cache) == [(adj, 2, (1,), ())]

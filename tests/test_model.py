@@ -14,9 +14,12 @@ from qcollapse import (
     Symbol,
     bits_per_value,
     build_circuit,
-    build_grid2d,
-    build_grid3d_columns,
-    build_hexgrid,
+    dependency_set,
+    equal_blocks,
+    hwfc_generate,
+    grid2d_topology,
+    grid3d_topology,
+    hexgrid_topology,
     cwfc_generate,
     decode_values,
     encode_values,
@@ -24,8 +27,8 @@ from qcollapse import (
     make_factor,
     value_distribution,
 )
-from qcollapse.model import hexgrid_coordinates
-from qcollapse.usecases import checkerboard_ruleset
+from qcollapse.topology import hexgrid_coordinates
+from qcollapse.usecases import checkerboard_ruleset, voxel_skyline_ruleset
 
 
 def test_alphabet_basics():
@@ -46,7 +49,7 @@ def test_alphabet_rejects_duplicates_and_empty():
 
 def test_grid2d_2x2_edges():
     # ids row-major, y=0 top: 1 2 / 3 4
-    adj = build_grid2d(2, 2)
+    adj = grid2d_topology(2, 2).adjacency
     assert adj.n_segments == 4 and adj.n_directions == 4
     assert adj.edges[0] == frozenset({(1, 2), (3, 4)})  # right
     assert adj.edges[1] == frozenset({(3, 1), (4, 2)})  # up
@@ -59,7 +62,7 @@ def test_grid2d_2x2_edges():
 
 def test_grid3d_columns_layout():
     # 2 wide, 1 deep, 2 tall: ground layer ids 1,2; top layer 3,4
-    adj = build_grid3d_columns(2, 1, 2)
+    adj = grid3d_topology(2, 1, 2).adjacency
     assert adj.n_segments == 4 and adj.n_directions == 2
     assert adj.edges[0] == frozenset({(1, 3), (2, 4)})  # above
     assert adj.edges[1] == frozenset({(3, 1), (4, 2)})  # below
@@ -68,7 +71,7 @@ def test_grid3d_columns_layout():
 def test_hexgrid_radius1_spiral_and_neighbors():
     coords = hexgrid_coordinates(1)
     assert coords == ((0, 0), (1, 0), (1, -1), (0, -1), (-1, 0), (-1, 1), (0, 1))
-    adj = build_hexgrid(1)
+    adj = hexgrid_topology(1).adjacency
     assert adj.n_segments == 7 and adj.n_directions == 6
     # center's neighbor in each CCW-from-east direction is ring id 2..7
     assert [adj.neighbors(1, d) for d in range(1, 7)] == [(2,), (3,), (4,), (5,), (6,), (7,)]
@@ -79,7 +82,7 @@ def test_hexgrid_radius1_spiral_and_neighbors():
 
 @pytest.mark.parametrize("radius,n", [(0, 1), (1, 7), (2, 19), (3, 37)])
 def test_hexgrid_size_formula(radius, n):
-    assert build_hexgrid(radius).n_segments == n
+    assert hexgrid_topology(radius).adjacency.n_segments == n
 
 
 def test_pattern_and_rule_validation():
@@ -100,7 +103,7 @@ def test_rule_values_outside_alphabet_rejected():
             Rule(bad, 1.0, Pattern.of())
     # a value-3 rule at W=2 used to give [0.5, 0, 0.5] and a load that
     # spilled into the next segment's qubits
-    adj = build_grid2d(2, 1)
+    adj = grid2d_topology(2, 1).adjacency
     rs = Ruleset((Rule(1, 1.0, Pattern.of()), Rule(3, 1.0, Pattern.of())))
     with pytest.raises(ValueError, match="outside the alphabet"):
         value_distribution(1, adj, ContentInstance(), rs, 2)
@@ -109,6 +112,85 @@ def test_rule_values_outside_alphabet_rejected():
     with pytest.raises(ValueError, match="outside the alphabet"):
         cwfc_generate(adj, make_alphabet("a", "b"), rs, RandomSource(1))
     np.testing.assert_allclose(value_distribution(1, adj, ContentInstance(), rs, 3), [0.5, 0, 0.5])
+
+
+def test_pattern_directions_start_at_one():
+    for bad in (0, -2):
+        with pytest.raises(ValueError, match=">= 1"):
+            Pattern.of((bad, 1))
+
+
+# Direction 3 on a D=2 adjacency; each call must name it, never fail on a
+# neighbour lookup.
+PAST_D = Ruleset((Rule(1, 1.0, Pattern.of()), Rule(2, 1.0, Pattern.of((3, 1)))))
+PAST_D_CALLS = {
+    "value_distribution": lambda adj: value_distribution(1, adj, ContentInstance(), PAST_D, 2),
+    "dependency_set": lambda adj: dependency_set(2, (1, 2, 3, 4), adj, PAST_D),
+    "build_circuit": lambda adj: build_circuit(adj, 2, PAST_D, (1, 2, 3, 4)),
+    "cwfc_generate": lambda adj: cwfc_generate(adj, make_alphabet("a", "b"), PAST_D, RandomSource(1)),
+    "hwfc_generate": lambda adj: hwfc_generate(adj, 2, PAST_D, equal_blocks(4, 2), RandomSource(1)),
+}
+
+
+@pytest.mark.parametrize("call", sorted(PAST_D_CALLS))
+def test_pattern_direction_past_d_rejected(call):
+    with pytest.raises(ValueError, match=r"pattern direction 3 outside \[1,2\]"):
+        PAST_D_CALLS[call](grid3d_topology(2, 1, 2).adjacency)
+
+
+def _outcome(segment, adjacency, content, ruleset, n_values):
+    try:
+        probs = value_distribution(segment, adjacency, content, ruleset, n_values)
+    except ConflictError:
+        return "conflict"
+    return probs.shape, probs.tobytes()
+
+
+def _reference_outcome(segment, adjacency, content, ruleset, n_values):
+    weights = np.zeros(n_values)
+    for rule in ruleset.rules:
+        if pattern_matches(segment, adjacency, content, rule.pattern):
+            u = rule.weight
+            weights[rule.value - 1] += u.fn(segment, content.mapping) if isinstance(u, FunctionalWeight) else u
+    return "conflict" if weights.sum() <= 0 else weights / weights.sum()
+
+
+@pytest.mark.parametrize(
+    "rules",
+    [
+        voxel_skyline_ruleset(2).rules,  # direction 2 only, functional weights
+        (Rule(1, 1.0, Pattern.of((2, 2))), Rule(2, 2.0, Pattern.of((1, 1), (2, 1)))),
+    ],
+    ids=["voxel-skyline", "constant"],
+)
+def test_one_compile_serves_every_direction_count(rules):
+    shared = Ruleset(rules)
+    worlds = [
+        grid3d_topology(2, 1, 3).adjacency,  # D=2
+        grid2d_topology(3, 2).adjacency,  # D=4
+        hexgrid_topology(1).adjacency,  # D=6
+    ]
+    rng = np.random.default_rng(3)
+    seen = set()
+    for adjacency in worlds + worlds[::-1]:
+        n = adjacency.n_segments
+        for n_values in (2, 3):
+            for _ in range(8):
+                placed = rng.permutation(n)[: rng.integers(0, n)] + 1
+                content = ContentInstance(
+                    tuple((int(s), int(rng.integers(1, n_values + 1))) for s in placed)
+                )
+                for segment in range(1, n + 1):
+                    got = _outcome(segment, adjacency, content, shared, n_values)
+                    want = _outcome(segment, adjacency, content, Ruleset(rules), n_values)
+                    assert got == want
+                    ref = _reference_outcome(segment, adjacency, content, shared, n_values)
+                    if got == "conflict" or isinstance(ref, str):
+                        assert got == ref
+                    else:
+                        np.testing.assert_allclose(np.frombuffer(got[1]), ref, rtol=0, atol=1e-15)
+                    seen.add(got == "conflict")
+    assert seen == {True, False}
 
 
 def test_content_instance():
@@ -121,7 +203,7 @@ def test_content_instance():
 
 
 def test_pattern_matches_semantics():
-    adj = build_grid2d(2, 1)  # ids 1,2 side by side
+    adj = grid2d_topology(2, 1).adjacency  # ids 1,2 side by side
     p = Pattern.of((1, 2))  # right neighbor must carry value 2
     empty = ContentInstance()
     assert pattern_matches(1, adj, empty, p) == 1  # unplaced: no constraint
@@ -133,7 +215,7 @@ def test_pattern_matches_semantics():
 
 
 def test_value_distribution_checkerboard():
-    adj = build_grid2d(2, 2)
+    adj = grid2d_topology(2, 2).adjacency
     rs = checkerboard_ruleset()
     empty = ContentInstance()
     np.testing.assert_allclose(value_distribution(1, adj, empty, rs, 2), [0.5, 0.5])
@@ -145,13 +227,13 @@ def test_value_distribution_checkerboard():
 
 
 def test_value_distribution_weights():
-    adj = build_grid2d(1, 1)
+    adj = grid2d_topology(1, 1).adjacency
     rs = Ruleset((Rule(1, 1.0, Pattern.of()), Rule(2, 3.0, Pattern.of())))
     np.testing.assert_allclose(value_distribution(1, adj, ContentInstance(), rs, 2), [0.25, 0.75])
 
 
 def test_value_distribution_cache_keyed_on_alphabet_size():
-    adj = build_grid2d(1, 1)
+    adj = grid2d_topology(1, 1).adjacency
     rs = Ruleset((Rule(1, 1.0, Pattern.of()), Rule(2, 3.0, Pattern.of())))
     np.testing.assert_allclose(value_distribution(1, adj, ContentInstance(), rs, 2), [0.25, 0.75])
     # same ruleset and signature, larger alphabet: the vector grows a zero
@@ -160,7 +242,7 @@ def test_value_distribution_cache_keyed_on_alphabet_size():
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
 def test_functional_factor_must_return_finite(bad):
-    adj = build_grid2d(1, 1)
+    adj = grid2d_topology(1, 1).adjacency
     rs = Ruleset(
         (
             Rule(1, 1.0, Pattern.of()),
@@ -173,7 +255,7 @@ def test_functional_factor_must_return_finite(bad):
 
 def test_functional_factor_layers():
     # 2-wide, 3-tall column world: bottom layer is ids 1..2
-    adj = build_grid3d_columns(2, 1, 3)
+    adj = grid3d_topology(2, 1, 3).adjacency
     rs = Ruleset(
         (
             Rule(1, make_factor("bottom_layer_only", u=2.0, layer_size=2), Pattern.of()),

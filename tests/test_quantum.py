@@ -23,7 +23,7 @@ from qcollapse import (
     Rule,
     Ruleset,
     build_circuit,
-    build_grid2d,
+    grid2d_topology,
     dependency_set,
     exact_distribution,
     export_qasm,
@@ -57,7 +57,7 @@ def test_conditional_load_validation():
 
 
 def test_dependency_set_uses_rule_directions():
-    adj = build_grid2d(2, 2)
+    adj = grid2d_topology(2, 2).adjacency
     rs = checkerboard_ruleset()  # patterns use all four directions
     order = (1, 2, 3, 4)
     assert dependency_set(1, order, adj, rs) == frozenset()
@@ -68,7 +68,7 @@ def test_dependency_set_uses_rule_directions():
 
 
 def test_build_circuit_checkerboard_2x2():
-    adj = build_grid2d(2, 2)
+    adj = grid2d_topology(2, 2).adjacency
     circuit = build_circuit(adj, 2, checkerboard_ruleset(), (1, 2, 3, 4))
     # reachable loads: 1 + 2 + 2 + 2 (only consistent control assignments)
     assert [load.step for load in circuit.loads] == [1, 2, 2, 3, 3, 4, 4]
@@ -82,7 +82,7 @@ def test_build_circuit_checkerboard_2x2():
 
 
 def test_build_circuit_rejects_bad_orders():
-    adj = build_grid2d(2, 1)
+    adj = grid2d_topology(2, 1).adjacency
     rs = checkerboard_ruleset()
     with pytest.raises(ValueError):
         build_circuit(adj, 2, rs, (1, 1))
@@ -158,7 +158,7 @@ def test_simulate_contract_violation():
 
 
 def test_frozen_context_conditions_circuit():
-    adj = build_grid2d(2, 1)
+    adj = grid2d_topology(2, 1).adjacency
     rs = checkerboard_ruleset()
     circuit = build_circuit(adj, 2, rs, (2,), frozen=ContentInstance(((1, 1),)))
     dist = exact_distribution(simulate(circuit), circuit.layout)
