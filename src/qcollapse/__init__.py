@@ -59,6 +59,7 @@ from .quantum import (
     ControlledRY,
     GateList,
     QubitLayout,
+    SparseState,
     XGate,
     build_circuit,
     dependency_set,

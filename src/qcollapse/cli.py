@@ -23,7 +23,14 @@ from .errors import (
     GenerationError,
     RestartsExhaustedError,
 )
-from .framework import RandomSource, exact_distribution_oracle, fixed_order_selector, ruleset_value_selector
+from .framework import (
+    EXACT_BUDGET,
+    RandomSource,
+    _check_budget,
+    exact_distribution_oracle,
+    fixed_order_selector,
+    ruleset_value_selector,
+)
 from .hybrid import hwfc_exact_distribution, hwfc_generate
 from .model import ContentInstance, Distribution
 from .quantum import (
@@ -168,16 +175,18 @@ def run(config: RunConfig, args, started: float) -> int:
     elif config.mode == "qwfc":
         circuit = build_circuit(adjacency, n_values, config.ruleset, config.order)
         qubits = circuit.layout.n_qubits
-        psi = simulate(circuit)
-        instances = sample_shots(psi, circuit.layout, config.shots, rng)
+        state = simulate(circuit)
+        instances = sample_shots(state, circuit.layout, config.shots, rng)
         if args.exact_dist:
-            _write(out, f"{config.name}-dist.json", _distribution_json(exact_distribution(psi, circuit.layout)))
+            _write(out, f"{config.name}-dist.json", _distribution_json(exact_distribution(state, circuit.layout)))
         if args.export_qasm:
             gates = lower_to_gates(circuit)
             _write(out, f"{config.name}.qasm", export_qasm(gates, circuit.layout))
 
     elif config.mode == "hwfc":
         assert config.partitioning is not None
+        if args.exact_dist:
+            _check_budget(n, n_values, EXACT_BUDGET)
         for _ in range(config.shots):
             instances.append(
                 hwfc_generate(adjacency, n_values, config.ruleset, config.partitioning, rng)

@@ -107,6 +107,9 @@ def generate(
 # --------------------------------------------------------------------------
 
 
+EXACT_BUDGET = 1e6  # default cap on the candidate instances an exact enumeration may visit
+
+
 def _check_budget(n_segments: int, n_values: int, budget: float) -> None:
     if n_values ** n_segments > budget:
         raise BudgetExceededError(
@@ -119,7 +122,7 @@ def exact_distribution_oracle(
     n_values: int,
     identifier_selector,
     value_selector,
-    budget: float = 1e6,
+    budget: float = EXACT_BUDGET,
 ) -> Distribution:
     """Exact chain-rule distribution over complete instances.
 
@@ -163,7 +166,7 @@ def validate_selectors(
     n_values: int,
     identifier_selector,
     value_selector,
-    budget: float = 1e6,
+    budget: float = EXACT_BUDGET,
 ) -> list[SelectorViolation]:
     """Exhaustively walk reachable branches and report contract violations.
 

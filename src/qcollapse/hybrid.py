@@ -8,9 +8,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, ConflictError
-from .framework import RandomSource, _check_budget
+from .framework import EXACT_BUDGET, RandomSource, _check_budget
 from .model import AdjacencyConfig, ContentInstance, Distribution, Ruleset, encode_values
-from .quantum import QubitLayout, _PROB_CUTOFF, _support, build_circuit, simulate
+from .quantum import QubitLayout, _PROB_CUTOFF, build_circuit, simulate
 
 # Unused here; perfbench/layers.py wraps these names on this module.
 from .quantum import exact_distribution, sample_shots  # noqa: F401
@@ -112,7 +112,8 @@ def _block_outcomes(
     if table is not None:
         return table
     circuit = build_circuit(adjacency, n_values, ruleset, block, frozen=ContentInstance(interface))
-    support, weights = _support(simulate(circuit))
+    state = simulate(circuit)
+    support, weights = state.indices, state.probabilities
     support.setflags(write=False)
     weights.setflags(write=False)
     table = (circuit.layout, support, weights)
@@ -150,7 +151,7 @@ def hwfc_exact_distribution(
     n_values: int,
     ruleset: Ruleset,
     partitioning: Partitioning,
-    budget: float = 1e6,
+    budget: float = EXACT_BUDGET,
 ) -> Distribution:
     """Exact joint distribution by enumerating every prior-partition outcome."""
     _check_budget(sum(len(b) for b in partitioning.blocks), n_values, budget)

@@ -33,7 +33,8 @@ _AMP_NORM_TOL = 1e-12
 _SIM_NORM_TOL = 1e-9
 _PROB_CUTOFF = 1e-15  # exact_distribution drops basis states at or below this
 
-DEFAULT_QUBIT_CAP = 26  # ~1 GiB of complex128 amplitudes
+DEFAULT_QUBIT_CAP = 26  # ~1 GiB of complex128 amplitudes in a dense view
+INDEX_QUBIT_LIMIT = 63  # basis indices are int64
 DEFAULT_LOAD_CAP = 4096  # reachable control assignments per iteration
 DEFAULT_SUPPORT_CAP = 1 << 20  # reachable partial assignments while compiling
 
@@ -42,7 +43,7 @@ DEFAULT_SUPPORT_CAP = 1 << 20  # reachable partial assignments while compiling
 class QubitLayout:
     """Mapping from segment ids to qubit groups.
 
-    Segments are kept in ascending order; the j-th segment's group occupies
+    Segments are strictly ascending; the j-th segment's group occupies
     qubits j*q .. (j+1)*q-1 with the value stored little-endian as v-1.  For
     a full circuit over segments 1..N this reproduces the canonical integer
     encoding of complete instances.
@@ -52,8 +53,8 @@ class QubitLayout:
     n_values: int
 
     def __post_init__(self):
-        if tuple(sorted(self.segments)) != self.segments:
-            raise ValueError("layout segments must be ascending")
+        if any(a >= b for a, b in zip(self.segments, self.segments[1:])):
+            raise ValueError("layout segments must be strictly ascending")
 
     @property
     def bits_per_value(self) -> int:
@@ -76,6 +77,16 @@ class QubitLayout:
 
     def decode(self, basis: int) -> ContentInstance:
         return ContentInstance(decode_values(basis, self.segments, self.n_values))
+
+    def decode_many(self, keys: np.ndarray) -> list[ContentInstance]:
+        """``decode`` of each int64 basis key, with array shifts and masks."""
+        q = self.bits_per_value
+        shifts = np.arange(len(self.segments), dtype=np.int64) * q
+        values = ((keys[:, None] >> shifts[None, :]) & ((1 << q) - 1)) + 1
+        bad = (values > self.n_values).any(axis=1)
+        if bad.any():
+            raise ValueError(f"basis key {int(keys[bad][0])} decodes outside the alphabet")
+        return [ContentInstance(tuple(zip(self.segments, row))) for row in values.tolist()]
 
 
 @dataclass(frozen=True)
@@ -242,20 +253,49 @@ def _split_selectors(bits, t0, width, n_qubits):
     return np.nonzero(hi_sel)[0], np.nonzero(lo_sel)[0]
 
 
-def simulate(circuit: CircuitProgram, memory_cap_qubits: int = DEFAULT_QUBIT_CAP) -> np.ndarray:
-    """Execute the conditional loads from |0>; returns the final statevector.
+@dataclass(frozen=True, eq=False)
+class SparseState:
+    """A statevector by its support: strictly ascending int64 basis indices,
+    their complex128 amplitudes and the squared magnitudes of those, every
+    one positive.
+
+    ``np.asarray(state)`` builds the dense 2^Q vector, for comparisons with
+    ``simulate_gates``; it refuses above ``DEFAULT_QUBIT_CAP`` qubits.
+    """
+
+    layout: QubitLayout
+    indices: np.ndarray
+    amplitudes: np.ndarray
+    probabilities: np.ndarray
+
+    def __array__(self, dtype=None, copy=None):
+        n_qubits = self.layout.n_qubits
+        if n_qubits > DEFAULT_QUBIT_CAP:
+            raise CapacityError(
+                f"a dense view of {n_qubits} qubits exceeds the cap of {DEFAULT_QUBIT_CAP}"
+            )
+        psi = np.zeros(1 << n_qubits, dtype=np.complex128)
+        psi[self.indices] = self.amplitudes
+        return psi if dtype is None else psi.astype(dtype)
+
+
+def simulate(circuit: CircuitProgram) -> SparseState:
+    """Execute the conditional loads from |0>; returns the final state.
 
     The loads act on the support only: basis indices and amplitudes of the
     nonzero entries, which a load's controls match with one bitmask compare.
-    The 2^Q statevector is written once, at the end.
+    ``build_circuit``'s ``max_support`` bounds its size; no 2^Q vector is
+    written.
 
-    Raises CapacityError above the qubit cap and ContractError if a load
-    finds its target group outside the ground state on a matched subspace
-    (which signals a malformed circuit).
+    Raises CapacityError above INDEX_QUBIT_LIMIT qubits and ContractError if
+    a load finds its target group outside the ground state on a matched
+    subspace (which signals a malformed circuit).
     """
     n_qubits = circuit.n_qubits
-    if n_qubits > memory_cap_qubits:
-        raise CapacityError(f"{n_qubits} qubits exceed the cap of {memory_cap_qubits}")
+    if n_qubits > INDEX_QUBIT_LIMIT:
+        raise CapacityError(
+            f"{n_qubits} qubits exceed the limit of {INDEX_QUBIT_LIMIT} for int64 basis indices"
+        )
     layout = circuit.layout
     group = (1 << layout.bits_per_value) - 1
     idx = np.zeros(1, dtype=np.int64)
@@ -289,40 +329,40 @@ def simulate(circuit: CircuitProgram, memory_cap_qubits: int = DEFAULT_QUBIT_CAP
             [amp[~matched], (base_amp[:, None] * amplitudes[values][None, :]).ravel()]
         )
 
-    norm = np.linalg.norm(amp)
-    if abs(norm - 1.0) > _SIM_NORM_TOL:
-        raise ContractError(f"statevector norm drifted to {norm}")
-    psi = np.zeros(1 << n_qubits, dtype=np.complex128)
-    psi[idx] = amp
-    return psi
+    order = np.argsort(idx)
+    amp = amp[order]
+    idx = idx[order]
+    probs = np.abs(amp) ** 2
+    # an amplitude whose square underflows carries no probability
+    nonzero = probs > 0.0
+    if not nonzero.all():
+        idx, amp, probs = idx[nonzero], amp[nonzero], probs[nonzero]
+    total = probs.sum()
+    if abs(total - 1.0) > _SIM_NORM_TOL:
+        raise ContractError(f"statevector squared norm drifted to {total}")
+    return SparseState(layout, idx, amp, probs)
 
 
-def _support(statevector: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending basis indices with nonzero probability, and those probabilities."""
-    probs = np.abs(statevector) ** 2
-    support = np.nonzero(probs > 0.0)[0]
-    return support, probs[support]
-
-
-def exact_distribution(statevector: np.ndarray, layout: QubitLayout) -> Distribution:
+def exact_distribution(state: SparseState, layout: QubitLayout) -> Distribution:
     """Squared amplitudes as a distribution over basis integers."""
-    support, probs = _support(statevector)
+    probs = state.probabilities
     keep = probs > _PROB_CUTOFF
     return Distribution(
         layout.segments,
         layout.n_values,
-        dict(zip(support[keep].tolist(), probs[keep].tolist())),
+        dict(zip(state.indices[keep].tolist(), probs[keep].tolist())),
     )
 
 
 def sample_shots(
-    statevector: np.ndarray, layout: QubitLayout, shots: int, rng: RandomSource
+    state: SparseState, layout: QubitLayout, shots: int, rng: RandomSource
 ) -> list[ContentInstance]:
     """Independent measurement samples, deterministic under a fixed seed."""
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    support, weights = _support(statevector)
-    return [layout.decode(int(b)) for b in support[rng.categorical(weights, shots)]]
+    drawn, inverse = np.unique(rng.categorical(state.probabilities, shots), return_inverse=True)
+    instances = layout.decode_many(state.indices[drawn])
+    return [instances[i] for i in inverse.tolist()]
 
 
 # --------------------------------------------------------------------------

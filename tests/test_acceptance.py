@@ -27,6 +27,7 @@ from qcollapse import (
     hwfc_generate,
     lower_to_gates,
     ruleset_value_selector,
+    sample_shots,
     simulate,
     simulate_gates,
 )
@@ -245,3 +246,39 @@ def test_criterion_9_single_hexagon_distribution():
     ok = set(dist.probs) == set(expected) and dev < 1e-12
     _report(9, ok, elapsed, f"single-hexagon terrain distribution (320, 729, 729, 64)/1842, deviation {dev:.2e}")
     assert ok
+
+
+QWFC_EXACT_WORLDS = (
+    ("voxels 3x3x2", lambda: voxel_skyline_usecase(3, 3, 2)),
+    ("voxels 2x2x5", lambda: voxel_skyline_usecase(2, 2, 5)),
+    ("pipes 3x2", lambda: pipes_usecase(3, 2)),
+    ("platformer 3x2", lambda: platformer_usecase(3, 2)),
+)
+
+
+@pytest.mark.parametrize("name,make", QWFC_EXACT_WORLDS, ids=[n for n, _ in QWFC_EXACT_WORLDS])
+def test_sparse_state_sampling_matches_per_shot_decode(name, make):
+    uc = make()
+    circuit = build_circuit(uc.adjacency, uc.alphabet.n_values, uc.ruleset, uc.order)
+    state = simulate(circuit)
+    assert np.count_nonzero(state) == len(state.indices)
+    shots = sample_shots(state, circuit.layout, 1000, RandomSource(11))
+    drawn = RandomSource(11).categorical(state.probabilities, 1000)
+    assert shots == [circuit.layout.decode(int(state.indices[i])) for i in drawn]
+
+
+def test_platformer_4x2_exact_distribution_matches_oracle():
+    uc = platformer_usecase(4, 2)
+    n, w = uc.adjacency.n_segments, uc.alphabet.n_values
+    circuit = build_circuit(uc.adjacency, w, uc.ruleset, uc.order)
+    assert circuit.n_qubits == 24
+    dist = exact_distribution(simulate(circuit), circuit.layout)
+    oracle = exact_distribution_oracle(
+        n,
+        w,
+        fixed_order_selector(uc.order, n),
+        ruleset_value_selector(uc.adjacency, uc.ruleset, w),
+        budget=w**n,
+    )
+    assert len(dist.probs) == 81
+    assert max_prob_deviation(dist.probs, oracle.probs) < 1e-12

@@ -184,10 +184,10 @@ rules:
 
 
 def test_cli_exit_code_capacity(tmp_path, capsys):
-    doc = CHECKER.replace("width: 3, height: 3", "width: 6, height: 6")
+    doc = CHECKER.replace("width: 3, height: 3", "width: 8, height: 8")
     cfg = _write(tmp_path, doc)
-    assert main(["--config", str(cfg)]) == 4  # 36 qubits exceed the cap
-    capsys.readouterr()
+    assert main(["--config", str(cfg)]) == 4  # 64 qubits exceed the int64 index limit
+    assert "limit of 63" in capsys.readouterr().err
 
 
 def test_cli_hwfc_single_value_has_no_qubits(tmp_path, capsys):
@@ -332,3 +332,23 @@ def test_cli_deterministic_artifacts(tmp_path):
     assert files == sorted(p.name for p in outs[1].iterdir())
     for name in files:
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+def test_cli_hwfc_exact_dist_checks_budget_before_drawing(tmp_path, capsys, monkeypatch):
+    from pathlib import Path
+
+    from qcollapse import cli
+
+    configs = Path(__file__).resolve().parent.parent / "demos" / "configs"
+    # the budget is read first, so a conflict in the draws cannot come before it
+    out = tmp_path / "hexmap"
+    args = ["--config", str(configs / "hexmap.yaml"), "--exact-dist", "--shots", "300"]
+    assert main([*args, "--out", str(out)]) == 4
+    assert not out.exists()
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("drew an instance before checking the budget")
+
+    monkeypatch.setattr(cli, "hwfc_generate", no_draws)
+    assert main(["--config", str(configs / "pipes.yaml"), "--exact-dist"]) == 4
+    assert "exceed the budget" in capsys.readouterr().err

@@ -22,6 +22,7 @@ from qcollapse import (
     RandomSource,
     Rule,
     Ruleset,
+    SparseState,
     build_circuit,
     grid2d_topology,
     dependency_set,
@@ -46,6 +47,8 @@ def test_layout_offsets_and_codec():
     assert layout.decode(key).mapping == {1: 2, 2: 1, 3: 3}
     with pytest.raises(ValueError):
         QubitLayout((2, 1), 2)
+    with pytest.raises(ValueError):
+        QubitLayout((1, 1), 2)  # would map both entries to one group
 
 
 def test_conditional_load_validation():
@@ -99,11 +102,13 @@ def test_build_circuit_conflict_during_compile():
 
 def test_capacity_caps():
     uc = checkerboard_usecase(3, 3)
-    circuit = build_circuit(uc.adjacency, 2, uc.ruleset, uc.order)
-    with pytest.raises(CapacityError):
-        simulate(circuit, memory_cap_qubits=8)
     with pytest.raises(CapacityError):
         build_circuit(uc.adjacency, 2, uc.ruleset, uc.order, max_loads_per_step=1)
+    # basis indices are int64: 64 qubits are past the limit
+    wide = checkerboard_usecase(8, 8)
+    circuit = build_circuit(wide.adjacency, 2, wide.ruleset, wide.order)
+    with pytest.raises(CapacityError, match="limit of 63"):
+        simulate(circuit)
     # support cap: uniform unconstrained rules double the support each step
     adj = chain_adjacency(8)
     rs = conflict_free_ruleset((), 2)
@@ -141,6 +146,37 @@ def test_simulate_matches_reference_distribution():
     assert abs(dist.total_mass() - 1.0) < 1e-12
 
 
+def test_sparse_state_indices_and_dense_view():
+    adj = chain_adjacency(4)
+    rs = conflict_free_ruleset((Rule(1, 3.0, Pattern.of((2, 1))),), 3, floor=0.5)
+    state = simulate(build_circuit(adj, 3, rs, (3, 1, 4, 2)))
+    assert state.indices.dtype == np.int64 and state.amplitudes.dtype == np.complex128
+    assert len(state.indices) > 1 and (np.diff(state.indices) > 0).all()
+    assert np.array_equal(state.probabilities, np.abs(state.amplitudes) ** 2)
+    dense = np.zeros(1 << state.layout.n_qubits, dtype=np.complex128)
+    for index, amplitude in zip(state.indices.tolist(), state.amplitudes.tolist()):
+        dense[index] = amplitude
+    assert np.array_equal(np.asarray(state), dense)
+    assert np.count_nonzero(state) == len(state.indices)
+
+
+def test_sparse_state_wide_circuit_and_dense_cap():
+    # 49 qubits, two outcomes: far past any dense vector
+    uc = checkerboard_usecase(7, 7)
+    circuit = build_circuit(uc.adjacency, 2, uc.ruleset, uc.order)
+    assert circuit.n_qubits == 49
+    state = simulate(circuit)
+    dist = exact_distribution(state, circuit.layout)
+    assert len(dist.probs) == 2 and all(p == pytest.approx(0.5) for p in dist.probs.values())
+    shots = sample_shots(state, circuit.layout, 50, RandomSource(4))
+    assert {circuit.layout.encode(s.mapping) for s in shots} == set(dist.probs)
+    with pytest.raises(CapacityError, match="dense view"):
+        np.asarray(state)
+    narrow = checkerboard_usecase(9, 3)  # 27 qubits, one past the dense cap
+    with pytest.raises(CapacityError, match="dense view"):
+        np.asarray(simulate(build_circuit(narrow.adjacency, 2, narrow.ruleset, narrow.order)))
+
+
 def test_simulate_out_of_order_segments():
     # a non-ascending generation order still lands on the canonical layout
     uc = checkerboard_usecase(3, 3)
@@ -176,6 +212,13 @@ def test_sample_shots_deterministic_and_in_support():
         assert circuit.layout.encode(inst.mapping) in (170, 341)
     with pytest.raises(ValueError):
         sample_shots(psi, circuit.layout, 0, RandomSource(2))
+
+
+def test_sample_shots_rejects_keys_outside_the_alphabet():
+    layout = QubitLayout((1,), 3)  # two qubits; basis 3 decodes to value 4
+    state = SparseState(layout, np.array([3]), np.array([1.0 + 0j]), np.array([1.0]))
+    with pytest.raises(ValueError, match="outside the alphabet"):
+        sample_shots(state, layout, 1, RandomSource(0))
 
 
 @pytest.mark.parametrize("n_values", [2, 3, 4])
