@@ -52,6 +52,7 @@ from .model import (
     make_factor,
     register_factor,
     value_distribution,
+    value_entropy,
 )
 from .quantum import (
     CircuitProgram,

@@ -15,7 +15,8 @@ from .model import (
     Alphabet,
     ContentInstance,
     Ruleset,
-    value_distribution,
+    value_distribution,  # noqa: F401  (perfbench traces this name)
+    value_entropy,
 )
 
 _ENTROPY_TIE_TOL = 1e-12
@@ -30,12 +31,11 @@ def shannon_entropy(
 ) -> float:
     """Entropy in nats of the segment's value distribution (0 ln 0 := 0).
 
-    Read off ``value_distribution``'s cached vector: with constant weights
-    the signature and W fix the distribution, so they fix its entropy too.
+    Read off the distribution cache through ``value_entropy``: the entry
+    that holds a vector holds its entropy too, computed once when the entry
+    was filled.
     """
-    p = value_distribution(segment, adjacency, content, ruleset, n_values)
-    nz = p[p > 0.0]
-    return float(-(nz * np.log(nz)).sum())
+    return value_entropy(segment, adjacency, content, ruleset, n_values)
 
 
 @dataclass(frozen=True)
@@ -63,51 +63,49 @@ def entropy_report(
 class EntropySelector:
     """Identifier selector: uniform over the minimum-entropy segments.
 
-    Caches per-segment entropies between calls and recomputes only segments
-    affected by newly placed values, so repeated sampling stays cheap.
+    Keeps one entropy per segment in an array, +inf once the segment is
+    placed.  Each call recomputes, in ascending id order, only the segments
+    that newly placed values influence (``AdjacencyConfig.influenced_by``),
+    so a step costs what it changed.  Content that does not extend what the
+    selector saw last starts it over.
     """
 
     def __init__(self, adjacency: AdjacencyConfig, ruleset: Ruleset, n_values: int):
         self.adjacency = adjacency
         self.ruleset = ruleset
         self.n_values = n_values
-        self._cache: dict[int, float] = {}
+        self._reset()
+
+    def _reset(self) -> None:
+        n = self.adjacency.n_segments
+        self._h = np.zeros(n)
+        self._stale = set(range(1, n + 1))
         self._seen: tuple[tuple[int, int], ...] = ()
 
     def _sync(self, content: ContentInstance) -> None:
         entries = content.entries
         n = len(self._seen)
         if entries[:n] != self._seen:
-            self._cache.clear()
-            self._seen = ()
+            self._reset()
             n = 0
+        placed = content.mapping
         for seg, _ in entries[n:]:
-            self._cache.pop(seg, None)
-            for other in self.adjacency.influenced_by(seg):
-                self._cache.pop(other, None)
+            self._h[seg - 1] = math.inf
+            self._stale.discard(seg)
+            self._stale.update(o for o in self.adjacency.influenced_by(seg) if o not in placed)
         self._seen = entries
 
     def __call__(self, k: int, content: ContentInstance) -> np.ndarray:
         self._sync(content)
-        placed = content.mapping
-        h_min = math.inf
-        for i in range(1, self.adjacency.n_segments + 1):
-            if i in placed:
-                continue
-            h = self._cache.get(i)
-            if h is None:
-                h = shannon_entropy(i, self.adjacency, content, self.ruleset, self.n_values)
-                self._cache[i] = h
-            if h < h_min:
-                h_min = h
-        probs = np.zeros(self.adjacency.n_segments)
-        for i, h in self._cache.items():
-            if i not in placed and h <= h_min + _ENTROPY_TIE_TOL:
-                probs[i - 1] = 1.0
-        total = probs.sum()
-        if total > 0.0:
-            probs /= total
-        return probs
+        h = self._h
+        for i in sorted(self._stale):
+            h[i - 1] = shannon_entropy(i, self.adjacency, content, self.ruleset, self.n_values)
+        self._stale.clear()
+        h_min = h.min()
+        if h_min == math.inf:
+            return np.zeros(len(h))
+        mins = h <= h_min + _ENTROPY_TIE_TOL
+        return mins.astype(float) / np.count_nonzero(mins)
 
 
 def cwfc_generate(

@@ -82,14 +82,14 @@ def generate(
     already-placed id.
     """
     content = ContentInstance()
+    placed = np.empty(n_segments, dtype=np.intp)  # 0-based ids, in placement order
     for k in range(1, n_segments + 1):
         id_probs = np.asarray(identifier_selector(k, content), dtype=float)
-        placed = content.mapping
-        for seg in placed:
-            if id_probs[seg - 1] > 0.0:
-                raise SelectorContractError(
-                    f"identifier distribution puts mass on placed id {seg} at k={k}"
-                )
+        if (id_probs[placed[: k - 1]] > 0.0).any():
+            seg = next(s for s in content.mapping if id_probs[s - 1] > 0.0)
+            raise SelectorContractError(
+                f"identifier distribution puts mass on placed id {seg} at k={k}"
+            )
         total = id_probs.sum()
         if total <= 0.0:
             raise SelectorContractError(f"identifier distribution empty at k={k}")
@@ -99,6 +99,7 @@ def generate(
             raise ConflictError(segment, content, "value selector returned empty support")
         value = rng.categorical(value_probs) + 1
         content = content.add(segment, value)
+        placed[k - 1] = segment - 1
     return content
 
 

@@ -156,7 +156,8 @@ class FunctionalWeight:
     The callable receives (segment id, merged placed-value mapping) and must
     return a value >= 0.  It may read only the segment and the values of its
     neighbours: compiled circuits pass only those, and hwfc caches a block's
-    outcomes on the frozen values adjacent to the block.
+    outcomes on the frozen values adjacent to the block.  Its output is part
+    of the distribution cache's key, so it runs on every lookup.
     """
 
     name: str
@@ -206,8 +207,9 @@ class CompiledRuleset:
 
     def __init__(self, ruleset: Ruleset):
         m = len(ruleset.rules)
-        # value distributions keyed (signature, W); see value_distribution.
-        self.dist_cache: dict[tuple[tuple[int, ...], int], object] = {}
+        # (probabilities, entropy) keyed (signature, W, factor outputs); see
+        # _distribution_entry.
+        self.dist_cache: dict[tuple, object] = {}
         # hwfc block outcome tables, keyed (adjacency, W, block, interface);
         # see hybrid._block_outcomes.
         self.block_cache: dict[tuple, tuple] = {}
@@ -310,7 +312,15 @@ class ContentInstance:
         return len(self.entries)
 
     def add(self, segment: int, value: int) -> "ContentInstance":
-        return ContentInstance(self.entries + ((segment, value),))
+        """Child with one more pair.  Only the new id is checked; the child
+        starts from this instance's mapping instead of rebuilding its own."""
+        mapping = self.mapping
+        if segment in mapping:
+            raise ValueError("segment ids must be pairwise distinct")
+        child = object.__new__(ContentInstance)
+        object.__setattr__(child, "entries", self.entries + ((segment, value),))
+        child.__dict__["mapping"] = {**mapping, segment: value}
+        return child
 
     def union(self, other: "ContentInstance") -> "ContentInstance":
         return ContentInstance(self.entries + other.entries)
@@ -327,7 +337,7 @@ class ContentInstance:
 # --------------------------------------------------------------------------
 
 
-_CONFLICT = object()  # cache sentinel for signatures with no admissible value
+_CONFLICT = object()  # cache sentinel for keys with no admissible value
 _DIST_CACHE_CAP = 1 << 18
 
 
@@ -357,6 +367,73 @@ def constraint_signature(
     return tuple(out)
 
 
+def _factor_output(fw: FunctionalWeight, segment: int, placed: Mapping[int, int]) -> float:
+    w = fw.fn(segment, placed)
+    if not (math.isfinite(w) and w >= 0):
+        raise ValueError(f"functional factor {fw.name!r} returned {w}, expected a finite value >= 0")
+    return w
+
+
+def _distribution_entry(
+    segment: int,
+    adjacency: AdjacencyConfig,
+    content: ContentInstance,
+    ruleset: Ruleset,
+    n_values: int,
+    frozen: ContentInstance | None,
+) -> tuple[np.ndarray, float]:
+    """Cached (read-only probabilities, entropy in nats) for one segment.
+
+    The vector reads the signature, W and the functional weights' outputs,
+    never the segment itself: one entry (a conflict included) serves every
+    segment and every adjacency that shows the same key.  W is part of the
+    key because it fixes the vector's length.  Factors run before the lookup,
+    so a bad output raises on every call.
+    """
+    comp = ruleset.compiled
+    comp.check(adjacency.n_directions, n_values)
+    placed = content.mapping
+    extra = frozen.mapping if frozen is not None else None
+    # Directions past the last one a pattern names match every rule.
+    signature = constraint_signature(segment, adjacency, placed, extra)[: comp.max_direction]
+    outputs = ()
+    if comp.func_rows:
+        merged = {**placed, **extra} if extra else placed
+        outputs = tuple(_factor_output(fw, segment, merged) for _, fw in comp.func_rows)
+
+    key = (signature, n_values, outputs)
+    cache = comp.dist_cache
+    entry = cache.get(key)
+    if entry is None:
+        entry = _fill_entry(comp, signature, n_values, outputs)
+        if len(cache) < _DIST_CACHE_CAP:
+            cache[key] = entry
+    if entry is _CONFLICT:
+        raise ConflictError(segment, content)
+    return entry
+
+
+def _fill_entry(comp: CompiledRuleset, signature, n_values: int, outputs) -> object:
+    constraint = np.array(signature, dtype=np.int64)
+    match = np.all(
+        (comp.required == 0) | (constraint == 0) | (comp.required == constraint),
+        axis=1,
+    )
+    u = comp.const_u
+    if outputs:
+        u = u.copy()
+        for (row, _), w in zip(comp.func_rows, outputs):
+            u[row] = w
+    weights = np.bincount(comp.values[match] - 1, weights=u[match], minlength=n_values)
+    total = weights.sum()
+    if total <= 0.0:
+        return _CONFLICT
+    probs = weights / total
+    probs.setflags(write=False)
+    nz = probs[probs > 0.0]
+    return probs, float(-(nz * np.log(nz)).sum())
+
+
 def value_distribution(
     segment: int,
     adjacency: AdjacencyConfig,
@@ -365,64 +442,28 @@ def value_distribution(
     n_values: int,
     frozen: ContentInstance | None = None,
 ) -> np.ndarray:
-    """Normalized probability vector over the alphabet for one segment.
+    """Normalized, read-only probability vector over the alphabet for one
+    segment.
 
     Each value's weight is the sum of rule weights whose pattern matches the
     placed content (plus the frozen context, if any).  Raises ConflictError
     when every weight vanishes, and ValueError when a rule's value lies
-    outside [1, n_values] or a pattern direction outside [1, D].
+    outside [1, n_values], a pattern direction outside [1, D], or a
+    functional weight returns a value that is not finite and >= 0.
     """
-    comp = ruleset.compiled
-    comp.check(adjacency.n_directions, n_values)
-    placed = content.mapping
-    extra = frozen.mapping if frozen is not None else None
-    # Directions past the last one a pattern names match every rule.
-    signature = constraint_signature(segment, adjacency, placed, extra)[: comp.max_direction]
+    return _distribution_entry(segment, adjacency, content, ruleset, n_values, frozen)[0]
 
-    # With constant weights the result reads the signature, never the
-    # segment: one entry (a conflict included) serves every segment and every
-    # adjacency that shows the same neighbourhood.  W is part of the key
-    # because it fixes the vector's length.
-    key = (signature, n_values)
-    cache = None
-    if not comp.func_rows and len(comp.dist_cache) < _DIST_CACHE_CAP:
-        cache = comp.dist_cache
-        hit = cache.get(key)
-        if hit is not None:
-            if hit is _CONFLICT:
-                raise ConflictError(segment, content)
-            return hit
 
-    constraint = np.array(signature, dtype=np.int64)
-    match = np.all(
-        (comp.required == 0) | (constraint == 0) | (comp.required == constraint),
-        axis=1,
-    )
-    u = comp.const_u
-    if comp.func_rows:
-        u = u.copy()
-        merged = dict(placed)
-        if extra:
-            merged.update(extra)
-        for row, fw in comp.func_rows:
-            w = fw.fn(segment, merged)
-            if not (math.isfinite(w) and w >= 0):
-                raise ValueError(
-                    f"functional factor {fw.name!r} returned {w}, expected a finite value >= 0"
-                )
-            u[row] = w
-
-    weights = np.bincount(comp.values[match] - 1, weights=u[match], minlength=n_values)
-    total = weights.sum()
-    if total <= 0.0:
-        if cache is not None:
-            cache[key] = _CONFLICT
-        raise ConflictError(segment, content)
-    probs = weights / total
-    if cache is not None:
-        probs.setflags(write=False)
-        cache[key] = probs
-    return probs
+def value_entropy(
+    segment: int,
+    adjacency: AdjacencyConfig,
+    content: ContentInstance,
+    ruleset: Ruleset,
+    n_values: int,
+) -> float:
+    """Entropy in nats (0 ln 0 := 0) of ``value_distribution``'s vector,
+    computed once per cache entry.  Raises as ``value_distribution`` does."""
+    return _distribution_entry(segment, adjacency, content, ruleset, n_values, None)[1]
 
 
 # --------------------------------------------------------------------------

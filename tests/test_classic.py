@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from conftest import chain_adjacency
+from conftest import chain_adjacency, conflict_free_ruleset
 
 from qcollapse import (
+    AdjacencyConfig,
     ConflictError,
     ContentInstance,
     Pattern,
@@ -19,7 +20,13 @@ from qcollapse import (
     shannon_entropy,
     value_distribution,
 )
-from qcollapse.usecases import checkerboard_ruleset, checkerboard_usecase
+from qcollapse.usecases import (
+    checkerboard_ruleset,
+    checkerboard_usecase,
+    hexmap_usecase,
+    pipes_usecase,
+    platformer_usecase,
+)
 
 
 def test_shannon_entropy_values():
@@ -48,24 +55,62 @@ def test_entropy_report_empty_when_complete():
     assert report.entropies == {} and report.minimizers == ()
 
 
+def _two_neighbour_world():
+    """Eight segments where direction 1 names the next two segments, so
+    ``constraint_signature`` merges two placed values in one direction."""
+    n = 8
+    ahead = frozenset((i, j) for i in range(1, n + 1) for j in (i + 1, i + 2) if j <= n)
+    behind = frozenset((i + 1, i) for i in range(1, n))
+    adj = AdjacencyConfig(n, 2, (ahead, behind))
+    rules = (
+        Rule(1, 2.0, Pattern.of((1, 2))),
+        Rule(2, 1.0, Pattern.of((1, 1), (2, 3))),
+        Rule(3, 1.5, Pattern.of((2, 1))),
+    )
+    return adj, conflict_free_ruleset(rules, 3), 3
+
+
+def _usecase_world(uc):
+    return uc.adjacency, uc.ruleset, uc.alphabet.n_values
+
+
+SELECTOR_WORLDS = {
+    "checkerboard-3x3": lambda: _usecase_world(checkerboard_usecase(3, 3)),
+    "hexmap-r3": lambda: _usecase_world(hexmap_usecase(3)),
+    "pipes-6x4": lambda: _usecase_world(pipes_usecase(6, 4)),
+    "checkerboard-6x6": lambda: _usecase_world(checkerboard_usecase(6, 6)),
+    "platformer-6x6": lambda: _usecase_world(platformer_usecase(6, 6)),
+    "two-neighbours": _two_neighbour_world,
+}
+
+
+def _uniform_over_minimizers(adj, content, ruleset, n_values) -> np.ndarray:
+    mins = entropy_report(adj, content, ruleset, n_values).minimizers
+    expected = np.zeros(adj.n_segments)
+    expected[np.array(mins, dtype=int) - 1] = 1.0
+    return expected / len(mins)
+
+
 def test_entropy_selector_matches_fresh_report():
-    """The cached selector must agree with a from-scratch report each step."""
-    uc = checkerboard_usecase(3, 3)
-    rng = RandomSource(9)
-    selector = EntropySelector(uc.adjacency, uc.ruleset, 2)
-    content = ContentInstance()
-    for k in range(1, 10):
-        probs = selector(k, content)
-        report = entropy_report(uc.adjacency, content, uc.ruleset, 2)
-        expected = np.zeros(9)
-        for i in report.minimizers:
-            expected[i - 1] = 1.0 / len(report.minimizers)
-        np.testing.assert_allclose(probs, expected, atol=1e-12)
-        seg = int(np.nonzero(probs)[0][rng.categorical(probs[probs > 0])]) + 1
-        content = content.add(seg, 1 if seg % 2 == 1 else 2)  # consistent coloring
-    # fresh trajectory after the selector saw unrelated content
-    probs = selector(1, ContentInstance())
-    np.testing.assert_allclose(probs, np.full(9, 1.0 / 9))
+    """The incremental selector gives, bit for bit, the vector uniform over a
+    from-scratch report's minimizers at every step, and starts over on
+    content that does not extend what it saw."""
+    for world, make in SELECTOR_WORLDS.items():
+        adj, rs, n_values = make()
+        rng = RandomSource(9)
+        selector = EntropySelector(adj, rs, n_values)
+        content = ContentInstance()
+        for k in range(1, adj.n_segments + 1):
+            probs = selector(k, content)
+            expected = _uniform_over_minimizers(adj, content, rs, n_values)
+            assert np.array_equal(probs, expected), (world, k)
+            seg = rng.categorical(probs) + 1
+            p = value_distribution(seg, adj, content, rs, n_values)
+            content = content.add(seg, rng.categorical(p) + 1)
+        # fresh trajectories after the selector saw unrelated content
+        for other in (ContentInstance(), ContentInstance(content.entries[: len(content) // 2])):
+            probs = selector(1, other)
+            assert np.array_equal(probs, _uniform_over_minimizers(adj, other, rs, n_values)), world
 
 
 def test_shared_ruleset_cache_matches_fresh_ruleset():

@@ -87,6 +87,21 @@ def test_generate_enforces_no_mass_on_placed():
         generate(2, bad_id_selector, value_selector, RandomSource(0))
 
 
+def test_generate_names_first_placed_id_with_mass():
+    """The S1 error names the first offending id in placement order, not the
+    lowest one."""
+    walk = fixed_order_selector((3, 1, 2, 4), 4)
+
+    def id_selector(k, content):
+        return walk(k, content) if k < 3 else np.array([1.0, 0.0, 1.0, 1.0])
+
+    def value_selector(k, segment, content):
+        return np.array([1.0])
+
+    with pytest.raises(SelectorContractError, match=r"placed id 3 at k=3$"):
+        generate(4, id_selector, value_selector, RandomSource(0))
+
+
 def test_generate_propagates_conflicts():
     adj = chain_adjacency(2)
     # value 1 demands its successor already carry value 2, which never holds

@@ -233,3 +233,23 @@ def test_demo_artifacts_golden(tmp_path, capsys, config):
         got.append((code, _out_digest(out)))
     capsys.readouterr()
     assert tuple(got) == DEMO_ARTIFACTS[config]
+
+
+# per demo config: (exit code, sha256 of the --out directory) under
+# --mode cwfc --shots 3, which pins the CLI's cwfc path for every config
+DEMO_CWFC_ARTIFACTS = {
+    "checkerboard.yaml": (0, "83719b710f7c9369bd0b0ecc69356be885beb776706ebdb1acf7f28e432296f3"),
+    "custom_stripes.yaml": (0, "590a6ca2f563ff5daa744c20253b0e72117d545fbd88a416142e9b9eee982b26"),
+    "hexmap.yaml": (0, "fb2aaf562eac75f825c6b3bb2c8932d5ba18bd57b4124e11e1b2b9ee7a6b4def"),
+    "pipes.yaml": (0, "d28cfb181c935166c3a2bbf6002ea0a8b1b65771795271118c83b4645e8b1340"),
+    "platformer.yaml": (0, "cad311cb265b93a8ac3fd38c4edcb7b4df79d3ca749ed9722a85c14931dbc7e9"),
+    "voxel.yaml": (0, "ae4ad9828e729d264bd3cc480d0398ac417ba435497c7d88921bd9ba10f453ad"),
+}
+
+
+@pytest.mark.parametrize("config", sorted(p.name for p in DEMO_CONFIGS.glob("*.yaml")))
+def test_demo_cwfc_artifacts_golden(tmp_path, capsys, config):
+    out = tmp_path / "cwfc"
+    code = main(["--config", str(DEMO_CONFIGS / config), "--out", str(out), "--mode", "cwfc", "--shots", "3"])
+    capsys.readouterr()
+    assert (code, _out_digest(out)) == DEMO_CWFC_ARTIFACTS[config]

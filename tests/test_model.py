@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import pattern_matches
+from conftest import chain_adjacency, pattern_matches
 
 from qcollapse import (
     Alphabet,
@@ -26,9 +26,17 @@ from qcollapse import (
     make_alphabet,
     make_factor,
     value_distribution,
+    value_entropy,
 )
+from qcollapse import model
 from qcollapse.topology import hexgrid_coordinates
-from qcollapse.usecases import checkerboard_ruleset, voxel_skyline_ruleset
+from qcollapse.usecases import (
+    checkerboard_ruleset,
+    checkerboard_usecase,
+    hexmap_usecase,
+    platformer_usecase,
+    voxel_skyline_ruleset,
+)
 
 
 def test_alphabet_basics():
@@ -202,6 +210,18 @@ def test_content_instance():
         c.add(3, 2)  # duplicate id
 
 
+def test_content_instance_add_checks_the_new_id():
+    parent = ContentInstance(((4, 2), (1, 1)))
+    child = parent.add(2, 3)
+    assert child.entries == ((4, 2), (1, 1), (2, 3))
+    assert child.mapping == dict(child.entries)
+    assert parent.mapping == {4: 2, 1: 1}
+    with pytest.raises(ValueError, match="distinct"):
+        child.add(1, 2)
+    with pytest.raises(ValueError, match="distinct"):
+        ContentInstance().add(5, 1).add(5, 1)
+
+
 def test_pattern_matches_semantics():
     adj = grid2d_topology(2, 1).adjacency  # ids 1,2 side by side
     p = Pattern.of((1, 2))  # right neighbor must carry value 2
@@ -290,3 +310,116 @@ def test_checkerboard_canonical_keys():
     start_white = {i: 2 if (i - 1) % 2 == 0 else 1 for i in segments}
     assert encode_values(start_black, segments, 2) == 170
     assert encode_values(start_white, segments, 2) == 341
+
+
+def test_distribution_cache_serves_hits_once_full(monkeypatch):
+    monkeypatch.setattr(model, "_DIST_CACHE_CAP", 2)
+    adj = grid2d_topology(3, 3).adjacency
+    rs = Ruleset(checkerboard_ruleset().rules)
+    first = value_distribution(5, adj, ContentInstance(), rs, 2)
+    value_distribution(2, adj, ContentInstance(((5, 1),)), rs, 2)
+    cache = rs.compiled.dist_cache
+    assert len(cache) == 2
+    assert value_distribution(5, adj, ContentInstance(), rs, 2) is first
+    new = value_distribution(2, adj, ContentInstance(((5, 2),)), rs, 2)
+    np.testing.assert_array_equal(new, [1.0, 0.0])
+    assert len(cache) == 2
+    assert all(entry[0] is not new for entry in cache.values())
+
+
+def _entropy_worlds():
+    for uc in (checkerboard_usecase(4, 4), hexmap_usecase(2), platformer_usecase(4, 4)):
+        yield uc.adjacency, uc.ruleset, uc.alphabet.n_values
+    # a ruleset with zero-weight values, so 0 ln 0 is exercised
+    rs = Ruleset((Rule(1, 1.0, Pattern.of()), Rule(3, 2.0, Pattern.of((1, 1)))))
+    yield grid2d_topology(3, 3).adjacency, rs, 4
+
+
+def test_value_entropy_is_the_vectors_entropy_bit_for_bit():
+    rng = np.random.default_rng(3)
+    for adj, rs, n_values in _entropy_worlds():
+        n = adj.n_segments
+        for _ in range(5):
+            placed = rng.permutation(n)[: rng.integers(0, n)] + 1
+            content = ContentInstance(tuple((int(s), int(rng.integers(1, n_values + 1))) for s in placed))
+            for seg in range(1, n + 1):
+                if seg in content.mapping:
+                    continue
+                try:
+                    p = value_distribution(seg, adj, content, rs, n_values)
+                except ConflictError:
+                    with pytest.raises(ConflictError):
+                        value_entropy(seg, adj, content, rs, n_values)
+                    continue
+                nz = p[p > 0.0]
+                assert value_entropy(seg, adj, content, rs, n_values) == float(-(nz * np.log(nz)).sum())
+
+
+def _pattern_reference(segment, adj, content, ruleset, n_values):
+    weights = np.zeros(n_values)
+    for rule in ruleset.rules:
+        if pattern_matches(segment, adj, content, rule.pattern):
+            u = rule.weight
+            if isinstance(u, FunctionalWeight):
+                u = u.fn(segment, content.mapping)
+            weights[rule.value - 1] += u
+    return weights / weights.sum()
+
+
+def test_platformer_warm_cache_matches_pattern_reference():
+    """Functional weights share the cache: every layer still gets its own
+    vector once the cache is warm."""
+    width = height = 10
+    uc = platformer_usecase(width, height)
+    n = uc.adjacency.n_segments
+    instance = cwfc_generate(uc.adjacency, uc.alphabet, uc.ruleset, RandomSource(3))
+    assert len(uc.ruleset.compiled.dist_cache) > 0
+    layers = {
+        "bottom": range(1, width + 1),
+        "interior": range(width + 1, n - width + 1),
+        "top": range(n - width + 1, n + 1),
+    }
+    for content in (ContentInstance(), ContentInstance(instance.entries[: n // 2])):
+        for segments in layers.values():
+            for seg in segments:
+                if seg in content.mapping:
+                    continue
+                ref = _pattern_reference(seg, uc.adjacency, content, uc.ruleset, 8)
+                got = value_distribution(seg, uc.adjacency, content, uc.ruleset, 8)
+                np.testing.assert_allclose(got, ref, rtol=0, atol=1e-15)
+
+
+def _next_is_two(segment, placed):
+    # reads only the direction-1 neighbour, as the locality contract allows
+    return 3.0 if placed.get(segment + 1) == 2 else 1.0
+
+
+def test_neighbour_reading_factor_gets_one_entry_per_output():
+    adj = chain_adjacency(4)
+    rs = Ruleset(
+        (
+            Rule(1, FunctionalWeight("next_is_two", (), _next_is_two), Pattern.of()),
+            Rule(2, 1.0, Pattern.of()),
+        )
+    )
+    calls = [
+        (1, ContentInstance(), [0.5, 0.5]),
+        (1, ContentInstance(((2, 2),)), [0.75, 0.25]),
+        (2, ContentInstance(((3, 2),)), [0.75, 0.25]),
+        (3, ContentInstance(((4, 1),)), [0.5, 0.5]),
+        (3, ContentInstance(((4, 2), (1, 1))), [0.75, 0.25]),
+    ]
+    for seg, content, expected in calls:
+        np.testing.assert_array_equal(value_distribution(seg, adj, content, rs, 2), expected)
+    assert len(rs.compiled.dist_cache) == 2
+
+
+def test_non_finite_factor_raises_on_a_cached_signature():
+    adj = chain_adjacency(3)
+    fn = lambda segment, _placed: float("nan") if segment == 2 else 1.0
+    rs = Ruleset((Rule(1, FunctionalWeight("nan_at_two", (), fn), Pattern.of()), Rule(2, 1.0, Pattern.of())))
+    np.testing.assert_array_equal(value_distribution(1, adj, ContentInstance(), rs, 2), [0.5, 0.5])
+    np.testing.assert_array_equal(value_distribution(3, adj, ContentInstance(), rs, 2), [0.5, 0.5])
+    for _ in range(2):
+        with pytest.raises(ValueError, match="finite"):
+            value_distribution(2, adj, ContentInstance(), rs, 2)
