@@ -152,6 +152,13 @@ def run(config: RunConfig, args, started: float) -> int:
     restarts = 0
     qubits = None
     instances: list[ContentInstance] = []
+    # flags the mode cannot serve are refused before anything is drawn
+    if args.export_qasm and config.mode != "qwfc":
+        raise ConfigError("--export-qasm only applies to mode 'qwfc' (one circuit per run)")
+    if args.exact_dist and config.mode == "cwfc":
+        raise ConfigError("--exact-dist is only available for qwfc, hwfc and oracle modes")
+    if args.exact_dist and config.mode == "hwfc":
+        _check_budget(n, n_values, EXACT_BUDGET)
 
     if config.mode == "cwfc":
         def bump():
@@ -169,8 +176,6 @@ def run(config: RunConfig, args, started: float) -> int:
                     on_restart=bump,
                 )
             )
-        if args.exact_dist:
-            raise ConfigError("--exact-dist is only available for qwfc, hwfc and oracle modes")
 
     elif config.mode == "qwfc":
         circuit = build_circuit(adjacency, n_values, config.ruleset, config.order)
@@ -185,8 +190,6 @@ def run(config: RunConfig, args, started: float) -> int:
 
     elif config.mode == "hwfc":
         assert config.partitioning is not None
-        if args.exact_dist:
-            _check_budget(n, n_values, EXACT_BUDGET)
         for _ in range(config.shots):
             instances.append(
                 hwfc_generate(adjacency, n_values, config.ruleset, config.partitioning, rng)
@@ -198,8 +201,6 @@ def run(config: RunConfig, args, started: float) -> int:
         if args.exact_dist:
             dist = hwfc_exact_distribution(adjacency, n_values, config.ruleset, config.partitioning)
             _write(out, f"{config.name}-dist.json", _distribution_json(dist))
-        if args.export_qasm:
-            raise ConfigError("--export-qasm only applies to mode 'qwfc' (one circuit per run)")
 
     elif config.mode == "oracle":
         dist = exact_distribution_oracle(

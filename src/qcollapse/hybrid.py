@@ -10,10 +10,10 @@ import numpy as np
 from .errors import CapacityError, ConflictError
 from .framework import EXACT_BUDGET, RandomSource, _check_budget
 from .model import AdjacencyConfig, ContentInstance, Distribution, Ruleset, encode_values
-from .quantum import QubitLayout, _PROB_CUTOFF, build_circuit, simulate
+from .quantum import INDEX_QUBIT_LIMIT, QubitLayout, _PROB_CUTOFF, build_circuit
 
 # Unused here; perfbench/layers.py wraps these names on this module.
-from .quantum import exact_distribution, sample_shots  # noqa: F401
+from .quantum import exact_distribution, sample_shots, simulate  # noqa: F401
 
 _BLOCK_CACHE_CAP = 1 << 20  # cached outcome entries per compiled ruleset (~16 MB)
 
@@ -92,7 +92,9 @@ def _block_outcomes(
     frozen segments adjacent to it in any direction (all that
     ``constraint_signature`` reads), so the circuit is compiled on the
     interface alone and its table is cached on the compiled ruleset under
-    that key.  Conflicts are not cached: they raise again on every call.
+    that key.  The table is the state the compile walked; no second pass
+    simulates the loads.  Conflicts are not cached: they raise again on
+    every call.
     """
     values = frozen.mapping
     interface = tuple(
@@ -112,8 +114,11 @@ def _block_outcomes(
     if table is not None:
         return table
     circuit = build_circuit(adjacency, n_values, ruleset, block, frozen=ContentInstance(interface))
-    state = simulate(circuit)
-    support, weights = state.indices, state.probabilities
+    if circuit.state is None:
+        raise CapacityError(
+            f"{circuit.n_qubits} qubits exceed the limit of {INDEX_QUBIT_LIMIT} for int64 basis indices"
+        )
+    support, weights = circuit.state.indices, circuit.state.probabilities
     support.setflags(write=False)
     weights.setflags(write=False)
     table = (circuit.layout, support, weights)

@@ -11,7 +11,7 @@ RY gates for export as OpenQASM 3.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -113,10 +113,16 @@ class ConditionalLoad:
 
 @dataclass(frozen=True)
 class CircuitProgram:
-    """Ordered conditional loads over a qubit layout."""
+    """Ordered conditional loads over a qubit layout.
+
+    ``state`` is the state the loads prepare, as ``simulate`` returns it,
+    when ``build_circuit`` walked it: None past INDEX_QUBIT_LIMIT qubits and
+    for programs built by hand.  It takes no part in comparisons.
+    """
 
     layout: QubitLayout
     loads: tuple[ConditionalLoad, ...]
+    state: SparseState | None = field(default=None, compare=False)
 
     @property
     def n_qubits(self) -> int:
@@ -159,10 +165,14 @@ def build_circuit(
     without changing the prepared state.  Frozen segments never receive
     qubits; they are folded into the classical pattern evaluation.
 
-    The frontier holds assignments of the boundary only: the placed segments
-    that some later step still names as a dependency.  Each boundary
-    assignment carries the number of reachable full assignments that project
-    onto it, and ``max_support`` caps the sum of those counts.
+    The compile walks the reachable support in array form: one row per
+    reachable partial assignment, its basis index in the layout and the real
+    product of its amplitudes.  Each step masks the rows down to the
+    dependency groups to find the control assignments, loads each one (in
+    sorted tuple order) and expands every row by its load's nonzero
+    amplitudes; ``max_support`` caps the row count.  The rows are the
+    prepared state, returned as ``CircuitProgram.state``.  Past
+    INDEX_QUBIT_LIMIT qubits the rows are Python ints and no state is kept.
     """
     order = tuple(order)
     if len(set(order)) != len(order):
@@ -171,57 +181,69 @@ def build_circuit(
         raise ValueError("segment order overlaps the frozen context")
 
     layout = QubitLayout(tuple(sorted(order)), n_values)
-    step_deps = [
-        sorted(dependency_set(k, order, adjacency, ruleset)) for k in range(1, len(order) + 1)
-    ]
-    last_use = {seg: k for k, deps in enumerate(step_deps, start=1) for seg in deps}
+    q = layout.bits_per_value
+    group = (1 << q) - 1
+    dtype = np.int64 if layout.n_qubits <= INDEX_QUBIT_LIMIT else object
+    idx = np.zeros(1, dtype=dtype)
+    amp = np.ones(1)
     loads: list[ConditionalLoad] = []
-    boundary: tuple[int, ...] = ()
-    frontier: dict[tuple[int, ...], int] = {(): 1}
 
-    for k, (target, deps) in enumerate(zip(order, step_deps), start=1):
-        position = {seg: pos for pos, seg in enumerate(boundary)}
-        dep_pos = [position[s] for s in deps]
-        assignments = sorted({tuple(a[p] for p in dep_pos) for a in frontier})
-        if len(assignments) > max_loads_per_step:
+    for k, target in enumerate(order, start=1):
+        deps = sorted(dependency_set(k, order, adjacency, ruleset))
+        offsets = [layout.group_offset(s) for s in deps]
+        if deps:
+            masked = idx & sum(group << o for o in offsets)
+            ordered = np.sort(masked)
+            keys = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
+            row_load = np.searchsorted(keys, masked)
+        else:  # one load, for every row
+            keys, row_load = np.zeros(1, dtype=dtype), np.zeros(len(idx), dtype=np.intp)
+        if len(keys) > max_loads_per_step:
             raise CapacityError(
-                f"{len(assignments)} control assignments at iteration {k} "
+                f"{len(keys)} control assignments at iteration {k} "
                 f"exceed the cap of {max_loads_per_step}"
             )
-        support: dict[tuple[int, ...], tuple[int, ...]] = {}
-        for assignment in assignments:
-            context = ContentInstance(tuple(zip(deps, assignment)))
+        controls = [
+            tuple((seg, ((key >> o) & group) + 1) for seg, o in zip(deps, offsets))
+            for key in keys.tolist()
+        ]
+        # loads (and the first conflict) go in sorted tuple order; the
+        # table's rows follow keys
+        by_tuple = sorted(range(len(keys)), key=controls.__getitem__)
+        dists = [None] * len(keys)
+        for i in by_tuple:
+            context = ContentInstance(controls[i])
             try:
-                probs = value_distribution(target, adjacency, context, ruleset, n_values, frozen)
+                dists[i] = value_distribution(target, adjacency, context, ruleset, n_values, frozen)
             except ConflictError:
                 raise ConflictError(target, context, f"while compiling iteration {k}") from None
-            loads.append(
-                ConditionalLoad(
-                    step=k,
-                    controls=tuple(zip(deps, assignment)),
-                    target=target,
-                    amplitudes=tuple(float(a) for a in np.sqrt(probs)),
-                )
-            )
-            support[assignment] = tuple(int(v) + 1 for v in np.nonzero(probs > 0.0)[0])
+        table = np.sqrt(dists)
+        amplitudes = table.tolist()
+        loads.extend(ConditionalLoad(k, controls[i], target, tuple(amplitudes[i])) for i in by_tuple)
 
-        extended = boundary + (target,)
-        keep = [p for p, seg in enumerate(extended) if last_use.get(seg, 0) > k]
-        boundary = tuple(extended[p] for p in keep)
-        reachable = 0
-        projected: dict[tuple[int, ...], int] = {}
-        for a, count in frontier.items():
-            values = support[tuple(a[p] for p in dep_pos)]
-            reachable += count * len(values)
-            for v in values:
-                key = tuple((a + (v,))[p] for p in keep)
-                projected[key] = projected.get(key, 0) + count
-        if reachable > max_support:
-            raise CapacityError(
-                f"reachable support grew past {max_support} at iteration {k}"
-            )
-        frontier = projected
-    return CircuitProgram(layout, tuple(loads))
+        # one output row per nonzero amplitude of the row's load
+        branches = table > 0.0
+        if branches.sum(axis=1).take(row_load).sum() > max_support:
+            raise CapacityError(f"reachable support grew past {max_support} at iteration {k}")
+        branches = branches.take(row_load, axis=0)
+        lifted = np.arange(n_values, dtype=dtype) << layout.group_offset(target)
+        idx = (idx[:, None] | lifted)[branches]
+        amp = (amp[:, None] * table.take(row_load, axis=0))[branches]
+
+    state = None
+    if dtype is np.int64:
+        ranked = np.argsort(idx)
+        idx, amp = idx[ranked], amp[ranked]
+        probs = amp**2  # |amp|**2 of the complex amplitude, bit for bit
+        # an amplitude whose square underflows carries no probability
+        nonzero = probs > 0.0
+        if not nonzero.all():
+            idx, amp, probs = idx[nonzero], amp[nonzero], probs[nonzero]
+        norm = probs.sum()
+        if abs(norm - 1.0) > _SIM_NORM_TOL:
+            raise ContractError(f"statevector squared norm drifted to {norm}")
+        state = SparseState(layout, idx, amp.astype(np.complex128), probs)
+    return CircuitProgram(layout, tuple(loads), state)
 
 
 # --------------------------------------------------------------------------

@@ -352,3 +352,39 @@ def test_cli_hwfc_exact_dist_checks_budget_before_drawing(tmp_path, capsys, monk
     monkeypatch.setattr(cli, "hwfc_generate", no_draws)
     assert main(["--config", str(configs / "pipes.yaml"), "--exact-dist"]) == 4
     assert "exceed the budget" in capsys.readouterr().err
+
+
+def test_cli_flags_outside_their_mode_exit_before_drawing(tmp_path, capsys, monkeypatch):
+    from pathlib import Path
+
+    from qcollapse import cli
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("drew an instance before checking the flags")
+
+    for name in ("cwfc_generate", "hwfc_generate", "exact_distribution_oracle"):
+        monkeypatch.setattr(cli, name, no_draws)
+    configs = Path(__file__).resolve().parent.parent / "demos" / "configs"
+    pipes = str(configs / "pipes.yaml")
+    cases = [
+        ([pipes, "--shots", "300", "--export-qasm"], "--export-qasm only applies"),
+        ([pipes, "--mode", "cwfc", "--shots", "200", "--exact-dist"], "--exact-dist is only"),
+        ([pipes, "--mode", "cwfc", "--export-qasm"], "--export-qasm only applies"),
+        ([pipes, "--mode", "oracle", "--export-qasm"], "--export-qasm only applies"),
+    ]
+    for i, (args, message) in enumerate(cases):
+        out = tmp_path / str(i)
+        assert main(["--config", *args, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_cli_hwfc_block_past_the_index_limit(tmp_path, capsys):
+    doc = CHECKER.replace("width: 3, height: 3", "width: 8, height: 8").replace(
+        "mode: qwfc", 'mode: hwfc\npartitions: "blocks:1"'
+    )
+    out = tmp_path / "out"
+    assert main(["--config", str(_write(tmp_path, doc)), "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert "partition 1: 64 qubits exceed the limit of 63 for int64 basis indices" in err
+    assert not out.exists()

@@ -13,13 +13,16 @@ import pytest
 
 from qcollapse import (
     ConflictError,
+    ContentInstance,
     RandomSource,
     RestartsExhaustedError,
     build_circuit,
     cwfc_generate,
     encode_values,
     exact_distribution,
+    export_qasm,
     hwfc_generate,
+    lower_to_gates,
     sample_shots,
     simulate,
 )
@@ -85,6 +88,33 @@ QWFC_CIRCUITS = {
         (20, 12, 256, "a51efbcab2392d4bf860a4779f9b22336017adf1b50d4724163f0baa78458502"),
     ),
 }
+
+
+# sha256 of export_qasm(lower_to_gates(build_circuit(...))): pins the order
+# of the loads and their angles, which the circuit pins above do not see.
+# Checkerboard 8x8 (64 qubits) compiles past the int64 basis-index limit,
+# and pipes 10x4's second column compiles under a frozen first column.
+QASM_DIGESTS = {
+    "checkerboard-3x3": "f287cf089128fe520b3820409c9ebbbf45b3fe396a2134623f5efbd625ef9eaa",
+    "hexmap-r1": "e9b936e23c99b7326cf720db0ea55d8e5151814d09118bd2d6e24e3cbd37884a",
+    "pipes-2x2": "68c15d76b81d2f737e96414b533fbd5f8dd5637ca584fcbed5de2d8f314c3718",
+    "platformer-3x2": "937e506cd319b138bc396ea69ea59cf7c41e9d50c68df1f518fedc9ac414dacd",
+    "voxels-2x2x3": "9cc970f5344add5a7615c7f7ed58e47717c601f0ef4276da27722ddaa6b1453e",
+    "checkerboard-8x8": "5ce83ad72ff0a053c2d4aa8071340c258f9594a4aeb528b602df3e4e95ec28da",
+    "pipes-10x4-column-2": "b234da4cc09fcb5c84f534edd2b811baca04935f98658ae502589eac91183891",
+}
+
+
+def _qasm_circuit(world):
+    if world in QWFC_CIRCUITS:
+        uc = QWFC_CIRCUITS[world][0]()
+        return build_circuit(uc.adjacency, uc.alphabet.n_values, uc.ruleset, uc.order)
+    if world == "checkerboard-8x8":
+        uc = checkerboard_usecase(8, 8)
+        return build_circuit(uc.adjacency, 2, uc.ruleset, uc.order)
+    uc = pipes_usecase(10, 4)
+    column_1 = ContentInstance(((1, 5), (11, 6), (21, 4), (31, 6)))
+    return build_circuit(uc.adjacency, 8, uc.ruleset, uc.partitioning.blocks[1], frozen=column_1)
 
 
 SAMPLE_SEED = 2024
@@ -155,6 +185,13 @@ def test_qwfc_circuit_golden(world):
     digest = hashlib.sha256(",".join(map(str, support)).encode()).hexdigest()
     assert (len(circuit.loads), circuit.n_qubits, len(support), digest) == expected
 
+
+
+@pytest.mark.parametrize("world", sorted(QASM_DIGESTS))
+def test_qasm_golden_digest(world):
+    circuit = _qasm_circuit(world)
+    text = export_qasm(lower_to_gates(circuit), circuit.layout)
+    assert hashlib.sha256(text.encode()).hexdigest() == QASM_DIGESTS[world]
 
 @pytest.mark.parametrize("world", sorted(CWFC_KEYS))
 def test_cwfc_samples_golden(world):

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from conftest import max_prob_deviation
 
@@ -179,3 +180,45 @@ def test_repeated_conflicting_interface_raises_again():
     assert messages[0] == messages[1]
     assert messages[0].startswith("partition 2: ")
     assert list(rs.compiled.block_cache) == [(adj, 2, (1,), ())]
+
+
+def test_hwfc_block_past_the_index_limit_names_its_partition():
+    from qcollapse import CapacityError
+
+    uc = checkerboard_usecase(8, 8)
+    with pytest.raises(CapacityError) as err:
+        hwfc_generate(uc.adjacency, 2, uc.ruleset, equal_blocks(64, 1), RandomSource(0))
+    assert str(err.value) == (
+        "partition 1: 64 qubits exceed the limit of 63 for int64 basis indices"
+    )
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: pipes_usecase(10, 4),
+        lambda: platformer_usecase(10, 10),
+        lambda: voxel_skyline_usecase(4, 4, 4),
+        lambda: hexmap_usecase(3, n_partitions=8),
+    ],
+    ids=["pipes-10x4", "platformer-10x10", "voxels-4x4x4", "hexmap-r3"],
+)
+def test_block_states_equal_simulate(make, monkeypatch):
+    # every block compiled for three instances, under its real frozen interface
+    uc = make()
+    compiled = []
+
+    def recording(*args, **kwargs):
+        circuit = build_circuit(*args, **kwargs)
+        compiled.append(circuit)
+        return circuit
+
+    monkeypatch.setattr(hybrid, "build_circuit", recording)
+    fresh = Ruleset(uc.ruleset.rules)  # an empty block cache: every block compiles
+    _samples(uc.adjacency, uc.alphabet.n_values, fresh, uc.partitioning, 2024, 3)
+    assert len(compiled) >= len(uc.partitioning.blocks)
+    for circuit in compiled:
+        walked, simulated = circuit.state, simulate(circuit)
+        assert np.array_equal(walked.indices, simulated.indices)
+        assert np.array_equal(walked.amplitudes, simulated.amplitudes)
+        assert np.array_equal(walked.probabilities, simulated.probabilities)

@@ -9,6 +9,7 @@ from conftest import (
     max_prob_deviation,
     reference_chain_distribution,
 )
+from test_golden import QWFC_CIRCUITS
 
 from qcollapse import (
     CapacityError,
@@ -258,3 +259,70 @@ def test_qasm_structure():
     assert sum("ry(" in ln for ln in lines) == len(
         [g for g in lower_to_gates(circuit).gates if not hasattr(g, "qubit")]
     )
+
+
+# --------------------------------------------------------------------------
+# the state the compile walks
+# --------------------------------------------------------------------------
+
+
+def _assert_walked_state_is_simulated(circuit):
+    walked, simulated = circuit.state, simulate(circuit)
+    assert walked.layout == simulated.layout
+    for got, want in (
+        (walked.indices, simulated.indices),
+        (walked.amplitudes, simulated.amplitudes),
+        (walked.probabilities, simulated.probabilities),
+    ):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("world", sorted(QWFC_CIRCUITS))
+def test_walked_state_equals_simulate(world):
+    uc = QWFC_CIRCUITS[world][0]()
+    _assert_walked_state_is_simulated(
+        build_circuit(uc.adjacency, uc.alphabet.n_values, uc.ruleset, uc.order)
+    )
+
+
+def test_walked_state_equals_simulate_on_randomized_rulesets():
+    # the 50 rulesets and orders of acceptance criterion 3
+    rng = np.random.default_rng(2024)
+    for _ in range(50):
+        n = int(rng.integers(2, 5))
+        w = int(rng.choice([2, 3, 4]))
+        rules = []
+        for _ in range(int(rng.integers(1, 7))):
+            dirs = [d for d in (1, 2) if rng.random() < 0.6]
+            pattern = Pattern.of(*((d, int(rng.integers(1, w + 1))) for d in dirs))
+            rules.append(Rule(int(rng.integers(1, w + 1)), float(rng.uniform(0.2, 4.0)), pattern))
+        order = tuple(int(s) for s in rng.permutation(n) + 1)
+        ruleset = conflict_free_ruleset(rules, w, floor=0.05)
+        _assert_walked_state_is_simulated(build_circuit(chain_adjacency(n), w, ruleset, order))
+
+
+def test_no_walked_state_past_the_index_limit_or_by_hand():
+    wide = checkerboard_usecase(8, 8)
+    assert build_circuit(wide.adjacency, 2, wide.ruleset, wide.order).state is None
+    load = ConditionalLoad(1, (), 1, (math.sqrt(0.5), math.sqrt(0.5)))
+    assert CircuitProgram(QubitLayout((1,), 2), (load,)).state is None
+
+
+def test_compile_errors_name_their_iteration():
+    uc = checkerboard_usecase(3, 3)
+    with pytest.raises(CapacityError) as err:
+        build_circuit(uc.adjacency, 2, uc.ruleset, uc.order, max_loads_per_step=1)
+    assert str(err.value) == "2 control assignments at iteration 2 exceed the cap of 1"
+    adj = chain_adjacency(8)
+    rs = conflict_free_ruleset((), 2)
+    for cap, k in ((16, 5), (100, 7)):
+        with pytest.raises(CapacityError) as err:
+            build_circuit(adj, 2, rs, tuple(range(1, 9)), max_support=cap)
+        assert str(err.value) == f"reachable support grew past {cap} at iteration {k}"
+    # segment 2 needs equal neighbours: (1, 2) and (2, 1) both conflict, and
+    # the first in sorted tuple order over (segment 1, segment 3) is named
+    equal = Ruleset((Rule(1, 1.0, Pattern.of((1, 1), (2, 1))), Rule(2, 1.0, Pattern.of((1, 2), (2, 2)))))
+    with pytest.raises(ConflictError) as err:
+        build_circuit(chain_adjacency(3), 2, equal, (1, 3, 2))
+    assert str(err.value) == "no admissible value for segment 2 (while compiling iteration 3)"
+    assert err.value.content.entries == ((1, 1), (3, 2))
