@@ -7,10 +7,19 @@ so maps skew wet.  Full 6-neighborhood rules give 2^6 + 3^6 + 3^6 + 2^6 =
 
 For a single free hexagon the exact distribution is
 (2^6*5, 3^6, 3^6, 2^6) / 1842, which the circuit reproduces to machine
-precision.  Larger discs are generated in two halves.
+precision.  Larger discs are generated block by block, restarting on a
+conflict.
 """
 
-from qcollapse import RandomSource, build_circuit, exact_distribution, hwfc_generate, render_ascii, simulate
+from qcollapse import (
+    RandomSource,
+    build_circuit,
+    exact_distribution,
+    hwfc_generate,
+    render_ascii,
+    simulate,
+    with_restarts,
+)
 from qcollapse.usecases import hexmap_usecase
 
 
@@ -25,7 +34,8 @@ def main():
 
     uc = hexmap_usecase(4, u_blue=5.0, n_partitions=13)
     rng = RandomSource(12)
-    inst = hwfc_generate(uc.adjacency, 4, uc.ruleset, uc.partitioning, rng)
+    # a block with no admissible value restarts the disc with fresh draws
+    inst = with_restarts(lambda: hwfc_generate(uc.adjacency, 4, uc.ruleset, uc.partitioning, rng), 100)
     print(f"\nradius-4 disc ({uc.adjacency.n_segments} cells, violations: {len(uc.validator(inst))})")
     print(render_ascii(inst, uc.alphabet, uc.topology))
 

@@ -27,6 +27,7 @@ from .framework import (
     generate,
     ruleset_value_selector,
     validate_selectors,
+    with_restarts,
 )
 from .hybrid import (
     Partitioning,

@@ -8,8 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConflictError, RestartsExhaustedError
-from .framework import RandomSource, generate, ruleset_value_selector
+from .framework import RandomSource, generate, ruleset_value_selector, with_restarts
 from .model import (
     AdjacencyConfig,
     Alphabet,
@@ -116,22 +115,16 @@ def cwfc_generate(
     max_restarts: int = 100,
     on_restart=None,
 ) -> ContentInstance:
-    """Entropy-driven generation with restart-from-scratch on conflicts.
-
-    A conflict discards the partial content and starts over with fresh draws;
-    ``on_restart`` (if given) is called once per restart actually taken.
-    Raises RestartsExhaustedError after ``max_restarts`` restarts all hit a
-    conflict again.
+    """Entropy-driven generation with restart-from-scratch on conflicts,
+    through ``with_restarts``: a conflict discards the partial content and
+    starts over with fresh draws.
     """
     n_values = alphabet.n_values
     value_sel = ruleset_value_selector(adjacency, ruleset, n_values)
-    for attempt in range(max_restarts + 1):
-        id_sel = EntropySelector(adjacency, ruleset, n_values)
-        try:
-            return generate(adjacency.n_segments, id_sel, value_sel, rng)
-        except ConflictError:
-            if attempt == max_restarts:
-                raise RestartsExhaustedError(max_restarts) from None
-            if on_restart is not None:
-                on_restart()
-    raise AssertionError("unreachable")
+    return with_restarts(
+        lambda: generate(
+            adjacency.n_segments, EntropySelector(adjacency, ruleset, n_values), value_sel, rng
+        ),
+        max_restarts,
+        on_restart,
+    )

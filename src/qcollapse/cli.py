@@ -24,12 +24,11 @@ from .errors import (
     RestartsExhaustedError,
 )
 from .framework import (
-    EXACT_BUDGET,
     RandomSource,
-    _check_budget,
     exact_distribution_oracle,
     fixed_order_selector,
     ruleset_value_selector,
+    with_restarts,
 )
 from .hybrid import hwfc_exact_distribution, hwfc_generate
 from .model import ContentInstance, Distribution
@@ -40,8 +39,11 @@ from .quantum import (
     export_qasm,
     lower_to_gates,
     sample_shots,
-    simulate,
+    walked_state,
 )
+
+# Unused here; perfbench/layers.py wraps this name on this module.
+from .quantum import simulate  # noqa: F401
 from .render import FORMATS, render
 
 _EXTENSIONS = {"ascii": "txt", "ppm": "ppm", "voxel-slices": "txt", "structured-dump": "txt"}
@@ -158,13 +160,14 @@ def run(config: RunConfig, args, started: float) -> int:
     if args.exact_dist and config.mode == "cwfc":
         raise ConfigError("--exact-dist is only available for qwfc, hwfc and oracle modes")
     if args.exact_dist and config.mode == "hwfc":
-        _check_budget(n, n_values, EXACT_BUDGET)
+        # enumerated before drawing: the budget, and any reachable conflict, fail up front
+        dist = hwfc_exact_distribution(adjacency, n_values, config.ruleset, config.partitioning)
+
+    def bump():
+        nonlocal restarts
+        restarts += 1
 
     if config.mode == "cwfc":
-        def bump():
-            nonlocal restarts
-            restarts += 1
-
         for _ in range(config.shots):
             instances.append(
                 cwfc_generate(
@@ -180,7 +183,7 @@ def run(config: RunConfig, args, started: float) -> int:
     elif config.mode == "qwfc":
         circuit = build_circuit(adjacency, n_values, config.ruleset, config.order)
         qubits = circuit.layout.n_qubits
-        state = simulate(circuit)
+        state = walked_state(circuit)
         instances = sample_shots(state, circuit.layout, config.shots, rng)
         if args.exact_dist:
             _write(out, f"{config.name}-dist.json", _distribution_json(exact_distribution(state, circuit.layout)))
@@ -190,16 +193,17 @@ def run(config: RunConfig, args, started: float) -> int:
 
     elif config.mode == "hwfc":
         assert config.partitioning is not None
+
+        def attempt():
+            return hwfc_generate(adjacency, n_values, config.ruleset, config.partitioning, rng)
+
         for _ in range(config.shots):
-            instances.append(
-                hwfc_generate(adjacency, n_values, config.ruleset, config.partitioning, rng)
-            )
+            instances.append(with_restarts(attempt, config.max_restarts, bump))
         qubits = max(
             QubitLayout(tuple(sorted(block)), n_values).n_qubits
             for block in config.partitioning.blocks
         )
         if args.exact_dist:
-            dist = hwfc_exact_distribution(adjacency, n_values, config.ruleset, config.partitioning)
             _write(out, f"{config.name}-dist.json", _distribution_json(dist))
 
     elif config.mode == "oracle":
@@ -217,7 +221,7 @@ def run(config: RunConfig, args, started: float) -> int:
 
     elapsed = time.perf_counter() - started
     summary = [f"mode={config.mode}", f"seed={config.seed}", f"instances={len(instances)}"]
-    if config.mode == "cwfc":
+    if config.mode in ("cwfc", "hwfc"):
         summary.append(f"restarts={restarts}")
     if qubits is not None:
         summary.append(f"qubits={qubits}")

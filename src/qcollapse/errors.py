@@ -41,11 +41,13 @@ class ContractError(GenerationError):
 
 
 class RestartsExhaustedError(GenerationError):
-    """Restart-on-conflict generation gave up after the configured cap."""
+    """Restart-on-conflict generation gave up after the configured cap; the
+    message names the last conflict."""
 
-    def __init__(self, restarts):
+    def __init__(self, restarts, conflict=None):
         self.restarts = restarts
-        super().__init__(f"still conflicting after {restarts} restarts")
+        last = f": {conflict}" if conflict is not None else ""
+        super().__init__(f"still conflicting after {restarts} restarts{last}")
 
 
 class ConfigError(GenerationError):

@@ -17,8 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceededError, ConflictError, ContractError, SelectorContractError
-from .model import ContentInstance, Distribution, Ruleset, AdjacencyConfig, encode_values, value_distribution
+from .errors import BudgetExceededError, ConflictError, ContractError, RestartsExhaustedError
+from .errors import SelectorContractError
+from .model import ContentInstance, Distribution, Ruleset, AdjacencyConfig, value_distribution
 
 
 class RandomSource:
@@ -103,6 +104,26 @@ def generate(
     return content
 
 
+def with_restarts(attempt, max_restarts: int, on_restart=None):
+    """``attempt()``, called again from scratch after each ConflictError.
+
+    Every call draws on from wherever the previous one stopped in its random
+    stream, so a restart makes fresh draws.  ``on_restart`` (if given) is
+    called once per restart actually taken.  Any other error propagates at
+    once.  Raises RestartsExhaustedError, naming the last conflict, after
+    ``max_restarts`` restarts all hit a conflict again.
+    """
+    for restart in range(max_restarts + 1):
+        try:
+            return attempt()
+        except ConflictError as exc:
+            if restart == max_restarts:
+                raise RestartsExhaustedError(max_restarts, exc) from exc
+            if on_restart is not None:
+                on_restart()
+    raise AssertionError("unreachable")
+
+
 # --------------------------------------------------------------------------
 # exact enumeration
 # --------------------------------------------------------------------------
@@ -145,13 +166,7 @@ def exact_distribution_oracle(
                     child = state | {(segment, int(v0) + 1)}
                     nxt[child] = nxt.get(child, 0.0) + mass * id_probs[seg0] * value_probs[v0]
         frontier = nxt
-
-    segments = tuple(range(1, n_segments + 1))
-    probs: dict[int, float] = {}
-    for state, mass in frontier.items():
-        key = encode_values(dict(state), segments, n_values)
-        probs[key] = probs.get(key, 0.0) + mass
-    return Distribution(segments, n_values, probs)
+    return Distribution.fold(tuple(range(1, n_segments + 1)), n_values, frontier.items())
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,8 @@ import numpy as np
 
 from .errors import CapacityError, ConflictError
 from .framework import EXACT_BUDGET, RandomSource, _check_budget
-from .model import AdjacencyConfig, ContentInstance, Distribution, Ruleset, encode_values
-from .quantum import INDEX_QUBIT_LIMIT, QubitLayout, _PROB_CUTOFF, build_circuit
+from .model import AdjacencyConfig, ContentInstance, Distribution, Ruleset
+from .quantum import QubitLayout, _PROB_CUTOFF, build_circuit, walked_state
 
 # Unused here; perfbench/layers.py wraps these names on this module.
 from .quantum import exact_distribution, sample_shots, simulate  # noqa: F401
@@ -82,10 +82,11 @@ def _block_outcomes(
     adjacency: AdjacencyConfig,
     n_values: int,
     ruleset: Ruleset,
+    h: int,
     block: tuple[int, ...],
     frozen: ContentInstance,
 ) -> tuple[QubitLayout, np.ndarray, np.ndarray]:
-    """The block's outcome table given the earlier blocks: its layout, the
+    """Partition ``h``'s outcome table given the earlier blocks: its layout, the
     ascending basis indices with nonzero probability, and those probabilities.
 
     The block's state reads earlier blocks only through its interface, the
@@ -94,7 +95,7 @@ def _block_outcomes(
     interface alone and its table is cached on the compiled ruleset under
     that key.  The table is the state the compile walked; no second pass
     simulates the loads.  Conflicts are not cached: they raise again on
-    every call.
+    every call, named after partition ``h``.
     """
     values = frozen.mapping
     interface = tuple(
@@ -113,12 +114,13 @@ def _block_outcomes(
     table = comp.block_cache.get(key)
     if table is not None:
         return table
-    circuit = build_circuit(adjacency, n_values, ruleset, block, frozen=ContentInstance(interface))
-    if circuit.state is None:
-        raise CapacityError(
-            f"{circuit.n_qubits} qubits exceed the limit of {INDEX_QUBIT_LIMIT} for int64 basis indices"
-        )
-    support, weights = circuit.state.indices, circuit.state.probabilities
+    try:
+        circuit = build_circuit(adjacency, n_values, ruleset, block, frozen=ContentInstance(interface))
+        state = walked_state(circuit)
+    except (ConflictError, CapacityError) as exc:
+        exc.args = (f"partition {h}: {exc.args[0]}",) + exc.args[1:]
+        raise
+    support, weights = state.indices, state.probabilities
     support.setflags(write=False)
     weights.setflags(write=False)
     table = (circuit.layout, support, weights)
@@ -142,11 +144,7 @@ def hwfc_generate(
     """
     frozen = ContentInstance()
     for h, block in enumerate(partitioning.blocks, start=1):
-        try:
-            layout, support, weights = _block_outcomes(adjacency, n_values, ruleset, block, frozen)
-        except (ConflictError, CapacityError) as exc:
-            exc.args = (f"partition {h}: {exc.args[0]}",) + exc.args[1:]
-            raise
+        layout, support, weights = _block_outcomes(adjacency, n_values, ruleset, h, block, frozen)
         frozen = frozen.union(layout.decode(int(support[rng.categorical(weights, 1)[0]])))
     return frozen
 
@@ -161,11 +159,11 @@ def hwfc_exact_distribution(
     """Exact joint distribution by enumerating every prior-partition outcome."""
     _check_budget(sum(len(b) for b in partitioning.blocks), n_values, budget)
     outcomes: dict[tuple[tuple[int, int], ...], float] = {(): 1.0}
-    for block in partitioning.blocks:
+    for h, block in enumerate(partitioning.blocks, start=1):
         nxt: dict[tuple[tuple[int, int], ...], float] = {}
         for prior, mass in outcomes.items():
             layout, support, weights = _block_outcomes(
-                adjacency, n_values, ruleset, block, ContentInstance(prior)
+                adjacency, n_values, ruleset, h, block, ContentInstance(prior)
             )
             for basis, p in zip(support.tolist(), weights.tolist()):
                 if p > _PROB_CUTOFF:
@@ -174,8 +172,4 @@ def hwfc_exact_distribution(
         outcomes = nxt
 
     segments = tuple(sorted(seg for block in partitioning.blocks for seg in block))
-    probs: dict[int, float] = {}
-    for entries, mass in outcomes.items():
-        key = encode_values(dict(entries), segments, n_values)
-        probs[key] = probs.get(key, 0.0) + mass
-    return Distribution(segments, n_values, probs)
+    return Distribution.fold(segments, n_values, outcomes.items())

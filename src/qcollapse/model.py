@@ -512,6 +512,16 @@ class Distribution:
     n_values: int
     probs: dict[int, float]
 
+    @classmethod
+    def fold(cls, segments: tuple[int, ...], n_values: int, masses) -> Distribution:
+        """Sum the mass of each (segment-value pairs, mass) item, in the order
+        given, onto the canonical encoding of its pairs over ``segments``."""
+        probs: dict[int, float] = {}
+        for pairs, mass in masses:
+            key = encode_values(dict(pairs), segments, n_values)
+            probs[key] = probs.get(key, 0.0) + mass
+        return cls(segments, n_values, probs)
+
     def total_mass(self) -> float:
         return math.fsum(self.probs.values())
 

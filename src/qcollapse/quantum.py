@@ -230,20 +230,16 @@ def build_circuit(
         idx = (idx[:, None] | lifted)[branches]
         amp = (amp[:, None] * table.take(row_load, axis=0))[branches]
 
-    state = None
-    if dtype is np.int64:
-        ranked = np.argsort(idx)
-        idx, amp = idx[ranked], amp[ranked]
-        probs = amp**2  # |amp|**2 of the complex amplitude, bit for bit
-        # an amplitude whose square underflows carries no probability
-        nonzero = probs > 0.0
-        if not nonzero.all():
-            idx, amp, probs = idx[nonzero], amp[nonzero], probs[nonzero]
-        norm = probs.sum()
-        if abs(norm - 1.0) > _SIM_NORM_TOL:
-            raise ContractError(f"statevector squared norm drifted to {norm}")
-        state = SparseState(layout, idx, amp.astype(np.complex128), probs)
+    state = _sparse_state(layout, idx, amp) if dtype is np.int64 else None
     return CircuitProgram(layout, tuple(loads), state)
+
+
+def walked_state(circuit: CircuitProgram) -> SparseState:
+    """The state ``build_circuit`` walked; CapacityError if it kept none (past
+    INDEX_QUBIT_LIMIT qubits)."""
+    if circuit.state is None:
+        raise _index_limit_error(circuit.n_qubits)
+    return circuit.state
 
 
 # --------------------------------------------------------------------------
@@ -313,11 +309,8 @@ def simulate(circuit: CircuitProgram) -> SparseState:
     a load finds its target group outside the ground state on a matched
     subspace (which signals a malformed circuit).
     """
-    n_qubits = circuit.n_qubits
-    if n_qubits > INDEX_QUBIT_LIMIT:
-        raise CapacityError(
-            f"{n_qubits} qubits exceed the limit of {INDEX_QUBIT_LIMIT} for int64 basis indices"
-        )
+    if circuit.n_qubits > INDEX_QUBIT_LIMIT:
+        raise _index_limit_error(circuit.n_qubits)
     layout = circuit.layout
     group = (1 << layout.bits_per_value) - 1
     idx = np.zeros(1, dtype=np.int64)
@@ -351,18 +344,29 @@ def simulate(circuit: CircuitProgram) -> SparseState:
             [amp[~matched], (base_amp[:, None] * amplitudes[values][None, :]).ravel()]
         )
 
+    return _sparse_state(layout, idx, amp)
+
+
+def _index_limit_error(n_qubits: int) -> CapacityError:
+    return CapacityError(
+        f"{n_qubits} qubits exceed the limit of {INDEX_QUBIT_LIMIT} for int64 basis indices"
+    )
+
+
+def _sparse_state(layout: QubitLayout, idx: np.ndarray, amp: np.ndarray) -> SparseState:
+    """The state of int64 basis indices ``idx`` and real or complex amplitudes
+    ``amp``, sorted by index; ContractError if its norm drifted."""
     order = np.argsort(idx)
-    amp = amp[order]
-    idx = idx[order]
+    idx, amp = idx[order], amp[order]
     probs = np.abs(amp) ** 2
     # an amplitude whose square underflows carries no probability
     nonzero = probs > 0.0
     if not nonzero.all():
         idx, amp, probs = idx[nonzero], amp[nonzero], probs[nonzero]
-    total = probs.sum()
-    if abs(total - 1.0) > _SIM_NORM_TOL:
-        raise ContractError(f"statevector squared norm drifted to {total}")
-    return SparseState(layout, idx, amp, probs)
+    norm = probs.sum()
+    if abs(norm - 1.0) > _SIM_NORM_TOL:
+        raise ContractError(f"statevector squared norm drifted to {norm}")
+    return SparseState(layout, idx, amp.astype(np.complex128, copy=False), probs)
 
 
 def exact_distribution(state: SparseState, layout: QubitLayout) -> Distribution:

@@ -168,6 +168,9 @@ def test_cwfc_restarts_exhausted():
         nonlocal restarts
         restarts += 1
 
-    with pytest.raises(RestartsExhaustedError):
+    with pytest.raises(RestartsExhaustedError) as info:
         cwfc_generate(adj, alphabet, rs, RandomSource(0), max_restarts=5, on_restart=count)
-    assert restarts == 5
+    assert restarts == 5 and info.value.restarts == 5
+    # the message names the last conflict
+    assert isinstance(info.value.__cause__, ConflictError)
+    assert str(info.value).startswith("still conflicting after 5 restarts: no admissible value for segment ")

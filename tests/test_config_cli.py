@@ -1,9 +1,21 @@
 import json
+from pathlib import Path
 
 import pytest
 
-from qcollapse import ConfigError, parse_config, serialize_config
+from qcollapse import (
+    ConfigError,
+    ConflictError,
+    RandomSource,
+    hwfc_generate,
+    load_config,
+    parse_config,
+    render,
+    serialize_config,
+)
 from qcollapse.cli import main
+
+DEMO_CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"
 
 CHECKER = """
 name: checker
@@ -167,8 +179,8 @@ def test_cli_exit_code_validation(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_cli_exit_code_conflict(tmp_path, capsys):
-    doc = """
+# every draw conflicts: 'a' needs 'b' beside it, and 'b' has no rule
+CONFLICTING = """
 seed: 3
 mode: qwfc
 order: [2, 1]
@@ -177,10 +189,84 @@ alphabet: [a, b]
 rules:
   - {value: a, pattern: {right: b, left: b}}
 """
-    cfg = _write(tmp_path, doc)
+
+
+def test_cli_exit_code_conflict(tmp_path, capsys):
+    cfg = _write(tmp_path, CONFLICTING)
     assert main(["--config", str(cfg)]) == 3
     assert main(["--config", str(cfg), "--mode", "cwfc"]) == 3
     capsys.readouterr()
+
+
+def test_cli_hwfc_restarts_exhausted(tmp_path, capsys):
+    doc = CONFLICTING.replace("mode: qwfc", 'mode: hwfc\npartitions: "blocks:2"\nmax_restarts: 2')
+    out = tmp_path / "out"
+    assert main(["--config", str(_write(tmp_path, doc)), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "still conflicting after 2 restarts: partition 2: no admissible value for segment 2" in err
+    assert not out.exists()
+
+
+# about half the draws conflict: segment 2 has a value only if segment 1 is 'a'
+PARTLY_CONFLICTING = """
+seed: 3
+mode: hwfc
+shots: 4
+topology: {type: grid2d, width: 2, height: 1}
+partitions: "blocks:2"
+alphabet: [a, b]
+rules:
+  - {value: a, pattern: {left: a}}
+  - {value: b, pattern: {left: a}}
+"""
+
+
+def test_cli_hwfc_exact_dist_fails_on_a_reachable_conflict_before_drawing(
+    tmp_path, capsys, monkeypatch
+):
+    from qcollapse import cli
+
+    cfg = _write(tmp_path, PARTLY_CONFLICTING)
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "drawn")]) == 0
+    assert " restarts=3 " in capsys.readouterr().out
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("drew an instance before the exact enumeration")
+
+    monkeypatch.setattr(cli, "hwfc_generate", no_draws)
+    out = tmp_path / "exact"
+    assert main(["--config", str(cfg), "--exact-dist", "--out", str(out)]) == 3
+    assert "partition 2: no admissible value for segment 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_hwfc_restarts_a_conflicting_shot(tmp_path, capsys):
+    # hexmap.yaml at seed 3 conflicts once in its two shots
+    config = load_config(DEMO_CONFIGS / "hexmap.yaml")
+    out = tmp_path / "out"
+    assert main(["--config", str(DEMO_CONFIGS / "hexmap.yaml"), "--seed", "3", "--out", str(out)]) == 0
+    assert " restarts=1 " in capsys.readouterr().out
+
+    # a hand-written restart loop draws on from the same stream
+    rng = RandomSource(3)
+    conflicts = 0
+
+    def drawn():
+        nonlocal conflicts
+        for _ in range(10):
+            try:
+                return hwfc_generate(
+                    config.topology.adjacency, config.alphabet.n_values, config.ruleset,
+                    config.partitioning, rng,
+                )
+            except ConflictError:
+                conflicts += 1
+        raise AssertionError("no instance in 10 attempts")
+
+    for i in range(config.shots):
+        text = render(drawn(), config.alphabet, config.topology, config.output_format, config.scale)
+        assert (out / f"hexmap-{i:04d}.ppm").read_text(encoding="utf-8") == text
+    assert conflicts == 1
 
 
 def test_cli_exit_code_capacity(tmp_path, capsys):

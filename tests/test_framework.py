@@ -4,11 +4,13 @@ from conftest import chain_adjacency, max_prob_deviation, reference_chain_distri
 
 from qcollapse import (
     BudgetExceededError,
+    CapacityError,
     ConflictError,
     ContentInstance,
     ContractError,
     Pattern,
     RandomSource,
+    RestartsExhaustedError,
     Rule,
     Ruleset,
     SelectorContractError,
@@ -17,6 +19,7 @@ from qcollapse import (
     generate,
     ruleset_value_selector,
     validate_selectors,
+    with_restarts,
 )
 
 
@@ -242,3 +245,61 @@ def test_validate_selectors_pins_each_condition(condition):
     n, id_sel, val_sel, expected = VIOLATION_SETUPS[condition]
     found = validate_selectors(n, 2, id_sel, val_sel)
     assert sorted((v.condition, v.iteration, v.content.entries) for v in found) == expected
+
+
+# --------------------------------------------------------------------------
+# restart on conflict
+# --------------------------------------------------------------------------
+
+
+def _scripted(*outcomes):
+    """An attempt that raises or returns each outcome in turn, and its calls."""
+    calls = []
+
+    def attempt():
+        outcome = outcomes[len(calls)]
+        calls.append(outcome)
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
+
+    return attempt, calls
+
+
+def _conflict(segment):
+    return ConflictError(segment, ContentInstance())
+
+
+def _no_restart():
+    raise AssertionError("no restart expected")
+
+
+def test_with_restarts_reports_each_restart_taken():
+    attempt, calls = _scripted(_conflict(1), _conflict(2), "done")
+    restarts = []
+    assert with_restarts(attempt, 5, lambda: restarts.append(len(calls))) == "done"
+    assert restarts == [1, 2] and len(calls) == 3
+
+
+def test_with_restarts_zero_restarts_is_one_attempt():
+    attempt, calls = _scripted("done")
+    assert with_restarts(attempt, 0, _no_restart) == "done"
+    attempt, calls = _scripted(_conflict(4), "never")
+    with pytest.raises(RestartsExhaustedError, match="after 0 restarts") as info:
+        with_restarts(attempt, 0, _no_restart)
+    assert len(calls) == 1 and info.value.restarts == 0
+
+
+def test_with_restarts_exhaustion_names_the_last_conflict():
+    attempt, calls = _scripted(_conflict(1), _conflict(2), _conflict(7), "never")
+    with pytest.raises(RestartsExhaustedError) as info:
+        with_restarts(attempt, 2)
+    assert str(info.value) == "still conflicting after 2 restarts: no admissible value for segment 7"
+    assert info.value.__cause__ is calls[-1] and len(calls) == 3
+
+
+def test_with_restarts_does_not_retry_other_errors():
+    attempt, calls = _scripted(CapacityError("over the cap"), "never")
+    with pytest.raises(CapacityError, match="over the cap"):
+        with_restarts(attempt, 5, _no_restart)
+    assert len(calls) == 1

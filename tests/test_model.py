@@ -6,6 +6,7 @@ from qcollapse import (
     Alphabet,
     ConflictError,
     ContentInstance,
+    Distribution,
     FunctionalWeight,
     Pattern,
     RandomSource,
@@ -301,6 +302,15 @@ def test_encode_decode_roundtrip():
     assert dict(decode_values(key, segments, 4)) == values
     with pytest.raises(ValueError):
         decode_values(3, (1,), 3)  # bit pattern 11 has no value in [1,3]
+
+
+def test_distribution_fold_sums_each_encoding_in_order():
+    # frontier entries as the oracle (frozensets) and hwfc (tuples) hold them
+    masses = [(((2, 1), (1, 2)), 0.1), (frozenset({(1, 2), (2, 1)}), 0.2), (((1, 1), (2, 1)), 0.7)]
+    dist = Distribution.fold((1, 2), 2, masses)
+    assert dist.segments == (1, 2) and dist.n_values == 2
+    assert dist.probs == {1: 0.1 + 0.2, 0: 0.7}
+    assert list(dist.probs) == [1, 0]
 
 
 def test_checkerboard_canonical_keys():

@@ -34,6 +34,7 @@ from qcollapse import (
     simulate,
     simulate_gates,
 )
+from qcollapse.quantum import walked_state
 from qcollapse.usecases import checkerboard_ruleset, checkerboard_usecase
 
 DATA = Path(__file__).parent / "data"
@@ -303,7 +304,16 @@ def test_walked_state_equals_simulate_on_randomized_rulesets():
 
 def test_no_walked_state_past_the_index_limit_or_by_hand():
     wide = checkerboard_usecase(8, 8)
-    assert build_circuit(wide.adjacency, 2, wide.ruleset, wide.order).state is None
+    circuit = build_circuit(wide.adjacency, 2, wide.ruleset, wide.order)
+    assert circuit.state is None
+    # the accessor and the reference executor refuse it with one message
+    for read in (walked_state, simulate):
+        with pytest.raises(CapacityError) as err:
+            read(circuit)
+        assert str(err.value) == "64 qubits exceed the limit of 63 for int64 basis indices"
+    small = checkerboard_usecase(3, 3)
+    circuit = build_circuit(small.adjacency, 2, small.ruleset, small.order)
+    assert walked_state(circuit) is circuit.state
     load = ConditionalLoad(1, (), 1, (math.sqrt(0.5), math.sqrt(0.5)))
     assert CircuitProgram(QubitLayout((1,), 2), (load,)).state is None
 
