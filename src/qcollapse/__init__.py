@@ -7,7 +7,7 @@ brute-force chain-rule oracle, five demonstration use cases, renderers and
 an OpenQASM 3 exporter.
 """
 
-from .classic import EntropyReport, EntropySelector, cwfc_generate, entropy_report, shannon_entropy
+from .classic import EntropySelector, cwfc_generate, shannon_entropy
 from .config import RunConfig, load_config, parse_config, serialize_config
 from .errors import (
     BudgetExceededError,
@@ -51,7 +51,6 @@ from .model import (
     encode_values,
     make_alphabet,
     make_factor,
-    register_factor,
     value_distribution,
     value_entropy,
 )
@@ -70,7 +69,6 @@ from .quantum import (
     lower_to_gates,
     sample_shots,
     simulate,
-    simulate_gates,
 )
 from .render import FORMATS, render, render_ascii, render_ppm, render_structured, render_voxel_slices
 from .topology import Topology, grid2d_topology, grid3d_topology, hexgrid_topology

@@ -4,7 +4,6 @@ pattern-based value selection and restart-on-conflict."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,28 +34,6 @@ def shannon_entropy(
     was filled.
     """
     return value_entropy(segment, adjacency, content, ruleset, n_values)
-
-
-@dataclass(frozen=True)
-class EntropyReport:
-    entropies: dict[int, float]  # unplaced segment -> entropy in nats
-    minimizers: tuple[int, ...]  # segments attaining the minimum
-
-
-def entropy_report(
-    adjacency: AdjacencyConfig, content: ContentInstance, ruleset: Ruleset, n_values: int
-) -> EntropyReport:
-    placed = content.mapping
-    entropies = {
-        i: shannon_entropy(i, adjacency, content, ruleset, n_values)
-        for i in range(1, adjacency.n_segments + 1)
-        if i not in placed
-    }
-    if not entropies:
-        return EntropyReport({}, ())
-    h_min = min(entropies.values())
-    mins = tuple(i for i, h in sorted(entropies.items()) if h <= h_min + _ENTROPY_TIE_TOL)
-    return EntropyReport(entropies, mins)
 
 
 class EntropySelector:

@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 from .classic import cwfc_generate
@@ -91,14 +92,7 @@ def _apply_overrides(config: RunConfig, args) -> RunConfig:
         updates["shots"] = args.shots
     if args.format is not None:
         updates["output_format"] = args.format
-    if not updates:
-        return config
-    from dataclasses import replace
-
-    config = replace(config, **updates)
-    if config.mode == "hwfc" and config.partitioning is None:
-        raise ConfigError("mode 'hwfc' requires a 'partitions' field")
-    return config
+    return replace(config, **updates) if updates else config
 
 
 def _write(out: Path | None, name: str, text: str) -> None:
@@ -160,7 +154,7 @@ def run(config: RunConfig, args, started: float) -> int:
     if args.exact_dist and config.mode == "cwfc":
         raise ConfigError("--exact-dist is only available for qwfc, hwfc and oracle modes")
     if args.exact_dist and config.mode == "hwfc":
-        # enumerated before drawing: the budget, and any reachable conflict, fail up front
+        # enumerated before drawing: the budget, and a conflict on every branch, fail up front
         dist = hwfc_exact_distribution(adjacency, n_values, config.ruleset, config.partitioning)
 
     def bump():

@@ -55,6 +55,11 @@ class RunConfig:
     source: dict
     validator: Callable[[ContentInstance], list[str]] | None = None
 
+    def __post_init__(self):
+        # dataclasses.replace runs this too, so a --mode override is checked
+        if self.mode == "hwfc" and self.partitioning is None:
+            raise ConfigError("mode 'hwfc' requires a 'partitions' field")
+
 
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a YAML config document."""
@@ -354,11 +359,7 @@ def _build(doc: dict) -> RunConfig:
         raise ConfigError("field 'rules' must be a list of rules or a generator mapping")
 
     order = _build_order(doc.get("order"), topology)
-    partitioning = _build_partitioning(doc.get("partitions"), topology)
-    if partitioning is None:
-        partitioning = default_partitioning
-    if mode == "hwfc" and partitioning is None:
-        raise ConfigError("mode 'hwfc' requires a 'partitions' field")
+    partitioning = _build_partitioning(doc.get("partitions"), topology) or default_partitioning
 
     output_format = doc.get("format", "ascii")
     if output_format not in FORMATS:

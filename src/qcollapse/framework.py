@@ -29,9 +29,6 @@ class RandomSource:
         self.seed = seed
         self._rng = np.random.default_rng(seed)
 
-    def uniform(self) -> float:
-        return self._rng.random()
-
     def categorical(self, probs: np.ndarray, draws: int | None = None) -> int | np.ndarray:
         """Inverse-CDF draw of a 0-based index, ties ascending; with ``draws``,
         an array of that many indices, equal to as many single draws.

@@ -3,6 +3,7 @@ previously sampled partitions frozen as classical constraints, then join."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -156,20 +157,33 @@ def hwfc_exact_distribution(
     partitioning: Partitioning,
     budget: float = EXACT_BUDGET,
 ) -> Distribution:
-    """Exact joint distribution by enumerating every prior-partition outcome."""
+    """Exact joint distribution by enumerating every prior-partition outcome,
+    conditioned on no conflict as restarts draw it: a prior whose next block
+    conflicts drops its mass and the rest is renormalised (if any was
+    dropped).  Raises the last conflict if every prior conflicts."""
     _check_budget(sum(len(b) for b in partitioning.blocks), n_values, budget)
     outcomes: dict[tuple[tuple[int, int], ...], float] = {(): 1.0}
+    conflict = None
     for h, block in enumerate(partitioning.blocks, start=1):
         nxt: dict[tuple[tuple[int, int], ...], float] = {}
         for prior, mass in outcomes.items():
-            layout, support, weights = _block_outcomes(
-                adjacency, n_values, ruleset, h, block, ContentInstance(prior)
-            )
+            try:
+                layout, support, weights = _block_outcomes(
+                    adjacency, n_values, ruleset, h, block, ContentInstance(prior)
+                )
+            except ConflictError as exc:
+                conflict = exc
+                continue
             for basis, p in zip(support.tolist(), weights.tolist()):
                 if p > _PROB_CUTOFF:
                     joint = prior + layout.decode(basis).entries
                     nxt[joint] = nxt.get(joint, 0.0) + mass * p
+        if not nxt:
+            raise conflict
         outcomes = nxt
+    if conflict is not None:
+        kept = math.fsum(outcomes.values())
+        outcomes = {joint: mass / kept for joint, mass in outcomes.items()}
 
     segments = tuple(sorted(seg for block in partitioning.blocks for seg in block))
     return Distribution.fold(segments, n_values, outcomes.items())

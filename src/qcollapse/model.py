@@ -151,18 +151,15 @@ EMPTY_PATTERN = Pattern(frozenset())
 
 @dataclass(frozen=True)
 class FunctionalWeight:
-    """Named weight function resolved from the factor registry.
+    """Named weight function of the segment id alone, built by ``make_factor``.
 
-    The callable receives (segment id, merged placed-value mapping) and must
-    return a value >= 0.  It may read only the segment and the values of its
-    neighbours: compiled circuits pass only those, and hwfc caches a block's
-    outcomes on the frozen values adjacent to the block.  Its output is part
-    of the distribution cache's key, so it runs on every lookup.
+    It must return a finite value >= 0.  Reading no placed value, it gives
+    every engine the same weight row at a segment (see ``segment_weights``).
     """
 
     name: str
     params: tuple[tuple[str, float], ...]
-    fn: Callable[[int, Mapping[int, int]], float] = field(compare=False)
+    fn: Callable[[int], float] = field(compare=False)
 
 
 @dataclass(frozen=True)
@@ -231,6 +228,21 @@ class CompiledRuleset:
                 self.func_rows.append((row, rule.weight))
             else:
                 self.const_u[row] = rule.weight
+        self._segment_weights: dict[int, tuple[tuple[float, ...], np.ndarray]] = {}
+
+    def segment_weights(self, segment: int) -> tuple[tuple[float, ...], np.ndarray]:
+        """The factors' outputs at ``segment`` and the weight row they give,
+        resolved once per segment id; ``((), const_u)`` without factors.  A
+        bad output is not kept, so it raises on every call."""
+        if not self.func_rows:
+            return (), self.const_u
+        entry = self._segment_weights.get(segment)
+        if entry is None:
+            outputs = tuple(_factor_output(fw, segment) for _, fw in self.func_rows)
+            u = self.const_u.copy()
+            u[[row for row, _ in self.func_rows]] = outputs
+            entry = self._segment_weights[segment] = (outputs, u)
+        return entry
 
     def check(self, n_directions: int, n_values: int | None = None) -> None:
         """Raise ValueError if a pattern names a direction past
@@ -241,51 +253,51 @@ class CompiledRuleset:
             raise ValueError(f"rule value {self.max_value} outside the alphabet [1,{n_values}]")
 
 
-# --- functional factor registry -------------------------------------------
-
-_FACTOR_REGISTRY: dict[str, Callable[..., Callable[[int, Mapping[int, int]], float]]] = {}
-
-
-def register_factor(name: str, factory) -> None:
-    _FACTOR_REGISTRY[name] = factory
-
-
-def make_factor(name: str, **params: float) -> FunctionalWeight:
-    """Instantiate a registered functional weight, e.g. bottom_layer_only."""
-    try:
-        factory = _FACTOR_REGISTRY[name]
-    except KeyError:
-        raise KeyError(f"unknown functional factor {name!r}") from None
-    fn = factory(**params)
-    return FunctionalWeight(name, tuple(sorted(params.items())), fn)
+# --- functional factors ----------------------------------------------------
 
 
 def _bottom_layer_only(u: float, layer_size: int):
-    def fn(segment, _content):
+    def fn(segment):
         return u if segment <= layer_size else 0.0
 
     return fn
 
 
 def _above_bottom_layer(u: float, layer_size: int):
-    def fn(segment, _content):
+    def fn(segment):
         return 0.0 if segment <= layer_size else u
 
     return fn
 
 
 def _interior_layers_only(u: float, layer_size: int, n_segments: int):
-    def fn(segment, _content):
-        if segment <= layer_size or segment > n_segments - layer_size:
-            return 0.0
-        return u
+    def fn(segment):
+        return u if layer_size < segment <= n_segments - layer_size else 0.0
 
     return fn
 
 
-register_factor("bottom_layer_only", _bottom_layer_only)
-register_factor("above_bottom_layer", _above_bottom_layer)
-register_factor("interior_layers_only", _interior_layers_only)
+_FACTORIES = {
+    "bottom_layer_only": _bottom_layer_only,
+    "above_bottom_layer": _above_bottom_layer,
+    "interior_layers_only": _interior_layers_only,
+}
+
+
+def make_factor(name: str, **params: float) -> FunctionalWeight:
+    """Instantiate a named functional weight, e.g. bottom_layer_only."""
+    try:
+        factory = _FACTORIES[name]
+    except KeyError:
+        raise KeyError(f"unknown functional factor {name!r}") from None
+    return FunctionalWeight(name, tuple(sorted(params.items())), factory(**params))
+
+
+def _factor_output(fw: FunctionalWeight, segment: int) -> float:
+    w = fw.fn(segment)
+    if not (math.isfinite(w) and w >= 0):
+        raise ValueError(f"functional factor {fw.name!r} returned {w}, expected a finite value >= 0")
+    return w
 
 
 # --------------------------------------------------------------------------
@@ -367,13 +379,6 @@ def constraint_signature(
     return tuple(out)
 
 
-def _factor_output(fw: FunctionalWeight, segment: int, placed: Mapping[int, int]) -> float:
-    w = fw.fn(segment, placed)
-    if not (math.isfinite(w) and w >= 0):
-        raise ValueError(f"functional factor {fw.name!r} returned {w}, expected a finite value >= 0")
-    return w
-
-
 def _distribution_entry(
     segment: int,
     adjacency: AdjacencyConfig,
@@ -384,28 +389,24 @@ def _distribution_entry(
 ) -> tuple[np.ndarray, float]:
     """Cached (read-only probabilities, entropy in nats) for one segment.
 
-    The vector reads the signature, W and the functional weights' outputs,
-    never the segment itself: one entry (a conflict included) serves every
-    segment and every adjacency that shows the same key.  W is part of the
-    key because it fixes the vector's length.  Factors run before the lookup,
-    so a bad output raises on every call.
+    The vector reads the signature, W and the segment's weight row, which
+    the functional weights' outputs fix, never the segment itself: one entry
+    (a conflict included) serves every segment and every adjacency that
+    shows the same key.  W is part of the key because it fixes the vector's
+    length.
     """
     comp = ruleset.compiled
     comp.check(adjacency.n_directions, n_values)
-    placed = content.mapping
     extra = frozen.mapping if frozen is not None else None
     # Directions past the last one a pattern names match every rule.
-    signature = constraint_signature(segment, adjacency, placed, extra)[: comp.max_direction]
-    outputs = ()
-    if comp.func_rows:
-        merged = {**placed, **extra} if extra else placed
-        outputs = tuple(_factor_output(fw, segment, merged) for _, fw in comp.func_rows)
+    signature = constraint_signature(segment, adjacency, content.mapping, extra)[: comp.max_direction]
+    outputs, u = comp.segment_weights(segment)
 
     key = (signature, n_values, outputs)
     cache = comp.dist_cache
     entry = cache.get(key)
     if entry is None:
-        entry = _fill_entry(comp, signature, n_values, outputs)
+        entry = _fill_entry(comp, signature, n_values, u)
         if len(cache) < _DIST_CACHE_CAP:
             cache[key] = entry
     if entry is _CONFLICT:
@@ -413,17 +414,12 @@ def _distribution_entry(
     return entry
 
 
-def _fill_entry(comp: CompiledRuleset, signature, n_values: int, outputs) -> object:
+def _fill_entry(comp: CompiledRuleset, signature, n_values: int, u: np.ndarray) -> object:
     constraint = np.array(signature, dtype=np.int64)
     match = np.all(
         (comp.required == 0) | (constraint == 0) | (comp.required == constraint),
         axis=1,
     )
-    u = comp.const_u
-    if outputs:
-        u = u.copy()
-        for (row, _), w in zip(comp.func_rows, outputs):
-            u[row] = w
     weights = np.bincount(comp.values[match] - 1, weights=u[match], minlength=n_values)
     total = weights.sum()
     if total <= 0.0:
@@ -524,9 +520,6 @@ class Distribution:
 
     def total_mass(self) -> float:
         return math.fsum(self.probs.values())
-
-    def decode(self, key: int) -> ContentInstance:
-        return ContentInstance(decode_values(key, self.segments, self.n_values))
 
     def items_sorted(self):
         return sorted(self.probs.items())

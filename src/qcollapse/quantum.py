@@ -257,20 +257,6 @@ def _control_qubits(load: ConditionalLoad, layout: QubitLayout) -> list[tuple[in
     return bits
 
 
-def _split_selectors(bits, t0, width, n_qubits):
-    """Boolean masks over the high/low index factors around a target block."""
-    hi_dim = 1 << (n_qubits - t0 - width)
-    lo_dim = 1 << t0
-    hi_sel = np.ones(hi_dim, dtype=bool)
-    lo_sel = np.ones(lo_dim, dtype=bool)
-    for qubit, bit in bits:
-        if qubit < t0:
-            lo_sel &= ((np.arange(lo_dim) >> qubit) & 1) == bit
-        else:
-            hi_sel &= ((np.arange(hi_dim) >> (qubit - t0 - width)) & 1) == bit
-    return np.nonzero(hi_sel)[0], np.nonzero(lo_sel)[0]
-
-
 @dataclass(frozen=True, eq=False)
 class SparseState:
     """A statevector by its support: strictly ascending int64 basis indices,
@@ -278,7 +264,7 @@ class SparseState:
     one positive.
 
     ``np.asarray(state)`` builds the dense 2^Q vector, for comparisons with
-    ``simulate_gates``; it refuses above ``DEFAULT_QUBIT_CAP`` qubits.
+    dense reference executors; it refuses above ``DEFAULT_QUBIT_CAP`` qubits.
     """
 
     layout: QubitLayout
@@ -453,34 +439,6 @@ def lower_to_gates(circuit: CircuitProgram) -> GateList:
         descend(q - 1, 0, 1 << q, ())
         gates.extend(XGate(f) for f in flips)
     return GateList(layout.n_qubits, tuple(gates))
-
-
-def simulate_gates(gatelist: GateList) -> np.ndarray:
-    """Reference executor for lowered gates (round-trip checks, small Q)."""
-    n_qubits = gatelist.n_qubits
-    psi = np.zeros(1 << n_qubits, dtype=np.complex128)
-    psi[0] = 1.0
-    for gate in gatelist.gates:
-        if isinstance(gate, XGate):
-            t = gate.qubit
-            view = psi.reshape(1 << (n_qubits - t - 1), 2, 1 << t)
-            view[:, [0, 1], :] = view[:, [1, 0], :]
-        else:
-            t = gate.target
-            view = psi.reshape(1 << (n_qubits - t - 1), 2, 1 << t)
-            hi_idx, lo_idx = _split_selectors(gate.controls, t, 1, n_qubits)
-            if len(hi_idx) == 0 or len(lo_idx) == 0:
-                continue
-            sel = np.ix_(hi_idx, np.arange(2), lo_idx)
-            block = view[sel]
-            c = math.cos(gate.angle / 2.0)
-            s = math.sin(gate.angle / 2.0)
-            view[sel] = np.stack(
-                [c * block[:, 0, :] - s * block[:, 1, :],
-                 s * block[:, 0, :] + c * block[:, 1, :]],
-                axis=1,
-            )
-    return psi
 
 
 def export_qasm(gatelist: GateList, layout: QubitLayout) -> str:

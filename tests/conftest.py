@@ -1,6 +1,7 @@
-"""Shared helpers: an independent chain-rule enumerator and a pattern
-indicator used as references for distribution checks, small ruleset
-builders, and the terminal report of the acceptance criteria."""
+"""Shared helpers: an independent chain-rule enumerator, a pattern
+indicator, a dense gate-level executor and an entropy report used as
+references, small ruleset builders, and the terminal report of the
+acceptance criteria."""
 
 from __future__ import annotations
 
@@ -15,7 +16,11 @@ def pytest_terminal_summary(terminalreporter):
         for line in sorted(acceptance_lines):
             terminalreporter.write_line(line)
 
+import math
+from dataclasses import dataclass
 from itertools import product
+
+import numpy as np
 
 from qcollapse import (
     AdjacencyConfig,
@@ -23,8 +28,11 @@ from qcollapse import (
     Pattern,
     Rule,
     Ruleset,
+    XGate,
     encode_values,
+    shannon_entropy,
 )
+from qcollapse.classic import _ENTROPY_TIE_TOL
 
 
 def reference_chain_distribution(adjacency, ruleset, n_values, order):
@@ -50,7 +58,7 @@ def reference_chain_distribution(adjacency, ruleset, n_values, order):
                 if not ok:
                     break
             if ok:
-                u = rule.weight if isinstance(rule.weight, float) else rule.weight.fn(segment, placed)
+                u = rule.weight if isinstance(rule.weight, float) else rule.weight.fn(segment)
                 total += u
         return total
 
@@ -85,6 +93,68 @@ def pattern_matches(segment, adjacency, content, pattern, frozen=None):
             if actual is not None and actual != v:
                 return 0
     return 1
+
+
+def _split_selectors(bits, t0, width, n_qubits):
+    """Boolean masks over the high/low index factors around a target block."""
+    hi_dim = 1 << (n_qubits - t0 - width)
+    lo_dim = 1 << t0
+    hi_sel = np.ones(hi_dim, dtype=bool)
+    lo_sel = np.ones(lo_dim, dtype=bool)
+    for qubit, bit in bits:
+        if qubit < t0:
+            lo_sel &= ((np.arange(lo_dim) >> qubit) & 1) == bit
+        else:
+            hi_sel &= ((np.arange(hi_dim) >> (qubit - t0 - width)) & 1) == bit
+    return np.nonzero(hi_sel)[0], np.nonzero(lo_sel)[0]
+
+
+def simulate_gates(gatelist):
+    """Reference executor for lowered gates (round-trip checks, small Q)."""
+    n_qubits = gatelist.n_qubits
+    psi = np.zeros(1 << n_qubits, dtype=np.complex128)
+    psi[0] = 1.0
+    for gate in gatelist.gates:
+        if isinstance(gate, XGate):
+            t = gate.qubit
+            view = psi.reshape(1 << (n_qubits - t - 1), 2, 1 << t)
+            view[:, [0, 1], :] = view[:, [1, 0], :]
+        else:
+            t = gate.target
+            view = psi.reshape(1 << (n_qubits - t - 1), 2, 1 << t)
+            hi_idx, lo_idx = _split_selectors(gate.controls, t, 1, n_qubits)
+            if len(hi_idx) == 0 or len(lo_idx) == 0:
+                continue
+            sel = np.ix_(hi_idx, np.arange(2), lo_idx)
+            block = view[sel]
+            c = math.cos(gate.angle / 2.0)
+            s = math.sin(gate.angle / 2.0)
+            view[sel] = np.stack(
+                [c * block[:, 0, :] - s * block[:, 1, :],
+                 s * block[:, 0, :] + c * block[:, 1, :]],
+                axis=1,
+            )
+    return psi
+
+
+@dataclass(frozen=True)
+class EntropyReport:
+    entropies: dict[int, float]  # unplaced segment -> entropy in nats
+    minimizers: tuple[int, ...]  # segments attaining the minimum
+
+
+def entropy_report(adjacency, content, ruleset, n_values) -> EntropyReport:
+    placed = content.mapping
+    entropies = {
+        i: shannon_entropy(i, adjacency, content, ruleset, n_values)
+        for i in range(1, adjacency.n_segments + 1)
+        if i not in placed
+    }
+    if not entropies:
+        return EntropyReport({}, ())
+    h_min = min(entropies.values())
+    mins = tuple(i for i, h in sorted(entropies.items()) if h <= h_min + _ENTROPY_TIE_TOL)
+    return EntropyReport(entropies, mins)
 
 
 def chain_adjacency(n_segments):

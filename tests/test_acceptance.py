@@ -13,7 +13,7 @@ import conftest
 
 import numpy as np
 import pytest
-from conftest import max_prob_deviation
+from conftest import max_prob_deviation, simulate_gates
 
 from qcollapse import (
     RandomSource,
@@ -29,7 +29,6 @@ from qcollapse import (
     ruleset_value_selector,
     sample_shots,
     simulate,
-    simulate_gates,
 )
 from qcollapse.cli import main
 from qcollapse.usecases import (

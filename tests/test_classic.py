@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import chain_adjacency, conflict_free_ruleset
+from conftest import chain_adjacency, conflict_free_ruleset, entropy_report
 
 from qcollapse import (
     AdjacencyConfig,
@@ -15,7 +15,6 @@ from qcollapse import (
     Ruleset,
     grid2d_topology,
     cwfc_generate,
-    entropy_report,
     EntropySelector,
     shannon_entropy,
     value_distribution,

@@ -221,21 +221,31 @@ rules:
 """
 
 
-def test_cli_hwfc_exact_dist_fails_on_a_reachable_conflict_before_drawing(
-    tmp_path, capsys, monkeypatch
-):
-    from qcollapse import cli
-
+def test_cli_hwfc_exact_dist_renormalises_over_the_conflict_free_draws(tmp_path, capsys):
     cfg = _write(tmp_path, PARTLY_CONFLICTING)
     assert main(["--config", str(cfg), "--out", str(tmp_path / "drawn")]) == 0
     assert " restarts=3 " in capsys.readouterr().out
+
+    # half the mass conflicts at partition 2; what restarts sample is the rest
+    out = tmp_path / "exact"
+    assert main(["--config", str(cfg), "--exact-dist", "--out", str(out)]) == 0
+    capsys.readouterr()
+    dist = json.loads((out / "run-dist.json").read_text(encoding="utf-8"))
+    assert dist["probabilities"] == {"0": 0.5, "2": 0.5}
+
+
+def test_cli_hwfc_exact_dist_fails_before_drawing_when_every_branch_conflicts(
+    tmp_path, capsys, monkeypatch
+):
+    from qcollapse import cli
 
     def no_draws(*args, **kwargs):
         raise AssertionError("drew an instance before the exact enumeration")
 
     monkeypatch.setattr(cli, "hwfc_generate", no_draws)
+    doc = CONFLICTING.replace("mode: qwfc", 'mode: hwfc\npartitions: "blocks:2"')
     out = tmp_path / "exact"
-    assert main(["--config", str(cfg), "--exact-dist", "--out", str(out)]) == 3
+    assert main(["--config", str(_write(tmp_path, doc)), "--exact-dist", "--out", str(out)]) == 3
     assert "partition 2: no admissible value for segment 2" in capsys.readouterr().err
     assert not out.exists()
 
@@ -307,6 +317,16 @@ rules:
   - {value: a}
   - {value: b}
 """
+
+
+@pytest.mark.parametrize(
+    "doc, args",
+    [(TWO_CELLS.replace("mode: cwfc", "mode: hwfc"), []), (TWO_CELLS, ["--mode", "hwfc"])],
+    ids=["document", "command-line"],
+)
+def test_cli_hwfc_without_partitions_exits_2(tmp_path, capsys, doc, args):
+    assert main(["--config", str(_write(tmp_path, doc)), *args]) == 2
+    assert "config error: mode 'hwfc' requires a 'partitions' field" in capsys.readouterr().err
 
 
 FACTOR_WEIGHT = "{value: a, weight: {factor: bottom_layer_only, u: %s, layer_size: 1}}"

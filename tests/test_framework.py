@@ -27,7 +27,8 @@ def test_random_source_determinism():
     a = [RandomSource(5).categorical(np.array([0.3, 0.3, 0.4])) for _ in range(20)]
     b = [RandomSource(5).categorical(np.array([0.3, 0.3, 0.4])) for _ in range(20)]
     assert a == b
-    assert RandomSource(5).uniform() != RandomSource(6).uniform()
+    five, six = (RandomSource(seed).categorical(np.ones(1000), 8).tolist() for seed in (5, 6))
+    assert five != six
 
 
 def test_categorical_respects_support():

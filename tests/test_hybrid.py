@@ -6,15 +6,19 @@ from qcollapse import (
     BudgetExceededError,
     ConflictError,
     Partitioning,
+    Pattern,
     RandomSource,
+    Rule,
     Ruleset,
     build_circuit,
     equal_blocks,
     exact_distribution,
     hwfc_exact_distribution,
     hwfc_generate,
+    encode_values,
     simulate,
     validate_partitioning,
+    with_restarts,
 )
 from qcollapse import hybrid
 from qcollapse.topology import grid2d_topology
@@ -84,6 +88,49 @@ def test_hwfc_conflict_names_partition():
     with pytest.raises(ConflictError) as err:
         hwfc_generate(adj, 2, rs, equal_blocks(2, 2), RandomSource(0))
     assert "partition 2" in str(err.value)
+
+
+def test_hwfc_exact_distribution_is_what_restarts_sample():
+    # a 3-cell chain, ends first: the middle cell needs both ends within 1 of
+    # its value, so the ends (1, 4) and (4, 1) conflict
+    adj = grid2d_topology(3, 1).adjacency
+    near = lambda v: [a for a in range(1, 5) if abs(a - v) <= 1]
+    rs = Ruleset(
+        tuple(
+            Rule(v, 1.0 + (v == 1), Pattern.of((1, a), (3, b)))
+            for v in range(1, 5)
+            for a in near(v)
+            for b in near(v)
+        )
+    )
+    partitioning = Partitioning(((1,), (3,), (2,)))
+    dist = hwfc_exact_distribution(adj, 4, rs, partitioning)
+
+    # by hand: an end's weights count its rules; the middle's, the rules its ends allow
+    end = np.array([8.0, 9.0, 9.0, 4.0]) / 30
+    kept = 1 - 2 * end[0] * end[3]
+    expected = {}
+    for x1 in range(1, 5):
+        for x3 in range(1, 5):
+            mid = np.array([(1.0 + (v == 1)) * (v in near(x1) and v in near(x3)) for v in range(1, 5)])
+            for v in range(1, 5):
+                if mid[v - 1] > 0:
+                    key = encode_values({1: x1, 2: v, 3: x3}, (1, 2, 3), 4)
+                    expected[key] = end[x1 - 1] * end[x3 - 1] * mid[v - 1] / mid.sum() / kept
+    assert abs(kept - 0.92889) < 1e-5
+    assert len(dist.probs) == len(expected) == 26
+    assert max_prob_deviation(dist.probs, expected) < 1e-15
+
+    rng = RandomSource(7)
+    n = 100_000
+    counts: dict[int, int] = {}
+    for _ in range(n):
+        instance = with_restarts(lambda: hwfc_generate(adj, 4, rs, partitioning, rng), 100)
+        key = encode_values(instance.mapping, (1, 2, 3), 4)
+        counts[key] = counts.get(key, 0) + 1
+    assert set(counts) <= set(dist.probs)
+    tv = 0.5 * sum(abs(counts.get(k, 0) / n - p) for k, p in dist.probs.items())
+    assert tv < (len(dist.probs) / n) ** 0.5  # ~0.016; the expected TV is at most 0.4 of it
 
 
 # --------------------------------------------------------------------------

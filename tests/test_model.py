@@ -160,7 +160,7 @@ def _reference_outcome(segment, adjacency, content, ruleset, n_values):
     for rule in ruleset.rules:
         if pattern_matches(segment, adjacency, content, rule.pattern):
             u = rule.weight
-            weights[rule.value - 1] += u.fn(segment, content.mapping) if isinstance(u, FunctionalWeight) else u
+            weights[rule.value - 1] += u.fn(segment) if isinstance(u, FunctionalWeight) else u
     return "conflict" if weights.sum() <= 0 else weights / weights.sum()
 
 
@@ -267,7 +267,7 @@ def test_functional_factor_must_return_finite(bad):
     rs = Ruleset(
         (
             Rule(1, 1.0, Pattern.of()),
-            Rule(2, FunctionalWeight("broken", (), lambda _seg, _content: bad), Pattern.of()),
+            Rule(2, FunctionalWeight("broken", (), lambda _seg: bad), Pattern.of()),
         )
     )
     with pytest.raises(ValueError, match="finite"):
@@ -371,7 +371,7 @@ def _pattern_reference(segment, adj, content, ruleset, n_values):
         if pattern_matches(segment, adj, content, rule.pattern):
             u = rule.weight
             if isinstance(u, FunctionalWeight):
-                u = u.fn(segment, content.mapping)
+                u = u.fn(segment)
             weights[rule.value - 1] += u
     return weights / weights.sum()
 
@@ -399,34 +399,36 @@ def test_platformer_warm_cache_matches_pattern_reference():
                 np.testing.assert_allclose(got, ref, rtol=0, atol=1e-15)
 
 
-def _next_is_two(segment, placed):
-    # reads only the direction-1 neighbour, as the locality contract allows
-    return 3.0 if placed.get(segment + 1) == 2 else 1.0
+def test_factor_runs_once_per_segment():
+    adj = chain_adjacency(3)
+    calls = []
 
+    def counted(segment):
+        calls.append(segment)
+        return 2.0 if segment == 2 else 1.0
 
-def test_neighbour_reading_factor_gets_one_entry_per_output():
-    adj = chain_adjacency(4)
     rs = Ruleset(
         (
-            Rule(1, FunctionalWeight("next_is_two", (), _next_is_two), Pattern.of()),
+            Rule(1, FunctionalWeight("counted", (), counted), Pattern.of((1, 1))),
             Rule(2, 1.0, Pattern.of()),
         )
     )
-    calls = [
-        (1, ContentInstance(), [0.5, 0.5]),
-        (1, ContentInstance(((2, 2),)), [0.75, 0.25]),
-        (2, ContentInstance(((3, 2),)), [0.75, 0.25]),
-        (3, ContentInstance(((4, 1),)), [0.5, 0.5]),
-        (3, ContentInstance(((4, 2), (1, 1))), [0.75, 0.25]),
-    ]
-    for seg, content, expected in calls:
-        np.testing.assert_array_equal(value_distribution(seg, adj, content, rs, 2), expected)
-    assert len(rs.compiled.dist_cache) == 2
+    for content in (ContentInstance(), ContentInstance(((3, 1),)), ContentInstance(((3, 2),))):
+        for _ in range(3):
+            for seg in (1, 2):
+                value_distribution(seg, adj, content, rs, 2)
+                value_entropy(seg, adj, content, rs, 2)
+    np.testing.assert_array_equal(value_distribution(2, adj, ContentInstance(((3, 1),)), rs, 2), [2 / 3, 1 / 3])
+    np.testing.assert_array_equal(value_distribution(2, adj, ContentInstance(((3, 2),)), rs, 2), [0, 1])
+    assert sorted(calls) == [1, 2]
+    # a second ruleset with the same factor resolves its own rows
+    Ruleset(rs.rules).compiled.segment_weights(1)
+    assert sorted(calls) == [1, 1, 2]
 
 
 def test_non_finite_factor_raises_on_a_cached_signature():
     adj = chain_adjacency(3)
-    fn = lambda segment, _placed: float("nan") if segment == 2 else 1.0
+    fn = lambda segment: float("nan") if segment == 2 else 1.0
     rs = Ruleset((Rule(1, FunctionalWeight("nan_at_two", (), fn), Pattern.of()), Rule(2, 1.0, Pattern.of())))
     np.testing.assert_array_equal(value_distribution(1, adj, ContentInstance(), rs, 2), [0.5, 0.5])
     np.testing.assert_array_equal(value_distribution(3, adj, ContentInstance(), rs, 2), [0.5, 0.5])

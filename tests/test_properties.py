@@ -1,7 +1,13 @@
 """Randomized invariants checked with hypothesis."""
 
 import numpy as np
-from conftest import chain_adjacency, conflict_free_ruleset, max_prob_deviation, pattern_matches
+from conftest import (
+    chain_adjacency,
+    conflict_free_ruleset,
+    max_prob_deviation,
+    pattern_matches,
+    simulate_gates,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,7 +26,6 @@ from qcollapse import (
     lower_to_gates,
     ruleset_value_selector,
     simulate,
-    simulate_gates,
 )
 
 # Random chain-world rulesets: N segments in a line, patterns over the two

@@ -8,6 +8,7 @@ from conftest import (
     conflict_free_ruleset,
     max_prob_deviation,
     reference_chain_distribution,
+    simulate_gates,
 )
 from test_golden import QWFC_CIRCUITS
 
@@ -32,7 +33,6 @@ from qcollapse import (
     lower_to_gates,
     sample_shots,
     simulate,
-    simulate_gates,
 )
 from qcollapse.quantum import walked_state
 from qcollapse.usecases import checkerboard_ruleset, checkerboard_usecase
