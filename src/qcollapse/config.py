@@ -26,7 +26,7 @@ from .model import (
     Symbol,
     make_factor,
 )
-from .render import FORMATS
+from .render import FORMATS, can_draw
 from .topology import Topology, grid2d_topology, grid3d_topology, hexgrid_topology
 
 MODES = ("cwfc", "qwfc", "hwfc", "oracle")
@@ -56,9 +56,13 @@ class RunConfig:
     validator: Callable[[ContentInstance], list[str]] | None = None
 
     def __post_init__(self):
-        # dataclasses.replace runs this too, so a --mode override is checked
+        # dataclasses.replace runs this too, so --mode and --format overrides are checked
         if self.mode == "hwfc" and self.partitioning is None:
             raise ConfigError("mode 'hwfc' requires a 'partitions' field")
+        fmt, kind = self.output_format, self.topology.kind
+        if self.mode != "oracle" and not can_draw(fmt, kind):  # oracle renders nothing
+            usable = ", ".join(repr(f) for f in FORMATS if can_draw(f, kind))
+            raise ConfigError(f"format {fmt!r} cannot draw a {kind!r} topology; use {usable}")
 
 
 def parse_config(text: str) -> RunConfig:
@@ -89,15 +93,34 @@ def _require(doc: dict, field: str):
     return doc[field]
 
 
+def _is_int(raw) -> bool:
+    return isinstance(raw, int) and not isinstance(raw, bool)
+
+
 def _int_field(doc, field, default=None, minimum=None):
     raw = doc.get(field, default)
     if raw is None:
         raise ConfigError(f"missing required field {field!r}")
-    if not isinstance(raw, int) or isinstance(raw, bool):
+    if not _is_int(raw):
         raise ConfigError(f"field {field!r} must be an integer, got {raw!r}")
     if minimum is not None and raw < minimum:
         raise ConfigError(f"field {field!r} must be >= {minimum}")
     return raw
+
+
+def _ids(raw, what: str) -> tuple[int, ...]:
+    """A list of segment ids as a tuple; each must be an int, not a bool."""
+    if not isinstance(raw, list) or not all(_is_int(i) for i in raw):
+        raise ConfigError(f"{what} must list integer segment ids, got {raw!r}")
+    return tuple(raw)
+
+
+def _name_field(doc) -> str:
+    """The run name, which artifact file names start with: one plain file name."""
+    name = str(doc.get("name", "run"))
+    if name in ("", ".", "..") or "/" in name or "\\" in name:
+        raise ConfigError(f"field 'name' must be one plain file name, got {name!r}")
+    return name
 
 
 def _build_topology(spec) -> Topology:
@@ -123,10 +146,11 @@ def _build_topology(spec) -> Topology:
         edge_sets = []
         for direction in range(1, d + 1):
             pairs = edges_spec.get(direction, edges_spec.get(str(direction), []))
+            where = f"topology.edges[{direction}]"
             try:
-                edge_sets.append(frozenset((int(i), int(j)) for i, j in pairs))
+                edge_sets.append(frozenset(_ids([i, j], f"{where} pairs") for i, j in pairs))
             except (TypeError, ValueError):
-                raise ConfigError(f"topology.edges[{direction}] must be [i, j] pairs") from None
+                raise ConfigError(f"{where} must be [i, j] pairs") from None
         try:
             adjacency = AdjacencyConfig(n, d, tuple(edge_sets))
         except ValueError as exc:
@@ -169,7 +193,7 @@ def _build_alphabet(spec) -> Alphabet:
 
 
 def _resolve_value(raw, alphabet: Alphabet) -> int:
-    if isinstance(raw, int) and not isinstance(raw, bool):
+    if _is_int(raw):
         value = raw
     else:
         try:
@@ -185,7 +209,7 @@ def _resolve_value(raw, alphabet: Alphabet) -> int:
 
 def _resolve_direction(raw, topology: Topology) -> int:
     aliases = _DIRECTION_ALIASES.get(topology.kind, {})
-    if isinstance(raw, int) and not isinstance(raw, bool):
+    if _is_int(raw):
         d = raw
     elif isinstance(raw, str) and raw.lower() in aliases:
         d = aliases[raw.lower()]
@@ -229,12 +253,9 @@ def _build_literal_rules(spec, alphabet, topology) -> Ruleset:
             except (KeyError, TypeError) as exc:
                 raise ConfigError(f"rule weight: {exc}") from None
         else:
-            try:
-                weight = float(weight_spec)
-            except (TypeError, ValueError):
-                raise ConfigError(f"rule weight must be a number, got {weight_spec!r}") from None
-            if weight <= 0:
-                raise ConfigError(f"rule weight must be > 0, got {weight}")
+            if not (_is_finite_number(weight_spec) and weight_spec > 0):
+                raise ConfigError(f"rule weight must be a finite number > 0, got {weight_spec!r}")
+            weight = float(weight_spec)
         pattern = entry.get("pattern") or {}
         if not isinstance(pattern, dict):
             raise ConfigError(f"rule pattern must map directions to values, got {pattern!r}")
@@ -260,15 +281,15 @@ def _build_from_generator(spec, topology: Topology):
 
     try:
         if name == "checkerboard":
-            uc = usecases.checkerboard_usecase(*dims("width", "height"))
+            uc = usecases.checkerboard_usecase(*dims("width", "height"), **params)
         elif name == "pipes":
-            uc = usecases.pipes_usecase(*dims("width", "height"))
+            uc = usecases.pipes_usecase(*dims("width", "height"), **params)
         elif name == "hexmap":
             uc = usecases.hexmap_usecase(topology.param("radius"), **params)
         elif name == "platformer":
-            uc = usecases.platformer_usecase(*dims("width", "height"))
+            uc = usecases.platformer_usecase(*dims("width", "height"), **params)
         elif name == "voxel_skyline":
-            uc = usecases.voxel_skyline_usecase(*dims("width", "depth", "height"))
+            uc = usecases.voxel_skyline_usecase(*dims("width", "depth", "height"), **params)
         else:
             raise ConfigError(f"unknown rule generator {name!r}")
     except KeyError as exc:
@@ -288,10 +309,7 @@ def _build_order(spec, topology: Topology) -> tuple[int, ...]:
         return tuple(range(1, n + 1))
     if not isinstance(spec, list):
         raise ConfigError(f"field 'order' must be 'raster', 'spiral' or a list, got {spec!r}")
-    try:
-        order = tuple(int(i) for i in spec)
-    except (TypeError, ValueError):
-        raise ConfigError(f"field 'order' must list segment ids, got {spec!r}") from None
+    order = _ids(spec, "field 'order'")
     if sorted(order) != list(range(1, n + 1)):
         raise ConfigError("field 'order' must be a permutation of all segment ids")
     return order
@@ -302,10 +320,7 @@ def _build_partitioning(spec, topology: Topology) -> Partitioning | None:
         return None
     n = topology.adjacency.n_segments
     if isinstance(spec, list):
-        try:
-            part = Partitioning(tuple(tuple(int(i) for i in block) for block in spec))
-        except (TypeError, ValueError):
-            raise ConfigError(f"field 'partitions' must list blocks of segment ids, got {spec!r}") from None
+        part = Partitioning(tuple(_ids(block, "each block of field 'partitions'") for block in spec))
     elif isinstance(spec, str) and ":" in spec:
         scheme, _, count = spec.partition(":")
         if not count.isdecimal():
@@ -365,7 +380,7 @@ def _build(doc: dict) -> RunConfig:
     if output_format not in FORMATS:
         raise ConfigError(f"field 'format' must be one of {FORMATS}, got {output_format!r}")
     return RunConfig(
-        name=str(doc.get("name", "run")),
+        name=_name_field(doc),
         seed=seed,
         mode=mode,
         topology=topology,

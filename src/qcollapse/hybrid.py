@@ -5,18 +5,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import Mapping
 
 from .errors import CapacityError, ConflictError
 from .framework import EXACT_BUDGET, RandomSource, _check_budget
-from .model import AdjacencyConfig, ContentInstance, Distribution, Ruleset
-from .quantum import QubitLayout, _PROB_CUTOFF, build_circuit, walked_state
+from .model import AdjacencyConfig, ContentInstance, Distribution, Ruleset, decode_values
+from .quantum import SparseState, build_circuit, exact_distribution, walked_state
 
 # Unused here; perfbench/layers.py wraps these names on this module.
-from .quantum import exact_distribution, sample_shots, simulate  # noqa: F401
+from .quantum import sample_shots, simulate  # noqa: F401
 
-_BLOCK_CACHE_CAP = 1 << 20  # cached outcome entries per compiled ruleset (~16 MB)
+_BLOCK_CACHE_CAP = 1 << 20  # cached state entries per compiled ruleset (32 B each, ~32 MB)
 
 
 @dataclass(frozen=True)
@@ -85,20 +84,18 @@ def _block_outcomes(
     ruleset: Ruleset,
     h: int,
     block: tuple[int, ...],
-    frozen: ContentInstance,
-) -> tuple[QubitLayout, np.ndarray, np.ndarray]:
-    """Partition ``h``'s outcome table given the earlier blocks: its layout, the
-    ascending basis indices with nonzero probability, and those probabilities.
+    values: Mapping[int, int],
+) -> SparseState:
+    """Partition ``h``'s state given the earlier blocks' ``values``.
 
     The block's state reads earlier blocks only through its interface, the
-    frozen segments adjacent to it in any direction (all that
+    placed segments adjacent to it in any direction (all that
     ``constraint_signature`` reads), so the circuit is compiled on the
-    interface alone and its table is cached on the compiled ruleset under
-    that key.  The table is the state the compile walked; no second pass
-    simulates the loads.  Conflicts are not cached: they raise again on
-    every call, named after partition ``h``.
+    interface alone and the state it walked is cached on the compiled
+    ruleset under that key; no second pass simulates the loads.  Conflicts
+    are not cached: they raise again on every call, named after partition
+    ``h``.
     """
-    values = frozen.mapping
     interface = tuple(
         sorted(
             {
@@ -112,23 +109,19 @@ def _block_outcomes(
     )
     comp = ruleset.compiled
     key = (adjacency, n_values, block, interface)
-    table = comp.block_cache.get(key)
-    if table is not None:
-        return table
+    state = comp.block_cache.get(key)
+    if state is not None:
+        return state
     try:
         circuit = build_circuit(adjacency, n_values, ruleset, block, frozen=ContentInstance(interface))
         state = walked_state(circuit)
     except (ConflictError, CapacityError) as exc:
         exc.args = (f"partition {h}: {exc.args[0]}",) + exc.args[1:]
         raise
-    support, weights = state.indices, state.probabilities
-    support.setflags(write=False)
-    weights.setflags(write=False)
-    table = (circuit.layout, support, weights)
-    if comp.block_cache_entries + len(support) <= _BLOCK_CACHE_CAP:
-        comp.block_cache[key] = table
-        comp.block_cache_entries += len(support)
-    return table
+    if comp.block_cache_entries + len(state.indices) <= _BLOCK_CACHE_CAP:
+        comp.block_cache[key] = state
+        comp.block_cache_entries += len(state.indices)
+    return state
 
 
 def hwfc_generate(
@@ -143,11 +136,12 @@ def hwfc_generate(
     Each partition's circuit conditions classically on all earlier outcomes,
     so the joint distribution is the product of per-partition conditionals.
     """
-    frozen = ContentInstance()
+    values: dict[int, int] = {}
     for h, block in enumerate(partitioning.blocks, start=1):
-        layout, support, weights = _block_outcomes(adjacency, n_values, ruleset, h, block, frozen)
-        frozen = frozen.union(layout.decode(int(support[rng.categorical(weights, 1)[0]])))
-    return frozen
+        state = _block_outcomes(adjacency, n_values, ruleset, h, block, values)
+        drawn = int(state.indices[rng.categorical(state.probabilities, 1)[0]])
+        values.update(decode_values(drawn, state.layout.segments, n_values))
+    return ContentInstance(tuple(values.items()))
 
 
 def hwfc_exact_distribution(
@@ -168,16 +162,13 @@ def hwfc_exact_distribution(
         nxt: dict[tuple[tuple[int, int], ...], float] = {}
         for prior, mass in outcomes.items():
             try:
-                layout, support, weights = _block_outcomes(
-                    adjacency, n_values, ruleset, h, block, ContentInstance(prior)
-                )
+                state = _block_outcomes(adjacency, n_values, ruleset, h, block, dict(prior))
             except ConflictError as exc:
                 conflict = exc
                 continue
-            for basis, p in zip(support.tolist(), weights.tolist()):
-                if p > _PROB_CUTOFF:
-                    joint = prior + layout.decode(basis).entries
-                    nxt[joint] = nxt.get(joint, 0.0) + mass * p
+            # blocks partition the segments, so each joint is reached once
+            for basis, p in exact_distribution(state, state.layout).probs.items():
+                nxt[prior + decode_values(basis, state.layout.segments, n_values)] = mass * p
         if not nxt:
             raise conflict
         outcomes = nxt

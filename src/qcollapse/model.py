@@ -207,9 +207,9 @@ class CompiledRuleset:
         # (probabilities, entropy) keyed (signature, W, factor outputs); see
         # _distribution_entry.
         self.dist_cache: dict[tuple, object] = {}
-        # hwfc block outcome tables, keyed (adjacency, W, block, interface);
-        # see hybrid._block_outcomes.
-        self.block_cache: dict[tuple, tuple] = {}
+        # hwfc block states, keyed (adjacency, W, block, interface); see
+        # hybrid._block_outcomes.
+        self.block_cache: dict[tuple, object] = {}
         self.block_cache_entries = 0
         self.max_value = max(rule.value for rule in ruleset.rules)
         self.pattern_directions = frozenset(
@@ -333,9 +333,6 @@ class ContentInstance:
         object.__setattr__(child, "entries", self.entries + ((segment, value),))
         child.__dict__["mapping"] = {**mapping, segment: value}
         return child
-
-    def union(self, other: "ContentInstance") -> "ContentInstance":
-        return ContentInstance(self.entries + other.entries)
 
     def value_of(self, segment: int) -> int:
         return self.mapping[segment]

@@ -24,7 +24,6 @@ from .model import (
     Distribution,
     Ruleset,
     bits_per_value,
-    decode_values,
     encode_values,
     value_distribution,
 )
@@ -75,11 +74,8 @@ class QubitLayout:
     def encode(self, values) -> int:
         return encode_values(values, self.segments, self.n_values)
 
-    def decode(self, basis: int) -> ContentInstance:
-        return ContentInstance(decode_values(basis, self.segments, self.n_values))
-
     def decode_many(self, keys: np.ndarray) -> list[ContentInstance]:
-        """``decode`` of each int64 basis key, with array shifts and masks."""
+        """The instance each int64 basis key encodes, decoded with array shifts and masks."""
         q = self.bits_per_value
         shifts = np.arange(len(self.segments), dtype=np.int64) * q
         values = ((keys[:, None] >> shifts[None, :]) & ((1 << q) - 1)) + 1
@@ -341,7 +337,8 @@ def _index_limit_error(n_qubits: int) -> CapacityError:
 
 def _sparse_state(layout: QubitLayout, idx: np.ndarray, amp: np.ndarray) -> SparseState:
     """The state of int64 basis indices ``idx`` and real or complex amplitudes
-    ``amp``, sorted by index; ContractError if its norm drifted."""
+    ``amp``, sorted by index, its arrays read-only; ContractError if its norm
+    drifted."""
     order = np.argsort(idx)
     idx, amp = idx[order], amp[order]
     probs = np.abs(amp) ** 2
@@ -352,7 +349,10 @@ def _sparse_state(layout: QubitLayout, idx: np.ndarray, amp: np.ndarray) -> Spar
     norm = probs.sum()
     if abs(norm - 1.0) > _SIM_NORM_TOL:
         raise ContractError(f"statevector squared norm drifted to {norm}")
-    return SparseState(layout, idx, amp.astype(np.complex128, copy=False), probs)
+    amp = amp.astype(np.complex128, copy=False)
+    for array in (idx, amp, probs):
+        array.setflags(write=False)
+    return SparseState(layout, idx, amp, probs)
 
 
 def exact_distribution(state: SparseState, layout: QubitLayout) -> Distribution:

@@ -8,6 +8,16 @@ from .topology import Topology, hexgrid_coordinates
 
 FORMATS = ("ascii", "ppm", "voxel-slices", "structured-dump")
 
+
+def can_draw(fmt: str, kind: str) -> bool:
+    """Whether format ``fmt`` draws a ``kind`` topology: a custom topology has
+    no cell layout, so only structured-dump draws it; voxel-slices needs
+    grid3d."""
+    if fmt == "voxel-slices":
+        return kind == "grid3d"
+    return fmt == "structured-dump" or kind != "custom"
+
+
 _FALLBACK_COLORS = ((0, 0, 0), (255, 255, 255), (255, 0, 0), (0, 128, 255))
 
 

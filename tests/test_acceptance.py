@@ -16,9 +16,11 @@ import pytest
 from conftest import max_prob_deviation, simulate_gates
 
 from qcollapse import (
+    ContentInstance,
     RandomSource,
     build_circuit,
     cwfc_generate,
+    decode_values,
     equal_blocks,
     exact_distribution,
     exact_distribution_oracle,
@@ -263,7 +265,11 @@ def test_sparse_state_sampling_matches_per_shot_decode(name, make):
     assert np.count_nonzero(state) == len(state.indices)
     shots = sample_shots(state, circuit.layout, 1000, RandomSource(11))
     drawn = RandomSource(11).categorical(state.probabilities, 1000)
-    assert shots == [circuit.layout.decode(int(state.indices[i])) for i in drawn]
+    layout = circuit.layout
+    assert shots == [
+        ContentInstance(decode_values(int(state.indices[i]), layout.segments, layout.n_values))
+        for i in drawn
+    ]
 
 
 def test_platformer_4x2_exact_distribution_matches_oracle():

@@ -14,6 +14,8 @@ from qcollapse import (
     serialize_config,
 )
 from qcollapse.cli import main
+from qcollapse.config import MODES
+from qcollapse.render import FORMATS
 
 DEMO_CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"
 
@@ -378,6 +380,18 @@ MALFORMED = {
     "checkerboard": CUBE % "checkerboard",
     "pipes": CUBE % "pipes",
     "depth=1": CUBE % "platformer",
+    "../../x": TWO_CELLS + "name: ../../x\n",
+    "..": TWO_CELLS + "name: ..\n",
+    "2.9": TWO_CELLS + "order: [2.9, 1.2]\n",
+    "True": TWO_CELLS + "partitions: [[true], [2]]\n",
+    "1.5": TWO_CELLS.replace(
+        "{type: grid2d, width: 2, height: 1}",
+        "{type: custom, segments: 2, directions: 1, edges: {1: [[1.5, 2]]}}",
+    ),
+    "> 0": TWO_CELLS.replace("{value: a}", "{value: a, weight: true}"),
+    "bogus": TWO_CELLS.replace(
+        "alphabet: [a, b]\nrules:\n  - {value: a}\n  - {value: b}\n", "rules: {generator: pipes, bogus: 3}\n"
+    ),
 }
 
 
@@ -407,6 +421,32 @@ def test_cli_every_generator_on_every_topology(tmp_path, capsys, generator, topo
     cfg = _write(tmp_path, doc)
     assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) in (0, 2, 3, 4)
     assert "Traceback" not in capsys.readouterr().err
+
+
+# the (topology, format) pairs that cannot be drawn: a custom topology has no
+# cell layout, and voxel-slices needs grid3d
+UNDRAWABLE = {
+    ("custom", "ascii"),
+    ("custom", "ppm"),
+    ("custom", "voxel-slices"),
+    ("grid2d", "voxel-slices"),
+    ("hexgrid", "voxel-slices"),
+}
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("topology", sorted(TOPOLOGIES))
+def test_cli_every_format_on_every_topology(tmp_path, capsys, topology, fmt, mode):
+    doc = TWO_CELLS.replace("mode: cwfc", f"mode: {mode}").replace(
+        "{type: grid2d, width: 2, height: 1}", TOPOLOGIES[topology]
+    )
+    cfg = _write(tmp_path, doc + f"format: {fmt}\npartitions: 'blocks:2'\n")
+    code = main(["--config", str(cfg), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    # oracle mode renders nothing, so it takes any format
+    assert code == (2 if mode != "oracle" and (topology, fmt) in UNDRAWABLE else 0), err
 
 
 def test_cli_wall_time_counts_config_load(tmp_path, capsys, monkeypatch):

@@ -208,7 +208,7 @@ def test_block_cache_cap_stops_growth_not_output(monkeypatch):
     comp = capped.compiled
     assert _samples(*args, capped, uc.partitioning, 11, 6) == cold
     assert 0 < comp.block_cache_entries <= cap
-    assert comp.block_cache_entries == sum(len(t[1]) for t in comp.block_cache.values())
+    assert comp.block_cache_entries == sum(len(t.indices) for t in comp.block_cache.values())
     for seed in (12, 13):
         _samples(*args, capped, uc.partitioning, seed, 6)
         assert comp.block_cache_entries <= cap
@@ -264,6 +264,10 @@ def test_block_states_equal_simulate(make, monkeypatch):
     fresh = Ruleset(uc.ruleset.rules)  # an empty block cache: every block compiles
     _samples(uc.adjacency, uc.alphabet.n_values, fresh, uc.partitioning, 2024, 3)
     assert len(compiled) >= len(uc.partitioning.blocks)
+    # each compile's state is cached as it is, in compile order
+    cached = list(fresh.compiled.block_cache.values())
+    assert len(cached) == len(compiled)
+    assert all(state is circuit.state for state, circuit in zip(cached, compiled))
     for circuit in compiled:
         walked, simulated = circuit.state, simulate(circuit)
         assert np.array_equal(walked.indices, simulated.indices)

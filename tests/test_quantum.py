@@ -26,6 +26,7 @@ from qcollapse import (
     Ruleset,
     SparseState,
     build_circuit,
+    decode_values,
     grid2d_topology,
     dependency_set,
     exact_distribution,
@@ -46,7 +47,7 @@ def test_layout_offsets_and_codec():
     assert layout.group_offset(2) == 2
     key = layout.encode({1: 2, 2: 1, 3: 3})
     assert key == 1 | (0 << 2) | (2 << 4)
-    assert layout.decode(key).mapping == {1: 2, 2: 1, 3: 3}
+    assert dict(decode_values(key, layout.segments, layout.n_values)) == {1: 2, 2: 1, 3: 3}
     with pytest.raises(ValueError):
         QubitLayout((2, 1), 2)
     with pytest.raises(ValueError):
@@ -160,6 +161,9 @@ def test_sparse_state_indices_and_dense_view():
         dense[index] = amplitude
     assert np.array_equal(np.asarray(state), dense)
     assert np.count_nonzero(state) == len(state.indices)
+    assert not any(
+        array.flags.writeable for array in (state.indices, state.amplitudes, state.probabilities)
+    )
 
 
 def test_sparse_state_wide_circuit_and_dense_cap():
