@@ -11,7 +11,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 from .classic import cwfc_generate
@@ -76,23 +75,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--validate-only", action="store_true", help="check the config and exit without generating"
     )
     return parser
-
-
-def _apply_overrides(config: RunConfig, args) -> RunConfig:
-    updates = {}
-    if args.mode is not None:
-        updates["mode"] = args.mode
-    if args.seed is not None:
-        if args.seed < 0:
-            raise ConfigError("--seed must be >= 0")
-        updates["seed"] = args.seed
-    if args.shots is not None:
-        if args.shots < 1:
-            raise ConfigError("--shots must be >= 1")
-        updates["shots"] = args.shots
-    if args.format is not None:
-        updates["output_format"] = args.format
-    return replace(config, **updates) if updates else config
 
 
 def _write(out: Path | None, name: str, text: str) -> None:
@@ -230,8 +212,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     started = time.perf_counter()
     try:
-        config = load_config(args.config)
-        config = _apply_overrides(config, args)
+        flags = {field: getattr(args, field) for field in ("mode", "seed", "shots", "format")}
+        config = load_config(args.config, {k: v for k, v in flags.items() if v is not None})
         if args.validate_only:
             print(f"config ok: mode={config.mode} segments={config.topology.adjacency.n_segments}")
             return EXIT_OK

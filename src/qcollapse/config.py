@@ -14,7 +14,7 @@ from typing import Callable
 import yaml
 
 from . import usecases
-from .errors import ConfigError
+from .errors import CapacityError, ConfigError
 from .hybrid import Partitioning, column_blocks, equal_blocks, validate_partitioning
 from .model import (
     AdjacencyConfig,
@@ -26,10 +26,19 @@ from .model import (
     Symbol,
     make_factor,
 )
-from .render import FORMATS, can_draw
+from .render import FORMATS, can_draw, ppm_size
 from .topology import Topology, grid2d_topology, grid3d_topology, hexgrid_topology
 
 MODES = ("cwfc", "qwfc", "hwfc", "oracle")
+FIELDS = (
+    "name", "seed", "mode", "topology", "alphabet", "rules",
+    "order", "partitions", "shots", "max_restarts", "format", "scale",
+)
+
+# size caps, checked before the world is built; exceeding one exits 4
+MAX_SEGMENTS = 1 << 16  # segments in the topology
+MAX_SHOT_SEGMENTS = 1 << 24  # shots x segments drawn in one run
+MAX_PPM_PIXELS = 1 << 22  # pixels in one rendered PPM image
 
 _DIRECTION_ALIASES = {
     "grid2d": {"right": 1, "up": 2, "left": 3, "down": 4},
@@ -56,7 +65,6 @@ class RunConfig:
     validator: Callable[[ContentInstance], list[str]] | None = None
 
     def __post_init__(self):
-        # dataclasses.replace runs this too, so --mode and --format overrides are checked
         if self.mode == "hwfc" and self.partitioning is None:
             raise ConfigError("mode 'hwfc' requires a 'partitions' field")
         fmt, kind = self.output_format, self.topology.kind
@@ -65,8 +73,9 @@ class RunConfig:
             raise ConfigError(f"format {fmt!r} cannot draw a {kind!r} topology; use {usable}")
 
 
-def parse_config(text: str) -> RunConfig:
-    """Parse and validate a YAML config document."""
+def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
+    """Parse and validate a YAML config document; ``overrides`` replace its
+    top-level fields before any check, and ``source`` is the merged document."""
     try:
         doc = yaml.safe_load(text)
     except yaml.YAMLError as exc:
@@ -75,12 +84,12 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"parse error{where}: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a mapping")
-    return _build(doc)
+    return _build({**doc, **(overrides or {})})
 
 
-def load_config(path) -> RunConfig:
+def load_config(path, overrides: dict | None = None) -> RunConfig:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+        return parse_config(fh.read(), overrides)
 
 
 def serialize_config(config: RunConfig) -> str:
@@ -91,6 +100,11 @@ def _require(doc: dict, field: str):
     if field not in doc:
         raise ConfigError(f"missing required field {field!r}")
     return doc[field]
+
+
+def _check_cap(size: int, what: str, cap: int) -> None:
+    if size > cap:
+        raise CapacityError(f"{size} {what} exceed the cap of {cap}")
 
 
 def _is_int(raw) -> bool:
@@ -128,17 +142,20 @@ def _build_topology(spec) -> Topology:
         raise ConfigError("field 'topology' must be a mapping with a 'type'")
     kind = spec["type"]
     if kind == "grid2d":
-        return grid2d_topology(_int_field(spec, "width", minimum=1), _int_field(spec, "height", minimum=1))
+        w, h = _int_field(spec, "width", minimum=1), _int_field(spec, "height", minimum=1)
+        _check_cap(w * h, "segments", MAX_SEGMENTS)
+        return grid2d_topology(w, h)
     if kind == "hexgrid":
-        return hexgrid_topology(_int_field(spec, "radius", minimum=0))
+        r = _int_field(spec, "radius", minimum=0)
+        _check_cap(3 * r * (r + 1) + 1, "segments", MAX_SEGMENTS)
+        return hexgrid_topology(r)
     if kind == "grid3d":
-        return grid3d_topology(
-            _int_field(spec, "width", minimum=1),
-            _int_field(spec, "depth", minimum=1),
-            _int_field(spec, "height", minimum=1),
-        )
+        dims = [_int_field(spec, f, minimum=1) for f in ("width", "depth", "height")]
+        _check_cap(math.prod(dims), "segments", MAX_SEGMENTS)
+        return grid3d_topology(*dims)
     if kind == "custom":
         n = _int_field(spec, "segments", minimum=1)
+        _check_cap(n, "segments", MAX_SEGMENTS)
         d = _int_field(spec, "directions", minimum=1)
         edges_spec = spec.get("edges", {})
         if not isinstance(edges_spec, dict):
@@ -350,11 +367,22 @@ def _build_partitioning(spec, topology: Topology) -> Partitioning | None:
 
 
 def _build(doc: dict) -> RunConfig:
+    for field in doc:
+        if field not in FIELDS:
+            raise ConfigError(f"unknown field {field!r}; the fields are {', '.join(FIELDS)}")
     seed = _int_field(doc, "seed", minimum=0)
     mode = _require(doc, "mode")
     if mode not in MODES:
         raise ConfigError(f"field 'mode' must be one of {MODES}, got {mode!r}")
     topology = _build_topology(_require(doc, "topology"))
+    shots = _int_field(doc, "shots", default=1, minimum=1)
+    _check_cap(shots * topology.adjacency.n_segments, "shots x segments", MAX_SHOT_SEGMENTS)
+    output_format = doc.get("format", "ascii")
+    if output_format not in FORMATS:
+        raise ConfigError(f"field 'format' must be one of {FORMATS}, got {output_format!r}")
+    scale = _int_field(doc, "scale", default=16, minimum=1)
+    if output_format == "ppm" and mode != "oracle" and can_draw("ppm", topology.kind):
+        _check_cap(math.prod(ppm_size(topology, scale)), "PPM pixels", MAX_PPM_PIXELS)
 
     rules_spec = _require(doc, "rules")
     validator = None
@@ -375,10 +403,6 @@ def _build(doc: dict) -> RunConfig:
 
     order = _build_order(doc.get("order"), topology)
     partitioning = _build_partitioning(doc.get("partitions"), topology) or default_partitioning
-
-    output_format = doc.get("format", "ascii")
-    if output_format not in FORMATS:
-        raise ConfigError(f"field 'format' must be one of {FORMATS}, got {output_format!r}")
     return RunConfig(
         name=_name_field(doc),
         seed=seed,
@@ -388,10 +412,10 @@ def _build(doc: dict) -> RunConfig:
         ruleset=ruleset,
         order=order,
         partitioning=partitioning,
-        shots=_int_field(doc, "shots", default=1, minimum=1),
+        shots=shots,
         max_restarts=_int_field(doc, "max_restarts", default=100, minimum=0),
         output_format=output_format,
-        scale=_int_field(doc, "scale", default=16, minimum=1),
+        scale=scale,
         source=doc,
         validator=validator,
     )

@@ -28,11 +28,11 @@ class SelectorContractError(GenerationError):
 
 
 class BudgetExceededError(GenerationError):
-    """Exhaustive enumeration would exceed the configured budget."""
+    """Exhaustive enumeration would exceed the budget (``framework.EXACT_BUDGET``)."""
 
 
 class CapacityError(GenerationError):
-    """A resource cap (qubits, loads per step, support size) was exceeded."""
+    """A resource cap (config sizes, qubits, loads per step, support size) was exceeded."""
 
 
 class ContractError(GenerationError):

@@ -126,13 +126,13 @@ def with_restarts(attempt, max_restarts: int, on_restart=None):
 # --------------------------------------------------------------------------
 
 
-EXACT_BUDGET = 1e6  # default cap on the candidate instances an exact enumeration may visit
+EXACT_BUDGET = 1e6  # cap on the candidate instances an exact enumeration may visit
 
 
-def _check_budget(n_segments: int, n_values: int, budget: float) -> None:
-    if n_values ** n_segments > budget:
+def _check_budget(n_segments: int, n_values: int) -> None:
+    if n_values ** n_segments > EXACT_BUDGET:
         raise BudgetExceededError(
-            f"{n_values}^{n_segments} candidate instances exceed the budget of {budget:g}"
+            f"{n_values}^{n_segments} candidate instances exceed the budget of {EXACT_BUDGET:g}"
         )
 
 
@@ -141,7 +141,6 @@ def exact_distribution_oracle(
     n_values: int,
     identifier_selector,
     value_selector,
-    budget: float = EXACT_BUDGET,
 ) -> Distribution:
     """Exact chain-rule distribution over complete instances.
 
@@ -149,7 +148,7 @@ def exact_distribution_oracle(
     merging branches that reach the same set of placed pairs, so the sum over
     selection orders is accumulated without enumerating permutations.
     """
-    _check_budget(n_segments, n_values, budget)
+    _check_budget(n_segments, n_values)
     frontier: dict[frozenset[tuple[int, int]], float] = {frozenset(): 1.0}
     for k in range(1, n_segments + 1):
         nxt: dict[frozenset[tuple[int, int]], float] = {}
@@ -179,7 +178,6 @@ def validate_selectors(
     n_values: int,
     identifier_selector,
     value_selector,
-    budget: float = EXACT_BUDGET,
 ) -> list[SelectorViolation]:
     """Exhaustively walk reachable branches and report contract violations.
 
@@ -217,5 +215,5 @@ def validate_selectors(
             return record("V2", k, content, f"empty support for id {segment}")
         return value_probs
 
-    exact_distribution_oracle(n_segments, n_values, checked_ids, checked_values, budget)
+    exact_distribution_oracle(n_segments, n_values, checked_ids, checked_values)
     return violations

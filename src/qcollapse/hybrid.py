@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import CapacityError, ConflictError
-from .framework import EXACT_BUDGET, RandomSource, _check_budget
+from .framework import RandomSource, _check_budget
 from .model import AdjacencyConfig, ContentInstance, Distribution, Ruleset, decode_values
 from .quantum import SparseState, build_circuit, exact_distribution, walked_state
 
@@ -149,13 +149,12 @@ def hwfc_exact_distribution(
     n_values: int,
     ruleset: Ruleset,
     partitioning: Partitioning,
-    budget: float = EXACT_BUDGET,
 ) -> Distribution:
     """Exact joint distribution by enumerating every prior-partition outcome,
     conditioned on no conflict as restarts draw it: a prior whose next block
     conflicts drops its mass and the rest is renormalised (if any was
     dropped).  Raises the last conflict if every prior conflicts."""
-    _check_budget(sum(len(b) for b in partitioning.blocks), n_values, budget)
+    _check_budget(sum(len(b) for b in partitioning.blocks), n_values)
     outcomes: dict[tuple[tuple[int, int], ...], float] = {(): 1.0}
     conflict = None
     for h, block in enumerate(partitioning.blocks, start=1):

@@ -151,8 +151,6 @@ def build_circuit(
     ruleset: Ruleset,
     order: tuple[int, ...],
     frozen: ContentInstance | None = None,
-    max_loads_per_step: int = DEFAULT_LOAD_CAP,
-    max_support: int = DEFAULT_SUPPORT_CAP,
 ) -> CircuitProgram:
     """Compile (ruleset, adjacency, order) into conditional loads.
 
@@ -166,7 +164,7 @@ def build_circuit(
     product of its amplitudes.  Each step masks the rows down to the
     dependency groups to find the control assignments, loads each one (in
     sorted tuple order) and expands every row by its load's nonzero
-    amplitudes; ``max_support`` caps the row count.  The rows are the
+    amplitudes; ``DEFAULT_SUPPORT_CAP`` caps the row count.  The rows are the
     prepared state, returned as ``CircuitProgram.state``.  Past
     INDEX_QUBIT_LIMIT qubits the rows are Python ints and no state is kept.
     """
@@ -194,10 +192,10 @@ def build_circuit(
             row_load = np.searchsorted(keys, masked)
         else:  # one load, for every row
             keys, row_load = np.zeros(1, dtype=dtype), np.zeros(len(idx), dtype=np.intp)
-        if len(keys) > max_loads_per_step:
+        if len(keys) > DEFAULT_LOAD_CAP:
             raise CapacityError(
                 f"{len(keys)} control assignments at iteration {k} "
-                f"exceed the cap of {max_loads_per_step}"
+                f"exceed the cap of {DEFAULT_LOAD_CAP}"
             )
         controls = [
             tuple((seg, ((key >> o) & group) + 1) for seg, o in zip(deps, offsets))
@@ -219,8 +217,8 @@ def build_circuit(
 
         # one output row per nonzero amplitude of the row's load
         branches = table > 0.0
-        if branches.sum(axis=1).take(row_load).sum() > max_support:
-            raise CapacityError(f"reachable support grew past {max_support} at iteration {k}")
+        if branches.sum(axis=1).take(row_load).sum() > DEFAULT_SUPPORT_CAP:
+            raise CapacityError(f"reachable support grew past {DEFAULT_SUPPORT_CAP} at iteration {k}")
         branches = branches.take(row_load, axis=0)
         lifted = np.arange(n_values, dtype=dtype) << layout.group_offset(target)
         idx = (idx[:, None] | lifted)[branches]
@@ -284,7 +282,7 @@ def simulate(circuit: CircuitProgram) -> SparseState:
 
     The loads act on the support only: basis indices and amplitudes of the
     nonzero entries, which a load's controls match with one bitmask compare.
-    ``build_circuit``'s ``max_support`` bounds its size; no 2^Q vector is
+    ``build_circuit``'s ``DEFAULT_SUPPORT_CAP`` bounds its size; no 2^Q vector is
     written.
 
     Raises CapacityError above INDEX_QUBIT_LIMIT qubits and ContractError if

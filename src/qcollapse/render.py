@@ -18,6 +18,16 @@ def can_draw(fmt: str, kind: str) -> bool:
     return fmt == "structured-dump" or kind != "custom"
 
 
+def ppm_size(topology: Topology, scale: int) -> tuple[int, int]:
+    """(width, height) in pixels of ``render_ppm``'s image of a grid2d,
+    hexgrid or grid3d topology (a voxel grid is drawn by its front face)."""
+    if topology.kind == "hexgrid":
+        radius = topology.param("radius")
+        side = (2 * radius + 1) * scale
+        return side + radius * (scale // 2), side
+    return topology.param("width") * scale, topology.param("height") * scale
+
+
 _FALLBACK_COLORS = ((0, 0, 0), (255, 255, 255), (255, 0, 0), (0, 128, 255))
 
 
@@ -122,8 +132,7 @@ def _hex_pixels(instance, alphabet, topology, scale):
     values = instance.mapping
     radius = topology.param("radius")
     coords = hexgrid_coordinates(radius)
-    width = (2 * radius + 1) * scale + radius * (scale // 2)
-    height = (2 * radius + 1) * scale
+    width, height = ppm_size(topology, scale)
     background = (255, 255, 255)
     pixels = [[background] * width for _ in range(height)]
     for idx, (q, r) in enumerate(coords):

@@ -32,6 +32,7 @@ from qcollapse import (
     sample_shots,
     simulate,
 )
+from qcollapse import framework
 from qcollapse.cli import main
 from qcollapse.usecases import (
     checkerboard_usecase,
@@ -272,18 +273,18 @@ def test_sparse_state_sampling_matches_per_shot_decode(name, make):
     ]
 
 
-def test_platformer_4x2_exact_distribution_matches_oracle():
+def test_platformer_4x2_exact_distribution_matches_oracle(monkeypatch):
     uc = platformer_usecase(4, 2)
     n, w = uc.adjacency.n_segments, uc.alphabet.n_values
     circuit = build_circuit(uc.adjacency, w, uc.ruleset, uc.order)
     assert circuit.n_qubits == 24
     dist = exact_distribution(simulate(circuit), circuit.layout)
+    monkeypatch.setattr(framework, "EXACT_BUDGET", w**n)
     oracle = exact_distribution_oracle(
         n,
         w,
         fixed_order_selector(uc.order, n),
         ruleset_value_selector(uc.adjacency, uc.ruleset, w),
-        budget=w**n,
     )
     assert len(dist.probs) == 81
     assert max_prob_deviation(dist.probs, oracle.probs) < 1e-12

@@ -65,6 +65,13 @@ def test_serialize_round_trip():
     assert len(again.ruleset) == len(cfg.ruleset)
 
 
+def test_serialize_gives_the_overridden_document():
+    cfg = load_config(DEMO_CONFIGS / "checkerboard.yaml", {"seed": 3})
+    again = parse_config(serialize_config(cfg))
+    assert cfg.seed == again.seed == 3
+    assert again.source == cfg.source
+
+
 @pytest.mark.parametrize(
     "text,needle",
     [
@@ -392,6 +399,7 @@ MALFORMED = {
     "bogus": TWO_CELLS.replace(
         "alphabet: [a, b]\nrules:\n  - {value: a}\n  - {value: b}\n", "rules: {generator: pipes, bogus: 3}\n"
     ),
+    "shot": TWO_CELLS + "shot: 5\n",
 }
 
 
@@ -402,6 +410,56 @@ def test_cli_malformed_field_exits_2(tmp_path, capsys, field):
     err = capsys.readouterr().err
     assert err.startswith("config error:") and field in err
     assert "Traceback" not in err
+
+
+# a flag replaces the config field of its name before any check: it wins over
+# an invalid value, and an invalid flag gets that field's own message
+@pytest.mark.parametrize(
+    "doc, args, code, needle",
+    [
+        (TWO_CELLS + "format: voxel-slices\n", ["--format", "ascii"], 0, "instances=1"),
+        (TWO_CELLS.replace("seed: 1", "seed: -1"), ["--seed", "3"], 0, "seed=3"),
+        (TWO_CELLS + "shots: 0\n", ["--shots", "2"], 0, "instances=2"),
+        (TWO_CELLS.replace("mode: cwfc", "mode: hwfc"), ["--mode", "cwfc"], 0, "mode=cwfc"),
+        (TWO_CELLS, ["--seed", "-1"], 2, "config error: field 'seed' must be >= 0"),
+        (TWO_CELLS, ["--shots", "0"], 2, "config error: field 'shots' must be >= 1"),
+    ],
+    ids=["format", "seed", "shots", "mode", "bad-seed", "bad-shots"],
+)
+def test_cli_flag_replaces_its_field(tmp_path, capsys, doc, args, code, needle):
+    assert main(["--config", str(_write(tmp_path, doc)), "--out", str(tmp_path / "out"), *args]) == code
+    captured = capsys.readouterr()
+    assert needle in (captured.out if code == 0 else captured.err)
+
+
+# one size past each cap checked at parse time; the world is never built
+GRID = "{type: grid2d, width: 2, height: 1}"
+PAST_A_CAP = {
+    "segments-grid2d": (TWO_CELLS.replace(GRID, "{type: grid2d, width: 256, height: 257}"), []),
+    "segments-hexgrid": (TWO_CELLS.replace(GRID, "{type: hexgrid, radius: 148}"), []),
+    "segments-grid3d": (TWO_CELLS.replace(GRID, "{type: grid3d, width: 2, depth: 2, height: 16385}"), []),
+    "segments-custom": (TWO_CELLS.replace(GRID, "{type: custom, segments: 65537, directions: 1}"), []),
+    "shots": (TWO_CELLS + "shots: 8388609\n", []),
+    "shots-flag": (TWO_CELLS, ["--shots", "8388609"]),
+    "ppm-grid2d": (TWO_CELLS + "format: ppm\nscale: 1449\n", []),
+    "ppm-hexgrid": (TWO_CELLS.replace(GRID, "{type: hexgrid, radius: 1}") + "format: ppm\nscale: 700\n", []),
+}
+CAP_MESSAGES = {
+    "segments": "segments exceed the cap of 65536",
+    "shots": "16777218 shots x segments exceed the cap of 16777216",
+    "ppm": "PPM pixels exceed the cap of 4194304",
+}
+
+
+@pytest.mark.parametrize("case", sorted(PAST_A_CAP))
+def test_cli_size_past_a_cap_exits_4(tmp_path, capsys, case):
+    doc, args = PAST_A_CAP[case]
+    out = tmp_path / "out"
+    assert main(["--config", str(_write(tmp_path, doc)), "--out", str(out), *args]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("capacity exceeded:") and "Traceback" not in err
+    assert CAP_MESSAGES[case.split("-")[0]] in err
+    assert not out.exists()
 
 
 GENERATORS = ("checkerboard", "pipes", "hexmap", "platformer", "voxel_skyline")
@@ -456,9 +514,9 @@ def test_cli_wall_time_counts_config_load(tmp_path, capsys, monkeypatch):
 
     real_load = cli.load_config
 
-    def slow_load(path):
+    def slow_load(*args):
         time.sleep(0.05)
-        return real_load(path)
+        return real_load(*args)
 
     monkeypatch.setattr(cli, "load_config", slow_load)
     assert main(["--config", str(_write(tmp_path, TWO_CELLS))]) == 0

@@ -21,6 +21,7 @@ from qcollapse import (
     validate_selectors,
     with_restarts,
 )
+from qcollapse import framework
 
 
 def test_random_source_determinism():
@@ -156,9 +157,10 @@ def test_oracle_merges_orders():
         assert abs(p - 1.0 / w**n) < 1e-12
 
 
-def test_oracle_budget():
+def test_oracle_budget(monkeypatch):
+    monkeypatch.setattr(framework, "EXACT_BUDGET", 1e6)
     with pytest.raises(BudgetExceededError):
-        exact_distribution_oracle(30, 4, None, None, budget=1e6)
+        exact_distribution_oracle(30, 4, None, None)
 
 
 def test_validate_selectors_flags_violations():

@@ -20,7 +20,7 @@ from qcollapse import (
     validate_partitioning,
     with_restarts,
 )
-from qcollapse import hybrid
+from qcollapse import framework, hybrid
 from qcollapse.topology import grid2d_topology
 from qcollapse.usecases import (
     checkerboard_usecase,
@@ -73,10 +73,11 @@ def test_hwfc_factorizes_hexmap():
     assert max_prob_deviation(joint.probs, split.probs) < 1e-12
 
 
-def test_hwfc_budget():
+def test_hwfc_budget(monkeypatch):
     uc = checkerboard_usecase(4, 4)
+    monkeypatch.setattr(framework, "EXACT_BUDGET", 10)
     with pytest.raises(BudgetExceededError):
-        hwfc_exact_distribution(uc.adjacency, 2, uc.ruleset, uc.partitioning, budget=10)
+        hwfc_exact_distribution(uc.adjacency, 2, uc.ruleset, uc.partitioning)
 
 
 def test_hwfc_conflict_names_partition():

@@ -35,6 +35,7 @@ from qcollapse import (
     sample_shots,
     simulate,
 )
+from qcollapse import quantum
 from qcollapse.quantum import walked_state
 from qcollapse.usecases import checkerboard_ruleset, checkerboard_usecase
 
@@ -103,10 +104,12 @@ def test_build_circuit_conflict_during_compile():
         build_circuit(adj, 1, rs, (2, 1))
 
 
-def test_capacity_caps():
+def test_capacity_caps(monkeypatch):
     uc = checkerboard_usecase(3, 3)
+    monkeypatch.setattr(quantum, "DEFAULT_LOAD_CAP", 1)
     with pytest.raises(CapacityError):
-        build_circuit(uc.adjacency, 2, uc.ruleset, uc.order, max_loads_per_step=1)
+        build_circuit(uc.adjacency, 2, uc.ruleset, uc.order)
+    monkeypatch.undo()
     # basis indices are int64: 64 qubits are past the limit
     wide = checkerboard_usecase(8, 8)
     circuit = build_circuit(wide.adjacency, 2, wide.ruleset, wide.order)
@@ -115,18 +118,21 @@ def test_capacity_caps():
     # support cap: uniform unconstrained rules double the support each step
     adj = chain_adjacency(8)
     rs = conflict_free_ruleset((), 2)
+    monkeypatch.setattr(quantum, "DEFAULT_SUPPORT_CAP", 16)
     with pytest.raises(CapacityError):
-        build_circuit(adj, 2, rs, tuple(range(1, 9)), max_support=16)
+        build_circuit(adj, 2, rs, tuple(range(1, 9)))
 
 
-def test_support_cap_counts_full_assignments():
+def test_support_cap_counts_full_assignments(monkeypatch):
     # no rule names a direction, so the boundary stays empty while the
     # reachable full assignments double each step
     adj = chain_adjacency(8)
     rs = conflict_free_ruleset((), 2)
-    build_circuit(adj, 2, rs, tuple(range(1, 9)), max_support=256)
+    monkeypatch.setattr(quantum, "DEFAULT_SUPPORT_CAP", 256)
+    build_circuit(adj, 2, rs, tuple(range(1, 9)))
+    monkeypatch.setattr(quantum, "DEFAULT_SUPPORT_CAP", 255)
     with pytest.raises(CapacityError, match="iteration 8"):
-        build_circuit(adj, 2, rs, tuple(range(1, 9)), max_support=255)
+        build_circuit(adj, 2, rs, tuple(range(1, 9)))
 
 
 def test_simulate_matches_reference_distribution():
@@ -322,17 +328,21 @@ def test_no_walked_state_past_the_index_limit_or_by_hand():
     assert CircuitProgram(QubitLayout((1,), 2), (load,)).state is None
 
 
-def test_compile_errors_name_their_iteration():
+def test_compile_errors_name_their_iteration(monkeypatch):
     uc = checkerboard_usecase(3, 3)
+    monkeypatch.setattr(quantum, "DEFAULT_LOAD_CAP", 1)
     with pytest.raises(CapacityError) as err:
-        build_circuit(uc.adjacency, 2, uc.ruleset, uc.order, max_loads_per_step=1)
+        build_circuit(uc.adjacency, 2, uc.ruleset, uc.order)
     assert str(err.value) == "2 control assignments at iteration 2 exceed the cap of 1"
+    monkeypatch.undo()
     adj = chain_adjacency(8)
     rs = conflict_free_ruleset((), 2)
     for cap, k in ((16, 5), (100, 7)):
+        monkeypatch.setattr(quantum, "DEFAULT_SUPPORT_CAP", cap)
         with pytest.raises(CapacityError) as err:
-            build_circuit(adj, 2, rs, tuple(range(1, 9)), max_support=cap)
+            build_circuit(adj, 2, rs, tuple(range(1, 9)))
         assert str(err.value) == f"reachable support grew past {cap} at iteration {k}"
+    monkeypatch.undo()
     # segment 2 needs equal neighbours: (1, 2) and (2, 1) both conflict, and
     # the first in sorted tuple order over (segment 1, segment 3) is named
     equal = Ruleset((Rule(1, 1.0, Pattern.of((1, 1), (2, 1))), Rule(2, 1.0, Pattern.of((1, 2), (2, 2)))))
