@@ -37,6 +37,7 @@ FIELDS = (
 
 # size caps, checked before the world is built; exceeding one exits 4
 MAX_SEGMENTS = 1 << 16  # segments in the topology
+MAX_DIRECTIONS = 1 << 10  # directions of a custom topology
 MAX_SHOT_SEGMENTS = 1 << 24  # shots x segments drawn in one run
 MAX_PPM_PIXELS = 1 << 22  # pixels in one rendered PPM image
 
@@ -157,6 +158,7 @@ def _build_topology(spec) -> Topology:
         n = _int_field(spec, "segments", minimum=1)
         _check_cap(n, "segments", MAX_SEGMENTS)
         d = _int_field(spec, "directions", minimum=1)
+        _check_cap(d, "directions", MAX_DIRECTIONS)
         edges_spec = spec.get("edges", {})
         if not isinstance(edges_spec, dict):
             raise ConfigError(f"topology.edges must map directions to [i, j] pairs, got {edges_spec!r}")

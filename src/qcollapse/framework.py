@@ -30,12 +30,14 @@ class RandomSource:
         self._rng = np.random.default_rng(seed)
 
     def categorical(self, probs: np.ndarray, draws: int | None = None) -> int | np.ndarray:
-        """Inverse-CDF draw of a 0-based index, ties ascending; with ``draws``,
-        an array of that many indices, equal to as many single draws.
+        """``draw`` from the cumulative sum of ``probs``."""
+        return self.draw(np.cumsum(probs), draws)
 
-        Raises ContractError on an empty table or a total mass that is not
-        finite and positive."""
-        cum = np.cumsum(probs)
+    def draw(self, cum: np.ndarray, draws: int | None = None) -> int | np.ndarray:
+        """Inverse-CDF draw of a 0-based index from the cumulative table ``cum``,
+        ties ascending; with ``draws``, an array of that many indices, equal to
+        as many single draws.  Raises ContractError on an empty table or a
+        total mass that is not finite and positive."""
         if cum.size == 0:
             raise ContractError("categorical draw from an empty table")
         total = cum[-1]

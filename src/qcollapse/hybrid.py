@@ -10,12 +10,12 @@ from typing import Mapping
 from .errors import CapacityError, ConflictError
 from .framework import RandomSource, _check_budget
 from .model import AdjacencyConfig, ContentInstance, Distribution, Ruleset, decode_values
-from .quantum import SparseState, build_circuit, exact_distribution, walked_state
+from .quantum import SparseState, build_circuit, exact_distribution, order_plan, walked_state
 
 # Unused here; perfbench/layers.py wraps these names on this module.
 from .quantum import sample_shots, simulate  # noqa: F401
 
-_BLOCK_CACHE_CAP = 1 << 20  # cached state entries per compiled ruleset (32 B each, ~32 MB)
+_BLOCK_CACHE_CAP = 1 << 20  # state entries per compiled ruleset (40 B with its cumulative, ~40 MB)
 
 
 @dataclass(frozen=True)
@@ -89,24 +89,15 @@ def _block_outcomes(
     """Partition ``h``'s state given the earlier blocks' ``values``.
 
     The block's state reads earlier blocks only through its interface, the
-    placed segments adjacent to it in any direction (all that
-    ``constraint_signature`` reads), so the circuit is compiled on the
+    placed segments of its boundary (all that ``constraint_signature``
+    reads; see ``order_plan``), so the circuit is compiled on the
     interface alone and the state it walked is cached on the compiled
     ruleset under that key; no second pass simulates the loads.  Conflicts
     are not cached: they raise again on every call, named after partition
     ``h``.
     """
-    interface = tuple(
-        sorted(
-            {
-                (s, values[s])
-                for seg in block
-                for d in range(1, adjacency.n_directions + 1)
-                for s in adjacency.neighbors(seg, d)
-                if s in values
-            }
-        )
-    )
+    _, boundary = order_plan(adjacency, ruleset, block)
+    interface = tuple((s, values[s]) for s in boundary if s in values)
     comp = ruleset.compiled
     key = (adjacency, n_values, block, interface)
     state = comp.block_cache.get(key)
@@ -139,7 +130,7 @@ def hwfc_generate(
     values: dict[int, int] = {}
     for h, block in enumerate(partitioning.blocks, start=1):
         state = _block_outcomes(adjacency, n_values, ruleset, h, block, values)
-        drawn = int(state.indices[rng.categorical(state.probabilities, 1)[0]])
+        drawn = int(state.indices[rng.draw(state.cumulative, 1)[0]])
         values.update(decode_values(drawn, state.layout.segments, n_values))
     return ContentInstance(tuple(values.items()))
 

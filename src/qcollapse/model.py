@@ -211,6 +211,8 @@ class CompiledRuleset:
         # hybrid._block_outcomes.
         self.block_cache: dict[tuple, object] = {}
         self.block_cache_entries = 0
+        # per-step dependencies and boundary by (adjacency, order); see quantum.order_plan
+        self.plans: dict[tuple, tuple] = {}
         self.max_value = max(rule.value for rule in ruleset.rules)
         self.pattern_directions = frozenset(
             d for rule in ruleset.rules for d, _ in rule.pattern.pairs
@@ -307,18 +309,16 @@ def _factor_output(fw: FunctionalWeight, segment: int) -> float:
 
 @dataclass(frozen=True)
 class ContentInstance:
-    """Ordered (segment id, value) pairs; partial while shorter than N."""
+    """Ordered (segment id, value) pairs; partial while shorter than N.
+    ``mapping`` holds them as a dict, built once at construction."""
 
     entries: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        ids = [i for i, _ in self.entries]
-        if len(set(ids)) != len(ids):
+        mapping = dict(self.entries)
+        if len(mapping) != len(self.entries):
             raise ValueError("segment ids must be pairwise distinct")
-
-    @cached_property
-    def mapping(self) -> dict[int, int]:
-        return dict(self.entries)
+        object.__setattr__(self, "mapping", mapping)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -331,7 +331,7 @@ class ContentInstance:
             raise ValueError("segment ids must be pairwise distinct")
         child = object.__new__(ContentInstance)
         object.__setattr__(child, "entries", self.entries + ((segment, value),))
-        child.__dict__["mapping"] = {**mapping, segment: value}
+        object.__setattr__(child, "mapping", {**mapping, segment: value})
         return child
 
     def value_of(self, segment: int) -> int:

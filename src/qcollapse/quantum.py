@@ -36,6 +36,7 @@ DEFAULT_QUBIT_CAP = 26  # ~1 GiB of complex128 amplitudes in a dense view
 INDEX_QUBIT_LIMIT = 63  # basis indices are int64
 DEFAULT_LOAD_CAP = 4096  # reachable control assignments per iteration
 DEFAULT_SUPPORT_CAP = 1 << 20  # reachable partial assignments while compiling
+_PLAN_CACHE_CAP = 1 << 12  # order plans kept per compiled ruleset
 
 
 @dataclass(frozen=True)
@@ -133,16 +134,32 @@ def dependency_set(
     Static over-approximation: any earlier segment adjacent to the target in
     a direction that appears in some rule pattern.
     """
-    target = order[k - 1]
+    return frozenset(order_plan(adjacency, ruleset, tuple(order))[0][k - 1])
+
+
+def order_plan(
+    adjacency: AdjacencyConfig, ruleset: Ruleset, order: tuple[int, ...]
+) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """Each step's ``dependency_set``, sorted, and the order's boundary: the
+    sorted segments outside it adjacent to one of its segments in any
+    direction.  Made once per (adjacency, order) and kept on the compiled
+    ruleset, up to ``_PLAN_CACHE_CAP`` plans."""
     comp = ruleset.compiled
-    comp.check(adjacency.n_directions)
-    earlier = set(order[: k - 1])
-    deps = set()
-    for d in comp.pattern_directions:
-        for s in adjacency.neighbors(target, d):
-            if s in earlier:
-                deps.add(s)
-    return frozenset(deps)
+    key = (adjacency, order)
+    plan = comp.plans.get(key)
+    if plan is None:
+        comp.check(adjacency.n_directions)
+        step = {seg: k for k, seg in enumerate(order)}
+        deps = []
+        for k, target in enumerate(order):
+            adjacent = {s for d in comp.pattern_directions for s in adjacency.neighbors(target, d)}
+            deps.append(tuple(sorted(s for s in adjacent if step.get(s, k) < k)))
+        dirs = range(1, adjacency.n_directions + 1)
+        near = {s for seg in order for d in dirs for s in adjacency.neighbors(seg, d)}
+        plan = tuple(deps), tuple(sorted(near.difference(order)))
+        if len(comp.plans) < _PLAN_CACHE_CAP:
+            comp.plans[key] = plan
+    return plan
 
 
 def build_circuit(
@@ -161,12 +178,13 @@ def build_circuit(
 
     The compile walks the reachable support in array form: one row per
     reachable partial assignment, its basis index in the layout and the real
-    product of its amplitudes.  Each step masks the rows down to the
-    dependency groups to find the control assignments, loads each one (in
-    sorted tuple order) and expands every row by its load's nonzero
-    amplitudes; ``DEFAULT_SUPPORT_CAP`` caps the row count.  The rows are the
-    prepared state, returned as ``CircuitProgram.state``.  Past
-    INDEX_QUBIT_LIMIT qubits the rows are Python ints and no state is kept.
+    product of its amplitudes.  Each step masks the rows down to its
+    ``order_plan`` dependency groups to find the control assignments, loads
+    each one (in sorted tuple order) and expands every row by its load's
+    nonzero amplitudes (a step with no dependency has one load, broadcast);
+    ``DEFAULT_SUPPORT_CAP`` caps the row count.  The rows are the prepared
+    state, returned as ``CircuitProgram.state``.  Past INDEX_QUBIT_LIMIT
+    qubits the rows are Python ints and no state is kept.
     """
     order = tuple(order)
     if len(set(order)) != len(order):
@@ -182,16 +200,16 @@ def build_circuit(
     amp = np.ones(1)
     loads: list[ConditionalLoad] = []
 
-    for k, target in enumerate(order, start=1):
-        deps = sorted(dependency_set(k, order, adjacency, ruleset))
+    steps, _ = order_plan(adjacency, ruleset, order)
+    for k, (target, deps) in enumerate(zip(order, steps), start=1):
         offsets = [layout.group_offset(s) for s in deps]
         if deps:
             masked = idx & sum(group << o for o in offsets)
             ordered = np.sort(masked)
             keys = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
             row_load = np.searchsorted(keys, masked)
-        else:  # one load, for every row
-            keys, row_load = np.zeros(1, dtype=dtype), np.zeros(len(idx), dtype=np.intp)
+        else:  # one load, its row broadcast over the walk below
+            keys, row_load = np.zeros(1, dtype=dtype), None
         if len(keys) > DEFAULT_LOAD_CAP:
             raise CapacityError(
                 f"{len(keys)} control assignments at iteration {k} "
@@ -217,12 +235,17 @@ def build_circuit(
 
         # one output row per nonzero amplitude of the row's load
         branches = table > 0.0
-        if branches.sum(axis=1).take(row_load).sum() > DEFAULT_SUPPORT_CAP:
+        if row_load is not None:
+            table, branches = table.take(row_load, axis=0), branches.take(row_load, axis=0)
+        if np.count_nonzero(branches) * (len(idx) if row_load is None else 1) > DEFAULT_SUPPORT_CAP:
             raise CapacityError(f"reachable support grew past {DEFAULT_SUPPORT_CAP} at iteration {k}")
-        branches = branches.take(row_load, axis=0)
         lifted = np.arange(n_values, dtype=dtype) << layout.group_offset(target)
-        idx = (idx[:, None] | lifted)[branches]
-        amp = (amp[:, None] * table.take(row_load, axis=0))[branches]
+        if row_load is None:
+            idx = (idx[:, None] | lifted[branches[0]]).ravel()
+            amp = (amp[:, None] * table[0, branches[0]]).ravel()
+        else:
+            idx = (idx[:, None] | lifted)[branches]
+            amp = (amp[:, None] * table)[branches]
 
     state = _sparse_state(layout, idx, amp) if dtype is np.int64 else None
     return CircuitProgram(layout, tuple(loads), state)
@@ -275,6 +298,13 @@ class SparseState:
         psi = np.zeros(1 << n_qubits, dtype=np.complex128)
         psi[self.indices] = self.amplitudes
         return psi if dtype is None else psi.astype(dtype)
+
+    @cached_property
+    def cumulative(self) -> np.ndarray:
+        """Read-only ``np.cumsum(probabilities)``, computed once: ``RandomSource.draw``'s table."""
+        cum = np.cumsum(self.probabilities)
+        cum.setflags(write=False)
+        return cum
 
 
 def simulate(circuit: CircuitProgram) -> SparseState:
@@ -370,7 +400,7 @@ def sample_shots(
     """Independent measurement samples, deterministic under a fixed seed."""
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    drawn, inverse = np.unique(rng.categorical(state.probabilities, shots), return_inverse=True)
+    drawn, inverse = np.unique(rng.draw(state.cumulative, shots), return_inverse=True)
     instances = layout.decode_many(state.indices[drawn])
     return [instances[i] for i in inverse.tolist()]
 

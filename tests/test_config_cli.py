@@ -439,6 +439,7 @@ PAST_A_CAP = {
     "segments-hexgrid": (TWO_CELLS.replace(GRID, "{type: hexgrid, radius: 148}"), []),
     "segments-grid3d": (TWO_CELLS.replace(GRID, "{type: grid3d, width: 2, depth: 2, height: 16385}"), []),
     "segments-custom": (TWO_CELLS.replace(GRID, "{type: custom, segments: 65537, directions: 1}"), []),
+    "directions-custom": (TWO_CELLS.replace(GRID, "{type: custom, segments: 2, directions: 1025}"), []),
     "shots": (TWO_CELLS + "shots: 8388609\n", []),
     "shots-flag": (TWO_CELLS, ["--shots", "8388609"]),
     "ppm-grid2d": (TWO_CELLS + "format: ppm\nscale: 1449\n", []),
@@ -446,6 +447,7 @@ PAST_A_CAP = {
 }
 CAP_MESSAGES = {
     "segments": "segments exceed the cap of 65536",
+    "directions": "1025 directions exceed the cap of 1024",
     "shots": "16777218 shots x segments exceed the cap of 16777216",
     "ppm": "PPM pixels exceed the cap of 4194304",
 }
@@ -460,6 +462,22 @@ def test_cli_size_past_a_cap_exits_4(tmp_path, capsys, case):
     assert err.startswith("capacity exceeded:") and "Traceback" not in err
     assert CAP_MESSAGES[case.split("-")[0]] in err
     assert not out.exists()
+
+
+def test_cli_custom_directions_past_the_cap_exit_4_before_any_edge_set(tmp_path, capsys, monkeypatch):
+    from qcollapse import config
+
+    def built(*args):
+        raise AssertionError("the adjacency was built")
+
+    monkeypatch.setattr(config, "AdjacencyConfig", built)
+    monkeypatch.setattr(config, "frozenset", built, raising=False)  # no edge set either
+    big = config.MAX_DIRECTIONS + 1
+    doc = TWO_CELLS.replace(GRID, f"{{type: custom, segments: 2, directions: {big}, edges: {{1: [[1, 2]]}}}}")
+    assert main(["--config", str(_write(tmp_path, doc)), "--validate-only"]) == 4
+    err = capsys.readouterr().err
+    assert f"{big} directions exceed the cap of {config.MAX_DIRECTIONS}" in err
+    assert "Traceback" not in err
 
 
 GENERATORS = ("checkerboard", "pipes", "hexmap", "platformer", "voxel_skyline")

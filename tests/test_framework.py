@@ -62,6 +62,26 @@ def test_categorical_draw_count_matches_single_draws():
     assert set(batch.tolist()) == {0, 2, 3}
 
 
+def test_draw_from_a_cumulative_table_is_categorical_draw_for_draw():
+    # one stream each, alternating single and batched draws over several tables
+    tables = [np.array(p) for p in ([1.0], [0.1, 0.0, 0.6, 2.3], [0.0, 0.0, 5.0], np.full(300, 1 / 300))]
+    by_probs, by_cum = RandomSource(11), RandomSource(11)
+    for _ in range(20):
+        for probs in tables:
+            for draws in (None, 1, 37):
+                want = by_probs.categorical(probs, draws)
+                got = by_cum.draw(np.cumsum(probs), draws)
+                assert type(got) is type(want)
+                assert np.array_equal(got, want)
+    assert by_probs._rng.random() == by_cum._rng.random()
+
+
+@pytest.mark.parametrize("probs", [[], [0.0, 0.0], [0.5, -1.0], [0.5, float("nan")]])
+def test_draw_checks_its_table_as_categorical_does(probs):
+    with pytest.raises(ContractError):
+        RandomSource(0).draw(np.cumsum(probs), 3)
+
+
 def test_fixed_order_selector():
     sel = fixed_order_selector((3, 1, 2), 3)
     np.testing.assert_array_equal(sel(1, ContentInstance()), [0, 0, 1])

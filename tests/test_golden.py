@@ -25,6 +25,7 @@ from qcollapse import (
     lower_to_gates,
     sample_shots,
     simulate,
+    with_restarts,
 )
 from qcollapse.cli import main
 from qcollapse.usecases import (
@@ -174,6 +175,32 @@ def test_hwfc_samples_golden(world):
         else:
             keys.append(encode_values(instance.mapping, segments, n_values))
     assert keys == expected
+
+
+# sha256 of the canonical keys of one hwfc instance from each of
+# RandomSource(0) .. RandomSource(19), each restarted on its own stream after
+# a conflict: pins every block draw of the benchmark's hwfc worlds
+HWFC_STREAM_DIGESTS = {
+    "pipes-10x4": "8c7006faf16df081c13e315f63b694fe13bc6368d1706f0783b562047205708b",
+    "platformer-10x10": "16c9883c820f07704fc0b03a7382c957e66133618ef5296aeed3eeffb4c4ad75",
+    "voxels-4x4x4": "2297b16936bf4eac380d832dee64867b71b4af4b6e1124e0a73dfd5a111447c7",
+    "hexmap-r3": "22a6b7a070bef4617b628594b718891f1d1b80226dadbbd12a51562f4fb291fd",
+}
+
+
+@pytest.mark.parametrize("world", sorted(HWFC_STREAM_DIGESTS))
+def test_hwfc_stream_golden(world):
+    uc = HWFC_KEYS[world][0]()
+    n_values = uc.alphabet.n_values
+    segments = tuple(range(1, uc.adjacency.n_segments + 1))
+    keys = []
+    for seed in range(20):
+        rng = RandomSource(seed)
+        instance = with_restarts(
+            lambda: hwfc_generate(uc.adjacency, n_values, uc.ruleset, uc.partitioning, rng), 10
+        )
+        keys.append(encode_values(instance.mapping, segments, n_values))
+    assert _digest(keys) == HWFC_STREAM_DIGESTS[world]
 
 
 @pytest.mark.parametrize("world", sorted(QWFC_CIRCUITS))

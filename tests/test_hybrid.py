@@ -1,16 +1,21 @@
+import hashlib
+
 import numpy as np
 import pytest
 from conftest import max_prob_deviation
 
 from qcollapse import (
+    AdjacencyConfig,
     BudgetExceededError,
     ConflictError,
+    ContentInstance,
     Partitioning,
     Pattern,
     RandomSource,
     Rule,
     Ruleset,
     build_circuit,
+    dependency_set,
     equal_blocks,
     exact_distribution,
     hwfc_exact_distribution,
@@ -20,7 +25,9 @@ from qcollapse import (
     validate_partitioning,
     with_restarts,
 )
-from qcollapse import framework, hybrid
+from qcollapse import framework, hybrid, quantum
+from qcollapse.model import EMPTY_PATTERN
+from qcollapse.quantum import order_plan
 from qcollapse.topology import grid2d_topology
 from qcollapse.usecases import (
     checkerboard_usecase,
@@ -274,3 +281,147 @@ def test_block_states_equal_simulate(make, monkeypatch):
         assert np.array_equal(walked.indices, simulated.indices)
         assert np.array_equal(walked.amplitudes, simulated.amplitudes)
         assert np.array_equal(walked.probabilities, simulated.probabilities)
+
+
+# --------------------------------------------------------------------------
+# the order plan
+# --------------------------------------------------------------------------
+
+
+def _per_call_interface(adjacency, block, values):
+    """The interface as it was built before the plan: every placed segment
+    adjacent to the block in any direction, as a sorted set of pairs."""
+    return tuple(
+        sorted(
+            {
+                (s, values[s])
+                for seg in block
+                for d in range(1, adjacency.n_directions + 1)
+                for s in adjacency.neighbors(seg, d)
+                if s in values
+            }
+        )
+    )
+
+
+def _custom_world():
+    # segment 1 has three neighbours in direction 1 and 3 has itself in
+    # direction 2; blocks list their segments out of id order
+    edges = (
+        frozenset({(1, 2), (1, 3), (1, 4), (5, 1), (6, 2), (6, 5)}),
+        frozenset({(2, 5), (3, 5), (4, 6), (6, 1), (3, 3), (5, 6)}),
+    )
+    rs = Ruleset(
+        (Rule(1, 1.0, EMPTY_PATTERN), Rule(2, 2.0, Pattern.of((1, 1))), Rule(3, 1.0, Pattern.of((2, 2))))
+    )
+    return AdjacencyConfig(6, 2, edges), 3, rs, Partitioning(((3, 1), (6, 5), (2, 4)))
+
+
+def _usecase_world(make, partitioning=None):
+    def world():
+        uc = make()
+        return uc.adjacency, uc.alphabet.n_values, uc.ruleset, partitioning or uc.partitioning
+
+    return world
+
+
+PLAN_WORLDS = {
+    "checkerboard-6x6": _usecase_world(lambda: checkerboard_usecase(6, 6)),
+    "pipes-10x4": _usecase_world(lambda: pipes_usecase(10, 4)),
+    "platformer-10x10": _usecase_world(lambda: platformer_usecase(10, 10)),
+    "voxels-4x4x4": _usecase_world(lambda: voxel_skyline_usecase(4, 4, 4)),
+    "hexmap-r2": _usecase_world(lambda: hexmap_usecase(2)),
+    "hexmap-r3-blocks8": _usecase_world(lambda: hexmap_usecase(3), equal_blocks(37, 8)),
+    "custom": _custom_world,
+}
+
+
+@pytest.mark.parametrize("world", sorted(PLAN_WORLDS))
+def test_plan_boundary_gives_the_per_call_interface(world):
+    adjacency, n_values, ruleset, partitioning = PLAN_WORLDS[world]()
+    rng = np.random.default_rng(3)
+    blocks = partitioning.blocks
+    for h, block in enumerate(blocks):
+        _, boundary = order_plan(adjacency, ruleset, block)
+        assert list(boundary) == sorted(set(boundary)) and not set(boundary) & set(block)
+        placed = [s for b in blocks[:h] for s in b]
+        for trial in range(6):
+            # every earlier block's segments first, then random parts of them
+            kept = placed if trial == 0 else [s for s in placed if rng.random() < 0.5]
+            values = {int(s): int(rng.integers(1, n_values + 1)) for s in kept}
+            got = tuple((s, values[s]) for s in boundary if s in values)
+            assert got == _per_call_interface(adjacency, block, values)
+    # every block compiled by hwfc is cached under the per-call interface
+    fresh = Ruleset(ruleset.rules)
+    rng = RandomSource(5)
+    for _ in range(3):
+        instance = with_restarts(lambda: hwfc_generate(adjacency, n_values, fresh, partitioning, rng), 20)
+        for h, block in enumerate(blocks):
+            earlier = {s: instance.mapping[s] for b in blocks[:h] for s in b}
+            key = (adjacency, n_values, block, _per_call_interface(adjacency, block, earlier))
+            assert key in fresh.compiled.block_cache
+
+
+def test_plan_steps_are_the_dependency_sets():
+    for world in ("hexmap-r3-blocks8", "custom", "pipes-10x4"):
+        adjacency, _, ruleset, partitioning = PLAN_WORLDS[world]()
+        for order in partitioning.blocks + (tuple(range(adjacency.n_segments, 0, -1)),):
+            steps, _ = order_plan(adjacency, ruleset, order)
+            assert len(steps) == len(order)
+            for k, deps in enumerate(steps, start=1):
+                target, earlier = order[k - 1], set(order[: k - 1])
+                want = {
+                    s
+                    for d in ruleset.compiled.pattern_directions
+                    for s in adjacency.neighbors(target, d)
+                    if s in earlier
+                }
+                assert deps == tuple(sorted(want))
+                assert dependency_set(k, order, adjacency, ruleset) == frozenset(want)
+
+
+def test_plan_cache_cap_stops_growth_not_output(monkeypatch):
+    uc = hexmap_usecase(3, n_partitions=8)
+    args = (uc.adjacency, uc.alphabet.n_values)
+    cold = _samples(*args, Ruleset(uc.ruleset.rules), uc.partitioning, 11, 6)
+    monkeypatch.setattr(quantum, "_PLAN_CACHE_CAP", 3)
+    capped = Ruleset(uc.ruleset.rules)
+    assert _samples(*args, capped, uc.partitioning, 11, 6) == cold
+    assert list(capped.compiled.plans) == [(uc.adjacency, block) for block in uc.partitioning.blocks[:3]]
+
+
+# sha256 of every load of every block of the instances RandomSource(2024) and
+# RandomSource(7) draw, each block compiled under its frozen interface; every
+# step of these blocks has no dependency, so each broadcasts its one load
+BROADCAST_LOADS = {
+    "platformer-10x10": (
+        lambda: platformer_usecase(10, 10),
+        "6263a92d79144a4b1547978114d6fc2233e995964b6d405e7068b04ecc11ea04",
+    ),
+    "voxels-4x4x4": (
+        lambda: voxel_skyline_usecase(4, 4, 4),
+        "3edba3f44df52b39e55551f92f15e5778069b8f3fb953b203ae89d9c1c9387d5",
+    ),
+}
+
+
+@pytest.mark.parametrize("world", sorted(BROADCAST_LOADS))
+def test_broadcast_steps_give_the_loads_and_state_of_simulate(world):
+    make, expected = BROADCAST_LOADS[world]
+    uc = make()
+    n_values, blocks = uc.alphabet.n_values, uc.partitioning.blocks
+    digest = hashlib.sha256()
+    for seed in (2024, 7):
+        instance = hwfc_generate(uc.adjacency, n_values, uc.ruleset, uc.partitioning, RandomSource(seed))
+        for h, block in enumerate(blocks):
+            assert not any(dependency_set(k, block, uc.adjacency, uc.ruleset) for k in range(1, len(block) + 1))
+            earlier = {s: instance.mapping[s] for b in blocks[:h] for s in b}
+            frozen = ContentInstance(_per_call_interface(uc.adjacency, block, earlier))
+            circuit = build_circuit(uc.adjacency, n_values, uc.ruleset, block, frozen)
+            for load in circuit.loads:
+                digest.update(repr((load.step, load.controls, load.target, load.amplitudes)).encode())
+            walked, simulated = circuit.state, simulate(circuit)
+            assert np.array_equal(walked.indices, simulated.indices)
+            assert np.array_equal(walked.amplitudes, simulated.amplitudes)
+            assert np.array_equal(walked.probabilities, simulated.probabilities)
+    assert digest.hexdigest() == expected

@@ -211,6 +211,18 @@ def test_content_instance():
         c.add(3, 2)  # duplicate id
 
 
+def test_content_instance_mapping_is_built_once_and_is_no_field():
+    import dataclasses
+
+    c = ContentInstance(((4, 2), (1, 1)))
+    assert vars(c)["mapping"] == {4: 2, 1: 1}  # built at construction, a plain attribute
+    assert [f.name for f in dataclasses.fields(ContentInstance)] == ["entries"]
+    same = ContentInstance(((4, 2), (1, 1)))
+    assert c == same and hash(c) == hash(same) and repr(c) == "ContentInstance(entries=((4, 2), (1, 1)))"
+    with pytest.raises(ValueError, match="distinct"):
+        ContentInstance(((4, 2), (1, 1), (4, 2)))
+
+
 def test_content_instance_add_checks_the_new_id():
     parent = ContentInstance(((4, 2), (1, 1)))
     child = parent.add(2, 3)

@@ -170,6 +170,10 @@ def test_sparse_state_indices_and_dense_view():
     assert not any(
         array.flags.writeable for array in (state.indices, state.amplitudes, state.probabilities)
     )
+    # the draw table: computed once, read-only
+    assert state.cumulative is state.cumulative
+    assert np.array_equal(state.cumulative, np.cumsum(state.probabilities))
+    assert not state.cumulative.flags.writeable
 
 
 def test_sparse_state_wide_circuit_and_dense_cap():
