@@ -26,12 +26,12 @@ def main():
     psi = simulate(circuit)
     dist = exact_distribution(psi, circuit.layout)
     print(f"circuit over {circuit.n_qubits} qubits, exact distribution:")
-    for key, p in dist.items_sorted():
+    for key, p in sorted(dist.probs.items()):
         print(f"  basis {key}: {p:.6f}")
 
     split = hwfc_exact_distribution(uc.adjacency, 2, uc.ruleset, uc.partitioning)
     print("\nrow-partitioned joint distribution (should match):")
-    for key, p in split.items_sorted():
+    for key, p in sorted(split.probs.items()):
         print(f"  basis {key}: {p:.6f}")
 
     rng = RandomSource(0)

@@ -11,9 +11,12 @@ precision.  Larger discs are generated block by block, restarting on a
 conflict.
 """
 
+from dataclasses import replace
+
 from qcollapse import (
     RandomSource,
     build_circuit,
+    equal_blocks,
     exact_distribution,
     hwfc_generate,
     render_ascii,
@@ -29,10 +32,10 @@ def main():
     dist = exact_distribution(simulate(circuit), circuit.layout)
     names = [single.alphabet.symbol(v).name for v in range(1, 5)]
     print("single-cell terrain distribution:")
-    for key, p in dist.items_sorted():
+    for key, p in sorted(dist.probs.items()):
         print(f"  {names[key]:<6} {p:.6f}  (= {p * 1842:.0f}/1842)")
 
-    uc = hexmap_usecase(4, u_blue=5.0, n_partitions=13)
+    uc = replace(hexmap_usecase(4, u_blue=5.0), partitioning=equal_blocks(61, 13))
     rng = RandomSource(12)
     # a block with no admissible value restarts the disc with fresh draws
     inst = with_restarts(lambda: hwfc_generate(uc.adjacency, 4, uc.ruleset, uc.partitioning, rng), 100)

@@ -13,7 +13,7 @@ from qcollapse.usecases import platformer_usecase
 def main():
     uc = platformer_usecase(16, 10)
     print(f"{len(uc.ruleset)} rules, {uc.adjacency.n_segments} tiles, "
-          f"{uc.partitioning.n_partitions} partitions")
+          f"{len(uc.partitioning.blocks)} partitions")
     rng = RandomSource(77)
     for i in range(2):
         inst = hwfc_generate(uc.adjacency, 8, uc.ruleset, uc.partitioning, rng)

@@ -19,21 +19,9 @@ from .model import (
 
 _ENTROPY_TIE_TOL = 1e-12
 
-
-def shannon_entropy(
-    segment: int,
-    adjacency: AdjacencyConfig,
-    content: ContentInstance,
-    ruleset: Ruleset,
-    n_values: int,
-) -> float:
-    """Entropy in nats of the segment's value distribution (0 ln 0 := 0).
-
-    Read off the distribution cache through ``value_entropy``: the entry
-    that holds a vector holds its entropy too, computed once when the entry
-    was filled.
-    """
-    return value_entropy(segment, adjacency, content, ruleset, n_values)
+# The name the entropy scan reads at call time, so a wrapper set on this
+# module (perfbench traces it) sees every entropy read; exported as such.
+shannon_entropy = value_entropy
 
 
 class EntropySelector:

@@ -31,9 +31,8 @@ from .framework import (
     with_restarts,
 )
 from .hybrid import hwfc_exact_distribution, hwfc_generate
-from .model import ContentInstance, Distribution
+from .model import ContentInstance, Distribution, bits_per_value
 from .quantum import (
-    QubitLayout,
     build_circuit,
     exact_distribution,
     export_qasm,
@@ -91,7 +90,7 @@ def _distribution_json(dist: Distribution) -> str:
     payload = {
         "segments": list(dist.segments),
         "n_values": dist.n_values,
-        "probabilities": {str(k): p for k, p in dist.items_sorted()},
+        "probabilities": {str(k): p for k, p in sorted(dist.probs.items())},
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
@@ -175,10 +174,7 @@ def run(config: RunConfig, args, started: float) -> int:
 
         for _ in range(config.shots):
             instances.append(with_restarts(attempt, config.max_restarts, bump))
-        qubits = max(
-            QubitLayout(tuple(sorted(block)), n_values).n_qubits
-            for block in config.partitioning.blocks
-        )
+        qubits = bits_per_value(n_values) * max(map(len, config.partitioning.blocks))
         if args.exact_dist:
             _write(out, f"{config.name}-dist.json", _distribution_json(dist))
 

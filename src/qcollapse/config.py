@@ -132,8 +132,10 @@ def _ids(raw, what: str) -> tuple[int, ...]:
 
 def _name_field(doc) -> str:
     """The run name, which artifact file names start with: one plain file name."""
-    name = str(doc.get("name", "run"))
-    if name in ("", ".", "..") or "/" in name or "\\" in name:
+    name = doc.get("name", "run")
+    if not isinstance(name, str):
+        raise ConfigError(f"field 'name' must be a string, got {name!r}")
+    if name in ("", ".", "..") or any(c in name for c in "/\\\0"):
         raise ConfigError(f"field 'name' must be one plain file name, got {name!r}")
     return name
 
@@ -402,6 +404,11 @@ def _build(doc: dict) -> RunConfig:
         ruleset = _build_literal_rules(rules_spec, alphabet, topology)
     else:
         raise ConfigError("field 'rules' must be a list of rules or a generator mapping")
+    try:  # every factor output, once per segment (the run reuses the rows)
+        for segment in range(1, topology.adjacency.n_segments + 1):
+            ruleset.compiled.segment_weights(segment)
+    except ValueError as exc:
+        raise ConfigError(f"rule weight: {exc}") from None
 
     order = _build_order(doc.get("order"), topology)
     partitioning = _build_partitioning(doc.get("partitions"), topology) or default_partitioning

@@ -26,7 +26,6 @@ class RandomSource:
     """Seedable deterministic stream with a categorical-draw primitive."""
 
     def __init__(self, seed: int):
-        self.seed = seed
         self._rng = np.random.default_rng(seed)
 
     def categorical(self, probs: np.ndarray, draws: int | None = None) -> int | np.ndarray:

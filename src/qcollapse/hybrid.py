@@ -24,10 +24,6 @@ class Partitioning:
 
     blocks: tuple[tuple[int, ...], ...]
 
-    @property
-    def n_partitions(self) -> int:
-        return len(self.blocks)
-
 
 def equal_blocks(n_segments: int, n_partitions: int) -> Partitioning:
     """Split ids 1..N into contiguous near-equal blocks (earlier blocks get

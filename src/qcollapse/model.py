@@ -231,18 +231,22 @@ class CompiledRuleset:
             else:
                 self.const_u[row] = rule.weight
         self._segment_weights: dict[int, tuple[tuple[float, ...], np.ndarray]] = {}
+        self._rows: dict[tuple[float, ...], np.ndarray] = {}  # weight row by factor outputs
 
     def segment_weights(self, segment: int) -> tuple[tuple[float, ...], np.ndarray]:
         """The factors' outputs at ``segment`` and the weight row they give,
-        resolved once per segment id; ``((), const_u)`` without factors.  A
-        bad output is not kept, so it raises on every call."""
+        resolved once per segment id; segments with equal outputs share one
+        row.  ``((), const_u)`` without factors.  A bad output is not kept,
+        so it raises on every call."""
         if not self.func_rows:
             return (), self.const_u
         entry = self._segment_weights.get(segment)
         if entry is None:
             outputs = tuple(_factor_output(fw, segment) for _, fw in self.func_rows)
-            u = self.const_u.copy()
-            u[[row for row, _ in self.func_rows]] = outputs
+            u = self._rows.get(outputs)
+            if u is None:
+                u = self._rows[outputs] = self.const_u.copy()
+                u[[row for row, _ in self.func_rows]] = outputs
             entry = self._segment_weights[segment] = (outputs, u)
         return entry
 
@@ -333,12 +337,6 @@ class ContentInstance:
         object.__setattr__(child, "entries", self.entries + ((segment, value),))
         object.__setattr__(child, "mapping", {**mapping, segment: value})
         return child
-
-    def value_of(self, segment: int) -> int:
-        return self.mapping[segment]
-
-    def is_complete(self, n_segments: int) -> bool:
-        return len(self.entries) == n_segments
 
 
 # --------------------------------------------------------------------------
@@ -517,6 +515,3 @@ class Distribution:
 
     def total_mass(self) -> float:
         return math.fsum(self.probs.values())
-
-    def items_sorted(self):
-        return sorted(self.probs.items())

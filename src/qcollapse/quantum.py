@@ -24,7 +24,6 @@ from .model import (
     Distribution,
     Ruleset,
     bits_per_value,
-    encode_values,
     value_distribution,
 )
 
@@ -71,9 +70,6 @@ class QubitLayout:
     def group_offset(self, segment: int) -> int:
         """Index of the segment's least significant qubit."""
         return self._positions[segment] * self.bits_per_value
-
-    def encode(self, values) -> int:
-        return encode_values(values, self.segments, self.n_values)
 
     def decode_many(self, keys: np.ndarray) -> list[ContentInstance]:
         """The instance each int64 basis key encodes, decoded with array shifts and masks."""
@@ -252,11 +248,9 @@ def build_circuit(
 
 
 def walked_state(circuit: CircuitProgram) -> SparseState:
-    """The state ``build_circuit`` walked; CapacityError if it kept none (past
-    INDEX_QUBIT_LIMIT qubits)."""
-    if circuit.state is None:
-        raise _index_limit_error(circuit.n_qubits)
-    return circuit.state
+    """The state ``build_circuit`` walked, or ``simulate``'s if it kept none
+    (programs built by hand; past INDEX_QUBIT_LIMIT qubits that raises)."""
+    return simulate(circuit) if circuit.state is None else circuit.state
 
 
 # --------------------------------------------------------------------------
@@ -320,7 +314,9 @@ def simulate(circuit: CircuitProgram) -> SparseState:
     subspace (which signals a malformed circuit).
     """
     if circuit.n_qubits > INDEX_QUBIT_LIMIT:
-        raise _index_limit_error(circuit.n_qubits)
+        raise CapacityError(
+            f"{circuit.n_qubits} qubits exceed the limit of {INDEX_QUBIT_LIMIT} for int64 basis indices"
+        )
     layout = circuit.layout
     group = (1 << layout.bits_per_value) - 1
     idx = np.zeros(1, dtype=np.int64)
@@ -355,12 +351,6 @@ def simulate(circuit: CircuitProgram) -> SparseState:
         )
 
     return _sparse_state(layout, idx, amp)
-
-
-def _index_limit_error(n_qubits: int) -> CapacityError:
-    return CapacityError(
-        f"{n_qubits} qubits exceed the limit of {INDEX_QUBIT_LIMIT} for int64 basis indices"
-    )
 
 
 def _sparse_state(layout: QubitLayout, idx: np.ndarray, amp: np.ndarray) -> SparseState:

@@ -172,7 +172,7 @@ def generate_hexmap_ruleset(u_blue: float = 5.0) -> Ruleset:
     return Ruleset(tuple(rules))
 
 
-def hexmap_usecase(radius: int, u_blue: float = 5.0, n_partitions: int | None = None) -> UseCase:
+def hexmap_usecase(radius: int, u_blue: float = 5.0) -> UseCase:
     topology = hexgrid_topology(radius)
     alphabet = make_alphabet(
         ("blue", (60, 110, 220), "~"),
@@ -192,15 +192,13 @@ def hexmap_usecase(radius: int, u_blue: float = 5.0, n_partitions: int | None = 
         return sorted(set(bad))
 
     n = adjacency.n_segments
-    if n_partitions is None:
-        n_partitions = 2 if n > 1 else 1
     return UseCase(
         "hexmap",
         topology,
         alphabet,
         generate_hexmap_ruleset(u_blue),
         tuple(range(1, n + 1)),  # ring-spiral from the center by construction
-        equal_blocks(n, n_partitions),
+        equal_blocks(n, 2 if n > 1 else 1),
         validator,
     )
 

@@ -131,7 +131,7 @@ def test_criterion_4_partitioned_factorization():
     split = hwfc_exact_distribution(uc.adjacency, 2, uc.ruleset, equal_blocks(4, 2))
     dev_checker = max_prob_deviation(joint.probs, split.probs)
 
-    hx = hexmap_usecase(1, n_partitions=2)
+    hx = hexmap_usecase(1)
     circuit = build_circuit(hx.adjacency, 4, hx.ruleset, hx.order)
     joint = exact_distribution(simulate(circuit), circuit.layout)
     split = hwfc_exact_distribution(hx.adjacency, 4, hx.ruleset, hx.partitioning)

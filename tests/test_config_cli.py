@@ -371,6 +371,10 @@ MALFORMED = {
     "format": TWO_CELLS + "format: bogus\n",
     "factor": TWO_CELLS.replace("{value: a}", FACTOR_WEIGHT % "x"),
     "finite": TWO_CELLS.replace("{value: a}", FACTOR_WEIGHT % ".nan"),
+    "bottom_layer_only": TWO_CELLS.replace("{value: a}", FACTOR_WEIGHT % "-1.0"),
+    "interior_layers_only": TWO_CELLS.replace(
+        "{value: a}", "{value: a, weight: {factor: interior_layers_only, u: -0.5, layer_size: 0, n_segments: 2}}"
+    ),
     "parameter": TWO_CELLS.replace("{value: a}", FACTOR_WEIGHT % ("9" * 400)),
     "blocks:0": TWO_CELLS + 'partitions: "blocks:0"\n',
     "blocks:3": TWO_CELLS + 'partitions: "blocks:3"\n',
@@ -389,6 +393,9 @@ MALFORMED = {
     "depth=1": CUBE % "platformer",
     "../../x": TWO_CELLS + "name: ../../x\n",
     "..": TWO_CELLS + "name: ..\n",
+    "None": TWO_CELLS + "name: ~\n",
+    "123": TWO_CELLS + "name: 123\n",
+    "\\x00": TWO_CELLS + 'name: "a\\0b"\n',
     "2.9": TWO_CELLS + "order: [2.9, 1.2]\n",
     "True": TWO_CELLS + "partitions: [[true], [2]]\n",
     "1.5": TWO_CELLS.replace(
@@ -406,10 +413,11 @@ MALFORMED = {
 @pytest.mark.parametrize("field", sorted(MALFORMED))
 def test_cli_malformed_field_exits_2(tmp_path, capsys, field):
     cfg = _write(tmp_path, MALFORMED[field])
-    assert main(["--config", str(cfg), "--validate-only"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error:") and field in err
-    assert "Traceback" not in err
+    for args in (["--validate-only"], ["--out", str(tmp_path / "out")]):
+        assert main(["--config", str(cfg), *args]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and field in err
+        assert "Traceback" not in err
 
 
 # a flag replaces the config field of its name before any check: it wins over

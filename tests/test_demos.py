@@ -1,5 +1,6 @@
-"""The shipped demos: their configs survive single-leaf corruption with a
-documented exit code, and their scripts import only public names that exist."""
+"""The shipped demos: their configs, and one document with what none of them
+has, survive single-leaf corruption with a documented exit code, and their
+scripts import only public names that exist and run to the end."""
 
 import itertools
 import math
@@ -12,7 +13,29 @@ import yaml
 from qcollapse.cli import main
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
-CONFIGS = {path.name: yaml.safe_load(path.read_text()) for path in sorted((DEMOS / "configs").glob("*.yaml"))}
+# factor weights and a custom topology, which no demo config has
+FACTORS_CUSTOM = {
+    "name": "layers",
+    "seed": 4,
+    "mode": "hwfc",
+    "format": "structured-dump",
+    "topology": {"type": "custom", "segments": 4, "directions": 2, "edges": {1: [[1, 3], [2, 4]], 2: [[3, 1], [4, 2]]}},
+    "alphabet": ["ground", {"name": "air", "glyph": "."}],
+    "rules": [
+        {"value": "ground", "weight": {"factor": "bottom_layer_only", "u": 1.0, "layer_size": 2}},
+        {"value": "air", "weight": {"factor": "above_bottom_layer", "u": 2.0, "layer_size": 2}},
+        {
+            "value": "air",
+            "weight": {"factor": "interior_layers_only", "u": 0.5, "layer_size": 1, "n_segments": 4},
+            "pattern": {"d2": "ground"},
+        },
+    ],
+    "partitions": "blocks:2",
+}
+CONFIGS = {
+    **{path.name: yaml.safe_load(path.read_text()) for path in sorted((DEMOS / "configs").glob("*.yaml"))},
+    "factors_custom.yaml": FACTORS_CUSTOM,
+}
 
 # Small values of every YAML kind; no large integers, so no huge world is built.
 FUZZ_VALUES = ("x", [1, 2], {"a": 1}, True, 2.5, None, -1, 0, [], {}, math.nan)
@@ -53,6 +76,8 @@ def test_mutated_demo_config_exits_with_a_documented_code(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("script", sorted(p.name for p in DEMOS.glob("*.py")))
-def test_demo_script_imports(script):
-    namespace = runpy.run_path(str(DEMOS / script), run_name="demo")
+def test_demo_script_imports(script, capsys):
+    # run as a script, so the body's calls into the library run too
+    namespace = runpy.run_path(str(DEMOS / script), run_name="__main__")
     assert callable(namespace["main"])
+    assert capsys.readouterr().out

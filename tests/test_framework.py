@@ -98,7 +98,7 @@ def test_generate_walks_order():
         RandomSource(1),
     )
     assert tuple(s for s, _ in out.entries) == (2, 3, 1)
-    assert out.is_complete(3)
+    assert len(out) == 3
 
 
 def test_generate_enforces_no_mass_on_placed():

@@ -7,6 +7,7 @@ sampling criteria before updating the numbers.
 """
 
 import hashlib
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -19,6 +20,7 @@ from qcollapse import (
     build_circuit,
     cwfc_generate,
     encode_values,
+    equal_blocks,
     exact_distribution,
     export_qasm,
     hwfc_generate,
@@ -61,7 +63,7 @@ HWFC_KEYS = {
         [288234774399790339, 34966404844, 576469548531735569],
     ),
     "hexmap-r3": (
-        lambda: hexmap_usecase(3, n_partitions=8),
+        lambda: replace(hexmap_usecase(3), partitioning=equal_blocks(37, 8)),
         [6757651617570693933654, 1254451781903473251669, 12274769473244642253718],
     ),
 }
@@ -244,7 +246,8 @@ def test_qwfc_shots_golden(world):
     uc = make()
     circuit = build_circuit(uc.adjacency, uc.alphabet.n_values, uc.ruleset, uc.order)
     shots = sample_shots(simulate(circuit), circuit.layout, 1000, RandomSource(SAMPLE_SEED))
-    assert _digest(circuit.layout.encode(s.mapping) for s in shots) == expected
+    layout = circuit.layout
+    assert _digest(encode_values(s.mapping, layout.segments, layout.n_values) for s in shots) == expected
 
 
 DEMO_CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"

@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -61,7 +62,7 @@ def test_hwfc_generate_matches_validator_and_seed():
     b = hwfc_generate(uc.adjacency, 2, uc.ruleset, uc.partitioning, RandomSource(8))
     assert a == b
     assert uc.validator(a) == []
-    assert a.is_complete(9)
+    assert len(a) == 9
 
 
 def test_hwfc_factorizes_checkerboard():
@@ -164,7 +165,7 @@ def _samples(adjacency, n_values, ruleset, partitioning, seed, count):
         lambda: pipes_usecase(10, 4),
         lambda: platformer_usecase(10, 10),
         lambda: voxel_skyline_usecase(4, 4, 4),
-        lambda: hexmap_usecase(3, n_partitions=8),
+        lambda: replace(hexmap_usecase(3), partitioning=equal_blocks(37, 8)),
     ],
     ids=["pipes-10x4", "platformer-10x10", "voxels-4x4x4", "hexmap-r3"],
 )
@@ -207,7 +208,7 @@ def test_block_cache_keeps_adjacencies_and_alphabets_apart():
 
 
 def test_block_cache_cap_stops_growth_not_output(monkeypatch):
-    uc = hexmap_usecase(3, n_partitions=8)
+    uc = replace(hexmap_usecase(3), partitioning=equal_blocks(37, 8))
     args = (uc.adjacency, uc.alphabet.n_values)
     cold = _samples(*args, uc.ruleset, uc.partitioning, 11, 6)
     cap = 3000
@@ -254,7 +255,7 @@ def test_hwfc_block_past_the_index_limit_names_its_partition():
         lambda: pipes_usecase(10, 4),
         lambda: platformer_usecase(10, 10),
         lambda: voxel_skyline_usecase(4, 4, 4),
-        lambda: hexmap_usecase(3, n_partitions=8),
+        lambda: replace(hexmap_usecase(3), partitioning=equal_blocks(37, 8)),
     ],
     ids=["pipes-10x4", "platformer-10x10", "voxels-4x4x4", "hexmap-r3"],
 )
@@ -381,7 +382,7 @@ def test_plan_steps_are_the_dependency_sets():
 
 
 def test_plan_cache_cap_stops_growth_not_output(monkeypatch):
-    uc = hexmap_usecase(3, n_partitions=8)
+    uc = replace(hexmap_usecase(3), partitioning=equal_blocks(37, 8))
     args = (uc.adjacency, uc.alphabet.n_values)
     cold = _samples(*args, Ruleset(uc.ruleset.rules), uc.partitioning, 11, 6)
     monkeypatch.setattr(quantum, "_PLAN_CACHE_CAP", 3)

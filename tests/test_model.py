@@ -205,8 +205,8 @@ def test_one_compile_serves_every_direction_count(rules):
 def test_content_instance():
     c = ContentInstance().add(3, 1).add(1, 2)
     assert c.mapping == {3: 1, 1: 2}
-    assert c.value_of(3) == 1
-    assert not c.is_complete(3) and c.add(2, 1).is_complete(3)
+    assert c.mapping[3] == 1
+    assert len(c) == 2 and len(c.add(2, 1)) == 3
     with pytest.raises(ValueError):
         c.add(3, 2)  # duplicate id
 
@@ -436,6 +436,10 @@ def test_factor_runs_once_per_segment():
     # a second ruleset with the same factor resolves its own rows
     Ruleset(rs.rules).compiled.segment_weights(1)
     assert sorted(calls) == [1, 1, 2]
+    # segments whose factors give equal outputs share one weight row
+    comp = rs.compiled
+    assert comp.segment_weights(3)[1] is comp.segment_weights(1)[1]
+    assert comp.segment_weights(2)[1] is not comp.segment_weights(1)[1]
 
 
 def test_non_finite_factor_raises_on_a_cached_signature():

@@ -29,6 +29,7 @@ from qcollapse import (
     decode_values,
     grid2d_topology,
     dependency_set,
+    encode_values,
     exact_distribution,
     export_qasm,
     lower_to_gates,
@@ -46,7 +47,7 @@ def test_layout_offsets_and_codec():
     layout = QubitLayout((1, 2, 3), 3)
     assert layout.bits_per_value == 2 and layout.n_qubits == 6
     assert layout.group_offset(2) == 2
-    key = layout.encode({1: 2, 2: 1, 3: 3})
+    key = encode_values({1: 2, 2: 1, 3: 3}, layout.segments, layout.n_values)
     assert key == 1 | (0 << 2) | (2 << 4)
     assert dict(decode_values(key, layout.segments, layout.n_values)) == {1: 2, 2: 1, 3: 3}
     with pytest.raises(ValueError):
@@ -185,7 +186,7 @@ def test_sparse_state_wide_circuit_and_dense_cap():
     dist = exact_distribution(state, circuit.layout)
     assert len(dist.probs) == 2 and all(p == pytest.approx(0.5) for p in dist.probs.values())
     shots = sample_shots(state, circuit.layout, 50, RandomSource(4))
-    assert {circuit.layout.encode(s.mapping) for s in shots} == set(dist.probs)
+    assert {encode_values(s.mapping, circuit.layout.segments, 2) for s in shots} == set(dist.probs)
     with pytest.raises(CapacityError, match="dense view"):
         np.asarray(state)
     narrow = checkerboard_usecase(9, 3)  # 27 qubits, one past the dense cap
@@ -225,7 +226,7 @@ def test_sample_shots_deterministic_and_in_support():
     b = sample_shots(psi, circuit.layout, 25, RandomSource(2))
     assert a == b
     for inst in a:
-        assert circuit.layout.encode(inst.mapping) in (170, 341)
+        assert encode_values(inst.mapping, circuit.layout.segments, 2) in (170, 341)
     with pytest.raises(ValueError):
         sample_shots(psi, circuit.layout, 0, RandomSource(2))
 
@@ -329,7 +330,12 @@ def test_no_walked_state_past_the_index_limit_or_by_hand():
     circuit = build_circuit(small.adjacency, 2, small.ruleset, small.order)
     assert walked_state(circuit) is circuit.state
     load = ConditionalLoad(1, (), 1, (math.sqrt(0.5), math.sqrt(0.5)))
-    assert CircuitProgram(QubitLayout((1,), 2), (load,)).state is None
+    by_hand = CircuitProgram(QubitLayout((1,), 2), (load,))
+    assert by_hand.state is None
+    # a program built by hand is simulated
+    walked, simulated = walked_state(by_hand), simulate(by_hand)
+    assert np.array_equal(walked.indices, simulated.indices)
+    assert np.array_equal(walked.amplitudes, simulated.amplitudes)
 
 
 def test_compile_errors_name_their_iteration(monkeypatch):

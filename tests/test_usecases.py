@@ -7,11 +7,15 @@ from qcollapse import (
     ContentInstance,
     RandomSource,
     build_circuit,
+    cwfc_generate,
     exact_distribution,
     hwfc_generate,
+    sample_shots,
     simulate,
     value_distribution,
+    with_restarts,
 )
+from qcollapse.quantum import walked_state
 from qcollapse.usecases import (
     AIR,
     BLOCK,
@@ -184,3 +188,45 @@ def test_usecase_partition_shapes():
     assert len(platformer_usecase(10, 10).partitioning.blocks) == 20
     assert len(voxel_skyline_usecase(4, 4, 4).partitioning.blocks) == 4
     assert len(checkerboard_usecase(3, 3).partitioning.blocks) == 3
+
+
+# the five use cases on small worlds; qwfc compiles each as one circuit
+PROPERTY_WORLDS = {
+    "checkerboard-3x3": lambda: checkerboard_usecase(3, 3),
+    "pipes-3x2": lambda: pipes_usecase(3, 2),
+    "platformer-3x2": lambda: platformer_usecase(3, 2),
+    "voxels-2x2x3": lambda: voxel_skyline_usecase(2, 2, 3),
+    "hexmap-r1": lambda: hexmap_usecase(1),
+}
+
+
+def _instances(engine, uc, rng, count):
+    n_values = uc.alphabet.n_values
+    if engine == "qwfc":
+        circuit = build_circuit(uc.adjacency, n_values, uc.ruleset, uc.order)
+        return sample_shots(walked_state(circuit), circuit.layout, count, rng)
+    if engine == "cwfc":
+        return [cwfc_generate(uc.adjacency, uc.alphabet, uc.ruleset, rng) for _ in range(count)]
+    attempt = lambda: hwfc_generate(uc.adjacency, n_values, uc.ruleset, uc.partitioning, rng)
+    return [with_restarts(attempt, 100) for _ in range(count)]
+
+
+# cwfc breaks the voxel validator (perfbench's strict xfail
+# test_cwfc_voxel_skyline_breaks_its_validator); it joins once cwfc propagates
+@pytest.mark.parametrize(
+    "engine, world",
+    [
+        (engine, world)
+        for engine in ("cwfc", "qwfc", "hwfc")
+        for world in sorted(PROPERTY_WORLDS)
+        if (engine, world) != ("cwfc", "voxels-2x2x3")
+    ],
+)
+def test_every_engine_gives_valid_instances_of_every_use_case(engine, world):
+    uc = PROPERTY_WORLDS[world]()
+    segments = list(range(1, uc.adjacency.n_segments + 1))
+    for seed in range(3):
+        for instance in _instances(engine, uc, RandomSource(seed), 5):
+            assert sorted(s for s, _ in instance.entries) == segments
+            assert all(1 <= v <= uc.alphabet.n_values for _, v in instance.entries)
+            assert uc.validator(instance) == []
