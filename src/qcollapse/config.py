@@ -83,6 +83,8 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
         mark = getattr(exc, "problem_mark", None)
         where = f" at line {mark.line + 1} column {mark.column + 1}" if mark else ""
         raise ConfigError(f"parse error{where}: {exc}") from None
+    except RecursionError:
+        raise ConfigError("parse error: document nested too deep") from None
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a mapping")
     return _build({**doc, **(overrides or {})})

@@ -28,9 +28,9 @@ class RandomSource:
     def __init__(self, seed: int):
         self._rng = np.random.default_rng(seed)
 
-    def categorical(self, probs: np.ndarray, draws: int | None = None) -> int | np.ndarray:
-        """``draw`` from the cumulative sum of ``probs``."""
-        return self.draw(np.cumsum(probs), draws)
+    def categorical(self, probs: np.ndarray) -> int:
+        """One ``draw`` from the cumulative sum of ``probs``."""
+        return self.draw(np.cumsum(probs))
 
     def draw(self, cum: np.ndarray, draws: int | None = None) -> int | np.ndarray:
         """Inverse-CDF draw of a 0-based index from the cumulative table ``cum``,

@@ -15,7 +15,7 @@ from .quantum import SparseState, build_circuit, exact_distribution, order_plan,
 # Unused here; perfbench/layers.py wraps these names on this module.
 from .quantum import sample_shots, simulate  # noqa: F401
 
-_BLOCK_CACHE_CAP = 1 << 20  # state entries per compiled ruleset (40 B with its cumulative, ~40 MB)
+_BLOCK_CACHE_CAP = 1 << 20  # state entries per compiled ruleset (24 B with its cumulative, ~24 MB)
 
 
 @dataclass(frozen=True)

@@ -29,9 +29,8 @@ from .model import (
 
 _AMP_NORM_TOL = 1e-12
 _SIM_NORM_TOL = 1e-9
-_PROB_CUTOFF = 1e-15  # exact_distribution drops basis states at or below this
 
-DEFAULT_QUBIT_CAP = 26  # ~1 GiB of complex128 amplitudes in a dense view
+DEFAULT_QUBIT_CAP = 26  # ~512 MiB of float64 amplitudes in a dense view
 INDEX_QUBIT_LIMIT = 63  # basis indices are int64
 DEFAULT_LOAD_CAP = 4096  # reachable control assignments per iteration
 DEFAULT_SUPPORT_CAP = 1 << 20  # reachable partial assignments while compiling
@@ -99,9 +98,12 @@ class ConditionalLoad:
     def __post_init__(self):
         if any(seg == self.target for seg, _ in self.controls):
             raise ValueError("load target cannot be one of its own controls")
+        # negated compares, so that NaN fails them
         norm = math.fsum(a * a for a in self.amplitudes)
-        if abs(norm - 1.0) > _AMP_NORM_TOL:
-            raise ValueError(f"load amplitudes have squared norm {norm}, expected 1")
+        if not abs(norm - 1.0) <= _AMP_NORM_TOL:
+            raise ValueError(f"load amplitudes must be finite with squared norm 1, got {norm}")
+        if not min(self.amplitudes) >= 0.0:
+            raise ValueError(f"load amplitudes must be nonnegative, got {min(self.amplitudes)}")
 
 
 @dataclass(frozen=True)
@@ -270,17 +272,17 @@ def _control_qubits(load: ConditionalLoad, layout: QubitLayout) -> list[tuple[in
 
 @dataclass(frozen=True, eq=False)
 class SparseState:
-    """A statevector by its support: strictly ascending int64 basis indices,
-    their complex128 amplitudes and the squared magnitudes of those, every
-    one positive.
+    """A statevector by its support: strictly ascending int64 basis indices
+    and their probabilities, every one positive.  Every load's amplitudes
+    are nonnegative reals, so each amplitude is the square root of its
+    probability and is not stored.
 
-    ``np.asarray(state)`` builds the dense 2^Q vector, for comparisons with
-    dense reference executors; it refuses above ``DEFAULT_QUBIT_CAP`` qubits.
+    ``np.asarray(state)`` builds the dense real 2^Q vector, for comparisons
+    with dense reference executors; it refuses above ``DEFAULT_QUBIT_CAP``.
     """
 
     layout: QubitLayout
     indices: np.ndarray
-    amplitudes: np.ndarray
     probabilities: np.ndarray
 
     def __array__(self, dtype=None, copy=None):
@@ -289,8 +291,8 @@ class SparseState:
             raise CapacityError(
                 f"a dense view of {n_qubits} qubits exceeds the cap of {DEFAULT_QUBIT_CAP}"
             )
-        psi = np.zeros(1 << n_qubits, dtype=np.complex128)
-        psi[self.indices] = self.amplitudes
+        psi = np.zeros(1 << n_qubits)
+        psi[self.indices] = np.sqrt(self.probabilities)
         return psi if dtype is None else psi.astype(dtype)
 
     @cached_property
@@ -304,8 +306,8 @@ class SparseState:
 def simulate(circuit: CircuitProgram) -> SparseState:
     """Execute the conditional loads from |0>; returns the final state.
 
-    The loads act on the support only: basis indices and amplitudes of the
-    nonzero entries, which a load's controls match with one bitmask compare.
+    The loads act on the support only: basis indices and real amplitudes of
+    the nonzero entries, which a load's controls match with one bitmask compare.
     ``build_circuit``'s ``DEFAULT_SUPPORT_CAP`` bounds its size; no 2^Q vector is
     written.
 
@@ -320,7 +322,7 @@ def simulate(circuit: CircuitProgram) -> SparseState:
     layout = circuit.layout
     group = (1 << layout.bits_per_value) - 1
     idx = np.zeros(1, dtype=np.int64)
-    amp = np.ones(1, dtype=np.complex128)
+    amp = np.ones(1)
 
     for load in circuit.loads:
         cmask = cval = 0
@@ -334,7 +336,7 @@ def simulate(circuit: CircuitProgram) -> SparseState:
         base_amp = amp[matched]
         lifted = (base_idx & (group << t0)) != 0
         if lifted.any():
-            if np.abs(base_amp[lifted]).max() > _SIM_NORM_TOL:
+            if base_amp[lifted].max() > _SIM_NORM_TOL:
                 raise ContractError(
                     f"target group of segment {load.target} not in the ground state "
                     f"on the control subspace at step {load.step}"
@@ -354,33 +356,29 @@ def simulate(circuit: CircuitProgram) -> SparseState:
 
 
 def _sparse_state(layout: QubitLayout, idx: np.ndarray, amp: np.ndarray) -> SparseState:
-    """The state of int64 basis indices ``idx`` and real or complex amplitudes
-    ``amp``, sorted by index, its arrays read-only; ContractError if its norm
-    drifted."""
+    """The state of int64 basis indices ``idx`` and their nonnegative real
+    amplitudes ``amp``: sorted by index, squared, read-only; ContractError if
+    its norm drifted."""
     order = np.argsort(idx)
-    idx, amp = idx[order], amp[order]
-    probs = np.abs(amp) ** 2
+    idx, probs = idx[order], amp[order] ** 2
     # an amplitude whose square underflows carries no probability
     nonzero = probs > 0.0
     if not nonzero.all():
-        idx, amp, probs = idx[nonzero], amp[nonzero], probs[nonzero]
+        idx, probs = idx[nonzero], probs[nonzero]
     norm = probs.sum()
     if abs(norm - 1.0) > _SIM_NORM_TOL:
         raise ContractError(f"statevector squared norm drifted to {norm}")
-    amp = amp.astype(np.complex128, copy=False)
-    for array in (idx, amp, probs):
-        array.setflags(write=False)
-    return SparseState(layout, idx, amp, probs)
+    idx.setflags(write=False)
+    probs.setflags(write=False)
+    return SparseState(layout, idx, probs)
 
 
 def exact_distribution(state: SparseState, layout: QubitLayout) -> Distribution:
-    """Squared amplitudes as a distribution over basis integers."""
-    probs = state.probabilities
-    keep = probs > _PROB_CUTOFF
+    """The state's whole support as a distribution over basis integers."""
     return Distribution(
         layout.segments,
         layout.n_values,
-        dict(zip(state.indices[keep].tolist(), probs[keep].tolist())),
+        dict(zip(state.indices.tolist(), state.probabilities.tolist())),
     )
 
 

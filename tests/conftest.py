@@ -1,7 +1,7 @@
 """Shared helpers: an independent chain-rule enumerator, a pattern
 indicator, a dense gate-level executor and an entropy report used as
-references, small ruleset builders, and the terminal report of the
-acceptance criteria."""
+references, small ruleset builders, the walked-state check, and the
+terminal report of the acceptance criteria."""
 
 from __future__ import annotations
 
@@ -31,6 +31,7 @@ from qcollapse import (
     XGate,
     encode_values,
     shannon_entropy,
+    simulate,
 )
 from qcollapse.classic import _ENTROPY_TIE_TOL
 
@@ -168,6 +169,15 @@ def conflict_free_ruleset(rules, n_values, floor=1e-6):
     """Append a tiny unconditional rule per value so no dead end can occur."""
     extra = tuple(Rule(v, floor, Pattern.of()) for v in range(1, n_values + 1))
     return Ruleset(tuple(rules) + extra)
+
+
+def assert_walked_state_is_simulated(circuit):
+    """The state the compile walked is ``simulate``'s, bit for bit: the same
+    layout, and indices and probabilities of the same dtypes and values."""
+    walked, simulated = circuit.state, simulate(circuit)
+    assert walked.layout == simulated.layout
+    for got, want in ((walked.indices, simulated.indices), (walked.probabilities, simulated.probabilities)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def max_prob_deviation(a: dict[int, float], b: dict[int, float]) -> float:

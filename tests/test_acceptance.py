@@ -265,7 +265,7 @@ def test_sparse_state_sampling_matches_per_shot_decode(name, make):
     state = simulate(circuit)
     assert np.count_nonzero(state) == len(state.indices)
     shots = sample_shots(state, circuit.layout, 1000, RandomSource(11))
-    drawn = RandomSource(11).categorical(state.probabilities, 1000)
+    drawn = RandomSource(11).draw(np.cumsum(state.probabilities), 1000)
     layout = circuit.layout
     assert shots == [
         ContentInstance(decode_values(int(state.indices[i]), layout.segments, layout.n_values))

@@ -357,6 +357,8 @@ rules: {generator: %s}
 """
 
 
+RULES_NESTED = TWO_CELLS.replace("\nrules:\n  - {value: a}\n  - {value: b}\n", "\nrules: %s%s\n")
+
 # one malformed field each, keyed by a word its error names; each used to
 # make a run exit 1 with a traceback
 MALFORMED = {
@@ -407,6 +409,9 @@ MALFORMED = {
         "alphabet: [a, b]\nrules:\n  - {value: a}\n  - {value: b}\n", "rules: {generator: pipes, bogus: 3}\n"
     ),
     "shot": TWO_CELLS + "shot: 5\n",
+    # nested past the YAML parser's recursion, at two depths
+    "nested": RULES_NESTED % ("[" * 500, "]" * 500),
+    "too deep": RULES_NESTED % ("[" * 5000, "]" * 5000),
 }
 
 

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import max_prob_deviation
+from conftest import assert_walked_state_is_simulated, max_prob_deviation
 
 from qcollapse import (
     AdjacencyConfig,
@@ -278,10 +278,7 @@ def test_block_states_equal_simulate(make, monkeypatch):
     assert len(cached) == len(compiled)
     assert all(state is circuit.state for state, circuit in zip(cached, compiled))
     for circuit in compiled:
-        walked, simulated = circuit.state, simulate(circuit)
-        assert np.array_equal(walked.indices, simulated.indices)
-        assert np.array_equal(walked.amplitudes, simulated.amplitudes)
-        assert np.array_equal(walked.probabilities, simulated.probabilities)
+        assert_walked_state_is_simulated(circuit)
 
 
 # --------------------------------------------------------------------------
@@ -421,8 +418,5 @@ def test_broadcast_steps_give_the_loads_and_state_of_simulate(world):
             circuit = build_circuit(uc.adjacency, n_values, uc.ruleset, block, frozen)
             for load in circuit.loads:
                 digest.update(repr((load.step, load.controls, load.target, load.amplitudes)).encode())
-            walked, simulated = circuit.state, simulate(circuit)
-            assert np.array_equal(walked.indices, simulated.indices)
-            assert np.array_equal(walked.amplitudes, simulated.amplitudes)
-            assert np.array_equal(walked.probabilities, simulated.probabilities)
+            assert_walked_state_is_simulated(circuit)
     assert digest.hexdigest() == expected

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import (
+    assert_walked_state_is_simulated,
     chain_adjacency,
     conflict_free_ruleset,
     max_prob_deviation,
@@ -62,6 +63,23 @@ def test_conditional_load_validation():
     with pytest.raises(ValueError):
         ConditionalLoad(1, ((1, 1),), 1, (1.0,))  # self-control
     ConditionalLoad(1, (), 1, (math.sqrt(0.5), math.sqrt(0.5)))
+
+
+# each amplitude is the square root of its probability: finite and >= 0
+@pytest.mark.parametrize(
+    "amplitudes, needle",
+    [
+        ((math.nan, 1.0), "finite"),
+        ((1.0, math.nan), "finite"),
+        ((math.inf, 0.0), "finite"),
+        ((-math.sqrt(0.5), math.sqrt(0.5)), "nonnegative"),
+        ((0.0, -1.0), "nonnegative"),
+    ],
+    ids=["nan", "nan-last", "inf", "negative", "negative-last"],
+)
+def test_conditional_load_refuses_amplitudes_that_are_not_square_roots(amplitudes, needle):
+    with pytest.raises(ValueError, match=needle):
+        ConditionalLoad(1, (), 1, amplitudes)
 
 
 def test_dependency_set_uses_rule_directions():
@@ -156,21 +174,35 @@ def test_simulate_matches_reference_distribution():
     assert abs(dist.total_mass() - 1.0) < 1e-12
 
 
+def test_exact_distribution_lists_the_whole_support():
+    # the floor rules leave one outcome of mass ~1e-18, which shots can draw
+    adj, order = chain_adjacency(3), (1, 2, 3)
+    rs = conflict_free_ruleset((Rule(1, 1.0, Pattern.of()),), 2, floor=1e-6)
+    circuit = build_circuit(adj, 2, rs, order)
+    state = simulate(circuit)
+    dist = exact_distribution(state, circuit.layout)
+    ref = reference_chain_distribution(adj, rs, 2, order)
+    assert len(state.indices) == len(ref) == 8
+    assert set(dist.probs) == set(ref) and min(dist.probs.values()) < 1e-15
+    assert max_prob_deviation(dist.probs, ref) < 1e-12
+    assert dist.total_mass() == math.fsum(state.probabilities)
+
+
 def test_sparse_state_indices_and_dense_view():
     adj = chain_adjacency(4)
     rs = conflict_free_ruleset((Rule(1, 3.0, Pattern.of((2, 1))),), 3, floor=0.5)
     state = simulate(build_circuit(adj, 3, rs, (3, 1, 4, 2)))
-    assert state.indices.dtype == np.int64 and state.amplitudes.dtype == np.complex128
+    assert state.indices.dtype == np.int64 and state.probabilities.dtype == np.float64
     assert len(state.indices) > 1 and (np.diff(state.indices) > 0).all()
-    assert np.array_equal(state.probabilities, np.abs(state.amplitudes) ** 2)
-    dense = np.zeros(1 << state.layout.n_qubits, dtype=np.complex128)
-    for index, amplitude in zip(state.indices.tolist(), state.amplitudes.tolist()):
-        dense[index] = amplitude
-    assert np.array_equal(np.asarray(state), dense)
+    assert (state.probabilities > 0.0).all()
+    # the dense view is real: each amplitude is the square root of its probability
+    dense = np.zeros(1 << state.layout.n_qubits)
+    for index, probability in zip(state.indices.tolist(), state.probabilities.tolist()):
+        dense[index] = math.sqrt(probability)
+    psi = np.asarray(state)
+    assert psi.dtype == np.float64 and np.array_equal(psi, dense)
     assert np.count_nonzero(state) == len(state.indices)
-    assert not any(
-        array.flags.writeable for array in (state.indices, state.amplitudes, state.probabilities)
-    )
+    assert not any(array.flags.writeable for array in (state.indices, state.probabilities))
     # the draw table: computed once, read-only
     assert state.cumulative is state.cumulative
     assert np.array_equal(state.cumulative, np.cumsum(state.probabilities))
@@ -233,7 +265,7 @@ def test_sample_shots_deterministic_and_in_support():
 
 def test_sample_shots_rejects_keys_outside_the_alphabet():
     layout = QubitLayout((1,), 3)  # two qubits; basis 3 decodes to value 4
-    state = SparseState(layout, np.array([3]), np.array([1.0 + 0j]), np.array([1.0]))
+    state = SparseState(layout, np.array([3]), np.array([1.0]))
     with pytest.raises(ValueError, match="outside the alphabet"):
         sample_shots(state, layout, 1, RandomSource(0))
 
@@ -282,21 +314,10 @@ def test_qasm_structure():
 # --------------------------------------------------------------------------
 
 
-def _assert_walked_state_is_simulated(circuit):
-    walked, simulated = circuit.state, simulate(circuit)
-    assert walked.layout == simulated.layout
-    for got, want in (
-        (walked.indices, simulated.indices),
-        (walked.amplitudes, simulated.amplitudes),
-        (walked.probabilities, simulated.probabilities),
-    ):
-        assert got.dtype == want.dtype and np.array_equal(got, want)
-
-
 @pytest.mark.parametrize("world", sorted(QWFC_CIRCUITS))
 def test_walked_state_equals_simulate(world):
     uc = QWFC_CIRCUITS[world][0]()
-    _assert_walked_state_is_simulated(
+    assert_walked_state_is_simulated(
         build_circuit(uc.adjacency, uc.alphabet.n_values, uc.ruleset, uc.order)
     )
 
@@ -314,7 +335,7 @@ def test_walked_state_equals_simulate_on_randomized_rulesets():
             rules.append(Rule(int(rng.integers(1, w + 1)), float(rng.uniform(0.2, 4.0)), pattern))
         order = tuple(int(s) for s in rng.permutation(n) + 1)
         ruleset = conflict_free_ruleset(rules, w, floor=0.05)
-        _assert_walked_state_is_simulated(build_circuit(chain_adjacency(n), w, ruleset, order))
+        assert_walked_state_is_simulated(build_circuit(chain_adjacency(n), w, ruleset, order))
 
 
 def test_no_walked_state_past_the_index_limit_or_by_hand():
@@ -335,7 +356,7 @@ def test_no_walked_state_past_the_index_limit_or_by_hand():
     # a program built by hand is simulated
     walked, simulated = walked_state(by_hand), simulate(by_hand)
     assert np.array_equal(walked.indices, simulated.indices)
-    assert np.array_equal(walked.amplitudes, simulated.amplitudes)
+    assert np.array_equal(walked.probabilities, simulated.probabilities)
 
 
 def test_compile_errors_name_their_iteration(monkeypatch):
