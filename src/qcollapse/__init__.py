@@ -7,7 +7,7 @@ brute-force chain-rule oracle, five demonstration use cases, renderers and
 an OpenQASM 3 exporter.
 """
 
-from .classic import EntropySelector, cwfc_generate, shannon_entropy
+from .classic import cwfc_generate, shannon_entropy
 from .config import RunConfig, load_config, parse_config, serialize_config
 from .errors import (
     BudgetExceededError,

@@ -36,6 +36,7 @@ FIELDS = (
 )
 
 # size caps, checked before the world is built; exceeding one exits 4
+MAX_CONFIG_BYTES = 1 << 15  # bytes of a config file, checked before it is parsed
 MAX_SEGMENTS = 1 << 16  # segments in the topology
 MAX_DIRECTIONS = 1 << 10  # directions of a custom topology
 MAX_SHOT_SEGMENTS = 1 << 24  # shots x segments drawn in one run
@@ -91,8 +92,15 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
 
 
 def load_config(path, overrides: dict | None = None) -> RunConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read(), overrides)
+    with open(path, "rb") as fh:
+        data = fh.read(MAX_CONFIG_BYTES + 1)
+    if len(data) > MAX_CONFIG_BYTES:
+        raise CapacityError(f"config file exceeds the cap of {MAX_CONFIG_BYTES} bytes")
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file is not UTF-8: {exc}") from None
+    return parse_config(text, overrides)
 
 
 def serialize_config(config: RunConfig) -> str:

@@ -43,7 +43,7 @@ class RandomSource:
         if not (math.isfinite(total) and total > 0.0):
             raise ContractError(f"categorical draw needs a finite positive total mass, got {total}")
         u = self._rng.random(draws) * total
-        idx = np.searchsorted(cum, u, side="right")
+        idx = cum.searchsorted(u, side="right")
         return int(idx) if draws is None else idx
 
 

@@ -105,22 +105,25 @@ class AdjacencyConfig:
         return tuple(maps)
 
     @cached_property
-    def _influencer_map(self) -> dict[int, tuple[int, ...]]:
-        # i influences j's value distribution iff j has an edge toward i in
-        # some direction; used for incremental entropy updates.
-        m: dict[int, set[int]] = {}
-        for es in self.edges:
+    def _in_edge_map(self) -> dict[int, tuple[tuple[int, int], ...]]:
+        m: dict[int, list[tuple[int, int]]] = {}
+        for d, es in enumerate(self.edges, start=1):
             for i, j in es:
-                m.setdefault(j, set()).add(i)
-        return {j: tuple(sorted(s)) for j, s in m.items()}
+                m.setdefault(j, []).append((i, d))
+        return {j: tuple(sorted(pairs)) for j, pairs in m.items()}
 
     def neighbors(self, segment: int, direction: int) -> tuple[int, ...]:
         """Out-neighbors of ``segment`` in 1-based ``direction``."""
         return self._neighbor_map[direction - 1].get(segment, ())
 
+    def in_edges(self, segment: int) -> tuple[tuple[int, int], ...]:
+        """Sorted (i, d) pairs such that ``segment`` is i's neighbor in
+        direction d: the constraints a placement at ``segment`` changes."""
+        return self._in_edge_map.get(segment, ())
+
     def influenced_by(self, segment: int) -> tuple[int, ...]:
         """Segments whose value distribution may change once ``segment`` is placed."""
-        return self._influencer_map.get(segment, ())
+        return tuple(sorted({i for i, _ in self.in_edges(segment)}))
 
 
 # --------------------------------------------------------------------------
@@ -381,8 +384,26 @@ def _distribution_entry(
     ruleset: Ruleset,
     n_values: int,
     frozen: ContentInstance | None,
-) -> tuple[np.ndarray, float]:
-    """Cached (read-only probabilities, entropy in nats) for one segment.
+) -> tuple[np.ndarray, float, np.ndarray]:
+    """``signature_entry`` for one segment of ``content`` (plus ``frozen``);
+    raises ConflictError where it is None."""
+    comp = ruleset.compiled
+    comp.check(adjacency.n_directions, n_values)
+    extra = frozen.mapping if frozen is not None else None
+    # Directions past the last one a pattern names match every rule.
+    signature = constraint_signature(segment, adjacency, content.mapping, extra)[: comp.max_direction]
+    entry = signature_entry(comp, signature, n_values, segment)
+    if entry is None:
+        raise ConflictError(segment, content)
+    return entry
+
+
+def signature_entry(
+    comp: CompiledRuleset, signature: tuple[int, ...], n_values: int, segment: int
+) -> tuple[np.ndarray, float, np.ndarray] | None:
+    """Cached (read-only probabilities, entropy in nats, read-only
+    cumulative) for ``segment`` under ``signature``, cut to
+    ``comp.max_direction``; None when no value is admissible.
 
     The vector reads the signature, W and the segment's weight row, which
     the functional weights' outputs fix, never the segment itself: one entry
@@ -390,13 +411,7 @@ def _distribution_entry(
     shows the same key.  W is part of the key because it fixes the vector's
     length.
     """
-    comp = ruleset.compiled
-    comp.check(adjacency.n_directions, n_values)
-    extra = frozen.mapping if frozen is not None else None
-    # Directions past the last one a pattern names match every rule.
-    signature = constraint_signature(segment, adjacency, content.mapping, extra)[: comp.max_direction]
     outputs, u = comp.segment_weights(segment)
-
     key = (signature, n_values, outputs)
     cache = comp.dist_cache
     entry = cache.get(key)
@@ -404,9 +419,7 @@ def _distribution_entry(
         entry = _fill_entry(comp, signature, n_values, u)
         if len(cache) < _DIST_CACHE_CAP:
             cache[key] = entry
-    if entry is _CONFLICT:
-        raise ConflictError(segment, content)
-    return entry
+    return None if entry is _CONFLICT else entry
 
 
 def _fill_entry(comp: CompiledRuleset, signature, n_values: int, u: np.ndarray) -> object:
@@ -420,9 +433,11 @@ def _fill_entry(comp: CompiledRuleset, signature, n_values: int, u: np.ndarray) 
     if total <= 0.0:
         return _CONFLICT
     probs = weights / total
-    probs.setflags(write=False)
     nz = probs[probs > 0.0]
-    return probs, float(-(nz * np.log(nz)).sum())
+    cumulative = np.cumsum(probs)
+    probs.setflags(write=False)
+    cumulative.setflags(write=False)
+    return probs, float(-(nz * np.log(nz)).sum()), cumulative
 
 
 def value_distribution(

@@ -15,10 +15,12 @@ from qcollapse import (
     Ruleset,
     grid2d_topology,
     cwfc_generate,
-    EntropySelector,
+    make_alphabet,
     shannon_entropy,
     value_distribution,
 )
+from qcollapse.classic import Placement, draw_tie
+from qcollapse.model import constraint_signature
 from qcollapse.usecases import (
     checkerboard_ruleset,
     checkerboard_usecase,
@@ -83,33 +85,67 @@ SELECTOR_WORLDS = {
 }
 
 
-def _uniform_over_minimizers(adj, content, ruleset, n_values) -> np.ndarray:
-    mins = entropy_report(adj, content, ruleset, n_values).minimizers
-    expected = np.zeros(adj.n_segments)
-    expected[np.array(mins, dtype=int) - 1] = 1.0
-    return expected / len(mins)
+def _fan_world():
+    """Ten segments where direction 1 names the next three segments, with
+    values that disagree often, so placed neighbours merge to -1."""
+    n = 10
+    ahead = frozenset((i, j) for i in range(1, n + 1) for j in range(i + 1, i + 4) if j <= n)
+    behind = frozenset((i + 1, i) for i in range(1, n))
+    adj = AdjacencyConfig(n, 2, (ahead, behind))
+    rules = (
+        Rule(1, 1.0, Pattern.of((2, 2))),
+        Rule(2, 1.0, Pattern.of((1, 1))),
+        Rule(2, 0.5, Pattern.of((1, 3))),
+        Rule(3, 2.0, Pattern.of((2, 1))),
+    )
+    return adj, conflict_free_ruleset(rules, 3, floor=0.2), 3
 
 
-def test_entropy_selector_matches_fresh_report():
-    """The incremental selector gives, bit for bit, the vector uniform over a
-    from-scratch report's minimizers at every step, and starts over on
-    content that does not extend what it saw."""
-    for world, make in SELECTOR_WORLDS.items():
+def test_draw_tie_is_the_dense_categorical_draw():
+    """Summing only the ties gives the id and the stream position that the
+    dense vector uniform over them gives through ``categorical``."""
+    masks = np.random.default_rng(17)
+    for seed in range(400):
+        n = int(masks.integers(1, 301))
+        mask = masks.random(n) < masks.choice((0.01, 0.1, 0.5, 1.0))
+        mask[masks.integers(n)] = True
+        sparse, dense = RandomSource(seed), RandomSource(seed)
+        got = draw_tie(np.flatnonzero(mask), sparse)
+        assert got == dense.categorical(mask.astype(float) / np.count_nonzero(mask)), seed
+        assert sparse._rng.bit_generator.state == dense._rng.bit_generator.state, seed
+
+
+def test_placement_codes_and_ties_match_a_fresh_report():
+    """At every step of cwfc's trajectory the per-attempt constraint codes
+    equal ``constraint_signature`` cut to the patterns' directions, the ties
+    equal a from-scratch report's minimizers, and the drawn segment's entry
+    is its value distribution; the trajectory is ``cwfc_generate``'s."""
+    merged = 0
+    for world, make in {**SELECTOR_WORLDS, "fan": _fan_world}.items():
         adj, rs, n_values = make()
-        rng = RandomSource(9)
-        selector = EntropySelector(adj, rs, n_values)
-        content = ContentInstance()
-        for k in range(1, adj.n_segments + 1):
-            probs = selector(k, content)
-            expected = _uniform_over_minimizers(adj, content, rs, n_values)
-            assert np.array_equal(probs, expected), (world, k)
-            seg = rng.categorical(probs) + 1
-            p = value_distribution(seg, adj, content, rs, n_values)
-            content = content.add(seg, rng.categorical(p) + 1)
-        # fresh trajectories after the selector saw unrelated content
-        for other in (ContentInstance(), ContentInstance(content.entries[: len(content) // 2])):
-            probs = selector(1, other)
-            assert np.array_equal(probs, _uniform_over_minimizers(adj, other, rs, n_values)), world
+        max_direction = rs.compiled.max_direction
+        for seed in (9, 10):
+            rng = RandomSource(seed)
+            state = Placement(adj, rs, n_values)
+            for k in range(1, adj.n_segments + 1):
+                ties = state.ties()
+                content = state.content()
+                for seg in range(1, adj.n_segments + 1):
+                    expected = constraint_signature(seg, adj, content.mapping)[:max_direction]
+                    assert tuple(state.codes[seg - 1]) == expected, (world, k, seg)
+                    merged += -1 in expected
+                report = entropy_report(adj, content, rs, n_values)
+                assert tuple(ties + 1) == report.minimizers, (world, k)
+                for seg, h in report.entropies.items():
+                    assert state.entropies[seg - 1] == h, (world, k, seg)
+                seg = draw_tie(ties, rng) + 1
+                entry = state.entries[seg - 1]
+                assert entry[0].tobytes() == value_distribution(seg, adj, content, rs, n_values).tobytes()
+                assert entry[2].tobytes() == np.cumsum(entry[0]).tobytes()  # what categorical sums
+                state.place(seg, rng.draw(entry[2]) + 1)
+            alphabet = make_alphabet(*(f"v{v}" for v in range(1, n_values + 1)))
+            assert state.content() == cwfc_generate(adj, alphabet, rs, RandomSource(seed)), world
+    assert merged > 0  # some direction held two disagreeing placed values
 
 
 def test_shared_ruleset_cache_matches_fresh_ruleset():

@@ -493,6 +493,37 @@ def test_cli_custom_directions_past_the_cap_exit_4_before_any_edge_set(tmp_path,
     assert "Traceback" not in err
 
 
+def test_cli_config_past_the_byte_cap_exits_4_before_it_is_parsed(tmp_path, capsys, monkeypatch):
+    from qcollapse import config
+
+    cap = config.MAX_CONFIG_BYTES
+    fits = TWO_CELLS + "#" * (cap - len(TWO_CELLS) - 1) + "\n"  # a comment pads it to the cap
+    assert len(fits.encode("utf-8")) == cap
+    assert main(["--config", str(_write(tmp_path, fits)), "--validate-only"]) == 0
+    capsys.readouterr()
+
+    def parsed(*args):
+        raise AssertionError("the document was parsed")
+
+    monkeypatch.setattr(config.yaml, "safe_load", parsed)
+    # one byte past the cap; a two-byte character at the cut decodes no further
+    for past in (fits + "\n", fits[:-2] + "\u00e9\n"):
+        assert len(past.encode("utf-8")) == cap + 1
+        out = tmp_path / "out"
+        assert main(["--config", str(_write(tmp_path, past)), "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err == f"capacity exceeded: config file exceeds the cap of {cap} bytes\n"
+        assert not out.exists()
+
+
+def test_cli_config_that_is_not_utf8_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_bytes(TWO_CELLS.encode("utf-8") + b"name: \xff\n")
+    assert main(["--config", str(cfg), "--validate-only"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: config file is not UTF-8") and "Traceback" not in err
+
+
 GENERATORS = ("checkerboard", "pipes", "hexmap", "platformer", "voxel_skyline")
 TOPOLOGIES = {
     "grid2d": "{type: grid2d, width: 2, height: 2}",
