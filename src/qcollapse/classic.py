@@ -90,7 +90,7 @@ def _uniform_cumulative(c: int) -> np.ndarray:
     return cum
 
 
-# made once for the small tie counts that most steps draw among
+# made once for small tie counts, which most steps on small worlds draw among
 _UNIFORM_CUMULATIVE = {c: _uniform_cumulative(c) for c in range(1, 65)}
 
 
