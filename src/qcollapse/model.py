@@ -121,10 +121,6 @@ class AdjacencyConfig:
         direction d: the constraints a placement at ``segment`` changes."""
         return self._in_edge_map.get(segment, ())
 
-    def influenced_by(self, segment: int) -> tuple[int, ...]:
-        """Segments whose value distribution may change once ``segment`` is placed."""
-        return tuple(sorted({i for i, _ in self.in_edges(segment)}))
-
 
 # --------------------------------------------------------------------------
 # patterns and rules
@@ -207,8 +203,8 @@ class CompiledRuleset:
 
     def __init__(self, ruleset: Ruleset):
         m = len(ruleset.rules)
-        # (probabilities, entropy) keyed (signature, W, factor outputs); see
-        # _distribution_entry.
+        # (probabilities, entropy, cumulative) keyed (signature, W, factor
+        # outputs); see _distribution_entry.
         self.dist_cache: dict[tuple, object] = {}
         # hwfc block states, keyed (adjacency, W, block, interface); see
         # hybrid._block_outcomes.

@@ -67,7 +67,6 @@ def test_grid2d_2x2_edges():
     assert adj.neighbors(1, 1) == (2,)
     assert adj.neighbors(1, 2) == ()  # open boundary
     assert adj.in_edges(1) == ((2, 3), (3, 2))  # 1 is left of 2 and up from 3
-    assert adj.influenced_by(1) == (2, 3)
 
 
 def test_grid3d_columns_layout():
