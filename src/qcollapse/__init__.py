@@ -8,7 +8,7 @@ an OpenQASM 3 exporter.
 """
 
 from .classic import cwfc_generate, shannon_entropy
-from .config import RunConfig, load_config, parse_config, serialize_config
+from .config import RunConfig, load_config, parse_config
 from .errors import (
     BudgetExceededError,
     CapacityError,
@@ -21,12 +21,10 @@ from .errors import (
 )
 from .framework import (
     RandomSource,
-    SelectorViolation,
     exact_distribution_oracle,
     fixed_order_selector,
     generate,
     ruleset_value_selector,
-    validate_selectors,
     with_restarts,
 )
 from .hybrid import (
@@ -63,7 +61,6 @@ from .quantum import (
     SparseState,
     XGate,
     build_circuit,
-    dependency_set,
     exact_distribution,
     export_qasm,
     lower_to_gates,

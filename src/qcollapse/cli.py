@@ -119,6 +119,14 @@ def _emit_instances(config: RunConfig, instances: list[ContentInstance], out: Pa
     return violations
 
 
+def _check_flags(config: RunConfig, args) -> None:
+    """Refuse the flags the configured mode cannot serve, before anything is drawn."""
+    if args.export_qasm and config.mode != "qwfc":
+        raise ConfigError("--export-qasm only applies to mode 'qwfc' (one circuit per run)")
+    if args.exact_dist and config.mode == "cwfc":
+        raise ConfigError("--exact-dist is only available for qwfc, hwfc and oracle modes")
+
+
 def run(config: RunConfig, args, started: float) -> int:
     """Generate, write and summarise; ``wall_time`` counts from ``started``."""
     rng = RandomSource(config.seed)
@@ -129,11 +137,6 @@ def run(config: RunConfig, args, started: float) -> int:
     restarts = 0
     qubits = None
     instances: list[ContentInstance] = []
-    # flags the mode cannot serve are refused before anything is drawn
-    if args.export_qasm and config.mode != "qwfc":
-        raise ConfigError("--export-qasm only applies to mode 'qwfc' (one circuit per run)")
-    if args.exact_dist and config.mode == "cwfc":
-        raise ConfigError("--exact-dist is only available for qwfc, hwfc and oracle modes")
     if args.exact_dist and config.mode == "hwfc":
         # enumerated before drawing: the budget, and a conflict on every branch, fail up front
         dist = hwfc_exact_distribution(adjacency, n_values, config.ruleset, config.partitioning)
@@ -210,6 +213,7 @@ def main(argv=None) -> int:
     try:
         flags = {field: getattr(args, field) for field in ("mode", "seed", "shots", "format")}
         config = load_config(args.config, {k: v for k, v in flags.items() if v is not None})
+        _check_flags(config, args)
         if args.validate_only:
             print(f"config ok: mode={config.mode} segments={config.topology.adjacency.n_segments}")
             return EXIT_OK

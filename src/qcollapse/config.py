@@ -1,4 +1,4 @@
-"""Run configuration: YAML schema parsing, validation and serialization.
+"""Run configuration: YAML schema parsing and validation.
 
 A config names a topology, an alphabet, a ruleset (literal rules or a named
 generator), a generation mode and its parameters.  Seeds are mandatory so
@@ -46,6 +46,13 @@ _DIRECTION_ALIASES = {
     "grid2d": {"right": 1, "up": 2, "left": 3, "down": 4},
     "grid3d": {"above": 1, "below": 2},
     "hexgrid": {"e": 1, "ne": 2, "nw": 3, "w": 4, "sw": 5, "se": 6},
+}
+# the keys a topology of each kind reads besides 'type'
+_TOPOLOGY_FIELDS = {
+    "grid2d": ("width", "height"),
+    "hexgrid": ("radius",),
+    "grid3d": ("width", "depth", "height"),
+    "custom": ("segments", "directions", "edges"),
 }
 
 
@@ -103,10 +110,6 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
     return parse_config(text, overrides)
 
 
-def serialize_config(config: RunConfig) -> str:
-    return yaml.safe_dump(config.source, sort_keys=True)
-
-
 def _require(doc: dict, field: str):
     if field not in doc:
         raise ConfigError(f"missing required field {field!r}")
@@ -140,6 +143,13 @@ def _ids(raw, what: str) -> tuple[int, ...]:
     return tuple(raw)
 
 
+def _check_keys(spec: dict, allowed: tuple[str, ...], what: str) -> None:
+    """Refuse a key of a nested mapping that nothing reads."""
+    for key in spec:
+        if key not in allowed:
+            raise ConfigError(f"unknown {what} key {key!r}; the keys are {', '.join(allowed)}")
+
+
 def _name_field(doc) -> str:
     """The run name, which artifact file names start with: one plain file name."""
     name = doc.get("name", "run")
@@ -154,6 +164,9 @@ def _build_topology(spec) -> Topology:
     if not isinstance(spec, dict) or "type" not in spec:
         raise ConfigError("field 'topology' must be a mapping with a 'type'")
     kind = spec["type"]
+    if not isinstance(kind, str) or kind not in _TOPOLOGY_FIELDS:
+        raise ConfigError(f"unknown topology type {kind!r}")
+    _check_keys(spec, ("type", *_TOPOLOGY_FIELDS[kind]), f"{kind} topology")
     if kind == "grid2d":
         w, h = _int_field(spec, "width", minimum=1), _int_field(spec, "height", minimum=1)
         _check_cap(w * h, "segments", MAX_SEGMENTS)
@@ -166,28 +179,32 @@ def _build_topology(spec) -> Topology:
         dims = [_int_field(spec, f, minimum=1) for f in ("width", "depth", "height")]
         _check_cap(math.prod(dims), "segments", MAX_SEGMENTS)
         return grid3d_topology(*dims)
-    if kind == "custom":
-        n = _int_field(spec, "segments", minimum=1)
-        _check_cap(n, "segments", MAX_SEGMENTS)
-        d = _int_field(spec, "directions", minimum=1)
-        _check_cap(d, "directions", MAX_DIRECTIONS)
-        edges_spec = spec.get("edges", {})
-        if not isinstance(edges_spec, dict):
-            raise ConfigError(f"topology.edges must map directions to [i, j] pairs, got {edges_spec!r}")
-        edge_sets = []
-        for direction in range(1, d + 1):
-            pairs = edges_spec.get(direction, edges_spec.get(str(direction), []))
-            where = f"topology.edges[{direction}]"
-            try:
-                edge_sets.append(frozenset(_ids([i, j], f"{where} pairs") for i, j in pairs))
-            except (TypeError, ValueError):
-                raise ConfigError(f"{where} must be [i, j] pairs") from None
+    # custom: segments, directions, and edge pairs keyed by direction
+    n = _int_field(spec, "segments", minimum=1)
+    _check_cap(n, "segments", MAX_SEGMENTS)
+    d = _int_field(spec, "directions", minimum=1)
+    _check_cap(d, "directions", MAX_DIRECTIONS)
+    edges_spec = spec.get("edges", {})
+    if not isinstance(edges_spec, dict):
+        raise ConfigError(f"topology.edges must map directions to [i, j] pairs, got {edges_spec!r}")
+    decimal = {str(direction): direction for direction in range(1, d + 1)}
+    edge_sets: dict[int, frozenset] = {}
+    for key, pairs in edges_spec.items():
+        direction = key if _is_int(key) else decimal.get(key)
+        if direction is None or not 1 <= direction <= d:
+            raise ConfigError(f"topology.edges key {key!r} must be a direction in [1,{d}]")
+        if direction in edge_sets:
+            raise ConfigError(f"topology.edges gives direction {direction} twice")
+        where = f"topology.edges[{direction}]"
         try:
-            adjacency = AdjacencyConfig(n, d, tuple(edge_sets))
-        except ValueError as exc:
-            raise ConfigError(f"topology: {exc}") from None
-        return Topology("custom", adjacency, (("segments", n),))
-    raise ConfigError(f"unknown topology type {kind!r}")
+            edge_sets[direction] = frozenset(_ids([i, j], f"{where} pairs") for i, j in pairs)
+        except (TypeError, ValueError):
+            raise ConfigError(f"{where} must be [i, j] pairs") from None
+    try:
+        adjacency = AdjacencyConfig(n, d, tuple(edge_sets.get(k, frozenset()) for k in range(1, d + 1)))
+    except ValueError as exc:
+        raise ConfigError(f"topology: {exc}") from None
+    return Topology("custom", adjacency, (("segments", n),))
 
 
 def _build_alphabet(spec) -> Alphabet:
@@ -202,6 +219,7 @@ def _build_alphabet(spec) -> Alphabet:
             raise ConfigError(f"alphabet entry {entry!r} needs a 'name'")
         if not isinstance(entry["name"], str):
             raise ConfigError(f"alphabet entry name must be a string, got {entry['name']!r}")
+        _check_keys(entry, ("name", "color", "glyph"), "alphabet entry")
         color = entry.get("color")
         if color is not None:
             if not (
@@ -214,8 +232,8 @@ def _build_alphabet(spec) -> Alphabet:
                 )
             color = tuple(color)
         glyph = entry.get("glyph")
-        if glyph is not None and not isinstance(glyph, str):
-            raise ConfigError(f"alphabet glyph for {entry['name']!r} must be a string, got {glyph!r}")
+        if glyph is not None and not (isinstance(glyph, str) and len(glyph) == 1):
+            raise ConfigError(f"alphabet glyph for {entry['name']!r} must be one character, got {glyph!r}")
         symbols.append(Symbol(entry["name"], color, glyph))
     try:
         return Alphabet(tuple(symbols))
@@ -269,6 +287,7 @@ def _build_literal_rules(spec, alphabet, topology) -> Ruleset:
     for entry in spec:
         if not isinstance(entry, dict) or "value" not in entry:
             raise ConfigError(f"rule entry {entry!r} needs a 'value'")
+        _check_keys(entry, ("value", "weight", "pattern"), "rule")
         value = _resolve_value(entry["value"], alphabet)
         weight_spec = entry.get("weight", 1.0)
         if isinstance(weight_spec, dict):

@@ -13,7 +13,6 @@ contracts (no mass on placed ids, at least one admissible id/value).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -109,8 +108,11 @@ def with_restarts(attempt, max_restarts: int, on_restart=None):
     stream, so a restart makes fresh draws.  ``on_restart`` (if given) is
     called once per restart actually taken.  Any other error propagates at
     once.  Raises RestartsExhaustedError, naming the last conflict, after
-    ``max_restarts`` restarts all hit a conflict again.
+    ``max_restarts`` restarts all hit a conflict again, and ValueError on a
+    negative ``max_restarts``.
     """
+    if max_restarts < 0:
+        raise ValueError(f"max_restarts must be >= 0, got {max_restarts}")
     for restart in range(max_restarts + 1):
         try:
             return attempt()
@@ -164,57 +166,3 @@ def exact_distribution_oracle(
                     nxt[child] = nxt.get(child, 0.0) + mass * id_probs[seg0] * value_probs[v0]
         frontier = nxt
     return Distribution.fold(tuple(range(1, n_segments + 1)), n_values, frontier.items())
-
-
-@dataclass(frozen=True)
-class SelectorViolation:
-    condition: str  # "S1" | "S2" | "V1" | "V2"
-    iteration: int
-    content: ContentInstance
-    detail: str
-
-
-def validate_selectors(
-    n_segments: int,
-    n_values: int,
-    identifier_selector,
-    value_selector,
-) -> list[SelectorViolation]:
-    """Exhaustively walk reachable branches and report contract violations.
-
-    S1: mass on a placed id.  S2: no admissible unplaced id.  V1: mass outside
-    the alphabet (wrong support length or negative entries).  V2: empty value
-    support for a reachable (id, content) pair.
-
-    Runs the oracle's walk with selectors that record each violation and hand
-    the walk zero mass in its place, which ends that branch.
-    """
-    violations: list[SelectorViolation] = []
-
-    def record(condition: str, k: int, content: ContentInstance, detail: str) -> np.ndarray:
-        violations.append(SelectorViolation(condition, k, content, detail))
-        return np.zeros(n_values)
-
-    def checked_ids(k: int, content: ContentInstance) -> np.ndarray:
-        id_probs = np.array(identifier_selector(k, content), dtype=float)
-        for seg in content.mapping:
-            if id_probs[seg - 1] > 0.0:
-                record("S1", k, content, f"mass on placed id {seg}")
-            id_probs[seg - 1] = 0.0
-        if sum(id_probs) <= 0.0:
-            record("S2", k, content, "no admissible unplaced id")
-        return id_probs
-
-    def checked_values(k: int, segment: int, content: ContentInstance) -> np.ndarray:
-        try:
-            value_probs = np.asarray(value_selector(k, segment, content), dtype=float)
-        except ConflictError:
-            return record("V2", k, content, f"conflict for id {segment}")
-        if len(value_probs) != n_values or np.any(value_probs < 0.0):
-            return record("V1", k, content, f"bad support for id {segment}")
-        if value_probs.sum() <= 0.0:
-            return record("V2", k, content, f"empty support for id {segment}")
-        return value_probs
-
-    exact_distribution_oracle(n_segments, n_values, checked_ids, checked_values)
-    return violations

@@ -145,9 +145,6 @@ class Pattern:
         return cls(frozenset(pairs))
 
 
-EMPTY_PATTERN = Pattern(frozenset())
-
-
 @dataclass(frozen=True)
 class FunctionalWeight:
     """Named weight function of the segment id alone, built by ``make_factor``.

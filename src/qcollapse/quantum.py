@@ -124,24 +124,15 @@ class CircuitProgram:
         return self.layout.n_qubits
 
 
-def dependency_set(
-    k: int, order: tuple[int, ...], adjacency: AdjacencyConfig, ruleset: Ruleset
-) -> frozenset[int]:
-    """Already-ordered segments that can influence the k-th segment's value.
-
-    Static over-approximation: any earlier segment adjacent to the target in
-    a direction that appears in some rule pattern.
-    """
-    return frozenset(order_plan(adjacency, ruleset, tuple(order))[0][k - 1])
-
-
 def order_plan(
     adjacency: AdjacencyConfig, ruleset: Ruleset, order: tuple[int, ...]
 ) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    """Each step's ``dependency_set``, sorted, and the order's boundary: the
-    sorted segments outside it adjacent to one of its segments in any
-    direction.  Made once per (adjacency, order) and kept on the compiled
-    ruleset, up to ``_PLAN_CACHE_CAP`` plans."""
+    """Each step's dependencies, the sorted earlier segments adjacent to its
+    target in a direction some rule pattern uses (a static over-approximation
+    of what can influence its value), and the order's boundary: the sorted
+    segments outside it adjacent to one of its segments in any direction.
+    Made once per (adjacency, order) and kept on the compiled ruleset, up to
+    ``_PLAN_CACHE_CAP`` plans."""
     comp = ruleset.compiled
     key = (adjacency, order)
     plan = comp.plans.get(key)

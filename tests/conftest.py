@@ -1,7 +1,7 @@
 """Shared helpers: an independent chain-rule enumerator, a pattern
 indicator, a dense gate-level executor and an entropy report used as
-references, small ruleset builders, the walked-state check, and the
-terminal report of the acceptance criteria."""
+references, small ruleset builders, the walked-state check, the selector
+contract checker, and the terminal report of the acceptance criteria."""
 
 from __future__ import annotations
 
@@ -24,12 +24,14 @@ import numpy as np
 
 from qcollapse import (
     AdjacencyConfig,
+    ConflictError,
     ContentInstance,
     Pattern,
     Rule,
     Ruleset,
     XGate,
     encode_values,
+    exact_distribution_oracle,
     shannon_entropy,
     simulate,
 )
@@ -183,3 +185,57 @@ def assert_walked_state_is_simulated(circuit):
 def max_prob_deviation(a: dict[int, float], b: dict[int, float]) -> float:
     keys = set(a) | set(b)
     return max(abs(a.get(k, 0.0) - b.get(k, 0.0)) for k in keys) if keys else 0.0
+
+
+@dataclass(frozen=True)
+class SelectorViolation:
+    condition: str  # "S1" | "S2" | "V1" | "V2"
+    iteration: int
+    content: ContentInstance
+    detail: str
+
+
+def validate_selectors(
+    n_segments: int,
+    n_values: int,
+    identifier_selector,
+    value_selector,
+) -> list[SelectorViolation]:
+    """Exhaustively walk reachable branches and report contract violations.
+
+    S1: mass on a placed id.  S2: no admissible unplaced id.  V1: mass outside
+    the alphabet (wrong support length or negative entries).  V2: empty value
+    support for a reachable (id, content) pair.
+
+    Runs the oracle's walk with selectors that record each violation and hand
+    the walk zero mass in its place, which ends that branch.
+    """
+    violations: list[SelectorViolation] = []
+
+    def record(condition: str, k: int, content: ContentInstance, detail: str) -> np.ndarray:
+        violations.append(SelectorViolation(condition, k, content, detail))
+        return np.zeros(n_values)
+
+    def checked_ids(k: int, content: ContentInstance) -> np.ndarray:
+        id_probs = np.array(identifier_selector(k, content), dtype=float)
+        for seg in content.mapping:
+            if id_probs[seg - 1] > 0.0:
+                record("S1", k, content, f"mass on placed id {seg}")
+            id_probs[seg - 1] = 0.0
+        if sum(id_probs) <= 0.0:
+            record("S2", k, content, "no admissible unplaced id")
+        return id_probs
+
+    def checked_values(k: int, segment: int, content: ContentInstance) -> np.ndarray:
+        try:
+            value_probs = np.asarray(value_selector(k, segment, content), dtype=float)
+        except ConflictError:
+            return record("V2", k, content, f"conflict for id {segment}")
+        if len(value_probs) != n_values or np.any(value_probs < 0.0):
+            return record("V1", k, content, f"bad support for id {segment}")
+        if value_probs.sum() <= 0.0:
+            return record("V2", k, content, f"empty support for id {segment}")
+        return value_probs
+
+    exact_distribution_oracle(n_segments, n_values, checked_ids, checked_values)
+    return violations

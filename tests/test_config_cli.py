@@ -2,6 +2,7 @@ import json
 from pathlib import Path
 
 import pytest
+import yaml
 
 from qcollapse import (
     ConfigError,
@@ -11,7 +12,6 @@ from qcollapse import (
     load_config,
     parse_config,
     render,
-    serialize_config,
 )
 from qcollapse.cli import main
 from qcollapse.config import MODES
@@ -59,7 +59,7 @@ def test_parse_literal_rules_with_aliases():
 
 def test_serialize_round_trip():
     cfg = parse_config(CHECKER)
-    again = parse_config(serialize_config(cfg))
+    again = parse_config(yaml.safe_dump(cfg.source, sort_keys=True))
     assert again.source == cfg.source
     assert again.seed == cfg.seed and again.order == cfg.order
     assert len(again.ruleset) == len(cfg.ruleset)
@@ -67,7 +67,7 @@ def test_serialize_round_trip():
 
 def test_serialize_gives_the_overridden_document():
     cfg = load_config(DEMO_CONFIGS / "checkerboard.yaml", {"seed": 3})
-    again = parse_config(serialize_config(cfg))
+    again = parse_config(yaml.safe_dump(cfg.source, sort_keys=True))
     assert cfg.seed == again.seed == 3
     assert again.source == cfg.source
 
@@ -179,6 +179,19 @@ def test_cli_validate_only(tmp_path, capsys):
     cfg = _write(tmp_path, CHECKER)
     assert main(["--config", str(cfg), "--validate-only"]) == 0
     assert "config ok" in capsys.readouterr().out
+
+
+def test_cli_validate_only_refuses_the_flags_a_run_refuses(tmp_path, capsys):
+    cases = [
+        (["hexmap.yaml", "--mode", "cwfc", "--exact-dist"], "--exact-dist is only"),
+        (["pipes.yaml", "--export-qasm"], "--export-qasm only applies"),
+    ]
+    for (name, *flags), message in cases:
+        for args in (["--validate-only"], ["--out", str(tmp_path / "out")]):
+            assert main(["--config", str(DEMO_CONFIGS / name), *flags, *args]) == 2
+            captured = capsys.readouterr()
+            assert message in captured.err and "config ok" not in captured.out
+        assert not (tmp_path / "out").exists()
 
 
 def test_cli_exit_code_validation(tmp_path, capsys):
@@ -326,6 +339,7 @@ rules:
   - {value: a}
   - {value: b}
 """
+GRID = "{type: grid2d, width: 2, height: 1}"
 
 
 @pytest.mark.parametrize(
@@ -412,6 +426,19 @@ MALFORMED = {
     # nested past the YAML parser's recursion, at two depths
     "nested": RULES_NESTED % ("[" * 500, "]" * 500),
     "too deep": RULES_NESTED % ("[" * 5000, "]" * 5000),
+    # a nested key nothing reads, an edge key that is no direction, and a
+    # glyph that is not one character: each used to pass with exit 0
+    "heigth": TWO_CELLS.replace(GRID, "{type: grid2d, width: 2, height: 1, heigth: 5}"),
+    "colour": TWO_CELLS.replace("[a, b]", "[{name: a, colour: [1, 2, 3]}, b]"),
+    "wieght": TWO_CELLS.replace("{value: a}", "{value: a, wieght: 100.0}"),
+    "patern": TWO_CELLS.replace("{value: b}", "{value: b, patern: {right: a}}"),
+    "key 7": TWO_CELLS.replace(GRID, "{type: custom, segments: 2, directions: 2, edges: {7: [[1, 2]]}}"),
+    "key 'right'": TWO_CELLS.replace(GRID, "{type: custom, segments: 2, directions: 2, edges: {right: [[1, 2]]}}"),
+    "direction 1 twice": TWO_CELLS.replace(
+        GRID, "{type: custom, segments: 2, directions: 2, edges: {1: [[1, 2]], '1': [[2, 1]]}}"
+    ),
+    "got 'ab'": TWO_CELLS.replace("[a, b]", "[{name: a, glyph: ab}, b]"),
+    "got ''": TWO_CELLS.replace("[a, b]", "[{name: a, glyph: ''}, b]"),
 }
 
 
@@ -446,7 +473,6 @@ def test_cli_flag_replaces_its_field(tmp_path, capsys, doc, args, code, needle):
 
 
 # one size past each cap checked at parse time; the world is never built
-GRID = "{type: grid2d, width: 2, height: 1}"
 PAST_A_CAP = {
     "segments-grid2d": (TWO_CELLS.replace(GRID, "{type: grid2d, width: 256, height: 257}"), []),
     "segments-hexgrid": (TWO_CELLS.replace(GRID, "{type: hexgrid, radius: 148}"), []),

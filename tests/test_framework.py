@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import chain_adjacency, max_prob_deviation, reference_chain_distribution
+from conftest import chain_adjacency, max_prob_deviation, reference_chain_distribution, validate_selectors
 
 from qcollapse import (
     BudgetExceededError,
@@ -14,11 +14,12 @@ from qcollapse import (
     Rule,
     Ruleset,
     SelectorContractError,
+    cwfc_generate,
     exact_distribution_oracle,
     fixed_order_selector,
     generate,
+    make_alphabet,
     ruleset_value_selector,
-    validate_selectors,
     with_restarts,
 )
 from qcollapse import framework
@@ -320,6 +321,16 @@ def test_with_restarts_exhaustion_names_the_last_conflict():
         with_restarts(attempt, 2)
     assert str(info.value) == "still conflicting after 2 restarts: no admissible value for segment 7"
     assert info.value.__cause__ is calls[-1] and len(calls) == 3
+
+
+def test_with_restarts_refuses_a_negative_cap():
+    attempt, calls = _scripted("never")
+    with pytest.raises(ValueError, match="max_restarts must be >= 0, got -1"):
+        with_restarts(attempt, -1, _no_restart)
+    assert calls == []
+    rs = Ruleset((Rule(1, 1.0, Pattern.of()),))
+    with pytest.raises(ValueError, match="got -1"):
+        cwfc_generate(chain_adjacency(2), make_alphabet("a"), rs, RandomSource(0), max_restarts=-1)
 
 
 def test_with_restarts_does_not_retry_other_errors():

@@ -16,7 +16,6 @@ from qcollapse import (
     Rule,
     Ruleset,
     build_circuit,
-    dependency_set,
     equal_blocks,
     exact_distribution,
     hwfc_exact_distribution,
@@ -27,7 +26,6 @@ from qcollapse import (
     with_restarts,
 )
 from qcollapse import framework, hybrid, quantum
-from qcollapse.model import EMPTY_PATTERN
 from qcollapse.quantum import order_plan
 from qcollapse.topology import grid2d_topology
 from qcollapse.usecases import (
@@ -186,13 +184,12 @@ def test_warm_block_cache_gives_cold_instances(make):
 
 def test_block_cache_keeps_adjacencies_and_alphabets_apart():
     from qcollapse import Pattern, Rule
-    from qcollapse.model import EMPTY_PATTERN
 
     # Value 2 needs the right neighbour to be 1.  Segment 1's right
     # neighbour is 2 on the 2x2 grid and absent on the 1x4 column, so block
     # (2, 1) has a different table on each under the same empty interface;
     # W=2 and W=3 encode it differently.
-    shared = Ruleset((Rule(1, 1.0, EMPTY_PATTERN), Rule(2, 3.0, Pattern.of((1, 1)))))
+    shared = Ruleset((Rule(1, 1.0, Pattern.of()), Rule(2, 3.0, Pattern.of((1, 1)))))
     partitioning = Partitioning(((2, 1), (4, 3)))
     worlds = [(grid2d_topology(w, h).adjacency, n) for w, h in ((2, 2), (1, 4)) for n in (2, 3)]
     for adjacency, n_values in worlds + worlds[::-1]:
@@ -310,7 +307,7 @@ def _custom_world():
         frozenset({(2, 5), (3, 5), (4, 6), (6, 1), (3, 3), (5, 6)}),
     )
     rs = Ruleset(
-        (Rule(1, 1.0, EMPTY_PATTERN), Rule(2, 2.0, Pattern.of((1, 1))), Rule(3, 1.0, Pattern.of((2, 2))))
+        (Rule(1, 1.0, Pattern.of()), Rule(2, 2.0, Pattern.of((1, 1))), Rule(3, 1.0, Pattern.of((2, 2))))
     )
     return AdjacencyConfig(6, 2, edges), 3, rs, Partitioning(((3, 1), (6, 5), (2, 4)))
 
@@ -375,7 +372,6 @@ def test_plan_steps_are_the_dependency_sets():
                     if s in earlier
                 }
                 assert deps == tuple(sorted(want))
-                assert dependency_set(k, order, adjacency, ruleset) == frozenset(want)
 
 
 def test_plan_cache_cap_stops_growth_not_output(monkeypatch):
@@ -412,7 +408,7 @@ def test_broadcast_steps_give_the_loads_and_state_of_simulate(world):
     for seed in (2024, 7):
         instance = hwfc_generate(uc.adjacency, n_values, uc.ruleset, uc.partitioning, RandomSource(seed))
         for h, block in enumerate(blocks):
-            assert not any(dependency_set(k, block, uc.adjacency, uc.ruleset) for k in range(1, len(block) + 1))
+            assert not any(order_plan(uc.adjacency, uc.ruleset, block)[0])
             earlier = {s: instance.mapping[s] for b in blocks[:h] for s in b}
             frozen = ContentInstance(_per_call_interface(uc.adjacency, block, earlier))
             circuit = build_circuit(uc.adjacency, n_values, uc.ruleset, block, frozen)

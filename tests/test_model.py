@@ -15,7 +15,6 @@ from qcollapse import (
     Symbol,
     bits_per_value,
     build_circuit,
-    dependency_set,
     equal_blocks,
     hwfc_generate,
     grid2d_topology,
@@ -30,6 +29,7 @@ from qcollapse import (
     value_entropy,
 )
 from qcollapse import model
+from qcollapse.quantum import order_plan
 from qcollapse.topology import hexgrid_coordinates
 from qcollapse.usecases import (
     checkerboard_ruleset,
@@ -134,10 +134,10 @@ def test_pattern_directions_start_at_one():
 PAST_D = Ruleset((Rule(1, 1.0, Pattern.of()), Rule(2, 1.0, Pattern.of((3, 1)))))
 PAST_D_CALLS = {
     "value_distribution": lambda adj: value_distribution(1, adj, ContentInstance(), PAST_D, 2),
-    "dependency_set": lambda adj: dependency_set(2, (1, 2, 3, 4), adj, PAST_D),
     "build_circuit": lambda adj: build_circuit(adj, 2, PAST_D, (1, 2, 3, 4)),
     "cwfc_generate": lambda adj: cwfc_generate(adj, make_alphabet("a", "b"), PAST_D, RandomSource(1)),
     "hwfc_generate": lambda adj: hwfc_generate(adj, 2, PAST_D, equal_blocks(4, 2), RandomSource(1)),
+    "order_plan": lambda adj: order_plan(adj, PAST_D, (1, 2, 3, 4)),
 }
 
 

@@ -29,7 +29,6 @@ from qcollapse import (
     build_circuit,
     decode_values,
     grid2d_topology,
-    dependency_set,
     encode_values,
     exact_distribution,
     export_qasm,
@@ -38,7 +37,7 @@ from qcollapse import (
     simulate,
 )
 from qcollapse import quantum
-from qcollapse.quantum import walked_state
+from qcollapse.quantum import order_plan, walked_state
 from qcollapse.usecases import checkerboard_ruleset, checkerboard_usecase
 
 DATA = Path(__file__).parent / "data"
@@ -86,11 +85,11 @@ def test_dependency_set_uses_rule_directions():
     adj = grid2d_topology(2, 2).adjacency
     rs = checkerboard_ruleset()  # patterns use all four directions
     order = (1, 2, 3, 4)
-    assert dependency_set(1, order, adj, rs) == frozenset()
-    assert dependency_set(4, order, adj, rs) == frozenset({2, 3})
+    steps, _ = order_plan(adj, rs, order)
+    assert steps[0] == () and steps[3] == (2, 3)
     # vertical-only rules ignore horizontal neighbors
     vert = Ruleset((Rule(1, 1.0, Pattern.of((2, 1))), Rule(2, 1.0, Pattern.of((4, 1)))))
-    assert dependency_set(4, order, adj, vert) == frozenset({2})
+    assert order_plan(adj, vert, order)[0][3] == (2,)
 
 
 def test_build_circuit_checkerboard_2x2():
