@@ -4,11 +4,13 @@ pattern-based value selection and restart-on-conflict."""
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, insort
+from itertools import chain
 
 import numpy as np
 
 from .errors import ConflictError
-from .framework import RandomSource, with_restarts
+from .framework import RandomSource, draw_index, with_restarts
 from .framework import generate  # noqa: F401  (perfbench traces this name)
 from .model import (
     AdjacencyConfig,
@@ -35,8 +37,11 @@ class Placement:
     neighbors disagree, otherwise their common value.  A placement updates
     only the codes of its in-neighbors and marks the unplaced ones whose
     code changed stale; ``ties`` refreshes their distribution entries and
-    entropies, in ascending id order, before it reads the minimum.  Placed
-    segments have entropy +inf.
+    entropies, in ascending id order, before it reads the minimum.
+    ``groups`` maps each entropy to the ascending ids of the unplaced
+    segments that have it, so a step reads as many groups as there are
+    distinct entropies, not every segment.  Placed segments have entropy
+    +inf and belong to no group.
     """
 
     def __init__(self, adjacency: AdjacencyConfig, ruleset: Ruleset, n_values: int):
@@ -45,27 +50,44 @@ class Placement:
         n = adjacency.n_segments
         self.adjacency, self.comp, self.n_values = adjacency, comp, n_values
         self.codes = [[0] * comp.max_direction for _ in range(n)]
-        self.entropies = np.zeros(n)
+        self.entropies: list[float | None] = [None] * n  # None until first refreshed
+        self.groups: dict[float, list[int]] = {}
         self.entries: list[tuple | None] = [None] * n  # each segment's current signature_entry
         self.stale = set(range(1, n + 1))
         self.values: dict[int, int] = {}  # placed segment -> value, in placement order
 
-    def ties(self) -> np.ndarray:
-        """Ascending 0-based ids of the minimum-entropy segments.  Raises
-        ConflictError naming the lowest stale segment with no admissible
-        value."""
-        h = self.entropies
+    def ties(self) -> list[int]:
+        """Ascending ids of the minimum-entropy segments, those within
+        ``_ENTROPY_TIE_TOL`` of it included.  Raises ConflictError naming
+        the lowest stale segment with no admissible value.  The list may be
+        the state's own: read it before the next ``place``."""
+        h, groups = self.entropies, self.groups
         for seg in sorted(self.stale):
             entry = signature_entry(self.comp, tuple(self.codes[seg - 1]), self.n_values, seg)
             if entry is None:
                 raise ConflictError(seg, self.content())
             self.entries[seg - 1] = entry
-            h[seg - 1] = entry[1]
+            old = h[seg - 1]
+            if entry[1] != old:
+                if old is not None:
+                    self._leave_group(seg, old)
+                h[seg - 1] = entry[1]
+                insort(groups.setdefault(entry[1], []), seg)
         self.stale.clear()
-        return (h <= h.min() + _ENTROPY_TIE_TOL).nonzero()[0]
+        low = min(groups) + _ENTROPY_TIE_TOL
+        near = [ids for e, ids in groups.items() if e <= low]
+        return near[0] if len(near) == 1 else sorted(chain.from_iterable(near))
+
+    def _leave_group(self, segment: int, entropy: float) -> None:
+        ids = self.groups[entropy]
+        if len(ids) == 1:
+            del self.groups[entropy]
+        else:
+            del ids[bisect_left(ids, segment)]
 
     def place(self, segment: int, value: int) -> None:
         self.values[segment] = value
+        self._leave_group(segment, self.entropies[segment - 1])
         self.entropies[segment - 1] = math.inf
         self.stale.discard(segment)
         max_direction = self.comp.max_direction
@@ -83,11 +105,9 @@ class Placement:
         return ContentInstance(tuple(self.values.items()))
 
 
-def _uniform_cumulative(c: int) -> np.ndarray:
-    """Read-only cumulative table of ``c`` equal masses ``1 / c``."""
-    cum = np.full(c, 1.0 / c).cumsum()
-    cum.setflags(write=False)
-    return cum
+def _uniform_cumulative(c: int) -> tuple[float, ...]:
+    """Cumulative table of ``c`` equal masses ``1 / c``, summed as numpy does."""
+    return tuple(np.full(c, 1.0 / c).cumsum().tolist())
 
 
 # Made once for tie counts up to 64, which cover over 99% of the draws on the
@@ -96,14 +116,14 @@ def _uniform_cumulative(c: int) -> np.ndarray:
 _UNIFORM_CUMULATIVE = {c: _uniform_cumulative(c) for c in range(1, 65)}
 
 
-def draw_tie(ties: np.ndarray, rng: RandomSource) -> int:
-    """One of ``ties``, uniformly: the draw ``rng.categorical`` makes on the
-    dense vector uniform over them, summed over the ties alone.  A dense
-    cumulative stays flat across zeros, so both land on the same id and
-    leave ``rng`` at the same position."""
+def draw_tie(ties: list[int], u: float) -> int:
+    """One of ``ties``, uniformly, with the uniform ``u``: the draw
+    ``rng.categorical`` makes on the dense vector uniform over them, summed
+    over the ties alone.  A dense cumulative stays flat across zeros, so
+    both land on the same id."""
     c = len(ties)
     cum = _UNIFORM_CUMULATIVE[c] if c in _UNIFORM_CUMULATIVE else _uniform_cumulative(c)
-    return int(ties[rng.draw(cum)])
+    return ties[draw_index(cum, u)]
 
 
 def cwfc_generate(
@@ -119,15 +139,23 @@ def cwfc_generate(
     starts over with fresh draws.
 
     Each step draws a segment uniformly among the minimum-entropy ones, then
-    its value from its pattern-based value distribution.
+    its value from its pattern-based value distribution.  An attempt takes
+    its 2N uniforms in one batch and gives back the ones a conflict leaves
+    unused, so the stream moves as two single draws per step would move it.
     """
     n_values = alphabet.n_values
+    n = adjacency.n_segments
 
     def attempt() -> ContentInstance:
         state = Placement(adjacency, ruleset, n_values)
-        for _ in range(adjacency.n_segments):
-            segment = draw_tie(state.ties(), rng) + 1
-            state.place(segment, rng.draw(state.entries[segment - 1][2]) + 1)
+        u = rng.uniforms(2 * n)
+        try:
+            for k in range(0, 2 * n, 2):
+                segment = draw_tie(state.ties(), u[k])
+                state.place(segment, draw_index(state.entries[segment - 1][2], u[k + 1]) + 1)
+        except ConflictError:  # only ties raises it, before step k's draws
+            rng.give_back(2 * n - k)
+            raise
         return state.content()
 
     return with_restarts(attempt, max_restarts, on_restart)

@@ -25,6 +25,7 @@ from .errors import (
 )
 from .framework import (
     RandomSource,
+    _check_budget,
     exact_distribution_oracle,
     fixed_order_selector,
     ruleset_value_selector,
@@ -120,11 +121,14 @@ def _emit_instances(config: RunConfig, instances: list[ContentInstance], out: Pa
 
 
 def _check_flags(config: RunConfig, args) -> None:
-    """Refuse the flags the configured mode cannot serve, before anything is drawn."""
+    """Refuse the flags the configured mode cannot serve, and an exact
+    enumeration past its budget, before anything is drawn."""
     if args.export_qasm and config.mode != "qwfc":
         raise ConfigError("--export-qasm only applies to mode 'qwfc' (one circuit per run)")
     if args.exact_dist and config.mode == "cwfc":
         raise ConfigError("--exact-dist is only available for qwfc, hwfc and oracle modes")
+    if config.mode == "oracle" or (args.exact_dist and config.mode == "hwfc"):
+        _check_budget(config.topology.adjacency.n_segments, config.alphabet.n_values)
 
 
 def run(config: RunConfig, args, started: float) -> int:

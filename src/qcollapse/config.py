@@ -318,7 +318,10 @@ def _build_literal_rules(spec, alphabet, topology) -> Ruleset:
             raise ConfigError(f"rule {entry!r}: {exc}") from None
     if not rules:
         raise ConfigError("field 'rules' must define at least one rule")
-    return Ruleset(tuple(rules))
+    try:
+        return Ruleset(tuple(rules))
+    except ValueError as exc:
+        raise ConfigError(f"rules: {exc}") from None
 
 
 def _build_from_generator(spec, topology: Topology):

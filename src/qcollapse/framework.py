@@ -13,6 +13,7 @@ contracts (no mass on placed ids, at least one admissible id/value).
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 
 import numpy as np
 
@@ -36,14 +37,41 @@ class RandomSource:
         ties ascending; with ``draws``, an array of that many indices, equal to
         as many single draws.  Raises ContractError on an empty table or a
         total mass that is not finite and positive."""
-        if cum.size == 0:
-            raise ContractError("categorical draw from an empty table")
-        total = cum[-1]
-        if not (math.isfinite(total) and total > 0.0):
-            raise ContractError(f"categorical draw needs a finite positive total mass, got {total}")
-        u = self._rng.random(draws) * total
+        u = self._rng.random(draws) * _total(cum)
         idx = cum.searchsorted(u, side="right")
         return int(idx) if draws is None else idx
+
+    def uniforms(self, n: int) -> list[float]:
+        """The next ``n`` uniforms of the stream, as the uniforms ``n`` single
+        draws would take; ``give_back`` returns the unused ones."""
+        self._batch = (self._rng.bit_generator.state, n)
+        return self._rng.random(n).tolist()
+
+    def give_back(self, k: int) -> None:
+        """Return the last ``k`` uniforms of the last ``uniforms`` batch to the
+        stream: it then stands where ``n - k`` single draws leave it."""
+        state, n = self._batch
+        bit_generator = self._rng.bit_generator
+        bit_generator.state = state
+        bit_generator.advance(n - k)  # PCG64 spends one step per double
+
+
+def _total(cum) -> float:
+    """``cum[-1]``, checked: ContractError on an empty table or a total mass
+    that is not finite and positive."""
+    if len(cum) == 0:
+        raise ContractError("categorical draw from an empty table")
+    total = cum[-1]
+    if not 0.0 < total < math.inf:
+        raise ContractError(f"categorical draw needs a finite positive total mass, got {total}")
+    return total
+
+
+def draw_index(cum: tuple[float, ...], u: float) -> int:
+    """``RandomSource.draw`` from a cumulative table of floats, with the
+    uniform ``u`` it would take: ``bisect_right`` lands where
+    ``searchsorted(side="right")`` does, bit for bit.  Raises as ``draw``."""
+    return bisect_right(cum, u * _total(cum))
 
 
 def fixed_order_selector(order: tuple[int, ...], n_segments: int):

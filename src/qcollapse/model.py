@@ -180,6 +180,9 @@ class Ruleset:
     def __post_init__(self):
         if len(self.rules) < 1:
             raise ValueError("a ruleset needs at least one rule")
+        total = sum(r.weight for r in self.rules if not isinstance(r.weight, FunctionalWeight))
+        if not math.isfinite(total):
+            raise ValueError(f"constant rule weights sum to {total}, past the float64 range")
 
     def __len__(self) -> int:
         return len(self.rules)
@@ -232,8 +235,8 @@ class CompiledRuleset:
     def segment_weights(self, segment: int) -> tuple[tuple[float, ...], np.ndarray]:
         """The factors' outputs at ``segment`` and the weight row they give,
         resolved once per segment id; segments with equal outputs share one
-        row.  ``((), const_u)`` without factors.  A bad output is not kept,
-        so it raises on every call."""
+        row.  ``((), const_u)`` without factors.  A bad output, or a row whose
+        sum overflows, is not kept, so it raises on every call."""
         if not self.func_rows:
             return (), self.const_u
         entry = self._segment_weights.get(segment)
@@ -241,8 +244,12 @@ class CompiledRuleset:
             outputs = tuple(_factor_output(fw, segment) for _, fw in self.func_rows)
             u = self._rows.get(outputs)
             if u is None:
-                u = self._rows[outputs] = self.const_u.copy()
+                u = self.const_u.copy()
                 u[[row for row, _ in self.func_rows]] = outputs
+                total = sum(u.tolist())
+                if not math.isfinite(total):
+                    raise ValueError(f"weights at segment {segment} sum to {total}, past the float64 range")
+                self._rows[outputs] = u
             entry = self._segment_weights[segment] = (outputs, u)
         return entry
 
@@ -377,7 +384,7 @@ def _distribution_entry(
     ruleset: Ruleset,
     n_values: int,
     frozen: ContentInstance | None,
-) -> tuple[np.ndarray, float, np.ndarray]:
+) -> tuple[np.ndarray, float, tuple[float, ...]]:
     """``signature_entry`` for one segment of ``content`` (plus ``frozen``);
     raises ConflictError where it is None."""
     comp = ruleset.compiled
@@ -393,9 +400,9 @@ def _distribution_entry(
 
 def signature_entry(
     comp: CompiledRuleset, signature: tuple[int, ...], n_values: int, segment: int
-) -> tuple[np.ndarray, float, np.ndarray] | None:
-    """Cached (read-only probabilities, entropy in nats, read-only
-    cumulative) for ``segment`` under ``signature``, cut to
+) -> tuple[np.ndarray, float, tuple[float, ...]] | None:
+    """Cached (read-only probabilities, entropy in nats, cumulative sum as a
+    tuple of floats) for ``segment`` under ``signature``, cut to
     ``comp.max_direction``; None when no value is admissible.
 
     The vector reads the signature, W and the segment's weight row, which
@@ -427,10 +434,8 @@ def _fill_entry(comp: CompiledRuleset, signature, n_values: int, u: np.ndarray) 
         return _CONFLICT
     probs = weights / total
     nz = probs[probs > 0.0]
-    cumulative = np.cumsum(probs)
     probs.setflags(write=False)
-    cumulative.setflags(write=False)
-    return probs, float(-(nz * np.log(nz)).sum()), cumulative
+    return probs, float(-(nz * np.log(nz)).sum()), tuple(np.cumsum(probs).tolist())
 
 
 def value_distribution(

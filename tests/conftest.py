@@ -1,7 +1,8 @@
 """Shared helpers: an independent chain-rule enumerator, a pattern
-indicator, a dense gate-level executor and an entropy report used as
-references, small ruleset builders, the walked-state check, the selector
-contract checker, and the terminal report of the acceptance criteria."""
+indicator, a dense gate-level executor, an entropy report and a dense
+single-draw cwfc used as references, small ruleset builders, the
+walked-state check, the selector contract checker, and the terminal report
+of the acceptance criteria."""
 
 from __future__ import annotations
 
@@ -34,6 +35,8 @@ from qcollapse import (
     exact_distribution_oracle,
     shannon_entropy,
     simulate,
+    value_distribution,
+    with_restarts,
 )
 from qcollapse.classic import _ENTROPY_TIE_TOL
 
@@ -158,6 +161,27 @@ def entropy_report(adjacency, content, ruleset, n_values) -> EntropyReport:
     h_min = min(entropies.values())
     mins = tuple(i for i, h in sorted(entropies.items()) if h <= h_min + _ENTROPY_TIE_TOL)
     return EntropyReport(entropies, mins)
+
+
+def reference_cwfc(adjacency, alphabet, ruleset, rng, max_restarts=100, on_restart=None):
+    """cwfc as the paper states it, one dense draw at a time: each step
+    reports every unplaced segment's entropy, draws a segment with
+    ``rng.categorical`` uniformly over the minimizers, then its value from
+    its ``value_distribution``."""
+    n, n_values = adjacency.n_segments, alphabet.n_values
+
+    def attempt():
+        content = ContentInstance()
+        for _ in range(n):
+            minimizers = entropy_report(adjacency, content, ruleset, n_values).minimizers
+            probs = np.zeros(n)
+            probs[[i - 1 for i in minimizers]] = 1.0 / len(minimizers)
+            segment = rng.categorical(probs) + 1
+            values = value_distribution(segment, adjacency, content, ruleset, n_values)
+            content = content.add(segment, rng.categorical(values) + 1)
+        return content
+
+    return with_restarts(attempt, max_restarts, on_restart)
 
 
 def chain_adjacency(n_segments):

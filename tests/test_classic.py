@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import chain_adjacency, conflict_free_ruleset, entropy_report
+from conftest import chain_adjacency, conflict_free_ruleset, entropy_report, reference_cwfc
 
 from qcollapse import (
     AdjacencyConfig,
@@ -20,6 +20,7 @@ from qcollapse import (
     value_distribution,
 )
 from qcollapse.classic import Placement, draw_tie
+from qcollapse.framework import draw_index
 from qcollapse.model import constraint_signature
 from qcollapse.usecases import (
     checkerboard_ruleset,
@@ -85,9 +86,10 @@ SELECTOR_WORLDS = {
 }
 
 
-def _fan_world():
+def _fan_world(floor=0.2):
     """Ten segments where direction 1 names the next three segments, with
-    values that disagree often, so placed neighbours merge to -1."""
+    values that disagree often, so placed neighbours merge to -1.  With
+    ``floor=None`` no rule is floored, so attempts conflict often."""
     n = 10
     ahead = frozenset((i, j) for i in range(1, n + 1) for j in range(i + 1, i + 4) if j <= n)
     behind = frozenset((i + 1, i) for i in range(1, n))
@@ -98,7 +100,7 @@ def _fan_world():
         Rule(2, 0.5, Pattern.of((1, 3))),
         Rule(3, 2.0, Pattern.of((2, 1))),
     )
-    return adj, conflict_free_ruleset(rules, 3, floor=0.2), 3
+    return adj, conflict_free_ruleset(rules, 3, floor) if floor else Ruleset(rules), 3
 
 
 def test_draw_tie_is_the_dense_categorical_draw():
@@ -110,7 +112,7 @@ def test_draw_tie_is_the_dense_categorical_draw():
         mask = masks.random(n) < masks.choice((0.01, 0.1, 0.5, 1.0))
         mask[masks.integers(n)] = True
         sparse, dense = RandomSource(seed), RandomSource(seed)
-        got = draw_tie(np.flatnonzero(mask), sparse)
+        got = draw_tie(np.flatnonzero(mask).tolist(), sparse._rng.random())
         assert got == dense.categorical(mask.astype(float) / np.count_nonzero(mask)), seed
         assert sparse._rng.bit_generator.state == dense._rng.bit_generator.state, seed
 
@@ -135,17 +137,55 @@ def test_placement_codes_and_ties_match_a_fresh_report():
                     assert tuple(state.codes[seg - 1]) == expected, (world, k, seg)
                     merged += -1 in expected
                 report = entropy_report(adj, content, rs, n_values)
-                assert tuple(ties + 1) == report.minimizers, (world, k)
+                assert tuple(ties) == report.minimizers, (world, k)
                 for seg, h in report.entropies.items():
                     assert state.entropies[seg - 1] == h, (world, k, seg)
-                seg = draw_tie(ties, rng) + 1
+                seg = draw_tie(ties, rng._rng.random())
                 entry = state.entries[seg - 1]
                 assert entry[0].tobytes() == value_distribution(seg, adj, content, rs, n_values).tobytes()
-                assert entry[2].tobytes() == np.cumsum(entry[0]).tobytes()  # what categorical sums
-                state.place(seg, rng.draw(entry[2]) + 1)
+                assert np.array(entry[2]).tobytes() == np.cumsum(entry[0]).tobytes()  # what categorical sums
+                state.place(seg, draw_index(entry[2], rng._rng.random()) + 1)
             alphabet = make_alphabet(*(f"v{v}" for v in range(1, n_values + 1)))
             assert state.content() == cwfc_generate(adj, alphabet, rs, RandomSource(seed)), world
     assert merged > 0  # some direction held two disagreeing placed values
+
+
+def _run_shots(generate, adj, alphabet, rs, rng, shots, max_restarts):
+    """Each shot's instance or exhaustion message, the restarts taken and
+    the generator's state afterwards."""
+    restarts, outcomes = [0], []
+
+    def bump():
+        restarts[0] += 1
+
+    for _ in range(shots):
+        try:
+            outcomes.append(generate(adj, alphabet, rs, rng, max_restarts, bump))
+        except RestartsExhaustedError as exc:
+            outcomes.append(str(exc))
+    return outcomes, restarts[0], rng._rng.bit_generator.state
+
+
+def test_cwfc_batched_stream_is_the_dense_single_draw_stream():
+    """An attempt's one batch of uniforms, with the unused ones given back
+    on a conflict, moves the stream as the dense reference's two single
+    draws per step do: same instances, restarts, exhaustion messages and
+    generator state, over many conflicts."""
+    adj, rs, n_values = _fan_world(floor=None)
+    alphabet = make_alphabet(*(f"v{v}" for v in range(1, n_values + 1)))
+    restarts = exhausted = 0
+    for seed in range(200):
+        got = _run_shots(cwfc_generate, adj, alphabet, rs, RandomSource(seed), 3, 20)
+        assert got == _run_shots(reference_cwfc, adj, alphabet, rs, RandomSource(seed), 3, 20), seed
+        restarts += got[1]
+        exhausted += sum(isinstance(o, str) for o in got[0])
+    assert restarts == 673 and exhausted == 0
+    # with one restart allowed, shots run out of restarts as well
+    for seed in range(50):
+        got = _run_shots(cwfc_generate, adj, alphabet, rs, RandomSource(seed), 3, 1)
+        assert got == _run_shots(reference_cwfc, adj, alphabet, rs, RandomSource(seed), 3, 1), seed
+        exhausted += sum(isinstance(o, str) for o in got[0])
+    assert exhausted == 34
 
 
 def test_shared_ruleset_cache_matches_fresh_ruleset():

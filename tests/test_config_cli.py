@@ -194,6 +194,18 @@ def test_cli_validate_only_refuses_the_flags_a_run_refuses(tmp_path, capsys):
         assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "flags", [["--exact-dist"], ["--mode", "oracle"]], ids=["hwfc-exact-dist", "oracle"]
+)
+def test_cli_validate_only_checks_the_exact_budget_a_run_checks(tmp_path, capsys, flags):
+    for args in (["--validate-only"], ["--out", str(tmp_path / "out")]):
+        assert main(["--config", str(DEMO_CONFIGS / "pipes.yaml"), *flags, *args]) == 4
+        captured = capsys.readouterr()
+        assert "8^40 candidate instances exceed the budget" in captured.err
+        assert "config ok" not in captured.out
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_exit_code_validation(tmp_path, capsys):
     cfg = _write(tmp_path, "seed: 1\n")
     assert main(["--config", str(cfg)]) == 2
@@ -371,10 +383,17 @@ rules: {generator: %s}
 """
 
 
+# two weights, each finite, whose sum overflows float64
+HUGE_A = "{value: a, weight: 1.0e+308}\n  - {value: a, weight: 1.0e+308}"
+HUGE = {mode: TWO_CELLS.replace("{value: a}", HUGE_A).replace("mode: cwfc", f"mode: {mode}") for mode in MODES}
+HUGE["hwfc"] += 'partitions: "blocks:1"\n'
+HUGE_FACTOR = "{value: a, weight: {factor: above_bottom_layer, u: 1.0e+308, layer_size: 1}}"
+
 RULES_NESTED = TWO_CELLS.replace("\nrules:\n  - {value: a}\n  - {value: b}\n", "\nrules: %s%s\n")
 
-# one malformed field each, keyed by a word its error names; each used to
-# make a run exit 1 with a traceback
+# one malformed field each, keyed by a word its error names (and, after
+# " (", which case it is); each used to make a run exit 1 with a traceback
+# or pass unnoticed
 MALFORMED = {
     "weight": TWO_CELLS.replace("{value: a}", "{value: a, weight: heavy}"),
     "color": TWO_CELLS.replace("[a, b]", "[{name: a, color: red}, b]"),
@@ -439,6 +458,9 @@ MALFORMED = {
     ),
     "got 'ab'": TWO_CELLS.replace("[a, b]", "[{name: a, glyph: ab}, b]"),
     "got ''": TWO_CELLS.replace("[a, b]", "[{name: a, glyph: ''}, b]"),
+    # finite weights whose sum overflows: per mode a different failure, or none
+    **{f"float64 ({mode})": HUGE[mode] for mode in MODES},
+    "segment 2 sum to inf": TWO_CELLS.replace("{value: a}", f"{HUGE_FACTOR}\n  - {HUGE_FACTOR}"),
 }
 
 
@@ -448,7 +470,7 @@ def test_cli_malformed_field_exits_2(tmp_path, capsys, field):
     for args in (["--validate-only"], ["--out", str(tmp_path / "out")]):
         assert main(["--config", str(cfg), *args]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error:") and field in err
+        assert err.startswith("config error:") and field.split(" (")[0] in err
         assert "Traceback" not in err
 
 

@@ -84,6 +84,34 @@ def test_draw_checks_its_table_as_categorical_does(probs):
         RandomSource(0).draw(np.cumsum(probs), 3)
 
 
+@pytest.mark.parametrize("cum", [(), (0.0, 0.0), (0.5, -0.5), (0.5, float("nan")), (0.5, float("inf"))])
+def test_draw_index_checks_its_table_as_draw_does(cum):
+    with pytest.raises(ContractError):
+        framework.draw_index(cum, 0.5)
+
+
+def test_draw_index_is_draw_on_a_tuple():
+    tables = [np.array(p) for p in ([1.0], [0.1, 0.0, 0.6, 2.3], [0.0, 0.0, 5.0], np.full(300, 1 / 300))]
+    by_array, by_tuple = RandomSource(12), RandomSource(12)
+    for _ in range(200):
+        for probs in tables:
+            cum = np.cumsum(probs)
+            assert framework.draw_index(tuple(cum.tolist()), by_tuple._rng.random()) == by_array.draw(cum)
+
+
+@pytest.mark.parametrize("k", [0, 1, 99, 100])
+def test_giving_back_k_of_n_uniforms_is_n_minus_k_single_draws(k):
+    n = 100
+    batched, single = RandomSource(21), RandomSource(21)
+    batched.uniforms(7)  # a batch before, used up
+    single._rng.random(7)
+    batch = batched.uniforms(n)
+    batched.give_back(k)
+    assert batch[: n - k] == [single._rng.random() for _ in range(n - k)]
+    assert batched._rng.bit_generator.state == single._rng.bit_generator.state
+    assert batched._rng.random(5).tolist() == single._rng.random(5).tolist()
+
+
 def test_fixed_order_selector():
     sel = fixed_order_selector((3, 1, 2), 3)
     np.testing.assert_array_equal(sel(1, ContentInstance()), [0, 0, 1])

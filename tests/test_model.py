@@ -286,6 +286,19 @@ def test_functional_factor_must_return_finite(bad):
         value_distribution(1, adj, ContentInstance(), rs, 2)
 
 
+def test_weights_whose_sum_overflows_are_refused():
+    # each weight is finite; the sum the value distribution divides by is not
+    with pytest.raises(ValueError, match="constant rule weights sum to inf"):
+        Ruleset((Rule(1, 1e308, Pattern.of()), Rule(2, 1e308, Pattern.of())))
+    huge = make_factor("above_bottom_layer", u=1e308, layer_size=1)
+    rs = Ruleset((Rule(1, 1e308, Pattern.of()), Rule(1, huge, Pattern.of())))
+    adj = chain_adjacency(2)
+    assert value_distribution(1, adj, ContentInstance(), rs, 1).tolist() == [1.0]
+    for _ in range(2):  # the refused row is not kept
+        with pytest.raises(ValueError, match="weights at segment 2 sum to inf"):
+            value_distribution(2, adj, ContentInstance(), rs, 1)
+
+
 def test_functional_factor_layers():
     # 2-wide, 3-tall column world: bottom layer is ids 1..2
     adj = grid3d_topology(2, 1, 3).adjacency
