@@ -262,7 +262,7 @@ def _resolve_direction(raw, topology: Topology) -> int:
         d = raw
     elif isinstance(raw, str) and raw.lower() in aliases:
         d = aliases[raw.lower()]
-    elif isinstance(raw, str) and raw.lower().startswith("d") and raw[1:].isdigit():
+    elif isinstance(raw, str) and raw.lower().startswith("d") and raw[1:].isdecimal():
         d = int(raw[1:])
     else:
         raise ConfigError(f"unknown direction {raw!r}")
@@ -328,6 +328,9 @@ def _build_from_generator(spec, topology: Topology):
     """Returns (alphabet, ruleset, validator, default_partitioning)."""
     name = spec["generator"]
     params = {k: v for k, v in spec.items() if k != "generator"}
+    for key, raw in params.items():
+        if not _is_finite_number(raw):
+            raise ConfigError(f"generator {name!r} parameter {key!r} must be a finite number, got {raw!r}")
 
     def dims(*names):
         return tuple(topology.param(n) for n in names)

@@ -36,8 +36,8 @@ class CapacityError(GenerationError):
 
 
 class ContractError(GenerationError):
-    """A circuit operation found its target subspace in an unexpected state,
-    or a draw was asked of a table with no finite positive mass."""
+    """A walked state's squared norm drifted from 1, or a draw was asked of a
+    table with no finite positive mass."""
 
 
 class RestartsExhaustedError(GenerationError):

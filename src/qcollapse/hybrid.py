@@ -88,7 +88,7 @@ def _block_outcomes(
     placed segments of its boundary (all that ``constraint_signature``
     reads; see ``order_plan``), so the circuit is compiled on the
     interface alone and the state it walked is cached on the compiled
-    ruleset under that key; no second pass simulates the loads.  Conflicts
+    ruleset under that key; no second pass executes the loads.  Conflicts
     are not cached: they raise again on every call, named after partition
     ``h``.
     """

@@ -1,11 +1,11 @@
-"""Circuit compilation and statevector simulation for order-driven generation.
+"""Circuit compilation and the prepared state for order-driven generation.
 
 A ruleset plus a fixed segment order compiles into an ordered list of
 conditional probability loads: each load prepares one segment's qubit group
 in the square roots of its value distribution, conditioned on a basis
-assignment of previously prepared groups.  The built-in simulator executes
-these loads exactly; a lowering pass turns them into X and multi-controlled
-RY gates for export as OpenQASM 3.
+assignment of previously prepared groups.  The compile walks the state these
+loads prepare, exactly, and keeps it on the program; a lowering pass turns
+the loads into X and multi-controlled RY gates for export as OpenQASM 3.
 """
 
 from __future__ import annotations
@@ -110,9 +110,10 @@ class ConditionalLoad:
 class CircuitProgram:
     """Ordered conditional loads over a qubit layout.
 
-    ``state`` is the state the loads prepare, as ``simulate`` returns it,
-    when ``build_circuit`` walked it: None past INDEX_QUBIT_LIMIT qubits and
-    for programs built by hand.  It takes no part in comparisons.
+    ``state`` is the state the loads prepare, which ``build_circuit`` walks
+    and ``walked_state`` returns: None past INDEX_QUBIT_LIMIT qubits and for
+    programs built by hand, which the package does not execute.  It takes no
+    part in comparisons.
     """
 
     layout: QubitLayout
@@ -241,24 +242,26 @@ def build_circuit(
 
 
 def walked_state(circuit: CircuitProgram) -> SparseState:
-    """The state ``build_circuit`` walked, or ``simulate``'s if it kept none
-    (programs built by hand; past INDEX_QUBIT_LIMIT qubits that raises)."""
-    return simulate(circuit) if circuit.state is None else circuit.state
+    """The state ``build_circuit`` walked: ``circuit.state``.  Raises
+    CapacityError past INDEX_QUBIT_LIMIT qubits, where the compile keeps no
+    state, and ValueError for a program built by hand, whose loads the
+    package does not execute."""
+    if circuit.state is not None:
+        return circuit.state
+    if circuit.n_qubits > INDEX_QUBIT_LIMIT:
+        raise CapacityError(
+            f"{circuit.n_qubits} qubits exceed the limit of {INDEX_QUBIT_LIMIT} for int64 basis indices"
+        )
+    raise ValueError("a circuit program built by hand carries no walked state")
+
+
+# walked_state under the name perfbench traces and the demo scripts call.
+simulate = walked_state
 
 
 # --------------------------------------------------------------------------
-# statevector execution
+# the prepared state
 # --------------------------------------------------------------------------
-
-
-def _control_qubits(load: ConditionalLoad, layout: QubitLayout) -> list[tuple[int, int]]:
-    q = layout.bits_per_value
-    bits = []
-    for seg, val in load.controls:
-        off = layout.group_offset(seg)
-        for j in range(q):
-            bits.append((off + j, (val - 1) >> j & 1))
-    return bits
 
 
 @dataclass(frozen=True, eq=False)
@@ -292,58 +295,6 @@ class SparseState:
         cum = np.cumsum(self.probabilities)
         cum.setflags(write=False)
         return cum
-
-
-def simulate(circuit: CircuitProgram) -> SparseState:
-    """Execute the conditional loads from |0>; returns the final state.
-
-    The loads act on the support only: basis indices and real amplitudes of
-    the nonzero entries, which a load's controls match with one bitmask compare.
-    ``build_circuit``'s ``DEFAULT_SUPPORT_CAP`` bounds its size; no 2^Q vector is
-    written.
-
-    Raises CapacityError above INDEX_QUBIT_LIMIT qubits and ContractError if
-    a load finds its target group outside the ground state on a matched
-    subspace (which signals a malformed circuit).
-    """
-    if circuit.n_qubits > INDEX_QUBIT_LIMIT:
-        raise CapacityError(
-            f"{circuit.n_qubits} qubits exceed the limit of {INDEX_QUBIT_LIMIT} for int64 basis indices"
-        )
-    layout = circuit.layout
-    group = (1 << layout.bits_per_value) - 1
-    idx = np.zeros(1, dtype=np.int64)
-    amp = np.ones(1)
-
-    for load in circuit.loads:
-        cmask = cval = 0
-        for seg, val in load.controls:
-            off = layout.group_offset(seg)
-            cmask |= group << off
-            cval |= ((val - 1) & group) << off
-        matched = (idx & cmask) == cval
-        t0 = layout.group_offset(load.target)
-        base_idx = idx[matched]
-        base_amp = amp[matched]
-        lifted = (base_idx & (group << t0)) != 0
-        if lifted.any():
-            if base_amp[lifted].max() > _SIM_NORM_TOL:
-                raise ContractError(
-                    f"target group of segment {load.target} not in the ground state "
-                    f"on the control subspace at step {load.step}"
-                )
-            base_idx = base_idx[~lifted]
-            base_amp = base_amp[~lifted]
-        amplitudes = np.array(load.amplitudes)
-        values = np.nonzero(amplitudes)[0]
-        idx = np.concatenate(
-            [idx[~matched], (base_idx[:, None] | (values << t0)[None, :]).ravel()]
-        )
-        amp = np.concatenate(
-            [amp[~matched], (base_amp[:, None] * amplitudes[values][None, :]).ravel()]
-        )
-
-    return _sparse_state(layout, idx, amp)
 
 
 def _sparse_state(layout: QubitLayout, idx: np.ndarray, amp: np.ndarray) -> SparseState:
@@ -407,6 +358,16 @@ class ControlledRY:
 class GateList:
     n_qubits: int
     gates: tuple
+
+
+def _control_qubits(load: ConditionalLoad, layout: QubitLayout) -> list[tuple[int, int]]:
+    q = layout.bits_per_value
+    bits = []
+    for seg, val in load.controls:
+        off = layout.group_offset(seg)
+        for j in range(q):
+            bits.append((off + j, (val - 1) >> j & 1))
+    return bits
 
 
 def lower_to_gates(circuit: CircuitProgram) -> GateList:

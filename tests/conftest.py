@@ -1,8 +1,8 @@
 """Shared helpers: an independent chain-rule enumerator, a pattern
-indicator, a dense gate-level executor, an entropy report and a dense
-single-draw cwfc used as references, small ruleset builders, the
-walked-state check, the selector contract checker, and the terminal report
-of the acceptance criteria."""
+indicator, a load-by-load executor, a dense gate-level executor, an entropy
+report and a dense single-draw cwfc used as references, small ruleset
+builders, the walked-state check, the selector contract checker, and the
+terminal report of the acceptance criteria."""
 
 from __future__ import annotations
 
@@ -25,8 +25,10 @@ import numpy as np
 
 from qcollapse import (
     AdjacencyConfig,
+    CapacityError,
     ConflictError,
     ContentInstance,
+    ContractError,
     Pattern,
     Rule,
     Ruleset,
@@ -34,11 +36,11 @@ from qcollapse import (
     encode_values,
     exact_distribution_oracle,
     shannon_entropy,
-    simulate,
     value_distribution,
     with_restarts,
 )
 from qcollapse.classic import _ENTROPY_TIE_TOL
+from qcollapse.quantum import INDEX_QUBIT_LIMIT, _SIM_NORM_TOL, _sparse_state
 
 
 def reference_chain_distribution(adjacency, ruleset, n_values, order):
@@ -99,6 +101,58 @@ def pattern_matches(segment, adjacency, content, pattern, frozen=None):
             if actual is not None and actual != v:
                 return 0
     return 1
+
+
+def simulate_loads(circuit):
+    """Execute the conditional loads from |0>; returns the final state.
+
+    The loads act on the support only: basis indices and real amplitudes of
+    the nonzero entries, which a load's controls match with one bitmask compare.
+    ``build_circuit``'s ``DEFAULT_SUPPORT_CAP`` bounds its size; no 2^Q vector is
+    written.
+
+    Raises CapacityError above INDEX_QUBIT_LIMIT qubits and ContractError if
+    a load finds its target group outside the ground state on a matched
+    subspace (which signals a malformed circuit).
+    """
+    if circuit.n_qubits > INDEX_QUBIT_LIMIT:
+        raise CapacityError(
+            f"{circuit.n_qubits} qubits exceed the limit of {INDEX_QUBIT_LIMIT} for int64 basis indices"
+        )
+    layout = circuit.layout
+    group = (1 << layout.bits_per_value) - 1
+    idx = np.zeros(1, dtype=np.int64)
+    amp = np.ones(1)
+
+    for load in circuit.loads:
+        cmask = cval = 0
+        for seg, val in load.controls:
+            off = layout.group_offset(seg)
+            cmask |= group << off
+            cval |= ((val - 1) & group) << off
+        matched = (idx & cmask) == cval
+        t0 = layout.group_offset(load.target)
+        base_idx = idx[matched]
+        base_amp = amp[matched]
+        lifted = (base_idx & (group << t0)) != 0
+        if lifted.any():
+            if base_amp[lifted].max() > _SIM_NORM_TOL:
+                raise ContractError(
+                    f"target group of segment {load.target} not in the ground state "
+                    f"on the control subspace at step {load.step}"
+                )
+            base_idx = base_idx[~lifted]
+            base_amp = base_amp[~lifted]
+        amplitudes = np.array(load.amplitudes)
+        values = np.nonzero(amplitudes)[0]
+        idx = np.concatenate(
+            [idx[~matched], (base_idx[:, None] | (values << t0)[None, :]).ravel()]
+        )
+        amp = np.concatenate(
+            [amp[~matched], (base_amp[:, None] * amplitudes[values][None, :]).ravel()]
+        )
+
+    return _sparse_state(layout, idx, amp)
 
 
 def _split_selectors(bits, t0, width, n_qubits):
@@ -198,9 +252,9 @@ def conflict_free_ruleset(rules, n_values, floor=1e-6):
 
 
 def assert_walked_state_is_simulated(circuit):
-    """The state the compile walked is ``simulate``'s, bit for bit: the same
-    layout, and indices and probabilities of the same dtypes and values."""
-    walked, simulated = circuit.state, simulate(circuit)
+    """The state the compile walked is ``simulate_loads``'s, bit for bit: the
+    same layout, and indices and probabilities of the same dtypes and values."""
+    walked, simulated = circuit.state, simulate_loads(circuit)
     assert walked.layout == simulated.layout
     for got, want in ((walked.indices, simulated.indices), (walked.probabilities, simulated.probabilities)):
         assert got.dtype == want.dtype and np.array_equal(got, want)

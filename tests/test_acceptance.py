@@ -13,7 +13,7 @@ import conftest
 
 import numpy as np
 import pytest
-from conftest import max_prob_deviation, simulate_gates
+from conftest import max_prob_deviation, simulate_gates, simulate_loads
 
 from qcollapse import (
     ContentInstance,
@@ -30,7 +30,6 @@ from qcollapse import (
     lower_to_gates,
     ruleset_value_selector,
     sample_shots,
-    simulate,
 )
 from qcollapse import framework
 from qcollapse.cli import main
@@ -59,7 +58,7 @@ def test_criterion_1_checkerboard_exact_distribution():
     started = time.perf_counter()
     uc = checkerboard_usecase(3, 3)
     circuit = build_circuit(uc.adjacency, 2, uc.ruleset, uc.order)
-    dist = exact_distribution(simulate(circuit), circuit.layout)
+    dist = exact_distribution(simulate_loads(circuit), circuit.layout)
     elapsed = time.perf_counter() - started
     ok = (
         set(dist.probs) == {170, 341}
@@ -111,7 +110,7 @@ def test_criterion_3_randomized_circuit_vs_oracle():
         order = tuple(int(s) for s in rng.permutation(n) + 1)
         adj = chain_adjacency(n)
         circuit = build_circuit(adj, w, ruleset, order)
-        dist = exact_distribution(simulate(circuit), circuit.layout)
+        dist = exact_distribution(simulate_loads(circuit), circuit.layout)
         oracle = exact_distribution_oracle(
             n, w, fixed_order_selector(order, n), ruleset_value_selector(adj, ruleset, w)
         )
@@ -127,13 +126,13 @@ def test_criterion_4_partitioned_factorization():
     started = time.perf_counter()
     uc = checkerboard_usecase(2, 2)
     circuit = build_circuit(uc.adjacency, 2, uc.ruleset, uc.order)
-    joint = exact_distribution(simulate(circuit), circuit.layout)
+    joint = exact_distribution(simulate_loads(circuit), circuit.layout)
     split = hwfc_exact_distribution(uc.adjacency, 2, uc.ruleset, equal_blocks(4, 2))
     dev_checker = max_prob_deviation(joint.probs, split.probs)
 
     hx = hexmap_usecase(1)
     circuit = build_circuit(hx.adjacency, 4, hx.ruleset, hx.order)
-    joint = exact_distribution(simulate(circuit), circuit.layout)
+    joint = exact_distribution(simulate_loads(circuit), circuit.layout)
     split = hwfc_exact_distribution(hx.adjacency, 4, hx.ruleset, hx.partitioning)
     dev_hex = max_prob_deviation(joint.probs, split.probs)
 
@@ -208,7 +207,7 @@ def test_criterion_7_gate_level_round_trip():
     for name, uc in corpus:
         circuit = build_circuit(uc.adjacency, uc.alphabet.n_values, uc.ruleset, uc.order)
         assert circuit.n_qubits <= 14, name
-        psi = simulate(circuit)
+        psi = simulate_loads(circuit)
         psi_gate = simulate_gates(lower_to_gates(circuit))
         worst = max(worst, float(np.abs(np.abs(psi_gate) ** 2 - np.abs(psi) ** 2).max()))
     elapsed = time.perf_counter() - started
@@ -241,7 +240,7 @@ def test_criterion_9_single_hexagon_distribution():
     started = time.perf_counter()
     uc = hexmap_usecase(0, 5.0)
     circuit = build_circuit(uc.adjacency, 4, uc.ruleset, (1,))
-    dist = exact_distribution(simulate(circuit), circuit.layout)
+    dist = exact_distribution(simulate_loads(circuit), circuit.layout)
     expected = {0: 320 / 1842, 1: 729 / 1842, 2: 729 / 1842, 3: 64 / 1842}
     dev = max(abs(dist.probs.get(k, 0.0) - p) for k, p in expected.items())
     elapsed = time.perf_counter() - started
@@ -262,7 +261,7 @@ QWFC_EXACT_WORLDS = (
 def test_sparse_state_sampling_matches_per_shot_decode(name, make):
     uc = make()
     circuit = build_circuit(uc.adjacency, uc.alphabet.n_values, uc.ruleset, uc.order)
-    state = simulate(circuit)
+    state = simulate_loads(circuit)
     assert np.count_nonzero(state) == len(state.indices)
     shots = sample_shots(state, circuit.layout, 1000, RandomSource(11))
     drawn = RandomSource(11).draw(np.cumsum(state.probabilities), 1000)
@@ -278,7 +277,7 @@ def test_platformer_4x2_exact_distribution_matches_oracle(monkeypatch):
     n, w = uc.adjacency.n_segments, uc.alphabet.n_values
     circuit = build_circuit(uc.adjacency, w, uc.ruleset, uc.order)
     assert circuit.n_qubits == 24
-    dist = exact_distribution(simulate(circuit), circuit.layout)
+    dist = exact_distribution(simulate_loads(circuit), circuit.layout)
     monkeypatch.setattr(framework, "EXACT_BUDGET", w**n)
     oracle = exact_distribution_oracle(
         n,

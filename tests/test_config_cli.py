@@ -442,6 +442,10 @@ MALFORMED = {
         "alphabet: [a, b]\nrules:\n  - {value: a}\n  - {value: b}\n", "rules: {generator: pipes, bogus: 3}\n"
     ),
     "shot": TWO_CELLS + "shot: 5\n",
+    # a direction whose digits are not decimal, and a generator parameter
+    # that is no number: the first exited 1, the second ran at weight True
+    "d\u00b2": TWO_CELLS.replace("{value: b}", "{value: b, pattern: {d\u00b2: a}}"),
+    "u_blue": HEXMAP_R0.replace("u_blue: 5.0", "u_blue: true").replace('partitions: "blocks:8"\n', ""),
     # nested past the YAML parser's recursion, at two depths
     "nested": RULES_NESTED % ("[" * 500, "]" * 500),
     "too deep": RULES_NESTED % ("[" * 5000, "]" * 5000),

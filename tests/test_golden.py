@@ -11,6 +11,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from conftest import simulate_loads
 
 from qcollapse import (
     ConflictError,
@@ -26,7 +27,6 @@ from qcollapse import (
     hwfc_generate,
     lower_to_gates,
     sample_shots,
-    simulate,
     with_restarts,
 )
 from qcollapse.cli import main
@@ -210,7 +210,7 @@ def test_qwfc_circuit_golden(world):
     make, expected = QWFC_CIRCUITS[world]
     uc = make()
     circuit = build_circuit(uc.adjacency, uc.alphabet.n_values, uc.ruleset, uc.order)
-    support = sorted(exact_distribution(simulate(circuit), circuit.layout).probs)
+    support = sorted(exact_distribution(simulate_loads(circuit), circuit.layout).probs)
     digest = hashlib.sha256(",".join(map(str, support)).encode()).hexdigest()
     assert (len(circuit.loads), circuit.n_qubits, len(support), digest) == expected
 
@@ -245,7 +245,7 @@ def test_qwfc_shots_golden(world):
     make, expected = SHOT_KEYS[world]
     uc = make()
     circuit = build_circuit(uc.adjacency, uc.alphabet.n_values, uc.ruleset, uc.order)
-    shots = sample_shots(simulate(circuit), circuit.layout, 1000, RandomSource(SAMPLE_SEED))
+    shots = sample_shots(simulate_loads(circuit), circuit.layout, 1000, RandomSource(SAMPLE_SEED))
     layout = circuit.layout
     assert _digest(encode_values(s.mapping, layout.segments, layout.n_values) for s in shots) == expected
 

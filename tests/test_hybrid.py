@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import assert_walked_state_is_simulated, max_prob_deviation
+from conftest import assert_walked_state_is_simulated, max_prob_deviation, simulate_loads
 
 from qcollapse import (
     AdjacencyConfig,
@@ -21,7 +21,6 @@ from qcollapse import (
     hwfc_exact_distribution,
     hwfc_generate,
     encode_values,
-    simulate,
     validate_partitioning,
     with_restarts,
 )
@@ -66,7 +65,7 @@ def test_hwfc_generate_matches_validator_and_seed():
 def test_hwfc_factorizes_checkerboard():
     uc = checkerboard_usecase(2, 2)
     circuit = build_circuit(uc.adjacency, 2, uc.ruleset, uc.order)
-    joint = exact_distribution(simulate(circuit), circuit.layout)
+    joint = exact_distribution(simulate_loads(circuit), circuit.layout)
     split = hwfc_exact_distribution(uc.adjacency, 2, uc.ruleset, equal_blocks(4, 2))
     assert max_prob_deviation(joint.probs, split.probs) < 1e-12
 
@@ -74,7 +73,7 @@ def test_hwfc_factorizes_checkerboard():
 def test_hwfc_factorizes_hexmap():
     uc = hexmap_usecase(1)
     circuit = build_circuit(uc.adjacency, 4, uc.ruleset, uc.order)
-    joint = exact_distribution(simulate(circuit), circuit.layout)
+    joint = exact_distribution(simulate_loads(circuit), circuit.layout)
     split = hwfc_exact_distribution(uc.adjacency, 4, uc.ruleset, uc.partitioning)
     assert max_prob_deviation(joint.probs, split.probs) < 1e-12
 

@@ -7,6 +7,7 @@ from conftest import (
     max_prob_deviation,
     pattern_matches,
     simulate_gates,
+    simulate_loads,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,7 +26,6 @@ from qcollapse import (
     fixed_order_selector,
     lower_to_gates,
     ruleset_value_selector,
-    simulate,
 )
 
 # Random chain-world rulesets: N segments in a line, patterns over the two
@@ -55,7 +55,7 @@ def test_circuit_matches_oracle(setup):
     n, w, ruleset, order = setup
     adj = chain_adjacency(n)
     circuit = build_circuit(adj, w, ruleset, order)
-    dist = exact_distribution(simulate(circuit), circuit.layout)
+    dist = exact_distribution(simulate_loads(circuit), circuit.layout)
     oracle = exact_distribution_oracle(
         n, w, fixed_order_selector(order, n), ruleset_value_selector(adj, ruleset, w)
     )
@@ -69,7 +69,7 @@ def test_gate_lowering_preserves_distribution(setup):
     n, w, ruleset, order = setup
     adj = chain_adjacency(n)
     circuit = build_circuit(adj, w, ruleset, order)
-    psi = simulate(circuit)
+    psi = simulate_loads(circuit)
     psi_gate = simulate_gates(lower_to_gates(circuit))
     assert np.abs(np.abs(psi_gate) ** 2 - np.abs(psi) ** 2).max() < 1e-9
 

@@ -10,6 +10,7 @@ from conftest import (
     max_prob_deviation,
     reference_chain_distribution,
     simulate_gates,
+    simulate_loads,
 )
 from test_golden import QWFC_CIRCUITS
 
@@ -34,7 +35,6 @@ from qcollapse import (
     export_qasm,
     lower_to_gates,
     sample_shots,
-    simulate,
 )
 from qcollapse import quantum
 from qcollapse.quantum import order_plan, walked_state
@@ -132,7 +132,7 @@ def test_capacity_caps(monkeypatch):
     wide = checkerboard_usecase(8, 8)
     circuit = build_circuit(wide.adjacency, 2, wide.ruleset, wide.order)
     with pytest.raises(CapacityError, match="limit of 63"):
-        simulate(circuit)
+        simulate_loads(circuit)
     # support cap: uniform unconstrained rules double the support each step
     adj = chain_adjacency(8)
     rs = conflict_free_ruleset((), 2)
@@ -166,7 +166,7 @@ def test_simulate_matches_reference_distribution():
     )
     order = (1, 2, 3, 4)
     circuit = build_circuit(adj, 3, rs, order)
-    psi = simulate(circuit)
+    psi = simulate_loads(circuit)
     dist = exact_distribution(psi, circuit.layout)
     ref = reference_chain_distribution(adj, rs, 3, order)
     assert max_prob_deviation(dist.probs, ref) < 1e-12
@@ -178,7 +178,7 @@ def test_exact_distribution_lists_the_whole_support():
     adj, order = chain_adjacency(3), (1, 2, 3)
     rs = conflict_free_ruleset((Rule(1, 1.0, Pattern.of()),), 2, floor=1e-6)
     circuit = build_circuit(adj, 2, rs, order)
-    state = simulate(circuit)
+    state = simulate_loads(circuit)
     dist = exact_distribution(state, circuit.layout)
     ref = reference_chain_distribution(adj, rs, 2, order)
     assert len(state.indices) == len(ref) == 8
@@ -190,7 +190,7 @@ def test_exact_distribution_lists_the_whole_support():
 def test_sparse_state_indices_and_dense_view():
     adj = chain_adjacency(4)
     rs = conflict_free_ruleset((Rule(1, 3.0, Pattern.of((2, 1))),), 3, floor=0.5)
-    state = simulate(build_circuit(adj, 3, rs, (3, 1, 4, 2)))
+    state = simulate_loads(build_circuit(adj, 3, rs, (3, 1, 4, 2)))
     assert state.indices.dtype == np.int64 and state.probabilities.dtype == np.float64
     assert len(state.indices) > 1 and (np.diff(state.indices) > 0).all()
     assert (state.probabilities > 0.0).all()
@@ -213,7 +213,7 @@ def test_sparse_state_wide_circuit_and_dense_cap():
     uc = checkerboard_usecase(7, 7)
     circuit = build_circuit(uc.adjacency, 2, uc.ruleset, uc.order)
     assert circuit.n_qubits == 49
-    state = simulate(circuit)
+    state = simulate_loads(circuit)
     dist = exact_distribution(state, circuit.layout)
     assert len(dist.probs) == 2 and all(p == pytest.approx(0.5) for p in dist.probs.values())
     shots = sample_shots(state, circuit.layout, 50, RandomSource(4))
@@ -222,7 +222,7 @@ def test_sparse_state_wide_circuit_and_dense_cap():
         np.asarray(state)
     narrow = checkerboard_usecase(9, 3)  # 27 qubits, one past the dense cap
     with pytest.raises(CapacityError, match="dense view"):
-        np.asarray(simulate(build_circuit(narrow.adjacency, 2, narrow.ruleset, narrow.order)))
+        np.asarray(simulate_loads(build_circuit(narrow.adjacency, 2, narrow.ruleset, narrow.order)))
 
 
 def test_simulate_out_of_order_segments():
@@ -230,7 +230,7 @@ def test_simulate_out_of_order_segments():
     uc = checkerboard_usecase(3, 3)
     order = tuple(range(9, 0, -1))
     circuit = build_circuit(uc.adjacency, 2, uc.ruleset, order)
-    dist = exact_distribution(simulate(circuit), circuit.layout)
+    dist = exact_distribution(simulate_loads(circuit), circuit.layout)
     assert set(dist.probs) == {170, 341}
 
 
@@ -238,21 +238,21 @@ def test_simulate_contract_violation():
     layout = QubitLayout((1,), 2)
     load = ConditionalLoad(1, (), 1, (math.sqrt(0.5), math.sqrt(0.5)))
     with pytest.raises(ContractError):
-        simulate(CircuitProgram(layout, (load, load)))  # reloads a lifted group
+        simulate_loads(CircuitProgram(layout, (load, load)))  # reloads a lifted group
 
 
 def test_frozen_context_conditions_circuit():
     adj = grid2d_topology(2, 1).adjacency
     rs = checkerboard_ruleset()
     circuit = build_circuit(adj, 2, rs, (2,), frozen=ContentInstance(((1, 1),)))
-    dist = exact_distribution(simulate(circuit), circuit.layout)
+    dist = exact_distribution(simulate_loads(circuit), circuit.layout)
     assert dist.probs == pytest.approx({1: 1.0})  # forced to the other color
 
 
 def test_sample_shots_deterministic_and_in_support():
     uc = checkerboard_usecase(3, 3)
     circuit = build_circuit(uc.adjacency, 2, uc.ruleset, uc.order)
-    psi = simulate(circuit)
+    psi = simulate_loads(circuit)
     a = sample_shots(psi, circuit.layout, 25, RandomSource(2))
     b = sample_shots(psi, circuit.layout, 25, RandomSource(2))
     assert a == b
@@ -283,7 +283,7 @@ def test_gate_lowering_round_trip(n_values):
     ]
     rs = conflict_free_ruleset(rules, n_values, floor=0.1)
     circuit = build_circuit(adj, n_values, rs, (1, 2, 3))
-    psi_ref = simulate(circuit)
+    psi_ref = simulate_loads(circuit)
     psi_gate = simulate_gates(lower_to_gates(circuit))
     assert np.abs(np.abs(psi_gate) ** 2 - np.abs(psi_ref) ** 2).max() < 1e-9
 
@@ -341,21 +341,30 @@ def test_no_walked_state_past_the_index_limit_or_by_hand():
     wide = checkerboard_usecase(8, 8)
     circuit = build_circuit(wide.adjacency, 2, wide.ruleset, wide.order)
     assert circuit.state is None
-    # the accessor and the reference executor refuse it with one message
-    for read in (walked_state, simulate):
+    # both names of the accessor, and the reference executor, refuse it with one message
+    for read in (walked_state, quantum.simulate, simulate_loads):
         with pytest.raises(CapacityError) as err:
             read(circuit)
         assert str(err.value) == "64 qubits exceed the limit of 63 for int64 basis indices"
-    small = checkerboard_usecase(3, 3)
-    circuit = build_circuit(small.adjacency, 2, small.ruleset, small.order)
-    assert walked_state(circuit) is circuit.state
     load = ConditionalLoad(1, (), 1, (math.sqrt(0.5), math.sqrt(0.5)))
     by_hand = CircuitProgram(QubitLayout((1,), 2), (load,))
     assert by_hand.state is None
-    # a program built by hand is simulated
-    walked, simulated = walked_state(by_hand), simulate(by_hand)
-    assert np.array_equal(walked.indices, simulated.indices)
-    assert np.array_equal(walked.probabilities, simulated.probabilities)
+    # the package does not execute a program built by hand; the reference does
+    for read in (walked_state, quantum.simulate):
+        with pytest.raises(ValueError, match="built by hand"):
+            read(by_hand)
+    state = simulate_loads(by_hand)
+    assert state.indices.tolist() == [0, 1]
+    assert state.probabilities.tolist() == pytest.approx([0.5, 0.5])
+
+
+def test_simulate_is_the_walked_state():
+    assert quantum.simulate is walked_state
+    uc = checkerboard_usecase(3, 3)
+    circuit = build_circuit(uc.adjacency, 2, uc.ruleset, uc.order)
+    assert circuit.state is not None
+    assert quantum.simulate(circuit) is circuit.state
+    assert walked_state(circuit) is circuit.state
 
 
 def test_compile_errors_name_their_iteration(monkeypatch):

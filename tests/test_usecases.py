@@ -2,6 +2,7 @@ from itertools import product
 
 import numpy as np
 import pytest
+from conftest import simulate_loads
 
 from qcollapse import (
     ContentInstance,
@@ -11,7 +12,6 @@ from qcollapse import (
     exact_distribution,
     hwfc_generate,
     sample_shots,
-    simulate,
     value_distribution,
     with_restarts,
 )
@@ -86,7 +86,7 @@ def test_hexmap_single_cell_distribution():
     """
     uc = hexmap_usecase(0, 5.0)
     circuit = build_circuit(uc.adjacency, 4, uc.ruleset, (1,))
-    dist = exact_distribution(simulate(circuit), circuit.layout)
+    dist = exact_distribution(simulate_loads(circuit), circuit.layout)
     expected = {0: 320 / 1842, 1: 729 / 1842, 2: 729 / 1842, 3: 64 / 1842}
     for key, p in expected.items():
         assert abs(dist.probs[key] - p) < 1e-12
