@@ -256,13 +256,19 @@ def _resolve_value(raw, alphabet: Alphabet) -> int:
     return value
 
 
+def _is_ascii_digits(text: str) -> bool:
+    """True for a nonempty run of 0-9 only; ``int`` would also read other
+    scripts' decimal digits."""
+    return text.isascii() and text.isdecimal()
+
+
 def _resolve_direction(raw, topology: Topology) -> int:
     aliases = _DIRECTION_ALIASES.get(topology.kind, {})
     if _is_int(raw):
         d = raw
     elif isinstance(raw, str) and raw.lower() in aliases:
         d = aliases[raw.lower()]
-    elif isinstance(raw, str) and raw.lower().startswith("d") and raw[1:].isdecimal():
+    elif isinstance(raw, str) and raw.lower().startswith("d") and _is_ascii_digits(raw[1:]):
         d = int(raw[1:])
     else:
         raise ConfigError(f"unknown direction {raw!r}")
@@ -379,7 +385,7 @@ def _build_partitioning(spec, topology: Topology) -> Partitioning | None:
         part = Partitioning(tuple(_ids(block, "each block of field 'partitions'") for block in spec))
     elif isinstance(spec, str) and ":" in spec:
         scheme, _, count = spec.partition(":")
-        if not count.isdecimal():
+        if not _is_ascii_digits(count):
             raise ConfigError(f"partition count in {spec!r} must be an integer")
         h = int(count)
         if not 1 <= h <= n:

@@ -88,9 +88,9 @@ def _block_outcomes(
     placed segments of its boundary (all that ``constraint_signature``
     reads; see ``order_plan``), so the circuit is compiled on the
     interface alone and the state it walked is cached on the compiled
-    ruleset under that key; no second pass executes the loads.  Conflicts
-    are not cached: they raise again on every call, named after partition
-    ``h``.
+    ruleset under that key; its loads are never read, so none is built.
+    Conflicts are not cached: they raise again on every call, named after
+    partition ``h``.
     """
     _, boundary = order_plan(adjacency, ruleset, block)
     interface = tuple((s, values[s]) for s in boundary if s in values)

@@ -204,7 +204,7 @@ class CompiledRuleset:
     def __init__(self, ruleset: Ruleset):
         m = len(ruleset.rules)
         # (probabilities, entropy, cumulative) keyed (signature, W, factor
-        # outputs); see _distribution_entry.
+        # outputs); see signature_entry.
         self.dist_cache: dict[tuple, object] = {}
         # hwfc block states, keyed (adjacency, W, block, interface); see
         # hybrid._block_outcomes.
@@ -450,7 +450,9 @@ def value_distribution(
     segment.
 
     Each value's weight is the sum of rule weights whose pattern matches the
-    placed content (plus the frozen context, if any).  Raises ConflictError
+    placed content (plus the frozen context, if any).  The oracle's selector
+    and the tests call it; the circuit compile and cwfc derive their
+    signatures themselves and read ``signature_entry``.  Raises ConflictError
     when every weight vanishes, and ValueError when a rule's value lies
     outside [1, n_values], a pattern direction outside [1, D], or a
     functional weight returns a value that is not finite and >= 0.

@@ -4,15 +4,18 @@ A ruleset plus a fixed segment order compiles into an ordered list of
 conditional probability loads: each load prepares one segment's qubit group
 in the square roots of its value distribution, conditioned on a basis
 assignment of previously prepared groups.  The compile walks the state these
-loads prepare, exactly, and keeps it on the program; a lowering pass turns
-the loads into X and multi-controlled RY gates for export as OpenQASM 3.
+loads prepare, exactly, and keeps it on the program with each step's loads
+in table form; the ``ConditionalLoad`` objects are built only when read.  A
+lowering pass turns the loads into X and multi-controlled RY gates for
+export as OpenQASM 3.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -24,8 +27,11 @@ from .model import (
     Distribution,
     Ruleset,
     bits_per_value,
-    value_distribution,
+    signature_entry,
 )
+
+# Unused here; perfbench/layers.py wraps this name on this module.
+from .model import value_distribution  # noqa: F401
 
 _AMP_NORM_TOL = 1e-12
 _SIM_NORM_TOL = 1e-9
@@ -98,31 +104,79 @@ class ConditionalLoad:
     def __post_init__(self):
         if any(seg == self.target for seg, _ in self.controls):
             raise ValueError("load target cannot be one of its own controls")
-        # negated compares, so that NaN fails them
-        norm = math.fsum(a * a for a in self.amplitudes)
+        _check_amplitudes(np.array((self.amplitudes,), dtype=float))
+
+
+def _check_amplitudes(table: np.ndarray) -> None:
+    """Raise ValueError unless every row of ``table`` is finite with squared
+    norm 1 and nonnegative."""
+    # negated compares, so that NaN fails them
+    for norm in np.add.reduce(table * table, axis=1).tolist():
         if not abs(norm - 1.0) <= _AMP_NORM_TOL:
             raise ValueError(f"load amplitudes must be finite with squared norm 1, got {norm}")
-        if not min(self.amplitudes) >= 0.0:
-            raise ValueError(f"load amplitudes must be nonnegative, got {min(self.amplitudes)}")
+    low = float(np.minimum.reduce(table, axis=None))
+    if not low >= 0.0:
+        raise ValueError(f"load amplitudes must be nonnegative, got {low}")
 
 
-@dataclass(frozen=True)
+class StepTable(NamedTuple):
+    """One compile step's loads as a table.
+
+    ``values[i]`` lists the dependency values of the step's i-th reachable
+    control assignment (ascending by basis key).  It loads row ``rows[i]``
+    of ``amplitudes``: the roots of the distribution ``signature_entry``
+    gives under ``signatures[rows[i]]``.
+    """
+
+    step: int
+    target: int
+    deps: tuple[int, ...]
+    values: list[list[int]]
+    signatures: list[tuple[int, ...]]
+    rows: list[int]
+    amplitudes: np.ndarray
+
+    def loads(self) -> list[ConditionalLoad]:
+        """The step's loads, in sorted control-tuple order."""
+        controls = [tuple(zip(self.deps, vals)) for vals in self.values]
+        table, rows = self.amplitudes.tolist(), self.rows
+        return [
+            ConditionalLoad(self.step, controls[i], self.target, tuple(table[rows[i]]))
+            for i in sorted(range(len(controls)), key=controls.__getitem__)
+        ]
+
+
+@dataclass(frozen=True, eq=False)
 class CircuitProgram:
     """Ordered conditional loads over a qubit layout.
 
+    ``build_circuit`` keeps each step's loads as a ``StepTable``; ``loads``
+    builds the ``ConditionalLoad``s from them on first read.  A program
+    built by hand comes from ``CircuitProgram.from_loads``.
+
     ``state`` is the state the loads prepare, which ``build_circuit`` walks
     and ``walked_state`` returns: None past INDEX_QUBIT_LIMIT qubits and for
-    programs built by hand, which the package does not execute.  It takes no
-    part in comparisons.
+    programs built by hand, which the package does not execute.
     """
 
     layout: QubitLayout
-    loads: tuple[ConditionalLoad, ...]
-    state: SparseState | None = field(default=None, compare=False)
+    steps: tuple[StepTable, ...] = ()
+    state: SparseState | None = None
 
     @property
     def n_qubits(self) -> int:
         return self.layout.n_qubits
+
+    @cached_property
+    def loads(self) -> tuple[ConditionalLoad, ...]:
+        return tuple(load for step in self.steps for load in step.loads())
+
+    @classmethod
+    def from_loads(cls, layout: QubitLayout, loads) -> CircuitProgram:
+        """A program built by hand: these loads, no steps and no state."""
+        program = cls(layout)
+        program.__dict__["loads"] = tuple(loads)  # the value ``loads`` caches
+        return program
 
 
 def order_plan(
@@ -169,76 +223,120 @@ def build_circuit(
     The compile walks the reachable support in array form: one row per
     reachable partial assignment, its basis index in the layout and the real
     product of its amplitudes.  Each step masks the rows down to its
-    ``order_plan`` dependency groups to find the control assignments, loads
-    each one (in sorted tuple order) and expands every row by its load's
-    nonzero amplitudes (a step with no dependency has one load, broadcast);
-    ``DEFAULT_SUPPORT_CAP`` caps the row count.  The rows are the prepared
-    state, returned as ``CircuitProgram.state``.  Past INDEX_QUBIT_LIMIT
-    qubits the rows are Python ints and no state is kept.
+    ``order_plan`` dependency groups to find the control assignments, takes
+    each one's constraint signature from its dependency values and the
+    frozen neighbours (see ``_signature_codes``), looks each distinct
+    signature up once in ``signature_entry`` and expands every row by the
+    nonzero roots of its assignment's distribution (a step with no
+    dependency has one, broadcast); ``DEFAULT_SUPPORT_CAP`` caps the row
+    count.  The rows are the prepared state, returned as
+    ``CircuitProgram.state``; the loads are kept as one ``StepTable`` per
+    step.  Past INDEX_QUBIT_LIMIT qubits the rows are Python ints and no
+    state is kept.
     """
     order = tuple(order)
     if len(set(order)) != len(order):
         raise ValueError("segment order must not repeat ids")
-    if frozen is not None and set(order) & set(frozen.mapping):
+    fixed = frozen.mapping if frozen is not None else {}
+    if not fixed.keys().isdisjoint(order):
         raise ValueError("segment order overlaps the frozen context")
 
     layout = QubitLayout(tuple(sorted(order)), n_values)
     q = layout.bits_per_value
     group = (1 << q) - 1
+    offset = {s: j * q for j, s in enumerate(layout.segments)}
     dtype = np.int64 if layout.n_qubits <= INDEX_QUBIT_LIMIT else object
+    alphabet = np.arange(n_values, dtype=dtype)
     idx = np.zeros(1, dtype=dtype)
     amp = np.ones(1)
-    loads: list[ConditionalLoad] = []
+    tables: list[StepTable] = []
 
+    comp = ruleset.compiled
     steps, _ = order_plan(adjacency, ruleset, order)
+    comp.check(adjacency.n_directions, n_values)
     for k, (target, deps) in enumerate(zip(order, steps), start=1):
-        offsets = [layout.group_offset(s) for s in deps]
         if deps:
+            offsets = [offset[s] for s in deps]
             masked = idx & sum(group << o for o in offsets)
             ordered = np.sort(masked)
             keys = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
-            row_load = np.searchsorted(keys, masked)
-        else:  # one load, its row broadcast over the walk below
-            keys, row_load = np.zeros(1, dtype=dtype), None
-        if len(keys) > DEFAULT_LOAD_CAP:
-            raise CapacityError(
-                f"{len(keys)} control assignments at iteration {k} "
-                f"exceed the cap of {DEFAULT_LOAD_CAP}"
-            )
-        controls = [
-            tuple((seg, ((key >> o) & group) + 1) for seg, o in zip(deps, offsets))
-            for key in keys.tolist()
-        ]
-        # loads (and the first conflict) go in sorted tuple order; the
-        # table's rows follow keys
-        by_tuple = sorted(range(len(keys)), key=controls.__getitem__)
-        dists = [None] * len(keys)
-        for i in by_tuple:
-            context = ContentInstance(controls[i])
-            try:
-                dists[i] = value_distribution(target, adjacency, context, ruleset, n_values, frozen)
-            except ConflictError:
-                raise ConflictError(target, context, f"while compiling iteration {k}") from None
-        table = np.sqrt(dists)
-        amplitudes = table.tolist()
-        loads.extend(ConditionalLoad(k, controls[i], target, tuple(amplitudes[i])) for i in by_tuple)
-
-        # one output row per nonzero amplitude of the row's load
-        branches = table > 0.0
-        if row_load is not None:
-            table, branches = table.take(row_load, axis=0), branches.take(row_load, axis=0)
-        if np.count_nonzero(branches) * (len(idx) if row_load is None else 1) > DEFAULT_SUPPORT_CAP:
-            raise CapacityError(f"reachable support grew past {DEFAULT_SUPPORT_CAP} at iteration {k}")
-        lifted = np.arange(n_values, dtype=dtype) << layout.group_offset(target)
-        if row_load is None:
-            idx = (idx[:, None] | lifted[branches[0]]).ravel()
-            amp = (amp[:, None] * table[0, branches[0]]).ravel()
+            if len(keys) > DEFAULT_LOAD_CAP:
+                raise CapacityError(
+                    f"{len(keys)} control assignments at iteration {k} "
+                    f"exceed the cap of {DEFAULT_LOAD_CAP}"
+                )
+            values = [[((key >> o) & group) + 1 for o in offsets] for key in keys.tolist()]
         else:
+            values = [[]]  # one control assignment, broadcast over the walk below
+        signatures, rows = _signature_codes(adjacency, comp.max_direction, target, deps, fixed, values)
+        entries = [signature_entry(comp, sig, n_values, target) for sig in signatures]
+        if None in entries:
+            # name the first conflicting control tuple in sorted order
+            controls = min(tuple(zip(deps, vals)) for vals, r in zip(values, rows) if entries[r] is None)
+            raise ConflictError(target, ContentInstance(controls), f"while compiling iteration {k}")
+        table = np.sqrt([entry[0] for entry in entries])
+        _check_amplitudes(table)
+        tables.append(StepTable(k, target, deps, values, signatures, rows, table))
+
+        lifted = alphabet << offset[target]
+        if deps:  # one output row per nonzero root of the row's assignment
+            table = table.take(np.array(rows).take(np.searchsorted(keys, masked)), axis=0)
+            branches = table > 0.0
+            if np.count_nonzero(branches) > DEFAULT_SUPPORT_CAP:
+                raise CapacityError(f"reachable support grew past {DEFAULT_SUPPORT_CAP} at iteration {k}")
             idx = (idx[:, None] | lifted)[branches]
             amp = (amp[:, None] * table)[branches]
+        else:  # every row by the one distribution's nonzero roots
+            roots = table[0]
+            nonzero = roots.nonzero()[0]
+            if len(nonzero) * len(idx) > DEFAULT_SUPPORT_CAP:
+                raise CapacityError(f"reachable support grew past {DEFAULT_SUPPORT_CAP} at iteration {k}")
+            idx = (idx[:, None] | lifted[nonzero]).ravel()
+            amp = (amp[:, None] * roots[nonzero]).ravel()
 
     state = _sparse_state(layout, idx, amp) if dtype is np.int64 else None
-    return CircuitProgram(layout, tuple(loads), state)
+    return CircuitProgram(layout, tuple(tables), state)
+
+
+def _signature_codes(
+    adjacency: AdjacencyConfig,
+    n_directions: int,
+    target: int,
+    deps: tuple[int, ...],
+    fixed: Mapping[int, int],
+    values: list[list[int]],
+) -> tuple[list[tuple[int, ...]], list[int]]:
+    """The distinct constraint signatures of ``target`` under each list of
+    dependency ``values`` plus the ``fixed`` neighbour values, cut to
+    ``n_directions``, and the index of each list's signature among them.
+
+    A direction's code is 0 when no neighbour value is known there, v when
+    every known value is v and -1 otherwise, as ``constraint_signature``
+    gives it.  The fixed neighbours are folded once per direction; each
+    list then folds in the values of the dependencies adjacent there.
+    """
+    column = {s: c for c, s in enumerate(deps)}
+    recipe = []
+    for d in range(1, n_directions + 1):
+        code, cols = 0, []
+        for s in adjacency.neighbors(target, d):
+            if s in column:
+                cols.append(column[s])
+            elif s in fixed:
+                v = fixed[s]
+                code = v if code in (0, v) else -1
+        recipe.append((code, cols))
+    index: dict[tuple[int, ...], int] = {}
+    rows = []
+    for vals in values:
+        signature = []
+        for code, cols in recipe:
+            for c in cols:
+                v = vals[c]
+                code = v if code in (0, v) else -1
+            signature.append(code)
+        rows.append(index.setdefault(tuple(signature), len(index)))
+    return list(index), rows
 
 
 def walked_state(circuit: CircuitProgram) -> SparseState:

@@ -446,6 +446,9 @@ MALFORMED = {
     # that is no number: the first exited 1, the second ran at weight True
     "d\u00b2": TWO_CELLS.replace("{value: b}", "{value: b, pattern: {d\u00b2: a}}"),
     "u_blue": HEXMAP_R0.replace("u_blue: 5.0", "u_blue: true").replace('partitions: "blocks:8"\n', ""),
+    # decimal digits of another script: int() reads them, so both exited 0
+    "blocks:\u0662": TWO_CELLS + 'partitions: "blocks:\u0662"\n',
+    "d\u0663": TWO_CELLS.replace("{value: b}", "{value: b, pattern: {d\u0663: a}}"),
     # nested past the YAML parser's recursion, at two depths
     "nested": RULES_NESTED % ("[" * 500, "]" * 500),
     "too deep": RULES_NESTED % ("[" * 5000, "]" * 5000),

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from conftest import assert_walked_state_is_simulated, max_prob_deviation, simulate_loads
+from test_golden import QWFC_CIRCUITS
 
 from qcollapse import (
     AdjacencyConfig,
@@ -398,20 +399,61 @@ BROADCAST_LOADS = {
 }
 
 
+def _broadcast_circuits(uc):
+    """Every block's circuit of the instances RandomSource(2024) and
+    RandomSource(7) draw, each compiled under its frozen interface."""
+    n_values, blocks = uc.alphabet.n_values, uc.partitioning.blocks
+    for seed in (2024, 7):
+        instance = hwfc_generate(uc.adjacency, n_values, uc.ruleset, uc.partitioning, RandomSource(seed))
+        for h, block in enumerate(blocks):
+            earlier = {s: instance.mapping[s] for b in blocks[:h] for s in b}
+            frozen = ContentInstance(_per_call_interface(uc.adjacency, block, earlier))
+            yield block, build_circuit(uc.adjacency, n_values, uc.ruleset, block, frozen)
+
+
+def _loads_digest(circuits) -> str:
+    digest = hashlib.sha256()
+    for circuit in circuits:
+        for load in circuit.loads:
+            digest.update(repr((load.step, load.controls, load.target, load.amplitudes)).encode())
+    return digest.hexdigest()
+
+
 @pytest.mark.parametrize("world", sorted(BROADCAST_LOADS))
 def test_broadcast_steps_give_the_loads_and_state_of_simulate(world):
     make, expected = BROADCAST_LOADS[world]
     uc = make()
-    n_values, blocks = uc.alphabet.n_values, uc.partitioning.blocks
-    digest = hashlib.sha256()
-    for seed in (2024, 7):
-        instance = hwfc_generate(uc.adjacency, n_values, uc.ruleset, uc.partitioning, RandomSource(seed))
-        for h, block in enumerate(blocks):
-            assert not any(order_plan(uc.adjacency, uc.ruleset, block)[0])
-            earlier = {s: instance.mapping[s] for b in blocks[:h] for s in b}
-            frozen = ContentInstance(_per_call_interface(uc.adjacency, block, earlier))
-            circuit = build_circuit(uc.adjacency, n_values, uc.ruleset, block, frozen)
-            for load in circuit.loads:
-                digest.update(repr((load.step, load.controls, load.target, load.amplitudes)).encode())
-            assert_walked_state_is_simulated(circuit)
-    assert digest.hexdigest() == expected
+    circuits = []
+    for block, circuit in _broadcast_circuits(uc):
+        assert not any(order_plan(uc.adjacency, uc.ruleset, block)[0])
+        assert_walked_state_is_simulated(circuit)
+        circuits.append(circuit)
+    assert _loads_digest(circuits) == expected
+
+
+def test_hwfc_builds_no_loads(monkeypatch):
+    def refuse(self):
+        raise AssertionError("a ConditionalLoad was built")
+
+    monkeypatch.setattr(quantum.ConditionalLoad, "__post_init__", refuse)
+    # fresh rulesets, so every block compiles
+    for uc in (pipes_usecase(10, 4), platformer_usecase(10, 10), voxel_skyline_usecase(4, 4, 4)):
+        n_values = uc.alphabet.n_values
+        for seed in range(3):
+            rng = RandomSource(seed)
+            instance = with_restarts(
+                lambda: hwfc_generate(uc.adjacency, n_values, uc.ruleset, uc.partitioning, rng), 10
+            )
+            assert not uc.validator(instance)
+    # compiled without a load, the programs still give their pinned loads on first read
+    broadcast, golden = {}, {}
+    for world, (make, _) in BROADCAST_LOADS.items():
+        broadcast[world] = [circuit for _, circuit in _broadcast_circuits(make())]
+    for world, (make, _) in QWFC_CIRCUITS.items():
+        uc = make()
+        golden[world] = build_circuit(uc.adjacency, uc.alphabet.n_values, uc.ruleset, uc.order)
+    monkeypatch.undo()
+    for world, circuits in broadcast.items():
+        assert _loads_digest(circuits) == BROADCAST_LOADS[world][1]
+    for world, circuit in golden.items():
+        assert len(circuit.loads) == QWFC_CIRCUITS[world][1][0]

@@ -15,6 +15,7 @@ from conftest import (
 from test_golden import QWFC_CIRCUITS
 
 from qcollapse import (
+    AdjacencyConfig,
     CapacityError,
     CircuitProgram,
     ConditionalLoad,
@@ -37,6 +38,7 @@ from qcollapse import (
     sample_shots,
 )
 from qcollapse import quantum
+from qcollapse.model import constraint_signature
 from qcollapse.quantum import order_plan, walked_state
 from qcollapse.usecases import checkerboard_ruleset, checkerboard_usecase
 
@@ -238,7 +240,7 @@ def test_simulate_contract_violation():
     layout = QubitLayout((1,), 2)
     load = ConditionalLoad(1, (), 1, (math.sqrt(0.5), math.sqrt(0.5)))
     with pytest.raises(ContractError):
-        simulate_loads(CircuitProgram(layout, (load, load)))  # reloads a lifted group
+        simulate_loads(CircuitProgram.from_loads(layout, (load, load)))  # reloads a lifted group
 
 
 def test_frozen_context_conditions_circuit():
@@ -321,8 +323,8 @@ def test_walked_state_equals_simulate(world):
     )
 
 
-def test_walked_state_equals_simulate_on_randomized_rulesets():
-    # the 50 rulesets and orders of acceptance criterion 3
+def _randomized_rulesets():
+    """The 50 (segments, values, ruleset, order) of acceptance criterion 3."""
     rng = np.random.default_rng(2024)
     for _ in range(50):
         n = int(rng.integers(2, 5))
@@ -333,8 +335,74 @@ def test_walked_state_equals_simulate_on_randomized_rulesets():
             pattern = Pattern.of(*((d, int(rng.integers(1, w + 1))) for d in dirs))
             rules.append(Rule(int(rng.integers(1, w + 1)), float(rng.uniform(0.2, 4.0)), pattern))
         order = tuple(int(s) for s in rng.permutation(n) + 1)
-        ruleset = conflict_free_ruleset(rules, w, floor=0.05)
+        yield n, w, conflict_free_ruleset(rules, w, floor=0.05), order
+
+
+def test_walked_state_equals_simulate_on_randomized_rulesets():
+    for n, w, ruleset, order in _randomized_rulesets():
         assert_walked_state_is_simulated(build_circuit(chain_adjacency(n), w, ruleset, order))
+
+
+def _assert_codes_are_signatures(circuit, adjacency, ruleset, frozen=None):
+    """Each step's code row for each control assignment is
+    ``constraint_signature`` of its target under that assignment (plus the
+    frozen context), cut to the rules' last direction."""
+    cut = ruleset.compiled.max_direction
+    fixed = frozen.mapping if frozen is not None else None
+    for table in circuit.steps:
+        for vals, row in zip(table.values, table.rows, strict=True):
+            placed = dict(zip(table.deps, vals, strict=True))
+            assert table.signatures[row] == constraint_signature(table.target, adjacency, placed, fixed)[:cut]
+
+
+def test_step_codes_are_constraint_signatures_on_randomized_rulesets():
+    pick = np.random.default_rng(7)
+    for n, w, ruleset, order in _randomized_rulesets():
+        adjacency = chain_adjacency(n)
+        _assert_codes_are_signatures(build_circuit(adjacency, w, ruleset, order), adjacency, ruleset)
+        # the same ruleset with the order's first segments frozen
+        cut = int(pick.integers(1, n))
+        frozen = ContentInstance(tuple((s, int(pick.integers(1, w + 1))) for s in order[:cut]))
+        circuit = build_circuit(adjacency, w, ruleset, order[cut:], frozen)
+        _assert_codes_are_signatures(circuit, adjacency, ruleset, frozen)
+        assert_walked_state_is_simulated(circuit)
+
+
+def test_step_codes_where_neighbours_in_one_direction_disagree():
+    # segments 1 and 2 are both segment 3's neighbours in direction 1
+    adjacency = AdjacencyConfig(3, 1, (frozenset({(3, 1), (3, 2)}),))
+    rules = (Rule(1, 2.0, Pattern.of((1, 1))), Rule(2, 3.0, Pattern.of((1, 2))))
+    ruleset = conflict_free_ruleset(rules, 2)
+    cases = [
+        ((1, 2, 3), None, [(1,), (-1,), (-1,), (2,)]),  # both placed: (1,1) (2,1) (1,2) (2,2)
+        ((2, 3), ContentInstance(((1, 1),)), [(1,), (-1,)]),  # one frozen, one placed
+        ((3,), ContentInstance(((1, 1), (2, 2))), [(-1,)]),  # both frozen
+    ]
+    for order, frozen, codes in cases:
+        circuit = build_circuit(adjacency, 2, ruleset, order, frozen)
+        last = circuit.steps[-1]
+        assert last.target == 3 and [last.signatures[r] for r in last.rows] == codes
+        _assert_codes_are_signatures(circuit, adjacency, ruleset, frozen)
+        assert_walked_state_is_simulated(circuit)
+
+
+def test_a_bad_amplitude_row_fails_the_compile_and_builds_no_load(monkeypatch):
+    def refuse(self):
+        raise AssertionError("build_circuit built a ConditionalLoad")
+
+    real = quantum.signature_entry
+
+    def skewed(comp, signature, n_values, segment):
+        entry = real(comp, signature, n_values, segment)
+        # squared norm 1 + 4e-12: past the 1e-12 tolerance
+        return None if entry is None else (entry[0] * (1.0 + 4e-12),) + entry[1:]
+
+    monkeypatch.setattr(ConditionalLoad, "__post_init__", refuse)
+    uc = checkerboard_usecase(3, 3)
+    build_circuit(uc.adjacency, 2, uc.ruleset, uc.order)  # builds no load
+    monkeypatch.setattr(quantum, "signature_entry", skewed)
+    with pytest.raises(ValueError, match=r"finite with squared norm 1, got 1\.00000000000[34]"):
+        build_circuit(uc.adjacency, 2, uc.ruleset, uc.order)
 
 
 def test_no_walked_state_past_the_index_limit_or_by_hand():
@@ -347,7 +415,7 @@ def test_no_walked_state_past_the_index_limit_or_by_hand():
             read(circuit)
         assert str(err.value) == "64 qubits exceed the limit of 63 for int64 basis indices"
     load = ConditionalLoad(1, (), 1, (math.sqrt(0.5), math.sqrt(0.5)))
-    by_hand = CircuitProgram(QubitLayout((1,), 2), (load,))
+    by_hand = CircuitProgram.from_loads(QubitLayout((1,), 2), (load,))
     assert by_hand.state is None
     # the package does not execute a program built by hand; the reference does
     for read in (walked_state, quantum.simulate):
