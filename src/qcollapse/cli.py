@@ -34,6 +34,7 @@ from .framework import (
 from .hybrid import hwfc_exact_distribution, hwfc_generate
 from .model import ContentInstance, Distribution, bits_per_value
 from .quantum import (
+    _check_index_qubits,
     build_circuit,
     exact_distribution,
     export_qasm,
@@ -121,14 +122,24 @@ def _emit_instances(config: RunConfig, instances: list[ContentInstance], out: Pa
 
 
 def _check_flags(config: RunConfig, args) -> None:
-    """Refuse the flags the configured mode cannot serve, and an exact
-    enumeration past its budget, before anything is drawn."""
+    """Refuse the flags the configured mode cannot serve, an exact
+    enumeration past its budget and a circuit past the int64 basis indices,
+    before anything is compiled or drawn."""
     if args.export_qasm and config.mode != "qwfc":
         raise ConfigError("--export-qasm only applies to mode 'qwfc' (one circuit per run)")
     if args.exact_dist and config.mode == "cwfc":
         raise ConfigError("--exact-dist is only available for qwfc, hwfc and oracle modes")
     if config.mode == "oracle" or (args.exact_dist and config.mode == "hwfc"):
         _check_budget(config.topology.adjacency.n_segments, config.alphabet.n_values)
+    q = bits_per_value(config.alphabet.n_values)
+    if config.mode == "qwfc":
+        _check_index_qubits(len(config.order) * q)
+    elif config.mode == "hwfc":
+        for h, block in enumerate(config.partitioning.blocks, start=1):
+            try:
+                _check_index_qubits(len(block) * q)
+            except CapacityError as exc:
+                raise CapacityError(f"partition {h}: {exc}") from None
 
 
 def run(config: RunConfig, args, started: float) -> int:

@@ -383,15 +383,13 @@ def _distribution_entry(
     content: ContentInstance,
     ruleset: Ruleset,
     n_values: int,
-    frozen: ContentInstance | None,
 ) -> tuple[np.ndarray, float, tuple[float, ...]]:
-    """``signature_entry`` for one segment of ``content`` (plus ``frozen``);
-    raises ConflictError where it is None."""
+    """``signature_entry`` for one segment of ``content``; raises
+    ConflictError where it is None."""
     comp = ruleset.compiled
     comp.check(adjacency.n_directions, n_values)
-    extra = frozen.mapping if frozen is not None else None
     # Directions past the last one a pattern names match every rule.
-    signature = constraint_signature(segment, adjacency, content.mapping, extra)[: comp.max_direction]
+    signature = constraint_signature(segment, adjacency, content.mapping)[: comp.max_direction]
     entry = signature_entry(comp, signature, n_values, segment)
     if entry is None:
         raise ConflictError(segment, content)
@@ -444,20 +442,19 @@ def value_distribution(
     content: ContentInstance,
     ruleset: Ruleset,
     n_values: int,
-    frozen: ContentInstance | None = None,
 ) -> np.ndarray:
     """Normalized, read-only probability vector over the alphabet for one
     segment.
 
     Each value's weight is the sum of rule weights whose pattern matches the
-    placed content (plus the frozen context, if any).  The oracle's selector
-    and the tests call it; the circuit compile and cwfc derive their
-    signatures themselves and read ``signature_entry``.  Raises ConflictError
-    when every weight vanishes, and ValueError when a rule's value lies
-    outside [1, n_values], a pattern direction outside [1, D], or a
-    functional weight returns a value that is not finite and >= 0.
+    placed content.  The oracle's selector and the tests call it; the
+    circuit compile and cwfc derive their signatures themselves and read
+    ``signature_entry``.  Raises ConflictError when every weight vanishes,
+    and ValueError when a rule's value lies outside [1, n_values], a pattern
+    direction outside [1, D], or a functional weight returns a value that is
+    not finite and >= 0.
     """
-    return _distribution_entry(segment, adjacency, content, ruleset, n_values, frozen)[0]
+    return _distribution_entry(segment, adjacency, content, ruleset, n_values)[0]
 
 
 def value_entropy(
@@ -469,7 +466,7 @@ def value_entropy(
 ) -> float:
     """Entropy in nats (0 ln 0 := 0) of ``value_distribution``'s vector,
     computed once per cache entry.  Raises as ``value_distribution`` does."""
-    return _distribution_entry(segment, adjacency, content, ruleset, n_values, None)[1]
+    return _distribution_entry(segment, adjacency, content, ruleset, n_values)[1]
 
 
 # --------------------------------------------------------------------------

@@ -69,12 +69,10 @@ class QubitLayout:
         return len(self.segments) * self.bits_per_value
 
     @cached_property
-    def _positions(self) -> dict[int, int]:
-        return {seg: pos for pos, seg in enumerate(self.segments)}
-
-    def group_offset(self, segment: int) -> int:
-        """Index of the segment's least significant qubit."""
-        return self._positions[segment] * self.bits_per_value
+    def offsets(self) -> dict[int, int]:
+        """Each segment's least significant qubit index."""
+        q = self.bits_per_value
+        return {seg: pos * q for pos, seg in enumerate(self.segments)}
 
     def decode_many(self, keys: np.ndarray) -> list[ContentInstance]:
         """The instance each int64 basis key encodes, decoded with array shifts and masks."""
@@ -151,8 +149,7 @@ class CircuitProgram:
     """Ordered conditional loads over a qubit layout.
 
     ``build_circuit`` keeps each step's loads as a ``StepTable``; ``loads``
-    builds the ``ConditionalLoad``s from them on first read.  A program
-    built by hand comes from ``CircuitProgram.from_loads``.
+    builds the ``ConditionalLoad``s from them on first read.
 
     ``state`` is the state the loads prepare, which ``build_circuit`` walks
     and ``walked_state`` returns: None past INDEX_QUBIT_LIMIT qubits and for
@@ -160,8 +157,8 @@ class CircuitProgram:
     """
 
     layout: QubitLayout
-    steps: tuple[StepTable, ...] = ()
-    state: SparseState | None = None
+    steps: tuple[StepTable, ...]
+    state: SparseState | None
 
     @property
     def n_qubits(self) -> int:
@@ -170,13 +167,6 @@ class CircuitProgram:
     @cached_property
     def loads(self) -> tuple[ConditionalLoad, ...]:
         return tuple(load for step in self.steps for load in step.loads())
-
-    @classmethod
-    def from_loads(cls, layout: QubitLayout, loads) -> CircuitProgram:
-        """A program built by hand: these loads, no steps and no state."""
-        program = cls(layout)
-        program.__dict__["loads"] = tuple(loads)  # the value ``loads`` caches
-        return program
 
 
 def order_plan(
@@ -229,10 +219,11 @@ def build_circuit(
     signature up once in ``signature_entry`` and expands every row by the
     nonzero roots of its assignment's distribution (a step with no
     dependency has one, broadcast); ``DEFAULT_SUPPORT_CAP`` caps the row
-    count.  The rows are the prepared state, returned as
-    ``CircuitProgram.state``; the loads are kept as one ``StepTable`` per
-    step.  Past INDEX_QUBIT_LIMIT qubits the rows are Python ints and no
-    state is kept.
+    count, and four times it the rows x W cells a step with dependencies
+    gathers, checked before the step does any work.  The rows are the
+    prepared state, returned as ``CircuitProgram.state``; the loads are kept
+    as one ``StepTable`` per step.  Past INDEX_QUBIT_LIMIT qubits the rows
+    are Python ints and no state is kept.
     """
     order = tuple(order)
     if len(set(order)) != len(order):
@@ -244,7 +235,7 @@ def build_circuit(
     layout = QubitLayout(tuple(sorted(order)), n_values)
     q = layout.bits_per_value
     group = (1 << q) - 1
-    offset = {s: j * q for j, s in enumerate(layout.segments)}
+    offset = layout.offsets
     dtype = np.int64 if layout.n_qubits <= INDEX_QUBIT_LIMIT else object
     alphabet = np.arange(n_values, dtype=dtype)
     idx = np.zeros(1, dtype=dtype)
@@ -256,6 +247,13 @@ def build_circuit(
     comp.check(adjacency.n_directions, n_values)
     for k, (target, deps) in enumerate(zip(order, steps), start=1):
         if deps:
+            # the gather below holds rows x W cells; four per row of the
+            # support cap let a world of up to four values gather at full support
+            if len(idx) * n_values > 4 * DEFAULT_SUPPORT_CAP:
+                raise CapacityError(
+                    f"{len(idx)} rows x {n_values} values at iteration {k} "
+                    f"exceed the cap of {4 * DEFAULT_SUPPORT_CAP} gathered cells"
+                )
             offsets = [offset[s] for s in deps]
             masked = idx & sum(group << o for o in offsets)
             ordered = np.sort(masked)
@@ -346,11 +344,17 @@ def walked_state(circuit: CircuitProgram) -> SparseState:
     package does not execute."""
     if circuit.state is not None:
         return circuit.state
-    if circuit.n_qubits > INDEX_QUBIT_LIMIT:
-        raise CapacityError(
-            f"{circuit.n_qubits} qubits exceed the limit of {INDEX_QUBIT_LIMIT} for int64 basis indices"
-        )
+    _check_index_qubits(circuit.n_qubits)
     raise ValueError("a circuit program built by hand carries no walked state")
+
+
+def _check_index_qubits(n_qubits: int) -> None:
+    """Raise CapacityError past INDEX_QUBIT_LIMIT qubits, where basis indices
+    leave int64."""
+    if n_qubits > INDEX_QUBIT_LIMIT:
+        raise CapacityError(
+            f"{n_qubits} qubits exceed the limit of {INDEX_QUBIT_LIMIT} for int64 basis indices"
+        )
 
 
 # walked_state under the name perfbench traces and the demo scripts call.
@@ -462,7 +466,7 @@ def _control_qubits(load: ConditionalLoad, layout: QubitLayout) -> list[tuple[in
     q = layout.bits_per_value
     bits = []
     for seg, val in load.controls:
-        off = layout.group_offset(seg)
+        off = layout.offsets[seg]
         for j in range(q):
             bits.append((off + j, (val - 1) >> j & 1))
     return bits
@@ -482,7 +486,7 @@ def lower_to_gates(circuit: CircuitProgram) -> GateList:
         ctrl_bits = _control_qubits(load, layout)
         flips = [qubit for qubit, bit in ctrl_bits if bit == 0]
         base = tuple((qubit, 1) for qubit, _ in ctrl_bits)
-        t0 = layout.group_offset(load.target)
+        t0 = layout.offsets[load.target]
         mass = np.zeros(1 << q)
         mass[: len(load.amplitudes)] = np.square(load.amplitudes)
 

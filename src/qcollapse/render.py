@@ -43,17 +43,29 @@ def _color(alphabet: Alphabet, value: int) -> tuple[int, int, int]:
     return _FALLBACK_COLORS[(value - 1) % len(_FALLBACK_COLORS)]
 
 
-def _grid2d_cells(instance, topology):
-    """Rows of values, top row first (works for grid2d and depth-1 grid3d)."""
+def _cell_rows(instance, topology):
+    """Rows of values, top row first: a grid2d's cells, or a grid3d's front
+    elevation, where the nearest non-background voxel wins."""
     values = instance.mapping
     if topology.kind == "grid2d":
         w, h = topology.param("width"), topology.param("height")
         return [[values[y * w + x + 1] for x in range(w)] for y in range(h)]
-    if topology.kind == "grid3d" and topology.param("depth") == 1:
-        w, h = topology.param("width"), topology.param("height")
-        # layer-major bottom-up ids; display top layer first
-        return [[values[z * w + x + 1] for x in range(w)] for z in reversed(range(h))]
-    raise ValueError(f"no 2D cell layout for topology {topology.kind!r}")
+    if topology.kind != "grid3d":
+        raise ValueError(f"no 2D cell layout for topology {topology.kind!r}")
+    w, d, h = topology.param("width"), topology.param("depth"), topology.param("height")
+    rows = []
+    for z in reversed(range(h)):
+        row = []
+        for x in range(w):
+            shown = 1
+            for y in range(d):
+                v = values[z * w * d + y * w + x + 1]
+                if v != 1:
+                    shown = v
+                    break
+            row.append(shown)
+        rows.append(row)
+    return rows
 
 
 def render_ascii(instance: ContentInstance, alphabet: Alphabet, topology: Topology) -> str:
@@ -61,7 +73,7 @@ def render_ascii(instance: ContentInstance, alphabet: Alphabet, topology: Topolo
         return _render_hex_ascii(instance, alphabet, topology)
     if topology.kind == "grid3d" and topology.param("depth") > 1:
         return render_voxel_slices(instance, alphabet, topology)
-    rows = _grid2d_cells(instance, topology)
+    rows = _cell_rows(instance, topology)
     return "\n".join("".join(_glyph(alphabet, v) for v in row) for row in rows) + "\n"
 
 
@@ -91,14 +103,9 @@ def render_ppm(
     if topology.kind == "hexgrid":
         pixels = _hex_pixels(instance, alphabet, topology, scale)
     else:
-        rows = (
-            _grid2d_cells(instance, topology)
-            if topology.kind != "grid3d" or topology.param("depth") == 1
-            else _voxel_elevation(instance, topology)
-        )
         pixels = [
             [_color(alphabet, v) for v in row for _ in range(scale)]
-            for row in rows
+            for row in _cell_rows(instance, topology)
             for _ in range(scale)
         ]
     height = len(pixels)
@@ -107,25 +114,6 @@ def render_ppm(
     for prow in pixels:
         lines.append(" ".join(f"{r} {g} {b}" for r, g, b in prow))
     return "\n".join(lines) + "\n"
-
-
-def _voxel_elevation(instance, topology):
-    """Front elevation of a voxel grid: nearest non-background voxel wins."""
-    values = instance.mapping
-    w, d, h = topology.param("width"), topology.param("depth"), topology.param("height")
-    rows = []
-    for z in reversed(range(h)):
-        row = []
-        for x in range(w):
-            shown = 1
-            for y in range(d):
-                v = values[z * w * d + y * w + x + 1]
-                if v != 1:
-                    shown = v
-                    break
-            row.append(shown)
-        rows.append(row)
-    return rows
 
 
 def _hex_pixels(instance, alphabet, topology, scale):

@@ -26,21 +26,23 @@ def grid2d_topology(width: int, height: int) -> Topology:
     """
     if width < 1 or height < 1:
         raise ValueError("grid dimensions must be >= 1")
+    index = {(x, y): y * width + x + 1 for y in range(height) for x in range(width)}
+    edges = _lattice_edges(index, ((1, 0), (0, -1), (-1, 0), (0, 1)))
+    return Topology("grid2d", AdjacencyConfig(len(index), 4, edges), (("width", width), ("height", height)))
 
-    def sid(x, y):
-        return y * width + x + 1
 
+def _lattice_edges(index: dict[tuple[int, int], int], steps) -> tuple[frozenset[tuple[int, int]], ...]:
+    """One edge set per 2-D step: (i, j) wherever the step moves cell i of
+    ``index`` (coordinates to segment ids) onto cell j."""
     edges = []
-    for dx, dy in ((1, 0), (0, -1), (-1, 0), (0, 1)):
+    for da, db in steps:
         es = set()
-        for y in range(height):
-            for x in range(width):
-                nx, ny = x + dx, y + dy
-                if 0 <= nx < width and 0 <= ny < height:
-                    es.add((sid(x, y), sid(nx, ny)))
+        for (a, b), i in index.items():
+            j = index.get((a + da, b + db))
+            if j is not None:
+                es.add((i, j))
         edges.append(frozenset(es))
-    adjacency = AdjacencyConfig(width * height, 4, tuple(edges))
-    return Topology("grid2d", adjacency, (("width", width), ("height", height)))
+    return tuple(edges)
 
 
 # Axial steps for a pointy-top layout, counterclockwise starting east.
@@ -72,15 +74,8 @@ def hexgrid_topology(radius: int) -> Topology:
     """Hexagonal disc with D=6 nearest-neighbor directions (CCW from east);
     ids follow ``hexgrid_coordinates``."""
     index = {c: i + 1 for i, c in enumerate(hexgrid_coordinates(radius))}
-    edges = []
-    for dq, dr in HEX_DIRECTIONS:
-        es = set()
-        for c, i in index.items():
-            j = index.get((c[0] + dq, c[1] + dr))
-            if j is not None:
-                es.add((i, j))
-        edges.append(frozenset(es))
-    return Topology("hexgrid", AdjacencyConfig(len(index), 6, tuple(edges)), (("radius", radius),))
+    edges = _lattice_edges(index, HEX_DIRECTIONS)
+    return Topology("hexgrid", AdjacencyConfig(len(index), 6, edges), (("radius", radius),))
 
 
 def grid3d_topology(width: int, depth: int, height: int) -> Topology:

@@ -127,11 +127,11 @@ def simulate_loads(circuit):
     for load in circuit.loads:
         cmask = cval = 0
         for seg, val in load.controls:
-            off = layout.group_offset(seg)
+            off = layout.offsets[seg]
             cmask |= group << off
             cval |= ((val - 1) & group) << off
         matched = (idx & cmask) == cval
-        t0 = layout.group_offset(load.target)
+        t0 = layout.offsets[load.target]
         base_idx = idx[matched]
         base_amp = amp[matched]
         lifted = (base_idx & (group << t0)) != 0

@@ -13,6 +13,7 @@ from qcollapse import (
     parse_config,
     render,
 )
+from qcollapse import cli, hybrid
 from qcollapse.cli import main
 from qcollapse.config import MODES
 from qcollapse.render import FORMATS
@@ -318,6 +319,32 @@ def test_cli_exit_code_capacity(tmp_path, capsys):
     cfg = _write(tmp_path, doc)
     assert main(["--config", str(cfg)]) == 4  # 64 qubits exceed the int64 index limit
     assert "limit of 63" in capsys.readouterr().err
+
+
+WIDE_QWFC = CHECKER.replace("width: 3, height: 3", "width: 8, height: 8")
+# one segment, then a 64-segment block
+WIDE_HWFC = CHECKER.replace("width: 3, height: 3", "width: 13, height: 5").replace(
+    "mode: qwfc", f"mode: hwfc\npartitions: [[1], {list(range(2, 66))}]"
+)
+
+
+@pytest.mark.parametrize(
+    "doc, prefix",
+    [pytest.param(WIDE_QWFC, "", id="qwfc"), pytest.param(WIDE_HWFC, "partition 2: ", id="hwfc")],
+)
+@pytest.mark.parametrize("args", [[], ["--validate-only"]], ids=["run", "validate-only"])
+def test_cli_refuses_64_qubits_before_compiling(tmp_path, capsys, monkeypatch, doc, prefix, args):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("compiled a circuit past the index limit")
+
+    monkeypatch.setattr(cli, "build_circuit", refuse)
+    monkeypatch.setattr(hybrid, "build_circuit", refuse)
+    out = tmp_path / "out"
+    assert main(["--config", str(_write(tmp_path, doc)), "--out", str(out), *args]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"capacity exceeded: {prefix}64 qubits exceed the limit of 63 for int64 basis indices\n"
+    assert not out.exists()
 
 
 def test_cli_hwfc_single_value_has_no_qubits(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +40,7 @@ from qcollapse import (
 )
 from qcollapse import quantum
 from qcollapse.model import constraint_signature
-from qcollapse.quantum import order_plan, walked_state
+from qcollapse.quantum import StepTable, order_plan, walked_state
 from qcollapse.usecases import checkerboard_ruleset, checkerboard_usecase
 
 DATA = Path(__file__).parent / "data"
@@ -48,7 +49,7 @@ DATA = Path(__file__).parent / "data"
 def test_layout_offsets_and_codec():
     layout = QubitLayout((1, 2, 3), 3)
     assert layout.bits_per_value == 2 and layout.n_qubits == 6
-    assert layout.group_offset(2) == 2
+    assert layout.offsets == {1: 0, 2: 2, 3: 4}
     key = encode_values({1: 2, 2: 1, 3: 3}, layout.segments, layout.n_values)
     assert key == 1 | (0 << 2) | (2 << 4)
     assert dict(decode_values(key, layout.segments, layout.n_values)) == {1: 2, 2: 1, 3: 3}
@@ -236,11 +237,15 @@ def test_simulate_out_of_order_segments():
     assert set(dist.probs) == {170, 341}
 
 
+# a step built by hand: one load of segment 1 in two values, evenly, without controls
+EVEN_STEP = StepTable(1, 1, (), [[]], [()], [0], np.array([[math.sqrt(0.5), math.sqrt(0.5)]]))
+
+
 def test_simulate_contract_violation():
     layout = QubitLayout((1,), 2)
-    load = ConditionalLoad(1, (), 1, (math.sqrt(0.5), math.sqrt(0.5)))
     with pytest.raises(ContractError):
-        simulate_loads(CircuitProgram.from_loads(layout, (load, load)))  # reloads a lifted group
+        # reloads a lifted group
+        simulate_loads(CircuitProgram(layout, (EVEN_STEP, EVEN_STEP), None))
 
 
 def test_frozen_context_conditions_circuit():
@@ -415,7 +420,8 @@ def test_no_walked_state_past_the_index_limit_or_by_hand():
             read(circuit)
         assert str(err.value) == "64 qubits exceed the limit of 63 for int64 basis indices"
     load = ConditionalLoad(1, (), 1, (math.sqrt(0.5), math.sqrt(0.5)))
-    by_hand = CircuitProgram.from_loads(QubitLayout((1,), 2), (load,))
+    by_hand = CircuitProgram(QubitLayout((1,), 2), (EVEN_STEP,), None)
+    assert by_hand.loads == (load,)
     assert by_hand.state is None
     # the package does not execute a program built by hand; the reference does
     for read in (walked_state, quantum.simulate):
@@ -457,3 +463,21 @@ def test_compile_errors_name_their_iteration(monkeypatch):
         build_circuit(chain_adjacency(3), 2, equal, (1, 3, 2))
     assert str(err.value) == "no admissible value for segment 2 (while compiling iteration 3)"
     assert err.value.content.entries == ((1, 1), (3, 2))
+
+
+def test_a_dependent_step_is_refused_before_it_gathers(monkeypatch):
+    # segment 2 copies segment 1 (direction 1) after segment 3 spread the
+    # support to 64 x 64 rows, so the step would gather 4,096 rows x 256
+    # values, 2^20 cells, while its output stays within the support cap
+    adjacency = AdjacencyConfig(3, 1, (frozenset({(2, 1), (3, 2)}),))
+    ruleset = Ruleset(tuple(Rule(v, 1.0, Pattern.of((1, v))) for v in range(1, 65)))
+    monkeypatch.setattr(quantum, "DEFAULT_SUPPORT_CAP", 4096)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError) as err:
+            build_circuit(adjacency, 256, ruleset, (1, 3, 2))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == "4096 rows x 256 values at iteration 3 exceed the cap of 16384 gathered cells"
+    assert peak < 1 << 20  # the gather alone would hold 8 MiB of amplitudes
