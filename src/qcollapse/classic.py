@@ -102,7 +102,7 @@ class Placement:
                     self.stale.add(i)
 
     def content(self) -> ContentInstance:
-        return ContentInstance(tuple(self.values.items()))
+        return ContentInstance(self.values)
 
 
 def _uniform_cumulative(c: int) -> tuple[float, ...]:

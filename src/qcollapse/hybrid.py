@@ -9,8 +9,8 @@ from typing import Mapping
 
 from .errors import CapacityError, ConflictError
 from .framework import RandomSource, _check_budget
-from .model import AdjacencyConfig, ContentInstance, Distribution, Ruleset, decode_values
-from .quantum import SparseState, build_circuit, exact_distribution, order_plan, walked_state
+from .model import AdjacencyConfig, ContentInstance, Distribution, Ruleset, bits_per_value, decode_values
+from .quantum import SparseState, _check_index_qubits, build_circuit, exact_distribution, order_plan, walked_state
 
 # Unused here; perfbench/layers.py wraps these names on this module.
 from .quantum import sample_shots, simulate  # noqa: F401
@@ -100,6 +100,7 @@ def _block_outcomes(
     if state is not None:
         return state
     try:
+        _check_index_qubits(len(block) * bits_per_value(n_values))  # before any compile work
         circuit = build_circuit(adjacency, n_values, ruleset, block, frozen=ContentInstance(interface))
         state = walked_state(circuit)
     except (ConflictError, CapacityError) as exc:
@@ -128,7 +129,7 @@ def hwfc_generate(
         state = _block_outcomes(adjacency, n_values, ruleset, h, block, values)
         drawn = int(state.indices[rng.draw(state.cumulative, 1)[0]])
         values.update(decode_values(drawn, state.layout.segments, n_values))
-    return ContentInstance(tuple(values.items()))
+    return ContentInstance(values)
 
 
 def hwfc_exact_distribution(

@@ -10,7 +10,7 @@ given a pattern of required neighbor values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from functools import cached_property
 from typing import Callable, Mapping
 
@@ -314,31 +314,50 @@ def _factor_output(fw: FunctionalWeight, segment: int) -> float:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class ContentInstance:
     """Ordered (segment id, value) pairs; partial while shorter than N.
-    ``mapping`` holds them as a dict, built once at construction."""
+    An instance stores only ``mapping``, an ordered dict copied from the
+    pairs or dict given; ``entries``, the pairs as a tuple, is built on first
+    read, and equality, hash and repr read it.  Attributes are read-only."""
 
-    entries: tuple[tuple[int, int], ...] = ()
-
-    def __post_init__(self):
-        mapping = dict(self.entries)
-        if len(mapping) != len(self.entries):
+    def __init__(self, entries: tuple[tuple[int, int], ...] | Mapping[int, int] = ()):
+        mapping = dict(entries)
+        if len(mapping) != len(entries):
             raise ValueError("segment ids must be pairwise distinct")
-        object.__setattr__(self, "mapping", mapping)
+        self.__dict__["mapping"] = mapping
+
+    @cached_property
+    def entries(self) -> tuple[tuple[int, int], ...]:
+        return tuple(self.mapping.items())
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.entries == other.entries
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.entries,))
+
+    def __repr__(self) -> str:
+        return f"ContentInstance(entries={self.entries!r})"
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.mapping)
 
     def add(self, segment: int, value: int) -> "ContentInstance":
         """Child with one more pair.  Only the new id is checked; the child
-        starts from this instance's mapping instead of rebuilding its own."""
+        starts from a copy of this instance's mapping."""
         mapping = self.mapping
         if segment in mapping:
             raise ValueError("segment ids must be pairwise distinct")
         child = object.__new__(ContentInstance)
-        object.__setattr__(child, "entries", self.entries + ((segment, value),))
-        object.__setattr__(child, "mapping", {**mapping, segment: value})
+        child.__dict__["mapping"] = {**mapping, segment: value}
         return child
 
 
@@ -487,8 +506,8 @@ def encode_values(values: Mapping[int, int], segments: tuple[int, ...], n_values
     """
     q = bits_per_value(n_values)
     key = 0
-    for pos, seg in enumerate(segments):
-        key |= (values[seg] - 1) << (pos * q)
+    for seg in reversed(segments):
+        key = key << q | (values[seg] - 1)
     return key
 
 

@@ -82,7 +82,7 @@ class QubitLayout:
         bad = (values > self.n_values).any(axis=1)
         if bad.any():
             raise ValueError(f"basis key {int(keys[bad][0])} decodes outside the alphabet")
-        return [ContentInstance(tuple(zip(self.segments, row))) for row in values.tolist()]
+        return [ContentInstance(dict(zip(self.segments, row))) for row in values.tolist()]
 
 
 @dataclass(frozen=True)

@@ -98,6 +98,14 @@ def pipes_compatible(center: int, neighbor: int, direction: int) -> bool:
     return has_port == faces_back
 
 
+# _PIPES_OK[d - 1][center][neighbor] is pipes_compatible(center, neighbor, d)
+# for tiles 1..8 (index 0 unused), tabled once for the validator.
+_PIPES_OK = tuple(
+    tuple(tuple(c > 0 and t > 0 and pipes_compatible(c, t, d) for t in range(9)) for c in range(9))
+    for d in (1, 2, 3, 4)
+)
+
+
 def generate_pipes_ruleset() -> Ruleset:
     """Full-neighborhood rules for connected pipe networks (8 * 4^4 = 2048)."""
     rules = []
@@ -129,9 +137,9 @@ def pipes_usecase(width: int, height: int) -> UseCase:
     def validator(instance: ContentInstance) -> list[str]:
         values = instance.mapping
         bad = []
-        for d in (1, 2, 3, 4):
+        for d, ok in enumerate(_PIPES_OK, start=1):
             for i, j in adjacency.edges[d - 1]:
-                if not pipes_compatible(values[i], values[j], d):
+                if not ok[values[i]][values[j]]:
                     bad.append(f"port mismatch between {i} and {j} (direction {d})")
         return sorted(set(bad))
 

@@ -264,6 +264,7 @@ def test_sparse_state_sampling_matches_per_shot_decode(name, make):
     state = simulate_loads(circuit)
     assert np.count_nonzero(state) == len(state.indices)
     shots = sample_shots(state, circuit.layout, 1000, RandomSource(11))
+    assert not any("entries" in vars(shot) for shot in shots)  # built on first read only
     drawn = RandomSource(11).draw(np.cumsum(state.probabilities), 1000)
     layout = circuit.layout
     assert shots == [

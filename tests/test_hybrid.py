@@ -235,9 +235,13 @@ def test_repeated_conflicting_interface_raises_again():
     assert list(rs.compiled.block_cache) == [(adj, 2, (1,), ())]
 
 
-def test_hwfc_block_past_the_index_limit_names_its_partition():
+def test_hwfc_block_past_the_index_limit_names_its_partition(monkeypatch):
     from qcollapse import CapacityError
 
+    def refuse(*args, **kwargs):
+        raise AssertionError("a block past the index limit was compiled")
+
+    monkeypatch.setattr(hybrid, "build_circuit", refuse)  # refused before any compile work
     uc = checkerboard_usecase(8, 8)
     with pytest.raises(CapacityError) as err:
         hwfc_generate(uc.adjacency, 2, uc.ruleset, equal_blocks(64, 1), RandomSource(0))

@@ -216,11 +216,29 @@ def test_content_instance_mapping_is_built_once_and_is_no_field():
 
     c = ContentInstance(((4, 2), (1, 1)))
     assert vars(c)["mapping"] == {4: 2, 1: 1}  # built at construction, a plain attribute
-    assert [f.name for f in dataclasses.fields(ContentInstance)] == ["entries"]
+    assert not dataclasses.is_dataclass(ContentInstance) and list(vars(c)) == ["mapping"]
     same = ContentInstance(((4, 2), (1, 1)))
     assert c == same and hash(c) == hash(same) and repr(c) == "ContentInstance(entries=((4, 2), (1, 1)))"
     with pytest.raises(ValueError, match="distinct"):
         ContentInstance(((4, 2), (1, 1), (4, 2)))
+
+
+def test_content_instance_from_pairs_a_dict_or_add_is_one_instance():
+    pairs = ((4, 2), (1, 1), (2, 3))
+    given = {4: 2, 1: 1, 2: 3}
+    made = [ContentInstance(pairs), ContentInstance(given), ContentInstance().add(4, 2).add(1, 1).add(2, 3)]
+    given[4] = 1
+    given[7] = 1  # each instance copied its input
+    for c in made:
+        assert c.mapping == {4: 2, 1: 1, 2: 3} and c.entries == pairs and len(c) == 3
+        assert c == made[0] and hash(c) == hash((pairs,))  # as the frozen dataclass hashed
+        assert repr(c) == "ContentInstance(entries=((4, 2), (1, 1), (2, 3)))"
+    assert made[0] != ContentInstance(((1, 1), (4, 2), (2, 3)))  # order counts
+    assert made[0] != pairs
+    with pytest.raises(AttributeError):
+        made[0].mapping = {}
+    with pytest.raises(AttributeError):
+        del made[0].mapping
 
 
 def test_content_instance_add_checks_the_new_id():

@@ -17,6 +17,7 @@ from qcollapse import (
 )
 from qcollapse.quantum import walked_state
 from qcollapse.usecases import (
+    _PIPES_OK,
     AIR,
     BLOCK,
     GRASS,
@@ -61,6 +62,7 @@ def test_pipes_port_table():
     opposite = {1: 3, 2: 4, 3: 1, 4: 2}
     for a, b, d in product(range(1, 9), range(1, 9), range(1, 5)):
         assert pipes_compatible(a, b, d) == pipes_compatible(b, a, opposite[d])
+        assert _PIPES_OK[d - 1][a][b] == pipes_compatible(a, b, d)  # the validator's table
 
 
 def test_hexmap_rule_count_brute_force():
@@ -113,6 +115,27 @@ def test_pipes_validator_catches_mismatch():
     good = ContentInstance(((1, 1), (2, 1)))
     assert uc.validator(bad) != []
     assert uc.validator(good) == []
+
+
+def test_pipes_validator_table_reports_as_the_direct_check():
+    uc = pipes_usecase(4, 3)
+    rng = np.random.default_rng(23)
+
+    def direct(values):  # reference: pipes_compatible on every edge
+        bad = []
+        for d in (1, 2, 3, 4):
+            for i, j in uc.adjacency.edges[d - 1]:
+                if not pipes_compatible(values[i], values[j], d):
+                    bad.append(f"port mismatch between {i} and {j} (direction {d})")
+        return sorted(set(bad))
+
+    seen_bad = 0
+    for _ in range(200):
+        values = {s: int(v) for s, v in zip(range(1, 13), rng.integers(1, 9, size=12))}
+        got = uc.validator(ContentInstance(values))
+        assert got == direct(values)
+        seen_bad += bool(got)
+    assert seen_bad > 100
 
 
 def test_platformer_ruleset_shape():
