@@ -10,7 +10,8 @@ from typing import Mapping
 from .errors import CapacityError, ConflictError
 from .framework import RandomSource, _check_budget
 from .model import AdjacencyConfig, ContentInstance, Distribution, Ruleset, bits_per_value, decode_values
-from .quantum import SparseState, _check_index_qubits, build_circuit, exact_distribution, order_plan, walked_state
+from .quantum import SparseState, _check_index_qubits, _shape_id, build_circuit, exact_distribution, order_plan
+from .quantum import walked_state
 
 # Unused here; perfbench/layers.py wraps these names on this module.
 from .quantum import sample_shots, simulate  # noqa: F401
@@ -88,25 +89,30 @@ def _block_outcomes(
     placed segments of its boundary (all that ``constraint_signature``
     reads; see ``order_plan``), so the circuit is compiled on the
     interface alone and the state it walked is cached on the compiled
-    ruleset under that key; its loads are never read, so none is built.
-    Conflicts are not cached: they raise again on every call, named after
-    partition ``h``.
+    ruleset under the block's shape id (see ``quantum._shape_id``), W and the
+    interface values: blocks of one shape share a state, whose ``layout``
+    is that of the block that compiled it.  Its loads are never read, so
+    none is built.  Conflicts are not cached: they raise again on every
+    call, named after partition ``h``.
     """
-    _, boundary = order_plan(adjacency, ruleset, block)
-    interface = tuple((s, values[s]) for s in boundary if s in values)
+    plan = order_plan(adjacency, ruleset, block)
+    placed = tuple(s for s in plan.boundary if s in values)
+    interface = tuple(values[s] for s in placed)
     comp = ruleset.compiled
-    key = (adjacency, n_values, block, interface)
+    shape_id = _shape_id(comp, plan, block, placed)
+    key = (shape_id, n_values, interface)
     state = comp.block_cache.get(key)
     if state is not None:
         return state
     try:
         _check_index_qubits(len(block) * bits_per_value(n_values))  # before any compile work
-        circuit = build_circuit(adjacency, n_values, ruleset, block, frozen=ContentInstance(interface))
+        frozen = ContentInstance(dict(zip(placed, interface)))
+        circuit = build_circuit(adjacency, n_values, ruleset, block, frozen=frozen)
         state = walked_state(circuit)
     except (ConflictError, CapacityError) as exc:
         exc.args = (f"partition {h}: {exc.args[0]}",) + exc.args[1:]
         raise
-    if comp.block_cache_entries + len(state.indices) <= _BLOCK_CACHE_CAP:
+    if shape_id is not None and comp.block_cache_entries + len(state.indices) <= _BLOCK_CACHE_CAP:
         comp.block_cache[key] = state
         comp.block_cache_entries += len(state.indices)
     return state
@@ -128,7 +134,8 @@ def hwfc_generate(
     for h, block in enumerate(partitioning.blocks, start=1):
         state = _block_outcomes(adjacency, n_values, ruleset, h, block, values)
         drawn = int(state.indices[rng.draw(state.cumulative, 1)[0]])
-        values.update(decode_values(drawn, state.layout.segments, n_values))
+        # the block's own layout: a shared state keeps its first block's
+        values.update(decode_values(drawn, tuple(sorted(block)), n_values))
     return ContentInstance(values)
 
 
@@ -146,6 +153,7 @@ def hwfc_exact_distribution(
     outcomes: dict[tuple[tuple[int, int], ...], float] = {(): 1.0}
     conflict = None
     for h, block in enumerate(partitioning.blocks, start=1):
+        layout = tuple(sorted(block))
         nxt: dict[tuple[tuple[int, int], ...], float] = {}
         for prior, mass in outcomes.items():
             try:
@@ -155,7 +163,7 @@ def hwfc_exact_distribution(
                 continue
             # blocks partition the segments, so each joint is reached once
             for basis, p in exact_distribution(state, state.layout).probs.items():
-                nxt[prior + decode_values(basis, state.layout.segments, n_values)] = mass * p
+                nxt[prior + decode_values(basis, layout, n_values)] = mass * p
         if not nxt:
             raise conflict
         outcomes = nxt

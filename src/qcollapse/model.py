@@ -206,11 +206,13 @@ class CompiledRuleset:
         # (probabilities, entropy, cumulative) keyed (signature, W, factor
         # outputs); see signature_entry.
         self.dist_cache: dict[tuple, object] = {}
-        # hwfc block states, keyed (adjacency, W, block, interface); see
+        # hwfc block states, keyed (shape id, W, interface values); see
         # hybrid._block_outcomes.
         self.block_cache: dict[tuple, object] = {}
         self.block_cache_entries = 0
-        # per-step dependencies and boundary by (adjacency, order); see quantum.order_plan
+        # walk shapes interned to ids; see quantum._shape_id
+        self.shape_ids: dict[tuple, int] = {}
+        # per-step dependencies, recipes and boundary by (adjacency, order); see quantum.order_plan
         self.plans: dict[tuple, tuple] = {}
         self.max_value = max(rule.value for rule in ruleset.rules)
         self.pattern_directions = frozenset(

@@ -23,6 +23,7 @@ from .errors import CapacityError, ConflictError, ContractError
 from .framework import RandomSource
 from .model import (
     AdjacencyConfig,
+    CompiledRuleset,
     ContentInstance,
     Distribution,
     Ruleset,
@@ -169,31 +170,93 @@ class CircuitProgram:
         return tuple(load for step in self.steps for load in step.loads())
 
 
-def order_plan(
-    adjacency: AdjacencyConfig, ruleset: Ruleset, order: tuple[int, ...]
-) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    """Each step's dependencies, the sorted earlier segments adjacent to its
-    target in a direction some rule pattern uses (a static over-approximation
-    of what can influence its value), and the order's boundary: the sorted
-    segments outside it adjacent to one of its segments in any direction.
-    Made once per (adjacency, order) and kept on the compiled ruleset, up to
-    ``_PLAN_CACHE_CAP`` plans."""
+class OrderPlan(NamedTuple):
+    """What compiling an order reads of its adjacency.
+
+    ``deps[k]`` lists step k's dependencies: the sorted earlier segments
+    adjacent to its target in a direction some rule pattern uses (a static
+    over-approximation of what can influence its value).  ``recipes[k]``
+    holds, for each direction up to the ruleset's largest, the columns of
+    ``deps[k]`` adjacent there and the neighbours outside the order, which
+    only frozen values can fill.  ``boundary`` lists the sorted segments
+    outside the order adjacent to one of its segments in any direction.
+    ``shapes`` maps interface segments to the order's interned shape id,
+    filled by ``_shape_id``.
+    """
+
+    deps: tuple[tuple[int, ...], ...]
+    recipes: tuple[tuple[tuple[tuple[int, ...], tuple[int, ...]], ...], ...]
+    boundary: tuple[int, ...]
+    shapes: dict[tuple[int, ...], int]
+
+
+def order_plan(adjacency: AdjacencyConfig, ruleset: Ruleset, order: tuple[int, ...]) -> OrderPlan:
+    """The order's ``OrderPlan``, made once per (adjacency, order) and kept
+    on the compiled ruleset, up to ``_PLAN_CACHE_CAP`` plans."""
     comp = ruleset.compiled
     key = (adjacency, order)
     plan = comp.plans.get(key)
     if plan is None:
         comp.check(adjacency.n_directions)
         step = {seg: k for k, seg in enumerate(order)}
-        deps = []
+        deps, recipes = [], []
         for k, target in enumerate(order):
             adjacent = {s for d in comp.pattern_directions for s in adjacency.neighbors(target, d)}
-            deps.append(tuple(sorted(s for s in adjacent if step.get(s, k) < k)))
+            dep = tuple(sorted(s for s in adjacent if step.get(s, k) < k))
+            column = {s: c for c, s in enumerate(dep)}
+            recipe = []
+            for d in range(1, comp.max_direction + 1):
+                near = adjacency.neighbors(target, d)
+                cols = tuple(column[s] for s in near if s in column)
+                recipe.append((cols, tuple(s for s in near if s not in step)))
+            deps.append(dep)
+            recipes.append(tuple(recipe))
         dirs = range(1, adjacency.n_directions + 1)
         near = {s for seg in order for d in dirs for s in adjacency.neighbors(seg, d)}
-        plan = tuple(deps), tuple(sorted(near.difference(order)))
+        plan = OrderPlan(tuple(deps), tuple(recipes), tuple(sorted(near.difference(order))), {})
         if len(comp.plans) < _PLAN_CACHE_CAP:
             comp.plans[key] = plan
     return plan
+
+
+def _walk_shape(
+    comp: CompiledRuleset, plan: OrderPlan, order: tuple[int, ...], placed: tuple[int, ...]
+) -> tuple:
+    """What ``build_circuit``'s walk of ``order`` reads under frozen values at
+    the interface segments ``placed``, per step: the target's rank in the layout,
+    its dependencies' ranks, for each direction of its recipe the dependency
+    columns and the interface positions folded there, and the target's
+    factor outputs.  Orders of equal shapes walk equal states under equal
+    interface values, W and ruleset."""
+    rank = {s: r for r, s in enumerate(sorted(order))}
+    position = {s: i for i, s in enumerate(placed)}
+    return tuple(
+        (
+            rank[target],
+            tuple(rank[s] for s in deps),
+            tuple((cols, tuple(position[s] for s in others if s in position)) for cols, others in recipe),
+            comp.segment_weights(target)[0],
+        )
+        for target, deps, recipe in zip(order, plan.deps, plan.recipes)
+    )
+
+
+def _shape_id(
+    comp: CompiledRuleset, plan: OrderPlan, order: tuple[int, ...], placed: tuple[int, ...]
+) -> int | None:
+    """The order's shape, interned on the compiled ruleset and kept on the
+    plan per interface; None once ``_PLAN_CACHE_CAP`` shapes are interned
+    and this one is new."""
+    shape_id = plan.shapes.get(placed)
+    if shape_id is None:
+        shape = _walk_shape(comp, plan, order, placed)
+        ids = comp.shape_ids
+        shape_id = ids.get(shape)
+        if shape_id is None and len(ids) < _PLAN_CACHE_CAP:
+            shape_id = ids[shape] = len(ids)
+        if shape_id is not None and len(plan.shapes) < _PLAN_CACHE_CAP:
+            plan.shapes[placed] = shape_id
+    return shape_id
 
 
 def build_circuit(
@@ -215,7 +278,8 @@ def build_circuit(
     product of its amplitudes.  Each step masks the rows down to its
     ``order_plan`` dependency groups to find the control assignments, takes
     each one's constraint signature from its dependency values and the
-    frozen neighbours (see ``_signature_codes``), looks each distinct
+    frozen neighbours over the plan's recipe (see ``_signature_codes``), so
+    no compile reads the adjacency's neighbours, looks each distinct
     signature up once in ``signature_entry`` and expands every row by the
     nonzero roots of its assignment's distribution (a step with no
     dependency has one, broadcast); ``DEFAULT_SUPPORT_CAP`` caps the row
@@ -243,9 +307,9 @@ def build_circuit(
     tables: list[StepTable] = []
 
     comp = ruleset.compiled
-    steps, _ = order_plan(adjacency, ruleset, order)
+    plan = order_plan(adjacency, ruleset, order)
     comp.check(adjacency.n_directions, n_values)
-    for k, (target, deps) in enumerate(zip(order, steps), start=1):
+    for k, (target, deps, recipe) in enumerate(zip(order, plan.deps, plan.recipes), start=1):
         if deps:
             # the gather below holds rows x W cells; four per row of the
             # support cap let a world of up to four values gather at full support
@@ -266,7 +330,7 @@ def build_circuit(
             values = [[((key >> o) & group) + 1 for o in offsets] for key in keys.tolist()]
         else:
             values = [[]]  # one control assignment, broadcast over the walk below
-        signatures, rows = _signature_codes(adjacency, comp.max_direction, target, deps, fixed, values)
+        signatures, rows = _signature_codes(recipe, fixed, values)
         entries = [signature_entry(comp, sig, n_values, target) for sig in signatures]
         if None in entries:
             # name the first conflicting control tuple in sorted order
@@ -297,38 +361,33 @@ def build_circuit(
 
 
 def _signature_codes(
-    adjacency: AdjacencyConfig,
-    n_directions: int,
-    target: int,
-    deps: tuple[int, ...],
+    recipe: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...],
     fixed: Mapping[int, int],
     values: list[list[int]],
 ) -> tuple[list[tuple[int, ...]], list[int]]:
-    """The distinct constraint signatures of ``target`` under each list of
-    dependency ``values`` plus the ``fixed`` neighbour values, cut to
-    ``n_directions``, and the index of each list's signature among them.
+    """The distinct constraint signatures of a step's target under each list
+    of dependency ``values`` plus the ``fixed`` neighbour values, over the
+    step's ``OrderPlan`` recipe, and the index of each list's signature
+    among them.
 
     A direction's code is 0 when no neighbour value is known there, v when
     every known value is v and -1 otherwise, as ``constraint_signature``
     gives it.  The fixed neighbours are folded once per direction; each
-    list then folds in the values of the dependencies adjacent there.
+    list then folds in the values of the dependency columns adjacent there.
     """
-    column = {s: c for c, s in enumerate(deps)}
-    recipe = []
-    for d in range(1, n_directions + 1):
-        code, cols = 0, []
-        for s in adjacency.neighbors(target, d):
-            if s in column:
-                cols.append(column[s])
-            elif s in fixed:
-                v = fixed[s]
+    base = []
+    for cols, others in recipe:
+        code = 0
+        for s in others:
+            v = fixed.get(s)
+            if v is not None:
                 code = v if code in (0, v) else -1
-        recipe.append((code, cols))
+        base.append((code, cols))
     index: dict[tuple[int, ...], int] = {}
     rows = []
     for vals in values:
         signature = []
-        for code, cols in recipe:
+        for code, cols in base:
             for c in cols:
                 v = vals[c]
                 code = v if code in (0, v) else -1

@@ -200,8 +200,12 @@ def test_block_cache_keeps_adjacencies_and_alphabets_apart():
         got = hwfc_exact_distribution(adjacency, n_values, shared, partitioning)
         want = hwfc_exact_distribution(adjacency, n_values, Ruleset(shared.rules), partitioning)
         assert (got.segments, got.n_values, got.probs) == (want.segments, want.n_values, want.probs)
+    # block (2, 1) walks differently on the two grids, so it has a shape id
+    # on each; each first block is cached under its grid's id and each W
+    first = {adjacency: order_plan(adjacency, shared, (2, 1)).shapes[()] for adjacency, _ in worlds}
+    assert len(set(first.values())) == 2
     cache = shared.compiled.block_cache
-    assert {key[:2] for key in cache} == set(worlds)
+    assert {key[:2] for key in cache if key[2] == ()} == {(first[adjacency], n) for adjacency, n in worlds}
 
 
 def test_block_cache_cap_stops_growth_not_output(monkeypatch):
@@ -232,7 +236,8 @@ def test_repeated_conflicting_interface_raises_again():
         messages.append(str(err.value))
     assert messages[0] == messages[1]
     assert messages[0].startswith("partition 2: ")
-    assert list(rs.compiled.block_cache) == [(adj, 2, (1,), ())]
+    # the first block is cached, the conflicting second one is not
+    assert list(rs.compiled.block_cache) == [(order_plan(adj, rs, (1,)).shapes[()], 2, ())]
 
 
 def test_hwfc_block_past_the_index_limit_names_its_partition(monkeypatch):
@@ -341,7 +346,7 @@ def test_plan_boundary_gives_the_per_call_interface(world):
     rng = np.random.default_rng(3)
     blocks = partitioning.blocks
     for h, block in enumerate(blocks):
-        _, boundary = order_plan(adjacency, ruleset, block)
+        boundary = order_plan(adjacency, ruleset, block).boundary
         assert list(boundary) == sorted(set(boundary)) and not set(boundary) & set(block)
         placed = [s for b in blocks[:h] for s in b]
         for trial in range(6):
@@ -350,22 +355,24 @@ def test_plan_boundary_gives_the_per_call_interface(world):
             values = {int(s): int(rng.integers(1, n_values + 1)) for s in kept}
             got = tuple((s, values[s]) for s in boundary if s in values)
             assert got == _per_call_interface(adjacency, block, values)
-    # every block compiled by hwfc is cached under the per-call interface
+    # every block compiled by hwfc is cached under its shape and the values
+    # of the per-call interface
     fresh = Ruleset(ruleset.rules)
     rng = RandomSource(5)
     for _ in range(3):
         instance = with_restarts(lambda: hwfc_generate(adjacency, n_values, fresh, partitioning, rng), 20)
         for h, block in enumerate(blocks):
             earlier = {s: instance.mapping[s] for b in blocks[:h] for s in b}
-            key = (adjacency, n_values, block, _per_call_interface(adjacency, block, earlier))
-            assert key in fresh.compiled.block_cache
+            interface = _per_call_interface(adjacency, block, earlier)
+            shape_id = order_plan(adjacency, fresh, block).shapes[tuple(s for s, _ in interface)]
+            assert (shape_id, n_values, tuple(v for _, v in interface)) in fresh.compiled.block_cache
 
 
 def test_plan_steps_are_the_dependency_sets():
     for world in ("hexmap-r3-blocks8", "custom", "pipes-10x4"):
         adjacency, _, ruleset, partitioning = PLAN_WORLDS[world]()
         for order in partitioning.blocks + (tuple(range(adjacency.n_segments, 0, -1)),):
-            steps, _ = order_plan(adjacency, ruleset, order)
+            steps = order_plan(adjacency, ruleset, order).deps
             assert len(steps) == len(order)
             for k, deps in enumerate(steps, start=1):
                 target, earlier = order[k - 1], set(order[: k - 1])
@@ -386,6 +393,108 @@ def test_plan_cache_cap_stops_growth_not_output(monkeypatch):
     capped = Ruleset(uc.ruleset.rules)
     assert _samples(*args, capped, uc.partitioning, 11, 6) == cold
     assert list(capped.compiled.plans) == [(uc.adjacency, block) for block in uc.partitioning.blocks[:3]]
+
+
+# --------------------------------------------------------------------------
+# block shapes
+# --------------------------------------------------------------------------
+
+
+def _without_outputs(comp, plan, block, placed):
+    return tuple(step[:3] for step in quantum._walk_shape(comp, plan, block, placed))
+
+
+def _without_positions(comp, plan, block, placed):
+    shape = quantum._walk_shape(comp, plan, block, placed)
+    return tuple((r, deps, tuple(cols for cols, _ in recipe), out) for r, deps, recipe, out in shape)
+
+
+def _shape_disagreements(world, shape_of):
+    """(walks that differ, walks compared) between blocks of ``world`` that
+    ``shape_of(comp, plan, block, interface segments)`` groups together.
+
+    Each block is taken under several interface segment sets: the one hwfc
+    gives it, its whole boundary, random halves of it and each boundary
+    segment alone.  Each group member is compiled fresh beside the group's
+    first under equal interface values, drawn from hwfc instances and at
+    random; two walks agree when both conflict or their states are equal."""
+    adjacency, n_values, ruleset, partitioning = PLAN_WORLDS[world]()
+    comp, blocks = ruleset.compiled, partitioning.blocks
+    rng = RandomSource(5)
+    instances = [
+        with_restarts(lambda: hwfc_generate(adjacency, n_values, ruleset, partitioning, rng), 20).mapping
+        for _ in range(3)
+    ]
+    pick = np.random.default_rng(7)
+    groups = {}
+    for h, block in enumerate(blocks):
+        plan = order_plan(adjacency, ruleset, block)
+        earlier = {s for b in blocks[:h] for s in b}
+        interfaces = {tuple(s for s in plan.boundary if s in earlier), plan.boundary}
+        interfaces.update(tuple(s for s in plan.boundary if pick.random() < 0.5) for _ in range(3))
+        interfaces.update((s,) for s in plan.boundary)
+        for placed in sorted(interfaces):
+            key = (len(placed), shape_of(comp, plan, block, placed))
+            groups.setdefault(key, []).append((block, placed))
+
+    def walk(block, placed, values):
+        try:
+            frozen = ContentInstance(dict(zip(placed, values)))
+            return build_circuit(adjacency, n_values, ruleset, block, frozen).state
+        except ConflictError:
+            return None
+
+    differ = compared = 0
+    for (size, _), ((first, first_placed), *members) in groups.items():
+        for block, placed in members:
+            draws = {tuple(m[s] for s in p) for m in instances for p in (first_placed, placed)}
+            draws.update(tuple(pick.integers(1, n_values + 1, size).tolist()) for _ in range(3))
+            for values in sorted(draws):
+                a, b = walk(first, first_placed, values), walk(block, placed, values)
+                same = a is b is None or (
+                    a is not None
+                    and b is not None
+                    and np.array_equal(a.indices, b.indices)
+                    and np.array_equal(a.probabilities, b.probabilities)
+                )
+                differ += not same
+                compared += 1
+    return differ, compared
+
+
+@pytest.mark.parametrize(
+    "world", ["pipes-10x4", "platformer-10x10", "voxels-4x4x4", "hexmap-r3-blocks8", "custom"]
+)
+def test_blocks_of_one_shape_id_walk_equal_states(world):
+    differ, compared = _shape_disagreements(world, quantum._shape_id)
+    assert differ == 0
+    assert compared > 0 or world == "hexmap-r3-blocks8"  # its eight blocks are all of distinct shapes
+
+
+@pytest.mark.parametrize(
+    "world, shape_of",
+    [("platformer-10x10", _without_outputs), ("custom", _without_positions)],
+    ids=["platformer-without-factor-outputs", "custom-without-interface-positions"],
+)
+def test_a_shape_without_outputs_or_positions_joins_unequal_walks(world, shape_of):
+    differ, compared = _shape_disagreements(world, shape_of)
+    assert 0 < differ < compared
+
+
+def test_equal_shapes_share_one_id_and_state():
+    uc = pipes_usecase(10, 4)
+    comp, blocks = uc.ruleset.compiled, uc.partitioning.blocks
+    ids = []
+    for h, block in enumerate(blocks):
+        plan = order_plan(uc.adjacency, uc.ruleset, block)
+        placed = tuple(s for s in plan.boundary if any(s in b for b in blocks[:h]))
+        ids.append(quantum._shape_id(comp, plan, block, placed))
+        assert comp.shape_ids[quantum._walk_shape(comp, plan, block, placed)] == ids[-1]
+    # the first column has no placed neighbour; columns 2-10 read theirs alike
+    assert ids[0] != ids[1] and ids[1:] == [ids[1]] * 9
+    _samples(uc.adjacency, uc.alphabet.n_values, uc.ruleset, uc.partitioning, 3, 20)
+    assert len(comp.shape_ids) == 2
+    assert {key[0] for key in comp.block_cache} == set(ids)
 
 
 # sha256 of every load of every block of the instances RandomSource(2024) and

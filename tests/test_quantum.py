@@ -88,7 +88,7 @@ def test_dependency_set_uses_rule_directions():
     adj = grid2d_topology(2, 2).adjacency
     rs = checkerboard_ruleset()  # patterns use all four directions
     order = (1, 2, 3, 4)
-    steps, _ = order_plan(adj, rs, order)
+    steps = order_plan(adj, rs, order).deps
     assert steps[0] == () and steps[3] == (2, 3)
     # vertical-only rules ignore horizontal neighbors
     vert = Ruleset((Rule(1, 1.0, Pattern.of((2, 1))), Rule(2, 1.0, Pattern.of((4, 1)))))
