@@ -3,7 +3,6 @@ pattern-based value selection and restart-on-conflict."""
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left, insort
 from itertools import chain
 
@@ -36,12 +35,12 @@ class Placement:
     ``constraint_signature`` gives it: 0 = no placed neighbor, -1 = placed
     neighbors disagree, otherwise their common value.  A placement updates
     only the codes of its in-neighbors and marks the unplaced ones whose
-    code changed stale; ``ties`` refreshes their distribution entries and
-    entropies, in ascending id order, before it reads the minimum.
-    ``groups`` maps each entropy to the ascending ids of the unplaced
+    code changed stale; ``ties`` refreshes their distribution entries, in
+    ascending id order, before it reads the minimum.  ``groups`` maps each
+    entropy (an entry's ``[1]``) to the ascending ids of the unplaced
     segments that have it, so a step reads as many groups as there are
-    distinct entropies, not every segment.  Placed segments have entropy
-    +inf and belong to no group.
+    distinct entropies, not every segment.  Placed segments belong to no
+    group.
     """
 
     def __init__(self, adjacency: AdjacencyConfig, ruleset: Ruleset, n_values: int):
@@ -50,9 +49,8 @@ class Placement:
         n = adjacency.n_segments
         self.adjacency, self.comp, self.n_values = adjacency, comp, n_values
         self.codes = [[0] * comp.max_direction for _ in range(n)]
-        self.entropies: list[float | None] = [None] * n  # None until first refreshed
         self.groups: dict[float, list[int]] = {}
-        self.entries: list[tuple | None] = [None] * n  # each segment's current signature_entry
+        self.entries: list[tuple | None] = [None] * n  # each segment's signature_entry, None until refreshed
         self.stale = set(range(1, n + 1))
         self.values: dict[int, int] = {}  # placed segment -> value, in placement order
 
@@ -61,17 +59,16 @@ class Placement:
         ``_ENTROPY_TIE_TOL`` of it included.  Raises ConflictError naming
         the lowest stale segment with no admissible value.  The list may be
         the state's own: read it before the next ``place``."""
-        h, groups = self.entropies, self.groups
+        entries, groups = self.entries, self.groups
         for seg in sorted(self.stale):
             entry = signature_entry(self.comp, tuple(self.codes[seg - 1]), self.n_values, seg)
             if entry is None:
                 raise ConflictError(seg, self.content())
-            self.entries[seg - 1] = entry
-            old = h[seg - 1]
-            if entry[1] != old:
+            old = entries[seg - 1]
+            entries[seg - 1] = entry
+            if old is None or entry[1] != old[1]:
                 if old is not None:
-                    self._leave_group(seg, old)
-                h[seg - 1] = entry[1]
+                    self._leave_group(seg, old[1])
                 insort(groups.setdefault(entry[1], []), seg)
         self.stale.clear()
         low = min(groups) + _ENTROPY_TIE_TOL
@@ -87,8 +84,7 @@ class Placement:
 
     def place(self, segment: int, value: int) -> None:
         self.values[segment] = value
-        self._leave_group(segment, self.entropies[segment - 1])
-        self.entropies[segment - 1] = math.inf
+        self._leave_group(segment, self.entries[segment - 1][1])
         self.stale.discard(segment)
         max_direction = self.comp.max_direction
         for i, d in self.adjacency.in_edges(segment):

@@ -27,7 +27,7 @@ from .model import (
     make_factor,
 )
 from .render import FORMATS, can_draw, ppm_size
-from .topology import Topology, grid2d_topology, grid3d_topology, hexgrid_topology
+from .topology import DIRECTION_NAMES, Topology, grid2d_topology, grid3d_topology, hexgrid_topology
 
 MODES = ("cwfc", "qwfc", "hwfc", "oracle")
 FIELDS = (
@@ -42,17 +42,20 @@ MAX_DIRECTIONS = 1 << 10  # directions of a custom topology
 MAX_SHOT_SEGMENTS = 1 << 24  # shots x segments drawn in one run
 MAX_PPM_PIXELS = 1 << 22  # pixels in one rendered PPM image
 
-_DIRECTION_ALIASES = {
-    "grid2d": {"right": 1, "up": 2, "left": 3, "down": 4},
-    "grid3d": {"above": 1, "below": 2},
-    "hexgrid": {"e": 1, "ne": 2, "nw": 3, "w": 4, "sw": 5, "se": 6},
+# each built-in topology kind: its factory, the keys it reads besides 'type'
+# (the factory's arguments), their minimum and the segment count they make
+_TOPOLOGY_KINDS = {
+    "grid2d": (grid2d_topology, ("width", "height"), 1, math.prod),
+    "hexgrid": (hexgrid_topology, ("radius",), 0, lambda dims: 3 * dims[0] * (dims[0] + 1) + 1),
+    "grid3d": (grid3d_topology, ("width", "depth", "height"), 1, math.prod),
 }
-# the keys a topology of each kind reads besides 'type'
-_TOPOLOGY_FIELDS = {
-    "grid2d": ("width", "height"),
-    "hexgrid": ("radius",),
-    "grid3d": ("width", "depth", "height"),
-    "custom": ("segments", "directions", "edges"),
+# each rule generator: its use case and the topology fields it takes
+_GENERATORS = {
+    "checkerboard": (usecases.checkerboard_usecase, ("width", "height")),
+    "pipes": (usecases.pipes_usecase, ("width", "height")),
+    "hexmap": (usecases.hexmap_usecase, ("radius",)),
+    "platformer": (usecases.platformer_usecase, ("width", "height")),
+    "voxel_skyline": (usecases.voxel_skyline_usecase, ("width", "depth", "height")),
 }
 
 
@@ -164,22 +167,16 @@ def _build_topology(spec) -> Topology:
     if not isinstance(spec, dict) or "type" not in spec:
         raise ConfigError("field 'topology' must be a mapping with a 'type'")
     kind = spec["type"]
-    if not isinstance(kind, str) or kind not in _TOPOLOGY_FIELDS:
-        raise ConfigError(f"unknown topology type {kind!r}")
-    _check_keys(spec, ("type", *_TOPOLOGY_FIELDS[kind]), f"{kind} topology")
-    if kind == "grid2d":
-        w, h = _int_field(spec, "width", minimum=1), _int_field(spec, "height", minimum=1)
-        _check_cap(w * h, "segments", MAX_SEGMENTS)
-        return grid2d_topology(w, h)
-    if kind == "hexgrid":
-        r = _int_field(spec, "radius", minimum=0)
-        _check_cap(3 * r * (r + 1) + 1, "segments", MAX_SEGMENTS)
-        return hexgrid_topology(r)
-    if kind == "grid3d":
-        dims = [_int_field(spec, f, minimum=1) for f in ("width", "depth", "height")]
-        _check_cap(math.prod(dims), "segments", MAX_SEGMENTS)
-        return grid3d_topology(*dims)
+    if kind != "custom":
+        if not isinstance(kind, str) or kind not in _TOPOLOGY_KINDS:
+            raise ConfigError(f"unknown topology type {kind!r}")
+        factory, fields, minimum, n_segments = _TOPOLOGY_KINDS[kind]
+        _check_keys(spec, ("type", *fields), f"{kind} topology")
+        dims = [_int_field(spec, f, minimum=minimum) for f in fields]
+        _check_cap(n_segments(dims), "segments", MAX_SEGMENTS)
+        return factory(*dims)
     # custom: segments, directions, and edge pairs keyed by direction
+    _check_keys(spec, ("type", "segments", "directions", "edges"), "custom topology")
     n = _int_field(spec, "segments", minimum=1)
     _check_cap(n, "segments", MAX_SEGMENTS)
     d = _int_field(spec, "directions", minimum=1)
@@ -263,11 +260,11 @@ def _is_ascii_digits(text: str) -> bool:
 
 
 def _resolve_direction(raw, topology: Topology) -> int:
-    aliases = _DIRECTION_ALIASES.get(topology.kind, {})
+    names = DIRECTION_NAMES.get(topology.kind, ())
     if _is_int(raw):
         d = raw
-    elif isinstance(raw, str) and raw.lower() in aliases:
-        d = aliases[raw.lower()]
+    elif isinstance(raw, str) and raw.lower() in names:
+        d = names.index(raw.lower()) + 1
     elif isinstance(raw, str) and raw.lower().startswith("d") and _is_ascii_digits(raw[1:]):
         d = int(raw[1:])
     else:
@@ -337,23 +334,11 @@ def _build_from_generator(spec, topology: Topology):
     for key, raw in params.items():
         if not _is_finite_number(raw):
             raise ConfigError(f"generator {name!r} parameter {key!r} must be a finite number, got {raw!r}")
-
-    def dims(*names):
-        return tuple(topology.param(n) for n in names)
-
+    if not isinstance(name, str) or name not in _GENERATORS:
+        raise ConfigError(f"unknown rule generator {name!r}")
+    usecase, fields = _GENERATORS[name]
     try:
-        if name == "checkerboard":
-            uc = usecases.checkerboard_usecase(*dims("width", "height"), **params)
-        elif name == "pipes":
-            uc = usecases.pipes_usecase(*dims("width", "height"), **params)
-        elif name == "hexmap":
-            uc = usecases.hexmap_usecase(topology.param("radius"), **params)
-        elif name == "platformer":
-            uc = usecases.platformer_usecase(*dims("width", "height"), **params)
-        elif name == "voxel_skyline":
-            uc = usecases.voxel_skyline_usecase(*dims("width", "depth", "height"), **params)
-        else:
-            raise ConfigError(f"unknown rule generator {name!r}")
+        uc = usecase(*(topology.param(f) for f in fields), **params)
     except KeyError as exc:
         raise ConfigError(f"generator {name!r} incompatible with topology: {exc}") from None
     except (TypeError, ValueError) as exc:

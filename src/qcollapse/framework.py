@@ -27,6 +27,7 @@ class RandomSource:
 
     def __init__(self, seed: int):
         self._rng = np.random.default_rng(seed)
+        self._batch = None  # (bit generator state before, n) of the last uniforms batch
 
     def categorical(self, probs: np.ndarray) -> int:
         """One ``draw`` from the cumulative sum of ``probs``."""
@@ -49,8 +50,13 @@ class RandomSource:
 
     def give_back(self, k: int) -> None:
         """Return the last ``k`` uniforms of the last ``uniforms`` batch to the
-        stream: it then stands where ``n - k`` single draws leave it."""
+        stream: it then stands where ``n - k`` single draws leave it.  Raises
+        ValueError before any batch or unless 0 <= k <= n."""
+        if self._batch is None:
+            raise ValueError("give_back before any uniforms batch")
         state, n = self._batch
+        if not 0 <= k <= n:
+            raise ValueError(f"give_back({k}) outside [0, {n}] for a batch of {n} uniforms")
         bit_generator = self._rng.bit_generator
         bit_generator.state = state
         bit_generator.advance(n - k)  # PCG64 spends one step per double

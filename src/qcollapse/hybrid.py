@@ -10,11 +10,11 @@ from typing import Mapping
 from .errors import CapacityError, ConflictError
 from .framework import RandomSource, _check_budget
 from .model import AdjacencyConfig, ContentInstance, Distribution, Ruleset, bits_per_value, decode_values
-from .quantum import SparseState, _check_index_qubits, _shape_id, build_circuit, exact_distribution, order_plan
+from .quantum import SparseState, _check_index_qubits, _shape_id, build_circuit, order_plan
 from .quantum import walked_state
 
 # Unused here; perfbench/layers.py wraps these names on this module.
-from .quantum import sample_shots, simulate  # noqa: F401
+from .quantum import exact_distribution, sample_shots, simulate  # noqa: F401
 
 _BLOCK_CACHE_CAP = 1 << 20  # state entries per compiled ruleset (24 B with its cumulative, ~24 MB)
 
@@ -162,7 +162,7 @@ def hwfc_exact_distribution(
                 conflict = exc
                 continue
             # blocks partition the segments, so each joint is reached once
-            for basis, p in exact_distribution(state, state.layout).probs.items():
+            for basis, p in zip(state.indices.tolist(), state.probabilities.tolist()):
                 nxt[prior + decode_values(basis, layout, n_values)] = mass * p
         if not nxt:
             raise conflict

@@ -19,6 +19,15 @@ class Topology:
         return dict(self.params)[name]
 
 
+# the names a config may give each built-in kind's directions, in the order
+# its factory below numbers them from 1
+DIRECTION_NAMES = {
+    "grid2d": ("right", "up", "left", "down"),
+    "grid3d": ("above", "below"),
+    "hexgrid": ("e", "ne", "nw", "w", "sw", "se"),
+}
+
+
 def grid2d_topology(width: int, height: int) -> Topology:
     """Nearest-neighbor 2D grid, D=4: right (1), up (2), left (3), down (4).
 

@@ -4,6 +4,7 @@ orders, partitionings and validators over complete instances."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from typing import Callable
 
@@ -26,13 +27,20 @@ class UseCase:
     topology: Topology
     alphabet: Alphabet
     ruleset: Ruleset
-    order: tuple[int, ...]
     partitioning: Partitioning
     validator: Callable[[ContentInstance], list[str]]
 
     @property
     def adjacency(self):
         return self.topology.adjacency
+
+    @cached_property
+    def order(self) -> tuple[int, ...]:
+        """The segment order: ascending ids, which the topologies number so
+        that it is raster on a grid, ring-spiral from the centre on a hex
+        disc, and layer by layer from the ground up in 3-D (a platformer's
+        bottom row first, building upward)."""
+        return tuple(range(1, self.adjacency.n_segments + 1))
 
 
 # --------------------------------------------------------------------------
@@ -66,7 +74,6 @@ def checkerboard_usecase(width: int, height: int) -> UseCase:
         topology,
         alphabet,
         checkerboard_ruleset(),
-        tuple(range(1, n + 1)),
         equal_blocks(n, height),
         validator,
     )
@@ -143,13 +150,11 @@ def pipes_usecase(width: int, height: int) -> UseCase:
                     bad.append(f"port mismatch between {i} and {j} (direction {d})")
         return sorted(set(bad))
 
-    n = adjacency.n_segments
     return UseCase(
         "pipes",
         topology,
         alphabet,
         generate_pipes_ruleset(),
-        tuple(range(1, n + 1)),
         column_blocks(width, height, width),  # one partition per column
         validator,
     )
@@ -205,7 +210,6 @@ def hexmap_usecase(radius: int, u_blue: float = 5.0) -> UseCase:
         topology,
         alphabet,
         generate_hexmap_ruleset(u_blue),
-        tuple(range(1, n + 1)),  # ring-spiral from the center by construction
         equal_blocks(n, 2 if n > 1 else 1),
         validator,
     )
@@ -307,7 +311,6 @@ def platformer_usecase(width: int, height: int) -> UseCase:
         topology,
         alphabet,
         platformer_ruleset(width, height),
-        tuple(range(1, n + 1)),  # bottom row first, building upward
         equal_blocks(n, partitions),
         validator,
     )
@@ -352,7 +355,6 @@ def voxel_skyline_usecase(width: int, depth: int, height: int) -> UseCase:
         topology,
         alphabet,
         voxel_skyline_ruleset(width * depth),
-        tuple(range(1, n + 1)),  # layer by layer, ground up
         equal_blocks(n, height),
         validator,
     )

@@ -139,7 +139,7 @@ def test_placement_codes_and_ties_match_a_fresh_report():
                 report = entropy_report(adj, content, rs, n_values)
                 assert tuple(ties) == report.minimizers, (world, k)
                 for seg, h in report.entropies.items():
-                    assert state.entropies[seg - 1] == h, (world, k, seg)
+                    assert state.entries[seg - 1][1] == h, (world, k, seg)
                 seg = draw_tie(ties, rng._rng.random())
                 entry = state.entries[seg - 1]
                 assert entry[0].tobytes() == value_distribution(seg, adj, content, rs, n_values).tobytes()

@@ -112,6 +112,22 @@ def test_giving_back_k_of_n_uniforms_is_n_minus_k_single_draws(k):
     assert batched._rng.random(5).tolist() == single._rng.random(5).tolist()
 
 
+def test_give_back_refuses_before_any_batch():
+    with pytest.raises(ValueError, match="before any uniforms batch"):
+        RandomSource(21).give_back(0)
+
+
+@pytest.mark.parametrize("k", [-2, 5])
+def test_give_back_refuses_k_outside_the_batch(k):
+    """More than the batch would rewind into earlier draws, and a negative
+    count would skip ahead; either leaves the stream where it stood."""
+    rng, untouched = RandomSource(21), RandomSource(21)
+    assert rng.uniforms(3) == untouched.uniforms(3)
+    with pytest.raises(ValueError, match=rf"give_back\({k}\) outside \[0, 3\]"):
+        rng.give_back(k)
+    assert rng._rng.random() == untouched._rng.random()
+
+
 def test_fixed_order_selector():
     sel = fixed_order_selector((3, 1, 2), 3)
     np.testing.assert_array_equal(sel(1, ContentInstance()), [0, 0, 1])
