@@ -42,6 +42,10 @@ class RandomSource:
         idx = cum.searchsorted(u, side="right")
         return int(idx) if draws is None else idx
 
+    def uniform(self) -> float:
+        """The next uniform of the stream: the one a single ``draw`` takes."""
+        return self._rng.random()
+
     def uniforms(self, n: int) -> list[float]:
         """The next ``n`` uniforms of the stream, as the uniforms ``n`` single
         draws would take; ``give_back`` returns the unused ones."""

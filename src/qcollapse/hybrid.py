@@ -4,19 +4,24 @@ previously sampled partitions frozen as classical constraints, then join."""
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import CapacityError, ConflictError
-from .framework import RandomSource, _check_budget
+from .framework import RandomSource, _check_budget, draw_index
 from .model import AdjacencyConfig, ContentInstance, Distribution, Ruleset, bits_per_value, decode_values
-from .quantum import SparseState, _check_index_qubits, _shape_id, build_circuit, order_plan
+from .quantum import SparseState, _check_index_qubits, _product_entries, _shape_id, build_circuit, order_plan
 from .quantum import walked_state
 
 # Unused here; perfbench/layers.py wraps these names on this module.
 from .quantum import exact_distribution, sample_shots, simulate  # noqa: F401
 
-_BLOCK_CACHE_CAP = 1 << 20  # state entries per compiled ruleset (24 B with its cumulative, ~24 MB)
+# cells per compiled ruleset: a walked state's entries (24 B each with its
+# cumulative, ~24 MB at the cap), W per segment of a product block's factors
+_BLOCK_CACHE_CAP = 1 << 20
+_MARGIN = 2.0**-30  # see _digit_draw
 
 
 @dataclass(frozen=True)
@@ -75,47 +80,125 @@ def validate_partitioning(partitioning: Partitioning, n_segments: int) -> list[s
     return violations
 
 
-def _block_outcomes(
-    adjacency: AdjacencyConfig,
-    n_values: int,
-    ruleset: Ruleset,
-    h: int,
-    block: tuple[int, ...],
-    values: Mapping[int, int],
-) -> SparseState:
-    """Partition ``h``'s state given the earlier blocks' ``values``.
-
-    The block's state reads earlier blocks only through its interface, the
-    placed segments of its boundary (all that ``constraint_signature``
-    reads; see ``order_plan``), so the circuit is compiled on the
-    interface alone and the state it walked is cached on the compiled
-    ruleset under the block's shape id (see ``quantum._shape_id``), W and the
-    interface values: blocks of one shape share a state, whose ``layout``
-    is that of the block that compiled it.  Its loads are never read, so
-    none is built.  Conflicts are not cached: they raise again on every
-    call, named after partition ``h``.
-    """
+def _block_key(
+    adjacency: AdjacencyConfig, n_values: int, ruleset: Ruleset, block: tuple[int, ...], values: Mapping[int, int]
+) -> tuple:
+    """The block's ``order_plan``, its interface (the placed segments of its
+    boundary, all that ``constraint_signature`` reads) and its cache key:
+    (shape id, W, interface values), shared by blocks of one shape (see
+    ``quantum._shape_id``)."""
     plan = order_plan(adjacency, ruleset, block)
     placed = tuple(s for s in plan.boundary if s in values)
     interface = tuple(values[s] for s in placed)
-    comp = ruleset.compiled
-    shape_id = _shape_id(comp, plan, block, placed)
-    key = (shape_id, n_values, interface)
-    state = comp.block_cache.get(key)
-    if state is not None:
-        return state
+    return plan, placed, (_shape_id(ruleset.compiled, plan, block, placed), n_values, interface)
+
+
+def _cache(comp, key: tuple, value, cells: int):
+    """``value``, kept under ``key`` if the shape has an id and its cells fit."""
+    if key[0] is not None and comp.block_cache_entries + cells <= _BLOCK_CACHE_CAP:
+        comp.block_cache[key] = value
+        comp.block_cache_entries += cells
+    return value
+
+
+@contextmanager
+def _named(h: int):
+    """Prefix ``partition h:`` to a conflict or capacity refusal raised inside."""
     try:
-        _check_index_qubits(len(block) * bits_per_value(n_values))  # before any compile work
-        frozen = ContentInstance(dict(zip(placed, interface)))
-        circuit = build_circuit(adjacency, n_values, ruleset, block, frozen=frozen)
-        state = walked_state(circuit)
+        yield
     except (ConflictError, CapacityError) as exc:
         exc.args = (f"partition {h}: {exc.args[0]}",) + exc.args[1:]
         raise
-    if shape_id is not None and comp.block_cache_entries + len(state.indices) <= _BLOCK_CACHE_CAP:
-        comp.block_cache[key] = state
-        comp.block_cache_entries += len(state.indices)
+
+
+def _block_outcomes(
+    adjacency: AdjacencyConfig, n_values: int, ruleset: Ruleset, h: int, block: tuple[int, ...], found: tuple
+) -> SparseState:
+    """Partition ``h``'s walked state, given what ``_block_key`` found for it.
+
+    The circuit is compiled on the interface alone, and the state it walked
+    is cached under the block's key (with ``"walked"`` appended for a
+    product block, whose key holds its factors): blocks of one shape share
+    a state, whose ``layout`` is that of the block that compiled it.  Its
+    loads are never read, so none is built.  Conflicts are not cached: they
+    raise again on every call, named after partition ``h``.
+    """
+    plan, placed, key = found
+    if not any(plan.deps):
+        key += ("walked",)
+    comp = ruleset.compiled
+    state = comp.block_cache.get(key)
+    if state is None:
+        with _named(h):
+            _check_index_qubits(len(block) * bits_per_value(n_values))  # before any compile work
+            frozen = ContentInstance(dict(zip(placed, key[2])))
+            state = walked_state(build_circuit(adjacency, n_values, ruleset, block, frozen=frozen))
+        _cache(comp, key, state, len(state.indices))
     return state
+
+
+def _block_factors(
+    adjacency: AdjacencyConfig, n_values: int, ruleset: Ruleset, h: int, block: tuple[int, ...], found: tuple
+) -> tuple:
+    """The factors of a product block, one whose plan gives no step a
+    dependency: for each segment, highest id first, the probabilities and
+    cumulative of its entry (see ``quantum._product_entries``, which refuses
+    as the block's compile would); cached under the block's key as W cells
+    per segment."""
+    _, placed, key = found
+    comp = ruleset.compiled
+    factors = comp.block_cache.get(key)
+    if factors is None:
+        with _named(h):
+            _check_index_qubits(len(block) * bits_per_value(n_values))  # before any other work
+            entries = _product_entries(adjacency, n_values, ruleset, block, dict(zip(placed, key[2])))
+        factors = tuple((entries[s][0].tolist(), entries[s][2]) for s in sorted(block, reverse=True))
+        _cache(comp, key, factors, n_values * len(block))
+    return factors
+
+
+def _digit_draw(factors: tuple, u: float, q: int) -> int | None:
+    """The basis index that ``draw_index(state.cumulative, u)`` gives on the
+    product block's walked state, decoded from its ``factors`` (``q`` bits
+    per value); None if ``u`` lies within ``_MARGIN`` of the decoded
+    outcome's interval ends, where only the walked state can tell.
+
+    Walked indices ascend as the digits do from the highest segment down.
+    Each digit is a ``bisect_right`` in its segment's cumulative, and [lo,
+    lo + width) then narrows to that value's share.  Only the last interval
+    is checked: if ``u`` lies well inside it, no digit was misread.
+
+    The margin.  Let P(x) be the exact mass of outcome x under the product
+    of the factors' probabilities and F(x) the mass below it, N <= 63 the
+    segments and e = 2^-53.  The support cap allows at most 2^20 outcomes,
+    so at most 2^20 + N nonzero probabilities over all factors, and each of
+    these lies within (2^21 + 8N) e of the exact value:
+    - the walked ends of x, cum[k-1] and cum[k], of F(x) and F(x) + P(x):
+      an entry is (prod fl(sqrt p))^2 (4N roundings), and the sequential
+      ``cumsum`` of at most 2^20 entries adds at most 2^20 e;
+    - the walked target ``u * cum[-1]``, of u: cum[-1] is as near the
+      product's total, and each factor sums to 1 within one rounding per
+      nonzero term;
+    - lo and lo + width, of F(x) and F(x) + P(x): per level a width (N
+      roundings) times a factor cumulative (one per nonzero term), where
+      F also carries the totals of the lower factors.
+    Together, with the comparisons, that is under 2^-30.4 < ``_MARGIN`` =
+    2^-30, so the walked draw lands on x whenever this one returns it.  An
+    outcome narrower than twice the margin, one whose square underflowed
+    included, always falls back.
+    """
+    lo, width, drawn = 0.0, 1.0, 0
+    for probs, cum in factors:
+        v = bisect_right(cum, (u - lo) / width)
+        if v == len(cum):
+            return None
+        if v:
+            lo += width * cum[v - 1]
+        width *= probs[v]
+        if width < 2 * _MARGIN:
+            return None
+        drawn = drawn << q | v
+    return drawn if lo + _MARGIN <= u < lo + width - _MARGIN else None
 
 
 def hwfc_generate(
@@ -129,11 +212,25 @@ def hwfc_generate(
 
     Each partition's circuit conditions classically on all earlier outcomes,
     so the joint distribution is the product of per-partition conditionals.
+    A product block (see ``_block_factors``) takes its one uniform once no
+    segment conflicts and decodes it from its factors, or near a boundary
+    draws its walked state with it (see ``_digit_draw``): every outcome is
+    the walked state's draw, bit for bit, on the same stream.
     """
     values: dict[int, int] = {}
+    q = bits_per_value(n_values)
     for h, block in enumerate(partitioning.blocks, start=1):
-        state = _block_outcomes(adjacency, n_values, ruleset, h, block, values)
-        drawn = int(state.indices[rng.draw(state.cumulative, 1)[0]])
+        found = _block_key(adjacency, n_values, ruleset, block, values)
+        if any(found[0].deps):
+            state = _block_outcomes(adjacency, n_values, ruleset, h, block, found)
+            drawn = int(state.indices[rng.draw(state.cumulative, 1)[0]])
+        else:
+            factors = _block_factors(adjacency, n_values, ruleset, h, block, found)
+            u = rng.uniform()
+            drawn = _digit_draw(factors, u, q)
+            if drawn is None:
+                state = _block_outcomes(adjacency, n_values, ruleset, h, block, found)
+                drawn = int(state.indices[draw_index(state.cumulative, u)])
         # the block's own layout: a shared state keeps its first block's
         values.update(decode_values(drawn, tuple(sorted(block)), n_values))
     return ContentInstance(values)
@@ -157,7 +254,8 @@ def hwfc_exact_distribution(
         nxt: dict[tuple[tuple[int, int], ...], float] = {}
         for prior, mass in outcomes.items():
             try:
-                state = _block_outcomes(adjacency, n_values, ruleset, h, block, dict(prior))
+                found = _block_key(adjacency, n_values, ruleset, block, dict(prior))
+                state = _block_outcomes(adjacency, n_values, ruleset, h, block, found)
             except ConflictError as exc:
                 conflict = exc
                 continue

@@ -206,8 +206,9 @@ class CompiledRuleset:
         # (probabilities, entropy, cumulative) keyed (signature, W, factor
         # outputs); see signature_entry.
         self.dist_cache: dict[tuple, object] = {}
-        # hwfc block states, keyed (shape id, W, interface values); see
-        # hybrid._block_outcomes.
+        # hwfc blocks keyed (shape id, W, interface values): walked states, and
+        # a product block's factors, whose walked state keys with "walked"
+        # appended; block_cache_entries counts their cells.  See hybrid._block_key.
         self.block_cache: dict[tuple, object] = {}
         self.block_cache_entries = 0
         # walk shapes interned to ids; see quantum._shape_id

@@ -360,6 +360,32 @@ def build_circuit(
     return CircuitProgram(layout, tuple(tables), state)
 
 
+def _product_entries(
+    adjacency: AdjacencyConfig, n_values: int, ruleset: Ruleset, order: tuple[int, ...], fixed: Mapping[int, int]
+) -> dict[int, tuple]:
+    """Each segment's ``signature_entry`` under the ``fixed`` values, for an
+    order whose ``order_plan`` gives no step a dependency, so that its
+    circuit prepares the product of these distributions.  Refuses as
+    ``build_circuit`` does, with the same text at the same iteration: at
+    the first step without an entry, or once the product of nonzero counts
+    passes ``DEFAULT_SUPPORT_CAP``."""
+    if len(set(order)) != len(order):
+        raise ValueError("segment order must not repeat ids")
+    comp = ruleset.compiled
+    plan = order_plan(adjacency, ruleset, order)
+    comp.check(adjacency.n_directions, n_values)
+    entries, support = {}, 1
+    for k, (target, recipe) in enumerate(zip(order, plan.recipes), start=1):
+        entry = signature_entry(comp, _signature_codes(recipe, fixed, [[]])[0][0], n_values, target)
+        if entry is None:
+            raise ConflictError(target, ContentInstance(), f"while compiling iteration {k}")
+        support *= int(np.count_nonzero(entry[0]))
+        if support > DEFAULT_SUPPORT_CAP:
+            raise CapacityError(f"reachable support grew past {DEFAULT_SUPPORT_CAP} at iteration {k}")
+        entries[target] = entry
+    return entries
+
+
 def _signature_codes(
     recipe: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...],
     fixed: Mapping[int, int],

@@ -218,10 +218,27 @@ def test_block_cache_cap_stops_growth_not_output(monkeypatch):
     comp = capped.compiled
     assert _samples(*args, capped, uc.partitioning, 11, 6) == cold
     assert 0 < comp.block_cache_entries <= cap
-    assert comp.block_cache_entries == sum(len(t.indices) for t in comp.block_cache.values())
+    # a walked state counts its entries, a product block's factors W cells per segment
+    assert comp.block_cache_entries == sum(
+        len(t.indices) if isinstance(t, quantum.SparseState) else sum(len(cum) for _, cum in t)
+        for t in comp.block_cache.values()
+    )
     for seed in (12, 13):
         _samples(*args, capped, uc.partitioning, seed, 6)
         assert comp.block_cache_entries <= cap
+
+
+def test_block_cache_counts_a_product_block_by_its_cells(monkeypatch):
+    uc = platformer_usecase(10, 10)  # 20 product blocks of 5 segments, W = 8
+    args = (uc.adjacency, uc.alphabet.n_values)
+    cold = _samples(*args, Ruleset(uc.ruleset.rules), uc.partitioning, 11, 6)
+    monkeypatch.setattr(hybrid, "_BLOCK_CACHE_CAP", 1000)
+    capped = Ruleset(uc.ruleset.rules)
+    comp = capped.compiled
+    assert _samples(*args, capped, uc.partitioning, 11, 6) == cold
+    factors = list(comp.block_cache.values())
+    assert all(len(f) == 5 and all(len(probs) == len(cum) == 8 for probs, cum in f) for f in factors)
+    assert comp.block_cache_entries == 40 * len(factors) and 1000 - 40 < comp.block_cache_entries <= 1000
 
 
 def test_repeated_conflicting_interface_raises_again():
@@ -268,6 +285,17 @@ def test_hwfc_block_past_the_index_limit_names_its_partition(monkeypatch):
 def test_block_states_equal_simulate(make, monkeypatch):
     # every block compiled for three instances, under its real frozen interface
     uc = make()
+    n_values, blocks = uc.alphabet.n_values, uc.partitioning.blocks
+    if not any(dep for block in blocks for dep in order_plan(uc.adjacency, uc.ruleset, block).deps):
+        # product blocks draw from their factors, so compile each one directly
+        rng = RandomSource(2024)
+        for _ in range(3):
+            instance = hwfc_generate(uc.adjacency, n_values, uc.ruleset, uc.partitioning, rng)
+            for h, block in enumerate(blocks):
+                earlier = {s: instance.mapping[s] for b in blocks[:h] for s in b}
+                frozen = ContentInstance(_per_call_interface(uc.adjacency, block, earlier))
+                assert_walked_state_is_simulated(build_circuit(uc.adjacency, n_values, uc.ruleset, block, frozen))
+        return
     compiled = []
 
     def recording(*args, **kwargs):
@@ -570,3 +598,132 @@ def test_hwfc_builds_no_loads(monkeypatch):
         assert _loads_digest(circuits) == BROADCAST_LOADS[world][1]
     for world, circuit in golden.items():
         assert len(circuit.loads) == QWFC_CIRCUITS[world][1][0]
+
+
+# --------------------------------------------------------------------------
+# product blocks: the digit draw
+# --------------------------------------------------------------------------
+
+
+def _walked_draws(state, uniforms):
+    cum = state.cumulative
+    return state.indices[cum.searchsorted(uniforms * cum[-1], side="right")].tolist()
+
+
+def _product_draw(factors, state, u, q):
+    """A product block's draw as ``hwfc_generate`` takes it: the digit draw,
+    or near a boundary the walked state's."""
+    drawn = hybrid._digit_draw(factors, u, q)
+    return int(state.indices[framework.draw_index(state.cumulative, u)]) if drawn is None else drawn
+
+
+@pytest.mark.parametrize("world", sorted(BROADCAST_LOADS))
+def test_digit_draw_agrees_with_the_walked_draw_at_every_boundary(world):
+    uc = BROADCAST_LOADS[world][0]()
+    n_values, blocks = uc.alphabet.n_values, uc.partitioning.blocks
+    q = quantum.bits_per_value(n_values)
+    instance = hwfc_generate(uc.adjacency, n_values, uc.ruleset, uc.partitioning, RandomSource(2024))
+    pick = np.random.default_rng(11)
+    deferred = 0
+    for h, block in enumerate(blocks, start=1):
+        earlier = {s: instance.mapping[s] for b in blocks[: h - 1] for s in b}
+        found = hybrid._block_key(uc.adjacency, n_values, uc.ruleset, block, earlier)
+        factors = hybrid._block_factors(uc.adjacency, n_values, uc.ruleset, h, block, found)
+        state = hybrid._block_outcomes(uc.adjacency, n_values, uc.ruleset, h, block, found)
+        # every uniform whose walked target lands on an entry of the table and
+        # its float neighbours: each lies within the margin of a boundary
+        bounds = state.cumulative / state.cumulative[-1]
+        near = np.concatenate((bounds, np.nextafter(bounds, 0.0), np.nextafter(bounds, 1.0)))
+        near = near[near < 1.0]
+        for u, want in zip(near.tolist(), _walked_draws(state, near)):
+            assert hybrid._digit_draw(factors, u, q) is None
+            assert int(state.indices[framework.draw_index(state.cumulative, u)]) == want
+        uniforms = pick.random(10_000 // len(blocks))  # 10,000 per world
+        for u, want in zip(uniforms.tolist(), _walked_draws(state, uniforms)):
+            assert _product_draw(factors, state, u, q) == want
+            deferred += hybrid._digit_draw(factors, u, q) is None
+    assert deferred <= 10  # about 2 * 2^-30 per outcome of a block's support
+
+
+class _Uniforms(RandomSource):
+    """A stream whose ``uniform`` gives the listed values in turn."""
+
+    def __init__(self, *uniforms):
+        super().__init__(0)
+        self._given = iter(uniforms)
+
+    def uniform(self):
+        return next(self._given)
+
+
+def test_digit_draw_on_a_boundary_falls_back_to_the_walked_draw(monkeypatch):
+    # two free segments of four equal values: the roots are exactly 1/2, so
+    # the walked table is exactly k/16 and each k/16 a joint boundary
+    adj = grid2d_topology(2, 1).adjacency
+    rs = Ruleset(tuple(Rule(v, 1.0, Pattern.of()) for v in range(1, 5)))
+    state = build_circuit(adj, 4, rs, (1, 2)).state
+    assert state.cumulative.tolist() == [k / 16 for k in range(1, 17)]
+    walked = []
+    real = hybrid._block_outcomes
+
+    def recording(*args):
+        walked.append(real(*args))
+        return walked[-1]
+
+    monkeypatch.setattr(hybrid, "_block_outcomes", recording)
+    for u, falls_back in ((0.0, True), (0.25, True), (0.5, True), (0.53, False), (13 / 16, True), (0.9, False)):
+        walked.clear()
+        instance = hwfc_generate(adj, 4, rs, Partitioning(((1, 2),)), _Uniforms(u))
+        assert len(walked) == falls_back
+        assert [encode_values(instance.mapping, (1, 2), 4)] == _walked_draws(state, np.array([u]))
+
+
+def _right_needs_two():
+    # value 1 needs its right neighbour to be 2, which no rule gives: a
+    # segment conflicts once its right neighbour is placed
+    return Ruleset((Rule(1, 1.0, Pattern.of((1, 2))),))
+
+
+@pytest.mark.parametrize("blocks", [((2,), (1,), (3,)), ((2,), (3, 1))], ids=["single", "block-order"])
+def test_product_conflict_leaves_the_stream_after_one_uniform_per_drawn_block(blocks):
+    adj = grid2d_topology(3, 1).adjacency
+    rng = RandomSource(42)
+    with pytest.raises(ConflictError) as err:
+        hwfc_generate(adj, 2, _right_needs_two(), Partitioning(blocks), rng)
+    assert str(err.value) == (
+        f"partition 2: no admissible value for segment 1 (while compiling iteration {len(blocks[1])})"
+    )
+    # partition 1 drew one uniform; partition 2 conflicted before drawing,
+    # though its segment 3 has an entry
+    assert rng.uniform() == RandomSource(42).uniforms(2)[1]
+
+
+def test_product_refusals_read_as_the_compile_gives_them():
+    from qcollapse import CapacityError
+
+    # block (5, 3, 1) under 2 = 4 = 1: segments 3 and 1 both conflict, and
+    # the first in block order is named
+    adj = grid2d_topology(5, 1).adjacency
+    rs = _right_needs_two()
+    with pytest.raises(ConflictError) as got:
+        hwfc_generate(adj, 2, rs, Partitioning(((2, 4), (5, 3, 1))), RandomSource(0))
+    with pytest.raises(ConflictError) as want:
+        build_circuit(adj, 2, rs, (5, 3, 1), frozen=ContentInstance({2: 1, 4: 1}))
+    assert str(got.value) == f"partition 2: {want.value}"
+    assert (got.value.segment, got.value.content) == (want.value.segment, want.value.content) == (3, ContentInstance())
+    # 21 free segments of two values pass the support cap at iteration 21
+    adj = grid2d_topology(21, 1).adjacency
+    rs = Ruleset((Rule(1, 1.0, Pattern.of()), Rule(2, 1.0, Pattern.of())))
+    block = tuple(range(21, 0, -1))
+    with pytest.raises(CapacityError) as got:
+        hwfc_generate(adj, 2, rs, Partitioning((block,)), RandomSource(0))
+    with pytest.raises(CapacityError) as want:
+        build_circuit(adj, 2, rs, block)
+    assert str(got.value) == f"partition 1: {want.value}"
+    assert str(want.value).endswith("at iteration 21")
+    # the index limit is checked first, and repeated ids refused as the compile does
+    adj = grid2d_topology(64, 1).adjacency
+    with pytest.raises(CapacityError, match="^partition 1: 64 qubits exceed the limit of 63"):
+        hwfc_generate(adj, 2, rs, Partitioning((tuple(range(1, 65)),)), RandomSource(0))
+    with pytest.raises(ValueError, match="^segment order must not repeat ids$"):
+        hwfc_generate(adj, 2, rs, Partitioning(((1, 2, 1),)), RandomSource(0))
