@@ -7,13 +7,13 @@ import math
 from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Mapping
+from typing import NamedTuple
 
 from .errors import CapacityError, ConflictError
 from .framework import RandomSource, _check_budget, draw_index
 from .model import AdjacencyConfig, ContentInstance, Distribution, Ruleset, bits_per_value, decode_values
-from .quantum import SparseState, _check_index_qubits, _product_entries, _shape_id, build_circuit, order_plan
-from .quantum import walked_state
+from .quantum import _PLAN_CACHE_CAP, SparseState, _check_index_qubits, _product_entries, _shape_id, _walk_shape
+from .quantum import build_circuit, order_plan, walked_state
 
 # Unused here; perfbench/layers.py wraps these names on this module.
 from .quantum import exact_distribution, sample_shots, simulate  # noqa: F401
@@ -80,17 +80,47 @@ def validate_partitioning(partitioning: Partitioning, n_segments: int) -> list[s
     return violations
 
 
-def _block_key(
-    adjacency: AdjacencyConfig, n_values: int, ruleset: Ruleset, block: tuple[int, ...], values: Mapping[int, int]
-) -> tuple:
-    """The block's ``order_plan``, its interface (the placed segments of its
-    boundary, all that ``constraint_signature`` reads) and its cache key:
-    (shape id, W, interface values), shared by blocks of one shape (see
-    ``quantum._shape_id``)."""
-    plan = order_plan(adjacency, ruleset, block)
-    placed = tuple(s for s in plan.boundary if s in values)
-    interface = tuple(values[s] for s in placed)
-    return plan, placed, (_shape_id(ruleset.compiled, plan, block, placed), n_values, interface)
+class _Block(NamedTuple):
+    """One block of a partitioning as ``_schedule`` resolves it."""
+
+    order: tuple[int, ...]
+    placed: tuple[int, ...]  # the interface: its plan's boundary within earlier blocks
+    shape: int | None
+    layout: tuple[int, ...]
+    positions: tuple | None  # a product block's recipes over interface positions, else None
+
+
+def _schedule(adjacency: AdjacencyConfig, ruleset: Ruleset, partitioning: Partitioning) -> tuple[_Block, ...]:
+    """The partitioning's blocks, resolved once per (adjacency, blocks) and
+    kept on the compiled ruleset, up to ``_PLAN_CACHE_CAP`` schedules: a
+    block's cache key is (shape id, W, interface values), and a product
+    block, one whose plan gives no step a dependency, holds each step's
+    recipe over interface positions (see ``quantum._walk_shape``).  Raises
+    ValueError for an invalid partitioning: a repeated id in one block as
+    the compile does, else with ``validate_partitioning``'s first message.
+    """
+    comp = ruleset.compiled
+    key = (adjacency, partitioning.blocks)
+    schedule = comp.schedules.get(key)
+    if schedule is None:
+        if any(len(set(block)) != len(block) for block in partitioning.blocks):
+            raise ValueError("segment order must not repeat ids")
+        problems = validate_partitioning(partitioning, adjacency.n_segments)
+        if problems:
+            raise ValueError(problems[0])
+        schedule, earlier = [], set()
+        for block in partitioning.blocks:
+            plan = order_plan(adjacency, ruleset, block)
+            placed = tuple(s for s in plan.boundary if s in earlier)
+            shape, positions = _shape_id(comp, plan, block, placed), None
+            if not any(plan.deps):
+                positions = tuple(step[2] for step in _walk_shape(comp, plan, block, placed))
+            schedule.append(_Block(block, placed, shape, tuple(sorted(block)), positions))
+            earlier.update(block)
+        schedule = tuple(schedule)
+        if len(comp.schedules) < _PLAN_CACHE_CAP:
+            comp.schedules[key] = schedule
+    return schedule
 
 
 def _cache(comp, key: tuple, value, cells: int):
@@ -112,9 +142,9 @@ def _named(h: int):
 
 
 def _block_outcomes(
-    adjacency: AdjacencyConfig, n_values: int, ruleset: Ruleset, h: int, block: tuple[int, ...], found: tuple
+    adjacency: AdjacencyConfig, n_values: int, ruleset: Ruleset, h: int, block: _Block, key: tuple
 ) -> SparseState:
-    """Partition ``h``'s walked state, given what ``_block_key`` found for it.
+    """Partition ``h``'s walked state under its cache ``key``.
 
     The circuit is compiled on the interface alone, and the state it walked
     is cached under the block's key (with ``"walked"`` appended for a
@@ -123,45 +153,43 @@ def _block_outcomes(
     loads are never read, so none is built.  Conflicts are not cached: they
     raise again on every call, named after partition ``h``.
     """
-    plan, placed, key = found
-    if not any(plan.deps):
+    if block.positions is not None:
         key += ("walked",)
     comp = ruleset.compiled
     state = comp.block_cache.get(key)
     if state is None:
         with _named(h):
-            _check_index_qubits(len(block) * bits_per_value(n_values))  # before any compile work
-            frozen = ContentInstance(dict(zip(placed, key[2])))
-            state = walked_state(build_circuit(adjacency, n_values, ruleset, block, frozen=frozen))
+            _check_index_qubits(len(block.order) * bits_per_value(n_values))  # before any compile work
+            frozen = ContentInstance(dict(zip(block.placed, key[2])))
+            state = walked_state(build_circuit(adjacency, n_values, ruleset, block.order, frozen=frozen))
         _cache(comp, key, state, len(state.indices))
     return state
 
 
 def _block_factors(
-    adjacency: AdjacencyConfig, n_values: int, ruleset: Ruleset, h: int, block: tuple[int, ...], found: tuple
+    adjacency: AdjacencyConfig, n_values: int, ruleset: Ruleset, h: int, block: _Block, key: tuple
 ) -> tuple:
-    """The factors of a product block, one whose plan gives no step a
-    dependency: for each segment, highest id first, the probabilities and
-    cumulative of its entry (see ``quantum._product_entries``, which refuses
-    as the block's compile would); cached under the block's key as W cells
-    per segment."""
-    _, placed, key = found
+    """The factors of a product block under its cache ``key``: for each
+    segment, highest id first, the probabilities and cumulative of its
+    entry (see ``quantum._product_entries``, which refuses as the block's
+    compile would); cached under the key as W cells per segment."""
     comp = ruleset.compiled
     factors = comp.block_cache.get(key)
     if factors is None:
         with _named(h):
-            _check_index_qubits(len(block) * bits_per_value(n_values))  # before any other work
-            entries = _product_entries(adjacency, n_values, ruleset, block, dict(zip(placed, key[2])))
-        factors = tuple((entries[s][0].tolist(), entries[s][2]) for s in sorted(block, reverse=True))
-        _cache(comp, key, factors, n_values * len(block))
+            _check_index_qubits(len(block.order) * bits_per_value(n_values))  # before any other work
+            entries = _product_entries(adjacency, n_values, ruleset, block.order, key[2], block.positions)
+        factors = tuple((entries[s][0].tolist(), entries[s][2]) for s in reversed(block.layout))
+        _cache(comp, key, factors, n_values * len(block.order))
     return factors
 
 
-def _digit_draw(factors: tuple, u: float, q: int) -> int | None:
-    """The basis index that ``draw_index(state.cumulative, u)`` gives on the
-    product block's walked state, decoded from its ``factors`` (``q`` bits
-    per value); None if ``u`` lies within ``_MARGIN`` of the decoded
-    outcome's interval ends, where only the walked state can tell.
+def _digit_draw(factors: tuple, u: float) -> list[int] | None:
+    """The values, in layout order, of the outcome that
+    ``draw_index(state.cumulative, u)`` gives on the product block's walked
+    state, decoded from its ``factors``; None if ``u`` lies within
+    ``_MARGIN`` of the outcome's interval ends, where only the walked state
+    can tell.
 
     Walked indices ascend as the digits do from the highest segment down.
     Each digit is a ``bisect_right`` in its segment's cumulative, and [lo,
@@ -187,7 +215,7 @@ def _digit_draw(factors: tuple, u: float, q: int) -> int | None:
     outcome narrower than twice the margin, one whose square underflowed
     included, always falls back.
     """
-    lo, width, drawn = 0.0, 1.0, 0
+    lo, width, digits = 0.0, 1.0, []
     for probs, cum in factors:
         v = bisect_right(cum, (u - lo) / width)
         if v == len(cum):
@@ -197,8 +225,8 @@ def _digit_draw(factors: tuple, u: float, q: int) -> int | None:
         width *= probs[v]
         if width < 2 * _MARGIN:
             return None
-        drawn = drawn << q | v
-    return drawn if lo + _MARGIN <= u < lo + width - _MARGIN else None
+        digits.append(v + 1)
+    return digits[::-1] if lo + _MARGIN <= u < lo + width - _MARGIN else None
 
 
 def hwfc_generate(
@@ -212,27 +240,27 @@ def hwfc_generate(
 
     Each partition's circuit conditions classically on all earlier outcomes,
     so the joint distribution is the product of per-partition conditionals.
-    A product block (see ``_block_factors``) takes its one uniform once no
-    segment conflicts and decodes it from its factors, or near a boundary
-    draws its walked state with it (see ``_digit_draw``): every outcome is
-    the walked state's draw, bit for bit, on the same stream.
+    The partitioning is resolved once (``_schedule`` refuses an invalid
+    one), so a block reads only its interface values.  A product block (see
+    ``_block_factors``) takes its one uniform once no segment conflicts and
+    decodes its values from its factors, or near a boundary draws its walked
+    state with it (see ``_digit_draw``): every outcome is the walked state's
+    draw, bit for bit, on the same stream.
     """
     values: dict[int, int] = {}
-    q = bits_per_value(n_values)
-    for h, block in enumerate(partitioning.blocks, start=1):
-        found = _block_key(adjacency, n_values, ruleset, block, values)
-        if any(found[0].deps):
-            state = _block_outcomes(adjacency, n_values, ruleset, h, block, found)
-            drawn = int(state.indices[rng.draw(state.cumulative, 1)[0]])
-        else:
-            factors = _block_factors(adjacency, n_values, ruleset, h, block, found)
+    for h, block in enumerate(_schedule(adjacency, ruleset, partitioning), start=1):
+        key = (block.shape, n_values, tuple([values[s] for s in block.placed]))
+        if block.positions is not None:
+            factors = _block_factors(adjacency, n_values, ruleset, h, block, key)
             u = rng.uniform()
-            drawn = _digit_draw(factors, u, q)
-            if drawn is None:
-                state = _block_outcomes(adjacency, n_values, ruleset, h, block, found)
-                drawn = int(state.indices[draw_index(state.cumulative, u)])
+            digits = _digit_draw(factors, u)
+            if digits is not None:
+                values.update(zip(block.layout, digits))
+                continue
+        state = _block_outcomes(adjacency, n_values, ruleset, h, block, key)
+        drawn = draw_index(state.cumulative, rng.uniform() if block.positions is None else u)
         # the block's own layout: a shared state keeps its first block's
-        values.update(decode_values(drawn, tuple(sorted(block)), n_values))
+        values.update(decode_values(int(state.indices[drawn]), block.layout, n_values))
     return ContentInstance(values)
 
 
@@ -245,23 +273,24 @@ def hwfc_exact_distribution(
     """Exact joint distribution by enumerating every prior-partition outcome,
     conditioned on no conflict as restarts draw it: a prior whose next block
     conflicts drops its mass and the rest is renormalised (if any was
-    dropped).  Raises the last conflict if every prior conflicts."""
+    dropped).  Raises the last conflict if every prior conflicts, and
+    refuses an invalid partitioning as ``hwfc_generate`` does."""
     _check_budget(sum(len(b) for b in partitioning.blocks), n_values)
     outcomes: dict[tuple[tuple[int, int], ...], float] = {(): 1.0}
     conflict = None
-    for h, block in enumerate(partitioning.blocks, start=1):
-        layout = tuple(sorted(block))
+    for h, block in enumerate(_schedule(adjacency, ruleset, partitioning), start=1):
         nxt: dict[tuple[tuple[int, int], ...], float] = {}
         for prior, mass in outcomes.items():
+            values = dict(prior)
+            key = (block.shape, n_values, tuple([values[s] for s in block.placed]))
             try:
-                found = _block_key(adjacency, n_values, ruleset, block, dict(prior))
-                state = _block_outcomes(adjacency, n_values, ruleset, h, block, found)
+                state = _block_outcomes(adjacency, n_values, ruleset, h, block, key)
             except ConflictError as exc:
                 conflict = exc
                 continue
             # blocks partition the segments, so each joint is reached once
             for basis, p in zip(state.indices.tolist(), state.probabilities.tolist()):
-                nxt[prior + decode_values(basis, layout, n_values)] = mass * p
+                nxt[prior + decode_values(basis, block.layout, n_values)] = mass * p
         if not nxt:
             raise conflict
         outcomes = nxt

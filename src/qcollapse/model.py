@@ -208,9 +208,11 @@ class CompiledRuleset:
         self.dist_cache: dict[tuple, object] = {}
         # hwfc blocks keyed (shape id, W, interface values): walked states, and
         # a product block's factors, whose walked state keys with "walked"
-        # appended; block_cache_entries counts their cells.  See hybrid._block_key.
+        # appended; block_cache_entries counts their cells.  See hybrid._schedule.
         self.block_cache: dict[tuple, object] = {}
         self.block_cache_entries = 0
+        # hwfc partitionings resolved per block by (adjacency, blocks); see hybrid._schedule
+        self.schedules: dict[tuple, tuple] = {}
         # walk shapes interned to ids; see quantum._shape_id
         self.shape_ids: dict[tuple, int] = {}
         # per-step dependencies, recipes and boundary by (adjacency, order); see quantum.order_plan

@@ -361,22 +361,28 @@ def build_circuit(
 
 
 def _product_entries(
-    adjacency: AdjacencyConfig, n_values: int, ruleset: Ruleset, order: tuple[int, ...], fixed: Mapping[int, int]
+    adjacency: AdjacencyConfig, n_values: int, ruleset: Ruleset, order: tuple, interface: tuple, positions: tuple
 ) -> dict[int, tuple]:
-    """Each segment's ``signature_entry`` under the ``fixed`` values, for an
-    order whose ``order_plan`` gives no step a dependency, so that its
-    circuit prepares the product of these distributions.  Refuses as
-    ``build_circuit`` does, with the same text at the same iteration: at
-    the first step without an entry, or once the product of nonzero counts
-    passes ``DEFAULT_SUPPORT_CAP``."""
-    if len(set(order)) != len(order):
-        raise ValueError("segment order must not repeat ids")
+    """Each segment's ``signature_entry`` under the ``interface`` values, for
+    an order of distinct ids whose ``order_plan`` gives no step a dependency,
+    so that its circuit prepares the product of these distributions.  Step
+    k folds, per direction, the values at the interface positions of its
+    recipe ``positions[k]`` (see ``_walk_shape``), as ``_signature_codes``
+    folds frozen neighbours.  Refuses as ``build_circuit`` does, with the
+    same text at the same iteration: at the first step without an entry, or
+    once the product of nonzero counts passes ``DEFAULT_SUPPORT_CAP``."""
     comp = ruleset.compiled
-    plan = order_plan(adjacency, ruleset, order)
     comp.check(adjacency.n_directions, n_values)
     entries, support = {}, 1
-    for k, (target, recipe) in enumerate(zip(order, plan.recipes), start=1):
-        entry = signature_entry(comp, _signature_codes(recipe, fixed, [[]])[0][0], n_values, target)
+    for k, (target, recipe) in enumerate(zip(order, positions), start=1):
+        signature = []
+        for _, near in recipe:
+            code = 0
+            for p in near:
+                v = interface[p]
+                code = v if code in (0, v) else -1
+            signature.append(code)
+        entry = signature_entry(comp, tuple(signature), n_values, target)
         if entry is None:
             raise ConflictError(target, ContentInstance(), f"while compiling iteration {k}")
         support *= int(np.count_nonzero(entry[0]))

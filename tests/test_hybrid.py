@@ -9,6 +9,7 @@ from test_golden import QWFC_CIRCUITS
 from qcollapse import (
     AdjacencyConfig,
     BudgetExceededError,
+    CapacityError,
     ConflictError,
     ContentInstance,
     Partitioning,
@@ -21,11 +22,12 @@ from qcollapse import (
     exact_distribution,
     hwfc_exact_distribution,
     hwfc_generate,
+    decode_values,
     encode_values,
     validate_partitioning,
     with_restarts,
 )
-from qcollapse import framework, hybrid, quantum
+from qcollapse import framework, hybrid, model, quantum
 from qcollapse.quantum import order_plan
 from qcollapse.topology import grid2d_topology
 from qcollapse.usecases import (
@@ -52,6 +54,23 @@ def test_validate_partitioning():
     assert any("not covered" in v for v in bad)
     assert validate_partitioning(Partitioning(((1,), ())), 1) != []
     assert validate_partitioning(Partitioning(((1, 5),)), 3) != []
+
+
+@pytest.mark.parametrize(
+    "blocks, message",
+    [
+        (((1, 2), (2, 3)), "id 2 appears in more than one partition"),
+        (((1, 2), (3, 9)), r"partition 2 references id 9 outside \[1,3\]"),
+        (((1, 2),), r"ids not covered by any partition: \[3\]"),
+    ],
+    ids=["repeated", "outside", "uncovered"],
+)
+def test_hwfc_refuses_an_invalid_partitioning(blocks, message):
+    uc = checkerboard_usecase(3, 1)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        hwfc_generate(uc.adjacency, 2, uc.ruleset, Partitioning(blocks), RandomSource(0))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        hwfc_exact_distribution(uc.adjacency, 2, uc.ruleset, Partitioning(blocks))
 
 
 def test_hwfc_generate_matches_validator_and_seed():
@@ -206,6 +225,48 @@ def test_block_cache_keeps_adjacencies_and_alphabets_apart():
     assert len(set(first.values())) == 2
     cache = shared.compiled.block_cache
     assert {key[:2] for key in cache if key[2] == ()} == {(first[adjacency], n) for adjacency, n in worlds}
+
+
+def _relabelled(adjacency):
+    """The adjacency with segment s renamed N + 1 - s."""
+    n = adjacency.n_segments
+    edges = tuple(frozenset((n + 1 - i, n + 1 - j) for i, j in es) for es in adjacency.edges)
+    return AdjacencyConfig(n, adjacency.n_directions, edges)
+
+
+def test_schedules_keep_adjacencies_and_blocks_apart(monkeypatch):
+    # one ruleset in several partitionings on two adjacencies, interleaved:
+    # instances on hexmap r3, where a block of 19 passes the support cap,
+    # and exact distributions on hexmap r1
+    worlds = (
+        (3, (equal_blocks(37, 8), equal_blocks(37, 4), equal_blocks(37, 2)), False),
+        (1, (equal_blocks(7, 3), equal_blocks(7, 2)), True),
+    )
+
+    def outputs(ruleset):
+        for radius, partitionings, exact in worlds:
+            adjacency = hexmap_usecase(radius).adjacency
+            for adjacency in (adjacency, _relabelled(adjacency)) * 2:
+                for partitioning in partitionings:
+                    rs = ruleset or Ruleset(hexmap_usecase(3).ruleset.rules)
+                    try:
+                        if exact:
+                            dist = hwfc_exact_distribution(adjacency, 4, rs, partitioning)
+                            yield dist.segments, dist.probs
+                        else:
+                            yield _samples(adjacency, 4, rs, partitioning, 13, 4)
+                    except CapacityError as exc:
+                        yield str(exc)
+
+    fresh = list(outputs(None))
+    assert sum(isinstance(out, str) for out in fresh) == 4  # equal_blocks(37, 2) on each pass
+    shared = hexmap_usecase(3).ruleset
+    assert list(outputs(shared)) == fresh
+    assert len(shared.compiled.schedules) == 10
+    monkeypatch.setattr(hybrid, "_PLAN_CACHE_CAP", 1)
+    shared = Ruleset(shared.rules)
+    assert list(outputs(shared)) == fresh
+    assert len(shared.compiled.schedules) == 1
 
 
 def test_block_cache_cap_stops_growth_not_output(monkeypatch):
@@ -610,39 +671,105 @@ def _walked_draws(state, uniforms):
     return state.indices[cum.searchsorted(uniforms * cum[-1], side="right")].tolist()
 
 
-def _product_draw(factors, state, u, q):
-    """A product block's draw as ``hwfc_generate`` takes it: the digit draw,
-    or near a boundary the walked state's."""
-    drawn = hybrid._digit_draw(factors, u, q)
-    return int(state.indices[framework.draw_index(state.cumulative, u)]) if drawn is None else drawn
+def _product_draw(factors, state, u, layout, n_values):
+    """A product block's draw as ``hwfc_generate`` takes it, as (segment,
+    value) pairs: the digit draw, or near a boundary the walked state's."""
+    digits = hybrid._digit_draw(factors, u)
+    if digits is None:
+        return decode_values(int(state.indices[framework.draw_index(state.cumulative, u)]), layout, n_values)
+    return tuple(zip(layout, digits))
+
+
+def _scheduled_blocks(uc, instance):
+    """(partition number, scheduled block, cache key) of each block of
+    ``uc``'s partitioning, keyed on the interface values of ``instance``."""
+    schedule = hybrid._schedule(uc.adjacency, uc.ruleset, uc.partitioning)
+    for h, block in enumerate(schedule, start=1):
+        yield h, block, (block.shape, uc.alphabet.n_values, tuple(instance.mapping[s] for s in block.placed))
 
 
 @pytest.mark.parametrize("world", sorted(BROADCAST_LOADS))
 def test_digit_draw_agrees_with_the_walked_draw_at_every_boundary(world):
     uc = BROADCAST_LOADS[world][0]()
     n_values, blocks = uc.alphabet.n_values, uc.partitioning.blocks
-    q = quantum.bits_per_value(n_values)
     instance = hwfc_generate(uc.adjacency, n_values, uc.ruleset, uc.partitioning, RandomSource(2024))
     pick = np.random.default_rng(11)
     deferred = 0
-    for h, block in enumerate(blocks, start=1):
-        earlier = {s: instance.mapping[s] for b in blocks[: h - 1] for s in b}
-        found = hybrid._block_key(uc.adjacency, n_values, uc.ruleset, block, earlier)
-        factors = hybrid._block_factors(uc.adjacency, n_values, uc.ruleset, h, block, found)
-        state = hybrid._block_outcomes(uc.adjacency, n_values, uc.ruleset, h, block, found)
+    for h, block, key in _scheduled_blocks(uc, instance):
+        factors = hybrid._block_factors(uc.adjacency, n_values, uc.ruleset, h, block, key)
+        state = hybrid._block_outcomes(uc.adjacency, n_values, uc.ruleset, h, block, key)
+        decode = lambda index: decode_values(index, block.layout, n_values)
         # every uniform whose walked target lands on an entry of the table and
         # its float neighbours: each lies within the margin of a boundary
         bounds = state.cumulative / state.cumulative[-1]
         near = np.concatenate((bounds, np.nextafter(bounds, 0.0), np.nextafter(bounds, 1.0)))
         near = near[near < 1.0]
         for u, want in zip(near.tolist(), _walked_draws(state, near)):
-            assert hybrid._digit_draw(factors, u, q) is None
-            assert int(state.indices[framework.draw_index(state.cumulative, u)]) == want
+            assert hybrid._digit_draw(factors, u) is None
+            assert _product_draw(factors, state, u, block.layout, n_values) == decode(want)
         uniforms = pick.random(10_000 // len(blocks))  # 10,000 per world
         for u, want in zip(uniforms.tolist(), _walked_draws(state, uniforms)):
-            assert _product_draw(factors, state, u, q) == want
-            deferred += hybrid._digit_draw(factors, u, q) is None
+            assert _product_draw(factors, state, u, block.layout, n_values) == decode(want)
+            deferred += hybrid._digit_draw(factors, u) is None
     assert deferred <= 10  # about 2 * 2^-30 per outcome of a block's support
+
+
+def _several_directions_world():
+    # block (4, 5, 6) reads the first block in both directions, up to three
+    # interface segments in one direction, so a code can fold to -1
+    edges = (
+        frozenset({(4, 1), (4, 2), (5, 3), (6, 1), (6, 2), (6, 3), (1, 4)}),
+        frozenset({(4, 3), (5, 1), (5, 2), (6, 2), (2, 6)}),
+    )
+    rs = Ruleset(
+        (
+            Rule(1, 1.0, Pattern.of()),
+            Rule(2, 2.0, Pattern.of((1, 1))),
+            Rule(3, 1.0, Pattern.of((2, 2))),
+            Rule(3, 3.0, Pattern.of((1, 3), (2, 1))),
+        )
+    )
+    return AdjacencyConfig(6, 2, edges), 3, rs, Partitioning(((1, 2, 3), (6, 4, 5)))
+
+
+@pytest.mark.parametrize("world", ["platformer-10x10", "voxels-4x4x4", "several-directions"])
+def test_positional_fold_equals_the_fold_by_segment(world):
+    if world == "several-directions":
+        adjacency, n_values, ruleset, partitioning = _several_directions_world()
+        firsts = [dict(zip((1, 2, 3), map(int, vals))) for vals in np.ndindex(3, 3, 3)]
+        instances = [{**first, **{s: v + 1 for s, v in first.items()}} for first in firsts]
+    else:
+        uc = BROADCAST_LOADS[world][0]()
+        adjacency, n_values, ruleset, partitioning = uc.adjacency, uc.alphabet.n_values, uc.ruleset, uc.partitioning
+        instances = [
+            hwfc_generate(adjacency, n_values, ruleset, partitioning, RandomSource(seed)).mapping
+            for seed in range(5)
+        ]
+    comp = ruleset.compiled
+    signatures = set()
+    for instance in instances:
+        for block in hybrid._schedule(adjacency, ruleset, partitioning):
+            assert block.positions is not None
+            interface = tuple(instance[s] for s in block.placed)
+            got = quantum._product_entries(adjacency, n_values, ruleset, block.order, interface, block.positions)
+            # each segment's entry under the constraint signature of the
+            # interface values, folded by segment id
+            fixed = dict(zip(block.placed, interface))
+            for target in block.order:
+                signature = model.constraint_signature(target, adjacency, fixed)[: comp.max_direction]
+                assert got[target] is model.signature_entry(comp, signature, n_values, target)
+                signatures.add(signature)
+    if world == "several-directions":
+        assert any(-1 in sig for sig in signatures) and any(0 not in sig for sig in signatures)
+        # hwfc draws each block as the walked state its compile folds by segment id
+        for seed in range(20):
+            rng, want = RandomSource(seed), {}
+            for block in partitioning.blocks:
+                frozen = ContentInstance({s: want[s] for s in order_plan(adjacency, ruleset, block).boundary if s in want})
+                state = build_circuit(adjacency, n_values, ruleset, block, frozen).state
+                drawn = int(state.indices[framework.draw_index(state.cumulative, rng.uniform())])
+                want.update(decode_values(drawn, tuple(sorted(block)), n_values))
+            assert hwfc_generate(adjacency, n_values, ruleset, partitioning, RandomSource(seed)).mapping == want
 
 
 class _Uniforms(RandomSource):
