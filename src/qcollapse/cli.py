@@ -31,7 +31,7 @@ from .framework import (
     ruleset_value_selector,
     with_restarts,
 )
-from .hybrid import hwfc_exact_distribution, hwfc_generate
+from .hybrid import _check_blocks, hwfc_exact_distribution, hwfc_generate
 from .model import ContentInstance, Distribution, bits_per_value
 from .quantum import (
     _check_index_qubits,
@@ -131,15 +131,10 @@ def _check_flags(config: RunConfig, args) -> None:
         raise ConfigError("--exact-dist is only available for qwfc, hwfc and oracle modes")
     if config.mode == "oracle" or (args.exact_dist and config.mode == "hwfc"):
         _check_budget(config.topology.adjacency.n_segments, config.alphabet.n_values)
-    q = bits_per_value(config.alphabet.n_values)
     if config.mode == "qwfc":
-        _check_index_qubits(len(config.order) * q)
+        _check_index_qubits(len(config.order) * bits_per_value(config.alphabet.n_values))
     elif config.mode == "hwfc":
-        for h, block in enumerate(config.partitioning.blocks, start=1):
-            try:
-                _check_index_qubits(len(block) * q)
-            except CapacityError as exc:
-                raise CapacityError(f"partition {h}: {exc}") from None
+        _check_blocks(config.partitioning, config.alphabet.n_values)
 
 
 def run(config: RunConfig, args, started: float) -> int:

@@ -12,7 +12,7 @@ from typing import NamedTuple
 from .errors import CapacityError, ConflictError
 from .framework import RandomSource, _check_budget, draw_index
 from .model import AdjacencyConfig, ContentInstance, Distribution, Ruleset, bits_per_value, decode_values
-from .quantum import _PLAN_CACHE_CAP, SparseState, _check_index_qubits, _product_entries, _shape_id, _walk_shape
+from .quantum import _PLAN_CACHE_CAP, SparseState, _check_index_qubits, _product_entries, _walk_shape
 from .quantum import build_circuit, order_plan, walked_state
 
 # Unused here; perfbench/layers.py wraps these names on this module.
@@ -84,23 +84,29 @@ class _Block(NamedTuple):
     """One block of a partitioning as ``_schedule`` resolves it."""
 
     order: tuple[int, ...]
-    placed: tuple[int, ...]  # the interface: its plan's boundary within earlier blocks
+    placed: tuple[int, ...]  # the interface: earlier blocks' segments adjacent to this one
     shape: int | None
     layout: tuple[int, ...]
     positions: tuple | None  # a product block's recipes over interface positions, else None
 
 
-def _schedule(adjacency: AdjacencyConfig, ruleset: Ruleset, partitioning: Partitioning) -> tuple[_Block, ...]:
-    """The partitioning's blocks, resolved once per (adjacency, blocks) and
-    kept on the compiled ruleset, up to ``_PLAN_CACHE_CAP`` schedules: a
-    block's cache key is (shape id, W, interface values), and a product
-    block, one whose plan gives no step a dependency, holds each step's
-    recipe over interface positions (see ``quantum._walk_shape``).  Raises
-    ValueError for an invalid partitioning: a repeated id in one block as
-    the compile does, else with ``validate_partitioning``'s first message.
+def _schedule(
+    adjacency: AdjacencyConfig, n_values: int, ruleset: Ruleset, partitioning: Partitioning
+) -> tuple[_Block, ...]:
+    """The partitioning's blocks, resolved and checked once per (adjacency,
+    W, blocks) and kept on the compiled ruleset, up to ``_PLAN_CACHE_CAP``
+    schedules.  A block's interface is the sorted earlier-block segments
+    adjacent to it in any direction; its shape id interns its
+    ``quantum._walk_shape`` on the compiled ruleset (None once
+    ``_PLAN_CACHE_CAP`` shapes are and this one is new), and a product
+    block, one whose plan gives no step a dependency, keeps that walk's
+    recipes over interface positions.  Before any draw, raises ValueError
+    for an invalid partitioning (a repeated id in one block as the compile
+    does, else ``validate_partitioning``'s first message) or a ruleset that
+    does not fit the adjacency and W, and ``_check_blocks``' CapacityError.
     """
     comp = ruleset.compiled
-    key = (adjacency, partitioning.blocks)
+    key = (adjacency, n_values, partitioning.blocks)
     schedule = comp.schedules.get(key)
     if schedule is None:
         if any(len(set(block)) != len(block) for block in partitioning.blocks):
@@ -108,19 +114,34 @@ def _schedule(adjacency: AdjacencyConfig, ruleset: Ruleset, partitioning: Partit
         problems = validate_partitioning(partitioning, adjacency.n_segments)
         if problems:
             raise ValueError(problems[0])
+        comp.check(adjacency.n_directions, n_values)
+        _check_blocks(partitioning, n_values)
+        dirs = range(1, adjacency.n_directions + 1)
         schedule, earlier = [], set()
         for block in partitioning.blocks:
             plan = order_plan(adjacency, ruleset, block)
-            placed = tuple(s for s in plan.boundary if s in earlier)
-            shape, positions = _shape_id(comp, plan, block, placed), None
-            if not any(plan.deps):
-                positions = tuple(step[2] for step in _walk_shape(comp, plan, block, placed))
+            near = {s for seg in block for d in dirs for s in adjacency.neighbors(seg, d)}
+            placed = tuple(sorted(near & earlier))
+            walk = _walk_shape(comp, plan, block, placed)
+            shape = comp.shape_ids.get(walk)
+            if shape is None and len(comp.shape_ids) < _PLAN_CACHE_CAP:
+                shape = comp.shape_ids[walk] = len(comp.shape_ids)
+            positions = None if any(plan.deps) else tuple(step[2] for step in walk)
             schedule.append(_Block(block, placed, shape, tuple(sorted(block)), positions))
             earlier.update(block)
         schedule = tuple(schedule)
         if len(comp.schedules) < _PLAN_CACHE_CAP:
             comp.schedules[key] = schedule
     return schedule
+
+
+def _check_blocks(partitioning: Partitioning, n_values: int) -> None:
+    """Raise CapacityError, named after its partition, for the first block
+    whose circuit at W values passes the int64 basis indices."""
+    q = bits_per_value(n_values)
+    for h, block in enumerate(partitioning.blocks, start=1):
+        with _named(h):
+            _check_index_qubits(len(block) * q)
 
 
 def _cache(comp, key: tuple, value, cells: int):
@@ -159,16 +180,13 @@ def _block_outcomes(
     state = comp.block_cache.get(key)
     if state is None:
         with _named(h):
-            _check_index_qubits(len(block.order) * bits_per_value(n_values))  # before any compile work
             frozen = ContentInstance(dict(zip(block.placed, key[2])))
             state = walked_state(build_circuit(adjacency, n_values, ruleset, block.order, frozen=frozen))
         _cache(comp, key, state, len(state.indices))
     return state
 
 
-def _block_factors(
-    adjacency: AdjacencyConfig, n_values: int, ruleset: Ruleset, h: int, block: _Block, key: tuple
-) -> tuple:
+def _block_factors(n_values: int, ruleset: Ruleset, h: int, block: _Block, key: tuple) -> tuple:
     """The factors of a product block under its cache ``key``: for each
     segment, highest id first, the probabilities and cumulative of its
     entry (see ``quantum._product_entries``, which refuses as the block's
@@ -177,8 +195,7 @@ def _block_factors(
     factors = comp.block_cache.get(key)
     if factors is None:
         with _named(h):
-            _check_index_qubits(len(block.order) * bits_per_value(n_values))  # before any other work
-            entries = _product_entries(adjacency, n_values, ruleset, block.order, key[2], block.positions)
+            entries = _product_entries(n_values, ruleset, block.order, key[2], block.positions)
         factors = tuple((entries[s][0].tolist(), entries[s][2]) for s in reversed(block.layout))
         _cache(comp, key, factors, n_values * len(block.order))
     return factors
@@ -241,17 +258,18 @@ def hwfc_generate(
     Each partition's circuit conditions classically on all earlier outcomes,
     so the joint distribution is the product of per-partition conditionals.
     The partitioning is resolved once (``_schedule`` refuses an invalid
-    one), so a block reads only its interface values.  A product block (see
+    one, or one that cannot be drawn at W, before any draw), so a block
+    reads only its interface values.  A product block (see
     ``_block_factors``) takes its one uniform once no segment conflicts and
     decodes its values from its factors, or near a boundary draws its walked
     state with it (see ``_digit_draw``): every outcome is the walked state's
     draw, bit for bit, on the same stream.
     """
     values: dict[int, int] = {}
-    for h, block in enumerate(_schedule(adjacency, ruleset, partitioning), start=1):
+    for h, block in enumerate(_schedule(adjacency, n_values, ruleset, partitioning), start=1):
         key = (block.shape, n_values, tuple([values[s] for s in block.placed]))
         if block.positions is not None:
-            factors = _block_factors(adjacency, n_values, ruleset, h, block, key)
+            factors = _block_factors(n_values, ruleset, h, block, key)
             u = rng.uniform()
             digits = _digit_draw(factors, u)
             if digits is not None:
@@ -278,7 +296,7 @@ def hwfc_exact_distribution(
     _check_budget(sum(len(b) for b in partitioning.blocks), n_values)
     outcomes: dict[tuple[tuple[int, int], ...], float] = {(): 1.0}
     conflict = None
-    for h, block in enumerate(_schedule(adjacency, ruleset, partitioning), start=1):
+    for h, block in enumerate(_schedule(adjacency, n_values, ruleset, partitioning), start=1):
         nxt: dict[tuple[tuple[int, int], ...], float] = {}
         for prior, mass in outcomes.items():
             values = dict(prior)

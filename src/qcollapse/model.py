@@ -211,11 +211,12 @@ class CompiledRuleset:
         # appended; block_cache_entries counts their cells.  See hybrid._schedule.
         self.block_cache: dict[tuple, object] = {}
         self.block_cache_entries = 0
-        # hwfc partitionings resolved per block by (adjacency, blocks); see hybrid._schedule
+        # hwfc partitionings resolved and checked per block by (adjacency, W,
+        # blocks): interfaces, shape ids, product recipes; see hybrid._schedule
         self.schedules: dict[tuple, tuple] = {}
-        # walk shapes interned to ids; see quantum._shape_id
+        # walk shapes (quantum._walk_shape) interned to ids as schedules are built
         self.shape_ids: dict[tuple, int] = {}
-        # per-step dependencies, recipes and boundary by (adjacency, order); see quantum.order_plan
+        # per-step dependencies and recipes by (adjacency, order); see quantum.order_plan
         self.plans: dict[tuple, tuple] = {}
         self.max_value = max(rule.value for rule in ruleset.rules)
         self.pattern_directions = frozenset(

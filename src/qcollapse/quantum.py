@@ -178,16 +178,11 @@ class OrderPlan(NamedTuple):
     over-approximation of what can influence its value).  ``recipes[k]``
     holds, for each direction up to the ruleset's largest, the columns of
     ``deps[k]`` adjacent there and the neighbours outside the order, which
-    only frozen values can fill.  ``boundary`` lists the sorted segments
-    outside the order adjacent to one of its segments in any direction.
-    ``shapes`` maps interface segments to the order's interned shape id,
-    filled by ``_shape_id``.
+    only frozen values can fill.
     """
 
     deps: tuple[tuple[int, ...], ...]
     recipes: tuple[tuple[tuple[tuple[int, ...], tuple[int, ...]], ...], ...]
-    boundary: tuple[int, ...]
-    shapes: dict[tuple[int, ...], int]
 
 
 def order_plan(adjacency: AdjacencyConfig, ruleset: Ruleset, order: tuple[int, ...]) -> OrderPlan:
@@ -211,9 +206,7 @@ def order_plan(adjacency: AdjacencyConfig, ruleset: Ruleset, order: tuple[int, .
                 recipe.append((cols, tuple(s for s in near if s not in step)))
             deps.append(dep)
             recipes.append(tuple(recipe))
-        dirs = range(1, adjacency.n_directions + 1)
-        near = {s for seg in order for d in dirs for s in adjacency.neighbors(seg, d)}
-        plan = OrderPlan(tuple(deps), tuple(recipes), tuple(sorted(near.difference(order))), {})
+        plan = OrderPlan(tuple(deps), tuple(recipes))
         if len(comp.plans) < _PLAN_CACHE_CAP:
             comp.plans[key] = plan
     return plan
@@ -239,24 +232,6 @@ def _walk_shape(
         )
         for target, deps, recipe in zip(order, plan.deps, plan.recipes)
     )
-
-
-def _shape_id(
-    comp: CompiledRuleset, plan: OrderPlan, order: tuple[int, ...], placed: tuple[int, ...]
-) -> int | None:
-    """The order's shape, interned on the compiled ruleset and kept on the
-    plan per interface; None once ``_PLAN_CACHE_CAP`` shapes are interned
-    and this one is new."""
-    shape_id = plan.shapes.get(placed)
-    if shape_id is None:
-        shape = _walk_shape(comp, plan, order, placed)
-        ids = comp.shape_ids
-        shape_id = ids.get(shape)
-        if shape_id is None and len(ids) < _PLAN_CACHE_CAP:
-            shape_id = ids[shape] = len(ids)
-        if shape_id is not None and len(plan.shapes) < _PLAN_CACHE_CAP:
-            plan.shapes[placed] = shape_id
-    return shape_id
 
 
 def build_circuit(
@@ -361,18 +336,18 @@ def build_circuit(
 
 
 def _product_entries(
-    adjacency: AdjacencyConfig, n_values: int, ruleset: Ruleset, order: tuple, interface: tuple, positions: tuple
+    n_values: int, ruleset: Ruleset, order: tuple, interface: tuple, positions: tuple
 ) -> dict[int, tuple]:
     """Each segment's ``signature_entry`` under the ``interface`` values, for
     an order of distinct ids whose ``order_plan`` gives no step a dependency,
     so that its circuit prepares the product of these distributions.  Step
     k folds, per direction, the values at the interface positions of its
     recipe ``positions[k]`` (see ``_walk_shape``), as ``_signature_codes``
-    folds frozen neighbours.  Refuses as ``build_circuit`` does, with the
-    same text at the same iteration: at the first step without an entry, or
-    once the product of nonzero counts passes ``DEFAULT_SUPPORT_CAP``."""
+    folds frozen neighbours.  For a ruleset that fits W (the caller checks
+    it), refuses as ``build_circuit`` does, with the same text at the same
+    iteration: at the first step without an entry, or once the product of
+    nonzero counts passes ``DEFAULT_SUPPORT_CAP``."""
     comp = ruleset.compiled
-    comp.check(adjacency.n_directions, n_values)
     entries, support = {}, 1
     for k, (target, recipe) in enumerate(zip(order, positions), start=1):
         signature = []

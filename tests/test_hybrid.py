@@ -221,7 +221,7 @@ def test_block_cache_keeps_adjacencies_and_alphabets_apart():
         assert (got.segments, got.n_values, got.probs) == (want.segments, want.n_values, want.probs)
     # block (2, 1) walks differently on the two grids, so it has a shape id
     # on each; each first block is cached under its grid's id and each W
-    first = {adjacency: order_plan(adjacency, shared, (2, 1)).shapes[()] for adjacency, _ in worlds}
+    first = {adjacency: hybrid._schedule(adjacency, n, shared, partitioning)[0].shape for adjacency, n in worlds}
     assert len(set(first.values())) == 2
     cache = shared.compiled.block_cache
     assert {key[:2] for key in cache if key[2] == ()} == {(first[adjacency], n) for adjacency, n in worlds}
@@ -315,7 +315,7 @@ def test_repeated_conflicting_interface_raises_again():
     assert messages[0] == messages[1]
     assert messages[0].startswith("partition 2: ")
     # the first block is cached, the conflicting second one is not
-    assert list(rs.compiled.block_cache) == [(order_plan(adj, rs, (1,)).shapes[()], 2, ())]
+    assert list(rs.compiled.block_cache) == [(hybrid._schedule(adj, 2, rs, equal_blocks(2, 2))[0].shape, 2, ())]
 
 
 def test_hwfc_block_past_the_index_limit_names_its_partition(monkeypatch):
@@ -331,6 +331,63 @@ def test_hwfc_block_past_the_index_limit_names_its_partition(monkeypatch):
     assert str(err.value) == (
         "partition 1: 64 qubits exceed the limit of 63 for int64 basis indices"
     )
+
+
+def test_hwfc_refuses_a_later_block_past_the_index_limit_before_any_draw():
+    # the first block could be drawn; the second, of 64 one-bit segments, cannot
+    adj = grid2d_topology(65, 1).adjacency
+    rs = Ruleset((Rule(1, 1.0, Pattern.of()), Rule(2, 1.0, Pattern.of())))
+    rng = RandomSource(3)
+    with pytest.raises(CapacityError) as err:
+        hwfc_generate(adj, 2, rs, Partitioning(((1,), tuple(range(2, 66)))), rng)
+    assert str(err.value) == "partition 2: 64 qubits exceed the limit of 63 for int64 basis indices"
+    assert rng.uniform() == RandomSource(3).uniform()
+
+
+def test_schedules_are_kept_per_alphabet_size(monkeypatch):
+    # one block of 40 segments: 40 qubits at W = 2, 80 at W = 4
+    uc = checkerboard_usecase(8, 5)
+    partitioning = Partitioning((uc.order,))
+    compiled_w = []
+
+    def recording(adjacency, n_values, *args, **kwargs):
+        compiled_w.append(n_values)
+        return build_circuit(adjacency, n_values, *args, **kwargs)
+
+    monkeypatch.setattr(hybrid, "build_circuit", recording)
+    shared = Ruleset(uc.ruleset.rules)
+    for seed in range(3):
+        assert _samples(uc.adjacency, 2, shared, partitioning, seed, 2) == _samples(
+            uc.adjacency, 2, Ruleset(uc.ruleset.rules), partitioning, seed, 2
+        )
+        with pytest.raises(CapacityError, match="^partition 1: 80 qubits exceed the limit of 63"):
+            hwfc_generate(uc.adjacency, 4, shared, partitioning, RandomSource(seed))
+    assert 4 not in compiled_w
+    assert list(shared.compiled.schedules) == [(uc.adjacency, 2, partitioning.blocks)]
+
+
+@pytest.mark.parametrize("world", ["hexmap-r1", "several-directions"])
+def test_a_warm_draw_resolves_nothing(world, monkeypatch):
+    if world == "several-directions":
+        adjacency, n_values, ruleset, partitioning = _several_directions_world()
+    else:
+        uc = hexmap_usecase(1)
+        adjacency, n_values, ruleset, partitioning = uc.adjacency, 4, uc.ruleset, uc.partitioning
+
+    def outputs():
+        rng = RandomSource(9)
+        instance = with_restarts(lambda: hwfc_generate(adjacency, n_values, ruleset, partitioning, rng), 20)
+        dist = hwfc_exact_distribution(adjacency, n_values, ruleset, partitioning)
+        return instance.entries, dist.segments, dist.probs
+
+    cold = outputs()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a warm draw resolved its partitioning again")
+
+    for name in ("order_plan", "_walk_shape", "validate_partitioning"):
+        monkeypatch.setattr(hybrid, name, refuse)
+    assert outputs() == cold
 
 
 @pytest.mark.parametrize(
@@ -397,6 +454,13 @@ def _per_call_interface(adjacency, block, values):
     )
 
 
+def _boundary(adjacency, block):
+    """The sorted segments outside ``block`` adjacent to it in any direction."""
+    dirs = range(1, adjacency.n_directions + 1)
+    near = {s for seg in block for d in dirs for s in adjacency.neighbors(seg, d)}
+    return tuple(sorted(near.difference(block)))
+
+
 def _custom_world():
     # segment 1 has three neighbours in direction 1 and 3 has itself in
     # direction 2; blocks list their segments out of id order
@@ -434,15 +498,16 @@ def test_plan_boundary_gives_the_per_call_interface(world):
     adjacency, n_values, ruleset, partitioning = PLAN_WORLDS[world]()
     rng = np.random.default_rng(3)
     blocks = partitioning.blocks
+    schedule = hybrid._schedule(adjacency, n_values, ruleset, partitioning)
     for h, block in enumerate(blocks):
-        boundary = order_plan(adjacency, ruleset, block).boundary
-        assert list(boundary) == sorted(set(boundary)) and not set(boundary) & set(block)
+        interface = schedule[h].placed
+        assert list(interface) == sorted(set(interface)) and not set(interface) & set(block)
         placed = [s for b in blocks[:h] for s in b]
         for trial in range(6):
             # every earlier block's segments first, then random parts of them
             kept = placed if trial == 0 else [s for s in placed if rng.random() < 0.5]
             values = {int(s): int(rng.integers(1, n_values + 1)) for s in kept}
-            got = tuple((s, values[s]) for s in boundary if s in values)
+            got = tuple((s, values[s]) for s in interface if s in values)
             assert got == _per_call_interface(adjacency, block, values)
     # every block compiled by hwfc is cached under its shape and the values
     # of the per-call interface
@@ -453,8 +518,9 @@ def test_plan_boundary_gives_the_per_call_interface(world):
         for h, block in enumerate(blocks):
             earlier = {s: instance.mapping[s] for b in blocks[:h] for s in b}
             interface = _per_call_interface(adjacency, block, earlier)
-            shape_id = order_plan(adjacency, fresh, block).shapes[tuple(s for s, _ in interface)]
-            assert (shape_id, n_values, tuple(v for _, v in interface)) in fresh.compiled.block_cache
+            scheduled = hybrid._schedule(adjacency, n_values, fresh, partitioning)[h]
+            assert scheduled.placed == tuple(s for s, _ in interface)
+            assert (scheduled.shape, n_values, tuple(v for _, v in interface)) in fresh.compiled.block_cache
 
 
 def test_plan_steps_are_the_dependency_sets():
@@ -502,11 +568,12 @@ def _shape_disagreements(world, shape_of):
     """(walks that differ, walks compared) between blocks of ``world`` that
     ``shape_of(comp, plan, block, interface segments)`` groups together.
 
-    Each block is taken under several interface segment sets: the one hwfc
-    gives it, its whole boundary, random halves of it and each boundary
-    segment alone.  Each group member is compiled fresh beside the group's
-    first under equal interface values, drawn from hwfc instances and at
-    random; two walks agree when both conflict or their states are equal."""
+    Each block is taken under several interface segment sets: the one its
+    schedule gives it, its whole ``_boundary``, random halves of it and each
+    boundary segment alone.  Each group member is compiled fresh beside the
+    group's first under equal interface values, drawn from hwfc instances
+    and at random; two walks agree when both conflict or their states are
+    equal."""
     adjacency, n_values, ruleset, partitioning = PLAN_WORLDS[world]()
     comp, blocks = ruleset.compiled, partitioning.blocks
     rng = RandomSource(5)
@@ -516,12 +583,13 @@ def _shape_disagreements(world, shape_of):
     ]
     pick = np.random.default_rng(7)
     groups = {}
-    for h, block in enumerate(blocks):
+    schedule = hybrid._schedule(adjacency, n_values, ruleset, partitioning)
+    for block, scheduled in zip(blocks, schedule):
         plan = order_plan(adjacency, ruleset, block)
-        earlier = {s for b in blocks[:h] for s in b}
-        interfaces = {tuple(s for s in plan.boundary if s in earlier), plan.boundary}
-        interfaces.update(tuple(s for s in plan.boundary if pick.random() < 0.5) for _ in range(3))
-        interfaces.update((s,) for s in plan.boundary)
+        boundary = _boundary(adjacency, block)
+        interfaces = {scheduled.placed, boundary}
+        interfaces.update(tuple(s for s in boundary if pick.random() < 0.5) for _ in range(3))
+        interfaces.update((s,) for s in boundary)
         for placed in sorted(interfaces):
             key = (len(placed), shape_of(comp, plan, block, placed))
             groups.setdefault(key, []).append((block, placed))
@@ -555,7 +623,7 @@ def _shape_disagreements(world, shape_of):
     "world", ["pipes-10x4", "platformer-10x10", "voxels-4x4x4", "hexmap-r3-blocks8", "custom"]
 )
 def test_blocks_of_one_shape_id_walk_equal_states(world):
-    differ, compared = _shape_disagreements(world, quantum._shape_id)
+    differ, compared = _shape_disagreements(world, quantum._walk_shape)
     assert differ == 0
     assert compared > 0 or world == "hexmap-r3-blocks8"  # its eight blocks are all of distinct shapes
 
@@ -574,11 +642,11 @@ def test_equal_shapes_share_one_id_and_state():
     uc = pipes_usecase(10, 4)
     comp, blocks = uc.ruleset.compiled, uc.partitioning.blocks
     ids = []
-    for h, block in enumerate(blocks):
+    schedule = hybrid._schedule(uc.adjacency, uc.alphabet.n_values, uc.ruleset, uc.partitioning)
+    for block, scheduled in zip(blocks, schedule):
         plan = order_plan(uc.adjacency, uc.ruleset, block)
-        placed = tuple(s for s in plan.boundary if any(s in b for b in blocks[:h]))
-        ids.append(quantum._shape_id(comp, plan, block, placed))
-        assert comp.shape_ids[quantum._walk_shape(comp, plan, block, placed)] == ids[-1]
+        ids.append(scheduled.shape)
+        assert comp.shape_ids[quantum._walk_shape(comp, plan, block, scheduled.placed)] == ids[-1]
     # the first column has no placed neighbour; columns 2-10 read theirs alike
     assert ids[0] != ids[1] and ids[1:] == [ids[1]] * 9
     _samples(uc.adjacency, uc.alphabet.n_values, uc.ruleset, uc.partitioning, 3, 20)
@@ -683,7 +751,7 @@ def _product_draw(factors, state, u, layout, n_values):
 def _scheduled_blocks(uc, instance):
     """(partition number, scheduled block, cache key) of each block of
     ``uc``'s partitioning, keyed on the interface values of ``instance``."""
-    schedule = hybrid._schedule(uc.adjacency, uc.ruleset, uc.partitioning)
+    schedule = hybrid._schedule(uc.adjacency, uc.alphabet.n_values, uc.ruleset, uc.partitioning)
     for h, block in enumerate(schedule, start=1):
         yield h, block, (block.shape, uc.alphabet.n_values, tuple(instance.mapping[s] for s in block.placed))
 
@@ -696,7 +764,7 @@ def test_digit_draw_agrees_with_the_walked_draw_at_every_boundary(world):
     pick = np.random.default_rng(11)
     deferred = 0
     for h, block, key in _scheduled_blocks(uc, instance):
-        factors = hybrid._block_factors(uc.adjacency, n_values, uc.ruleset, h, block, key)
+        factors = hybrid._block_factors(n_values, uc.ruleset, h, block, key)
         state = hybrid._block_outcomes(uc.adjacency, n_values, uc.ruleset, h, block, key)
         decode = lambda index: decode_values(index, block.layout, n_values)
         # every uniform whose walked target lands on an entry of the table and
@@ -748,10 +816,10 @@ def test_positional_fold_equals_the_fold_by_segment(world):
     comp = ruleset.compiled
     signatures = set()
     for instance in instances:
-        for block in hybrid._schedule(adjacency, ruleset, partitioning):
+        for block in hybrid._schedule(adjacency, n_values, ruleset, partitioning):
             assert block.positions is not None
             interface = tuple(instance[s] for s in block.placed)
-            got = quantum._product_entries(adjacency, n_values, ruleset, block.order, interface, block.positions)
+            got = quantum._product_entries(n_values, ruleset, block.order, interface, block.positions)
             # each segment's entry under the constraint signature of the
             # interface values, folded by segment id
             fixed = dict(zip(block.placed, interface))
@@ -765,7 +833,7 @@ def test_positional_fold_equals_the_fold_by_segment(world):
         for seed in range(20):
             rng, want = RandomSource(seed), {}
             for block in partitioning.blocks:
-                frozen = ContentInstance({s: want[s] for s in order_plan(adjacency, ruleset, block).boundary if s in want})
+                frozen = ContentInstance({s: want[s] for s in _boundary(adjacency, block) if s in want})
                 state = build_circuit(adjacency, n_values, ruleset, block, frozen).state
                 drawn = int(state.indices[framework.draw_index(state.cumulative, rng.uniform())])
                 want.update(decode_values(drawn, tuple(sorted(block)), n_values))
