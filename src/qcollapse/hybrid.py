@@ -291,12 +291,14 @@ def hwfc_exact_distribution(
     """Exact joint distribution by enumerating every prior-partition outcome,
     conditioned on no conflict as restarts draw it: a prior whose next block
     conflicts drops its mass and the rest is renormalised (if any was
-    dropped).  Raises the last conflict if every prior conflicts, and
-    refuses an invalid partitioning as ``hwfc_generate`` does."""
-    _check_budget(sum(len(b) for b in partitioning.blocks), n_values)
+    dropped).  Raises the last conflict if every prior conflicts.  Refuses
+    an invalid partitioning as ``hwfc_generate`` does, then a valid one
+    past the budget of W^N instances, before any enumeration."""
+    schedule = _schedule(adjacency, n_values, ruleset, partitioning)
+    _check_budget(adjacency.n_segments, n_values)
     outcomes: dict[tuple[tuple[int, int], ...], float] = {(): 1.0}
     conflict = None
-    for h, block in enumerate(_schedule(adjacency, n_values, ruleset, partitioning), start=1):
+    for h, block in enumerate(schedule, start=1):
         nxt: dict[tuple[tuple[int, int], ...], float] = {}
         for prior, mass in outcomes.items():
             values = dict(prior)

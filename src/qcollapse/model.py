@@ -204,7 +204,7 @@ class CompiledRuleset:
     def __init__(self, ruleset: Ruleset):
         m = len(ruleset.rules)
         # (probabilities, entropy, cumulative) keyed (signature, W, factor
-        # outputs); see signature_entry.
+        # outputs); see signature_entry.  classic.Placement reads this key itself.
         self.dist_cache: dict[tuple, object] = {}
         # hwfc blocks keyed (shape id, W, interface values): walked states, and
         # a product block's factors, whose walked state keys with "walked"
@@ -218,6 +218,9 @@ class CompiledRuleset:
         self.shape_ids: dict[tuple, int] = {}
         # per-step dependencies and recipes by (adjacency, order); see quantum.order_plan
         self.plans: dict[tuple, tuple] = {}
+        # cwfc's per-segment in-edges, factor outputs and start by (adjacency,
+        # W); see classic._steps
+        self.cwfc_steps: dict[tuple, tuple] = {}
         self.max_value = max(rule.value for rule in ruleset.rules)
         self.pattern_directions = frozenset(
             d for rule in ruleset.rules for d, _ in rule.pattern.pairs
@@ -432,7 +435,8 @@ def signature_entry(
     the functional weights' outputs fix, never the segment itself: one entry
     (a conflict included) serves every segment and every adjacency that
     shows the same key.  W is part of the key because it fixes the vector's
-    length.
+    length.  cwfc (``classic.Placement.ties``) reads this key in
+    ``comp.dist_cache`` itself and calls this only on a miss or a conflict.
     """
     outputs, u = comp.segment_weights(segment)
     key = (signature, n_values, outputs)

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -14,14 +15,17 @@ from qcollapse import (
     Rule,
     Ruleset,
     grid2d_topology,
+    grid3d_topology,
     cwfc_generate,
     make_alphabet,
+    make_factor,
     shannon_entropy,
     value_distribution,
 )
+from qcollapse import classic
 from qcollapse.classic import Placement, draw_tie
 from qcollapse.framework import draw_index
-from qcollapse.model import constraint_signature
+from qcollapse.model import CompiledRuleset, constraint_signature
 from qcollapse.usecases import (
     checkerboard_ruleset,
     checkerboard_usecase,
@@ -117,6 +121,32 @@ def test_draw_tie_is_the_dense_categorical_draw():
         assert sparse._rng.bit_generator.state == dense._rng.bit_generator.state, seed
 
 
+@pytest.mark.parametrize("c", [65, 2994, 65536])
+def test_draw_tie_past_64_ties_is_the_table_draw(monkeypatch, c):
+    """Past 64 ties the index floor(u * total * c) is the table's draw: at
+    every boundary uniform, its float neighbours and random uniforms.  The
+    table, built only near a boundary, is memoised here to keep the test
+    short; it is built the same way."""
+    builds = []
+    table = functools.cache(classic._uniform_cumulative)
+    monkeypatch.setattr(classic, "_uniform_cumulative", lambda n: builds.append(n) or table(n))
+    cum = table(c)
+    ties = [3 * k + 1 for k in range(c)]  # any ascending ids
+
+    def check(uniforms):
+        for u in uniforms:
+            assert draw_tie(ties, u) == ties[draw_index(cum, u)], (c, u.hex())
+
+    check(np.random.default_rng(c).random(2000).tolist())
+    assert len(builds) <= 1  # away from the boundaries only the total is built
+    near = []
+    for bound in cum:  # the smallest u with u * total >= bound, and its neighbours
+        u = bound / cum[-1]
+        near += [np.nextafter(u, 0.0), u, np.nextafter(u, 1.0), np.nextafter(np.nextafter(u, 1.0), 1.0)]
+    check([float(u) for u in near if u < 1.0])  # a uniform is below 1
+    assert len(builds) > 2 * c
+
+
 def test_placement_codes_and_ties_match_a_fresh_report():
     """At every step of cwfc's trajectory the per-attempt constraint codes
     equal ``constraint_signature`` cut to the patterns' directions, the ties
@@ -186,6 +216,89 @@ def test_cwfc_batched_stream_is_the_dense_single_draw_stream():
         assert got == _run_shots(reference_cwfc, adj, alphabet, rs, RandomSource(seed), 3, 1), seed
         exhausted += sum(isinstance(o, str) for o in got[0])
     assert exhausted == 34
+
+
+def _alphabet(n_values):
+    return make_alphabet(*(f"v{v}" for v in range(1, n_values + 1)))
+
+
+@pytest.mark.parametrize("cap", [None, 1])
+def test_step_tables_are_kept_per_adjacency_and_alphabet_size(monkeypatch, cap):
+    """Two adjacencies of 16 segments at W = 2 and 3, interleaved on one
+    ruleset, give a fresh ruleset's instances, with every table kept and
+    with one kept (the rest built on every attempt)."""
+    if cap is not None:
+        monkeypatch.setattr(classic, "_PLAN_CACHE_CAP", cap)
+    shared = checkerboard_ruleset()
+    worlds = (grid2d_topology(4, 4).adjacency, grid2d_topology(8, 2).adjacency)
+    for seed in range(4):
+        for adj in worlds:
+            for n_values in (2, 3):
+                got = cwfc_generate(adj, _alphabet(n_values), shared, RandomSource(seed))
+                fresh = cwfc_generate(adj, _alphabet(n_values), Ruleset(shared.rules), RandomSource(seed))
+                assert got == fresh, (seed, adj, n_values)
+    kept = shared.compiled.cwfc_steps
+    assert len(kept) == (4 if cap is None else 1)
+    for (adj, n_values), steps in kept.items():
+        assert all(len(entry[0]) == n_values for entry in steps[2][0])
+
+
+def test_a_start_conflict_restarts_as_the_dense_reference():
+    """Every rule weighted bottom_layer_only on a two-layer grid: the upper
+    layer has no admissible value before any draw, so no start is kept and
+    every attempt names segment 7 and gives back all its uniforms."""
+    adj = grid3d_topology(3, 2, 2).adjacency
+    bottom = make_factor("bottom_layer_only", u=1.0, layer_size=6)
+    rs = Ruleset((Rule(1, bottom, Pattern.of()), Rule(2, bottom, Pattern.of((2, 1)))))
+    for seed in range(3):
+        got = _run_shots(cwfc_generate, adj, _alphabet(2), rs, RandomSource(seed), 2, 4)
+        assert got == _run_shots(reference_cwfc, adj, _alphabet(2), rs, RandomSource(seed), 2, 4)
+        message = "still conflicting after 4 restarts: no admissible value for segment 7"
+        assert got[:2] == ([message] * 2, 8) and got[2] == RandomSource(seed)._rng.bit_generator.state
+    assert rs.compiled.cwfc_steps[(adj, 2)][2] is None
+
+
+def _start(steps):
+    """A table's start as comparable values."""
+    entries, groups = steps[2]
+    return [(e[0].tobytes(), e[1], e[2]) for e in entries], list(groups.items())
+
+
+def test_attempts_leave_the_kept_start_as_built():
+    """An attempt works on copies: after 50 attempts the kept start equals
+    one built on a fresh ruleset."""
+    for world, make in {"fan": lambda: _fan_world(floor=None), "platformer": SELECTOR_WORLDS["platformer-6x6"]}.items():
+        adj, rs, n_values = make()
+        attempts, seed = [], 0
+        while len(attempts) < 50:  # one per call and one per restart
+            attempts.append(seed)
+            try:
+                cwfc_generate(adj, _alphabet(n_values), rs, RandomSource(seed), 5, lambda: attempts.append(seed))
+            except RestartsExhaustedError:
+                pass
+            seed += 1
+        fresh = classic._steps(adj, Ruleset(rs.rules).compiled, n_values)
+        assert _start(rs.compiled.cwfc_steps[(adj, n_values)]) == _start(fresh), world
+
+
+def test_a_warm_attempt_reads_no_adjacency(monkeypatch):
+    """Once a world has run, the same seed gives the same instance without
+    reading in-edges or factor outputs: the table and the cache hold them."""
+    runs = []
+    for uc in (platformer_usecase(6, 6), pipes_usecase(6, 4)):
+        restarts = []
+        rng = RandomSource(3)
+        instance = cwfc_generate(uc.adjacency, uc.alphabet, uc.ruleset, rng, on_restart=lambda: restarts.append(1))
+        assert not restarts  # a cached conflict is read through signature_entry
+        runs.append((uc, instance))
+
+    def refuse(*args):
+        raise AssertionError("read on a warm attempt")
+
+    monkeypatch.setattr(AdjacencyConfig, "in_edges", refuse)
+    monkeypatch.setattr(CompiledRuleset, "segment_weights", refuse)
+    for uc, instance in runs:
+        assert cwfc_generate(uc.adjacency, uc.alphabet, uc.ruleset, RandomSource(3)) == instance
 
 
 def test_shared_ruleset_cache_matches_fresh_ruleset():

@@ -105,6 +105,28 @@ def test_hwfc_budget(monkeypatch):
         hwfc_exact_distribution(uc.adjacency, 2, uc.ruleset, uc.partitioning)
 
 
+def test_hwfc_exact_distribution_refuses_an_invalid_partitioning_as_generate_does(monkeypatch):
+    """The partitioning is checked before the budget: blocks that repeat an
+    id, 20 ids over 19 segments, get validate_partitioning's message from
+    both entry points, not a budget refusal."""
+    adj = grid2d_topology(19, 1).adjacency
+    rs = Ruleset((Rule(1, 1.0, Pattern.of()), Rule(2, 1.0, Pattern.of())))
+    overlapping = Partitioning((tuple(range(1, 11)), tuple(range(10, 20))))
+    with pytest.raises(ValueError, match="^id 10 appears in more than one partition$"):
+        hwfc_generate(adj, 2, rs, overlapping, RandomSource(0))
+    with pytest.raises(ValueError, match="^id 10 appears in more than one partition$"):
+        hwfc_exact_distribution(adj, 2, rs, overlapping)
+
+    # a valid partitioning over the budget (3^19 instances) is refused
+    # before any block is enumerated
+    def refuse(*args):
+        raise AssertionError("a block was enumerated")
+
+    monkeypatch.setattr(hybrid, "_block_outcomes", refuse)
+    with pytest.raises(BudgetExceededError, match="^3\\^19 candidate instances"):
+        hwfc_exact_distribution(adj, 3, rs, equal_blocks(19, 2))
+
+
 def test_hwfc_conflict_names_partition():
     from qcollapse import Pattern, Rule, Ruleset
     from qcollapse.topology import grid2d_topology
