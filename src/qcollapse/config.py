@@ -98,7 +98,11 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
         raise ConfigError("parse error: document nested too deep") from None
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a mapping")
-    return _build({**doc, **(overrides or {})})
+    config = _build({**doc, **(overrides or {})})
+    # the file's own mode, unless a --mode override runs the file under another
+    if "order" in doc and config.mode in ("cwfc", "hwfc") and config.mode == doc.get("mode"):
+        raise ConfigError(f"field 'order' is not read in mode {config.mode!r}; only qwfc and oracle follow it")
+    return config
 
 
 def load_config(path, overrides: dict | None = None) -> RunConfig:

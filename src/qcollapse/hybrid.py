@@ -12,15 +12,12 @@ from typing import NamedTuple
 from .errors import CapacityError, ConflictError
 from .framework import RandomSource, _check_budget, draw_index
 from .model import AdjacencyConfig, ContentInstance, Distribution, Ruleset, bits_per_value, decode_values
-from .quantum import _PLAN_CACHE_CAP, SparseState, _check_index_qubits, _product_entries, _walk_shape
+from .quantum import _PLAN_CACHE_CAP, SparseState, _cache, _check_index_qubits, _product_entries, _walk_shape
 from .quantum import build_circuit, order_plan, walked_state
 
 # Unused here; perfbench/layers.py wraps these names on this module.
 from .quantum import exact_distribution, sample_shots, simulate  # noqa: F401
 
-# cells per compiled ruleset: a walked state's entries (24 B each with its
-# cumulative, ~24 MB at the cap), W per segment of a product block's factors
-_BLOCK_CACHE_CAP = 1 << 20
 _MARGIN = 2.0**-30  # see _digit_draw
 
 
@@ -144,14 +141,6 @@ def _check_blocks(partitioning: Partitioning, n_values: int) -> None:
             _check_index_qubits(len(block) * q)
 
 
-def _cache(comp, key: tuple, value, cells: int):
-    """``value``, kept under ``key`` if the shape has an id and its cells fit."""
-    if key[0] is not None and comp.block_cache_entries + cells <= _BLOCK_CACHE_CAP:
-        comp.block_cache[key] = value
-        comp.block_cache_entries += cells
-    return value
-
-
 @contextmanager
 def _named(h: int):
     """Prefix ``partition h:`` to a conflict or capacity refusal raised inside."""
@@ -182,7 +171,8 @@ def _block_outcomes(
         with _named(h):
             frozen = ContentInstance(dict(zip(block.placed, key[2])))
             state = walked_state(build_circuit(adjacency, n_values, ruleset, block.order, frozen=frozen))
-        _cache(comp, key, state, len(state.indices))
+        if key[0] is not None:  # the shape has an id
+            _cache(comp, comp.block_cache, key, state, len(state.indices))
     return state
 
 
@@ -197,7 +187,8 @@ def _block_factors(n_values: int, ruleset: Ruleset, h: int, block: _Block, key: 
         with _named(h):
             entries = _product_entries(n_values, ruleset, block.order, key[2], block.positions)
         factors = tuple((entries[s][0].tolist(), entries[s][2]) for s in reversed(block.layout))
-        _cache(comp, key, factors, n_values * len(block.order))
+        if key[0] is not None:
+            _cache(comp, comp.block_cache, key, factors, n_values * len(block.order))
     return factors
 
 
@@ -279,7 +270,7 @@ def hwfc_generate(
         drawn = draw_index(state.cumulative, rng.uniform() if block.positions is None else u)
         # the block's own layout: a shared state keeps its first block's
         values.update(decode_values(int(state.indices[drawn]), block.layout, n_values))
-    return ContentInstance(values)
+    return ContentInstance._adopt(values)
 
 
 def hwfc_exact_distribution(

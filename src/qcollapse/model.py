@@ -206,11 +206,15 @@ class CompiledRuleset:
         # (probabilities, entropy, cumulative) keyed (signature, W, factor
         # outputs); see signature_entry.  classic.Placement reads this key itself.
         self.dist_cache: dict[tuple, object] = {}
+        # whole-world circuits with a walked state by (adjacency, order, W);
+        # see quantum.build_circuit
+        self.circuits: dict[tuple, object] = {}
         # hwfc blocks keyed (shape id, W, interface values): walked states, and
         # a product block's factors, whose walked state keys with "walked"
-        # appended; block_cache_entries counts their cells.  See hybrid._schedule.
+        # appended.  See hybrid._schedule.
         self.block_cache: dict[tuple, object] = {}
-        self.block_cache_entries = 0
+        # cells held by circuits and block_cache together, up to quantum._CACHE_CAP
+        self.cache_cells = 0
         # hwfc partitionings resolved and checked per block by (adjacency, W,
         # blocks): interfaces, shape ids, product recipes; see hybrid._schedule
         self.schedules: dict[tuple, tuple] = {}
@@ -326,14 +330,23 @@ def _factor_output(fw: FunctionalWeight, segment: int) -> float:
 class ContentInstance:
     """Ordered (segment id, value) pairs; partial while shorter than N.
     An instance stores only ``mapping``, an ordered dict copied from the
-    pairs or dict given; ``entries``, the pairs as a tuple, is built on first
-    read, and equality, hash and repr read it.  Attributes are read-only."""
+    pairs or dict given (``_adopt`` takes a fresh dict as it is); ``entries``,
+    the pairs as a tuple, is built on first read, and equality, hash and repr
+    read it.  Attributes are read-only."""
 
     def __init__(self, entries: tuple[tuple[int, int], ...] | Mapping[int, int] = ()):
         mapping = dict(entries)
         if len(mapping) != len(entries):
             raise ValueError("segment ids must be pairwise distinct")
         self.__dict__["mapping"] = mapping
+
+    @classmethod
+    def _adopt(cls, mapping: dict[int, int]) -> "ContentInstance":
+        """An instance whose ``mapping`` is ``mapping`` itself, neither copied
+        nor checked: for a fresh dict that no one else holds or changes."""
+        instance = object.__new__(cls)
+        instance.__dict__["mapping"] = mapping
+        return instance
 
     @cached_property
     def entries(self) -> tuple[tuple[int, int], ...]:
@@ -365,9 +378,7 @@ class ContentInstance:
         mapping = self.mapping
         if segment in mapping:
             raise ValueError("segment ids must be pairwise distinct")
-        child = object.__new__(ContentInstance)
-        child.__dict__["mapping"] = {**mapping, segment: value}
-        return child
+        return ContentInstance._adopt({**mapping, segment: value})
 
 
 # --------------------------------------------------------------------------

@@ -42,6 +42,13 @@ INDEX_QUBIT_LIMIT = 63  # basis indices are int64
 DEFAULT_LOAD_CAP = 4096  # reachable control assignments per iteration
 DEFAULT_SUPPORT_CAP = 1 << 20  # reachable partial assignments while compiling
 _PLAN_CACHE_CAP = 1 << 12  # order plans kept per compiled ruleset
+# cells per compiled ruleset, shared by the whole-world circuits build_circuit
+# keeps and hwfc's blocks: a walked state counts its entries, each carrying
+# index, probability and draw cumulative (24 B, ~24 MB at the cap), a product
+# block's factors W cells per segment.  A kept state's support dict, built
+# when exact_distribution first reads it, adds ~85 B per entry (~90 MB for a
+# 2^20-entry state, the size of the dict each call used to build and free).
+_CACHE_CAP = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -83,7 +90,7 @@ class QubitLayout:
         bad = (values > self.n_values).any(axis=1)
         if bad.any():
             raise ValueError(f"basis key {int(keys[bad][0])} decodes outside the alphabet")
-        return [ContentInstance(dict(zip(self.segments, row))) for row in values.tolist()]
+        return [ContentInstance._adopt(dict(zip(self.segments, row))) for row in values.tolist()]
 
 
 @dataclass(frozen=True)
@@ -234,6 +241,15 @@ def _walk_shape(
     )
 
 
+def _cache(comp: CompiledRuleset, cache: dict, key: tuple, value, cells: int):
+    """``value``, kept in ``cache`` under ``key`` if its ``cells`` fit the
+    compiled ruleset's ``_CACHE_CAP``."""
+    if comp.cache_cells + cells <= _CACHE_CAP:
+        cache[key] = value
+        comp.cache_cells += cells
+    return value
+
+
 def build_circuit(
     adjacency: AdjacencyConfig,
     n_values: int,
@@ -263,8 +279,19 @@ def build_circuit(
     prepared state, returned as ``CircuitProgram.state``; the loads are kept
     as one ``StepTable`` per step.  Past INDEX_QUBIT_LIMIT qubits the rows
     are Python ints and no state is kept.
+
+    Without ``frozen``, the program is prepared once per (adjacency, order,
+    W) and kept on the compiled ruleset, while its walked state's entries
+    fit ``_CACHE_CAP``: a repeated call returns the same program.  A
+    program without a walked state, a conflict or a capacity refusal is not
+    kept, so it compiles or raises again.  A call with ``frozen`` (each hwfc
+    block, which keeps its own cache) always compiles.
     """
     order = tuple(order)
+    comp = ruleset.compiled
+    key = (adjacency, order, n_values)
+    if frozen is None and key in comp.circuits:
+        return comp.circuits[key]
     if len(set(order)) != len(order):
         raise ValueError("segment order must not repeat ids")
     fixed = frozen.mapping if frozen is not None else {}
@@ -281,7 +308,6 @@ def build_circuit(
     amp = np.ones(1)
     tables: list[StepTable] = []
 
-    comp = ruleset.compiled
     plan = order_plan(adjacency, ruleset, order)
     comp.check(adjacency.n_directions, n_values)
     for k, (target, deps, recipe) in enumerate(zip(order, plan.deps, plan.recipes), start=1):
@@ -332,7 +358,10 @@ def build_circuit(
             amp = (amp[:, None] * roots[nonzero]).ravel()
 
     state = _sparse_state(layout, idx, amp) if dtype is np.int64 else None
-    return CircuitProgram(layout, tuple(tables), state)
+    circuit = CircuitProgram(layout, tuple(tables), state)
+    if frozen is None and state is not None:
+        _cache(comp, comp.circuits, key, circuit, len(state.indices))
+    return circuit
 
 
 def _product_entries(
@@ -447,6 +476,12 @@ class SparseState:
     indices: np.ndarray
     probabilities: np.ndarray
 
+    @cached_property
+    def support(self) -> dict[int, float]:
+        """Each basis index's probability, ascending, built once; callers
+        that hand it out copy it (see ``exact_distribution``)."""
+        return dict(zip(self.indices.tolist(), self.probabilities.tolist()))
+
     def __array__(self, dtype=None, copy=None):
         n_qubits = self.layout.n_qubits
         if n_qubits > DEFAULT_QUBIT_CAP:
@@ -484,12 +519,9 @@ def _sparse_state(layout: QubitLayout, idx: np.ndarray, amp: np.ndarray) -> Spar
 
 
 def exact_distribution(state: SparseState, layout: QubitLayout) -> Distribution:
-    """The state's whole support as a distribution over basis integers."""
-    return Distribution(
-        layout.segments,
-        layout.n_values,
-        dict(zip(state.indices.tolist(), state.probabilities.tolist())),
-    )
+    """The state's whole support as a distribution over basis integers, in a
+    fresh dict copied from the state's ``support``."""
+    return Distribution(layout.segments, layout.n_values, state.support.copy())
 
 
 def sample_shots(

@@ -234,7 +234,7 @@ def test_cli_exit_code_conflict(tmp_path, capsys):
 
 
 def test_cli_hwfc_restarts_exhausted(tmp_path, capsys):
-    doc = CONFLICTING.replace("mode: qwfc", 'mode: hwfc\npartitions: "blocks:2"\nmax_restarts: 2')
+    doc = CONFLICTING.replace("mode: qwfc\norder: [2, 1]", 'mode: hwfc\npartitions: "blocks:2"\nmax_restarts: 2')
     out = tmp_path / "out"
     assert main(["--config", str(_write(tmp_path, doc)), "--out", str(out)]) == 3
     err = capsys.readouterr().err
@@ -278,7 +278,7 @@ def test_cli_hwfc_exact_dist_fails_before_drawing_when_every_branch_conflicts(
         raise AssertionError("drew an instance before the exact enumeration")
 
     monkeypatch.setattr(cli, "hwfc_generate", no_draws)
-    doc = CONFLICTING.replace("mode: qwfc", 'mode: hwfc\npartitions: "blocks:2"')
+    doc = CONFLICTING.replace("mode: qwfc\norder: [2, 1]", 'mode: hwfc\npartitions: "blocks:2"')
     out = tmp_path / "exact"
     assert main(["--config", str(_write(tmp_path, doc)), "--exact-dist", "--out", str(out)]) == 3
     assert "partition 2: no admissible value for segment 2" in capsys.readouterr().err
@@ -495,6 +495,12 @@ MALFORMED = {
     # finite weights whose sum overflows: per mode a different failure, or none
     **{f"float64 ({mode})": HUGE[mode] for mode in MODES},
     "segment 2 sum to inf": TWO_CELLS.replace("{value: a}", f"{HUGE_FACTOR}\n  - {HUGE_FACTOR}"),
+    # an order under a mode that never reads it: each used to exit 0 with
+    # the artifacts of the file without it
+    "'order' is not read in mode 'cwfc'": TWO_CELLS + "order: [2, 1]\n",
+    "'order' is not read in mode 'cwfc' (spiral)": TWO_CELLS + "order: spiral\n",
+    "'order' is not read in mode 'hwfc'": TWO_CELLS.replace("mode: cwfc", "mode: hwfc")
+    + 'order: [2, 1]\npartitions: "blocks:2"\n',
 }
 
 
@@ -506,6 +512,19 @@ def test_cli_malformed_field_exits_2(tmp_path, capsys, field):
         err = capsys.readouterr().err
         assert err.startswith("config error:") and field.split(" (")[0] in err
         assert "Traceback" not in err
+
+
+# a --mode flag that runs the file under another mode accepts an order the
+# file's own mode would refuse, so every such file runs under every mode
+@pytest.mark.parametrize("own, run", [("cwfc", "qwfc"), ("hwfc", "oracle"), ("qwfc", "cwfc"), ("cwfc", "hwfc")])
+def test_cli_mode_flag_accepts_an_order_for_another_mode(tmp_path, capsys, own, run):
+    doc = TWO_CELLS.replace("mode: cwfc", f"mode: {own}") + 'order: [2, 1]\npartitions: "blocks:2"\n'
+    cfg = str(_write(tmp_path, doc))
+    assert main(["--config", cfg, "--mode", run, "--out", str(tmp_path / "out")]) == 0
+    assert f"mode={run} " in capsys.readouterr().out
+    if own != "qwfc":
+        assert main(["--config", cfg, "--validate-only"]) == 2
+        assert f"config error: field 'order' is not read in mode '{own}'" in capsys.readouterr().err
 
 
 # a flag replaces the config field of its name before any check: it wins over

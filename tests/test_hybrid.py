@@ -213,11 +213,11 @@ def test_warm_block_cache_gives_cold_instances(make):
     args = (uc.adjacency, uc.alphabet.n_values)
     warm = _samples(*args, uc.ruleset, uc.partitioning, 2024, 4)
     comp = uc.ruleset.compiled
-    filled = (len(comp.block_cache), comp.block_cache_entries)
+    filled = (len(comp.block_cache), comp.cache_cells)
     assert filled[0] > 0
     # the same draws again are served from the cache alone
     assert _samples(*args, uc.ruleset, uc.partitioning, 2024, 4) == warm
-    assert (len(comp.block_cache), comp.block_cache_entries) == filled
+    assert (len(comp.block_cache), comp.cache_cells) == filled
     for seed in (2024, 7):
         cold = _samples(*args, Ruleset(uc.ruleset.rules), uc.partitioning, seed, 4)
         assert _samples(*args, uc.ruleset, uc.partitioning, seed, 4) == cold
@@ -296,32 +296,32 @@ def test_block_cache_cap_stops_growth_not_output(monkeypatch):
     args = (uc.adjacency, uc.alphabet.n_values)
     cold = _samples(*args, uc.ruleset, uc.partitioning, 11, 6)
     cap = 3000
-    monkeypatch.setattr(hybrid, "_BLOCK_CACHE_CAP", cap)
+    monkeypatch.setattr(quantum, "_CACHE_CAP", cap)
     capped = Ruleset(uc.ruleset.rules)
     comp = capped.compiled
     assert _samples(*args, capped, uc.partitioning, 11, 6) == cold
-    assert 0 < comp.block_cache_entries <= cap
+    assert 0 < comp.cache_cells <= cap
     # a walked state counts its entries, a product block's factors W cells per segment
-    assert comp.block_cache_entries == sum(
+    assert comp.cache_cells == sum(
         len(t.indices) if isinstance(t, quantum.SparseState) else sum(len(cum) for _, cum in t)
         for t in comp.block_cache.values()
     )
     for seed in (12, 13):
         _samples(*args, capped, uc.partitioning, seed, 6)
-        assert comp.block_cache_entries <= cap
+        assert comp.cache_cells <= cap
 
 
 def test_block_cache_counts_a_product_block_by_its_cells(monkeypatch):
     uc = platformer_usecase(10, 10)  # 20 product blocks of 5 segments, W = 8
     args = (uc.adjacency, uc.alphabet.n_values)
     cold = _samples(*args, Ruleset(uc.ruleset.rules), uc.partitioning, 11, 6)
-    monkeypatch.setattr(hybrid, "_BLOCK_CACHE_CAP", 1000)
+    monkeypatch.setattr(quantum, "_CACHE_CAP", 1000)
     capped = Ruleset(uc.ruleset.rules)
     comp = capped.compiled
     assert _samples(*args, capped, uc.partitioning, 11, 6) == cold
     factors = list(comp.block_cache.values())
     assert all(len(f) == 5 and all(len(probs) == len(cum) == 8 for probs, cum in f) for f in factors)
-    assert comp.block_cache_entries == 40 * len(factors) and 1000 - 40 < comp.block_cache_entries <= 1000
+    assert comp.cache_cells == 40 * len(factors) and 1000 - 40 < comp.cache_cells <= 1000
 
 
 def test_repeated_conflicting_interface_raises_again():

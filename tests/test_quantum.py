@@ -152,8 +152,8 @@ def test_support_cap_counts_full_assignments(monkeypatch):
     monkeypatch.setattr(quantum, "DEFAULT_SUPPORT_CAP", 256)
     build_circuit(adj, 2, rs, tuple(range(1, 9)))
     monkeypatch.setattr(quantum, "DEFAULT_SUPPORT_CAP", 255)
-    with pytest.raises(CapacityError, match="iteration 8"):
-        build_circuit(adj, 2, rs, tuple(range(1, 9)))
+    with pytest.raises(CapacityError, match="iteration 8"):  # a fresh ruleset: the first is cached
+        build_circuit(adj, 2, Ruleset(rs.rules), tuple(range(1, 9)))
 
 
 def test_simulate_matches_reference_distribution():
@@ -407,7 +407,7 @@ def test_a_bad_amplitude_row_fails_the_compile_and_builds_no_load(monkeypatch):
     build_circuit(uc.adjacency, 2, uc.ruleset, uc.order)  # builds no load
     monkeypatch.setattr(quantum, "signature_entry", skewed)
     with pytest.raises(ValueError, match=r"finite with squared norm 1, got 1\.00000000000[34]"):
-        build_circuit(uc.adjacency, 2, uc.ruleset, uc.order)
+        build_circuit(uc.adjacency, 2, Ruleset(uc.ruleset.rules), uc.order)  # uncached
 
 
 def test_no_walked_state_past_the_index_limit_or_by_hand():
@@ -481,3 +481,128 @@ def test_a_dependent_step_is_refused_before_it_gathers(monkeypatch):
         tracemalloc.stop()
     assert str(err.value) == "4096 rows x 256 values at iteration 3 exceed the cap of 16384 gathered cells"
     assert peak < 1 << 20  # the gather alone would hold 8 MiB of amplitudes
+
+
+# --- the whole-world circuit cache ------------------------------------------
+
+
+def _same_state(a: CircuitProgram, b: CircuitProgram) -> bool:
+    return (
+        a.layout == b.layout
+        and np.array_equal(a.state.indices, b.state.indices)
+        and np.array_equal(a.state.probabilities, b.state.probabilities)
+    )
+
+
+def test_a_repeated_circuit_is_the_kept_program():
+    uc = checkerboard_usecase(3, 3)
+    rs = Ruleset(uc.ruleset.rules)
+    first = build_circuit(uc.adjacency, 2, rs, uc.order)
+    assert build_circuit(uc.adjacency, 2, rs, uc.order) is first
+    assert build_circuit(uc.adjacency, 2, rs, list(uc.order)) is first
+    comp = rs.compiled
+    assert list(comp.circuits) == [(uc.adjacency, tuple(uc.order), 2)]
+    assert comp.cache_cells == len(first.state.indices) == 2
+
+
+def test_the_circuit_cache_keys_on_order_w_adjacency_and_ruleset():
+    uc = checkerboard_usecase(3, 3)
+    rs = Ruleset(uc.ruleset.rules)
+    kept = build_circuit(uc.adjacency, 2, rs, uc.order)
+    other = grid2d_topology(3, 2).adjacency
+    variants = [
+        (uc.adjacency, 2, rs, tuple(reversed(uc.order))),
+        (uc.adjacency, 3, rs, uc.order),
+        (other, 2, rs, tuple(range(1, 7))),
+        (uc.adjacency, 2, Ruleset(uc.ruleset.rules), uc.order),
+    ]
+    for adjacency, n_values, ruleset, order in variants:
+        circuit = build_circuit(adjacency, n_values, ruleset, order)
+        assert circuit is not kept
+        assert build_circuit(adjacency, n_values, ruleset, order) is circuit
+        assert _same_state(circuit, build_circuit(adjacency, n_values, Ruleset(ruleset.rules), order))
+    assert len(rs.compiled.circuits) == 4
+
+
+def test_a_frozen_call_neither_reads_nor_fills_the_circuit_cache():
+    uc = checkerboard_usecase(3, 3)
+    rs = Ruleset(uc.ruleset.rules)
+    comp = rs.compiled
+    for frozen, order in ((ContentInstance(), uc.order), (ContentInstance({1: 1}), uc.order[1:])):
+        assert build_circuit(uc.adjacency, 2, rs, order, frozen=frozen) is not build_circuit(
+            uc.adjacency, 2, rs, order, frozen=frozen
+        )
+        assert comp.circuits == {} and comp.cache_cells == 0
+    kept = build_circuit(uc.adjacency, 2, rs, uc.order)
+    thawed = build_circuit(uc.adjacency, 2, rs, uc.order, frozen=ContentInstance())
+    assert thawed is not kept and _same_state(thawed, kept)
+    assert len(comp.circuits) == 1
+
+
+def test_a_refused_circuit_is_not_kept(monkeypatch):
+    equal = Ruleset((Rule(1, 1.0, Pattern.of((1, 1), (2, 1))), Rule(2, 1.0, Pattern.of((1, 2), (2, 2)))))
+    messages = []
+    for _ in range(2):
+        with pytest.raises(ConflictError) as err:
+            build_circuit(chain_adjacency(3), 2, equal, (1, 3, 2))
+        messages.append(str(err.value))
+    assert messages == ["no admissible value for segment 2 (while compiling iteration 3)"] * 2
+    assert equal.compiled.circuits == {}
+    rs = conflict_free_ruleset((), 2)
+    monkeypatch.setattr(quantum, "DEFAULT_SUPPORT_CAP", 16)
+    for _ in range(2):
+        with pytest.raises(CapacityError, match="grew past 16 at iteration 5"):
+            build_circuit(chain_adjacency(8), 2, rs, tuple(range(1, 9)))
+    assert rs.compiled.circuits == {} and rs.compiled.cache_cells == 0
+
+
+def test_a_circuit_without_a_walked_state_is_not_kept():
+    wide = checkerboard_usecase(8, 8)
+    rs = Ruleset(wide.ruleset.rules)
+    circuit = build_circuit(wide.adjacency, 2, rs, wide.order)
+    assert circuit.n_qubits == 64 and circuit.state is None
+    assert rs.compiled.circuits == {}
+    assert build_circuit(wide.adjacency, 2, rs, wide.order) is not circuit
+
+
+def test_the_cell_cap_stops_the_circuit_cache_not_its_output(monkeypatch):
+    # no rule names a direction: a chain of n segments walks all 2^n outcomes
+    rs = conflict_free_ruleset((), 2)
+    monkeypatch.setattr(quantum, "_CACHE_CAP", 24)
+    comp = rs.compiled
+    kept = []
+    for n in (3, 4, 5, 2):
+        order = tuple(range(1, n + 1))
+        circuit = build_circuit(chain_adjacency(n), 2, rs, order)
+        assert _same_state(circuit, build_circuit(chain_adjacency(n), 2, Ruleset(rs.rules), order))
+        kept.append(build_circuit(chain_adjacency(n), 2, rs, order) is circuit)
+        assert comp.cache_cells == sum(len(c.state.indices) for c in comp.circuits.values()) <= 24
+    assert kept == [True, True, False, False]  # 8 + 16 cells fill the cap
+    assert comp.cache_cells == 24
+
+
+def test_exact_distribution_copies_the_kept_support():
+    uc = QWFC_CIRCUITS["pipes-2x2"][0]()
+    state = build_circuit(uc.adjacency, uc.alphabet.n_values, Ruleset(uc.ruleset.rules), uc.order).state
+    first = exact_distribution(state, state.layout)
+    want = dict(zip(state.indices.tolist(), state.probabilities.tolist()))
+    assert list(first.probs.items()) == list(want.items()) == list(state.support.items())
+    assert first.probs is not state.support
+    first.probs.clear()
+    second = exact_distribution(state, state.layout)
+    assert second.probs is not first.probs and list(second.probs.items()) == list(want.items())
+
+
+@pytest.mark.parametrize("name", sorted(QWFC_CIRCUITS))
+def test_shots_from_a_kept_circuit_are_a_fresh_compiles(name):
+    uc = QWFC_CIRCUITS[name][0]()
+    args = (uc.adjacency, uc.alphabet.n_values)
+    rs = Ruleset(uc.ruleset.rules)
+    build_circuit(*args, rs, uc.order)
+    kept = build_circuit(*args, rs, uc.order)
+    assert rs.compiled.circuits[(uc.adjacency, tuple(uc.order), uc.alphabet.n_values)] is kept
+    fresh = build_circuit(*args, Ruleset(uc.ruleset.rules), uc.order)
+    shots = [sample_shots(c.state, c.layout, 1000, RandomSource(3002)) for c in (kept, fresh)]
+    assert shots[0] == shots[1]
+    assert exact_distribution(kept.state, kept.layout) == exact_distribution(fresh.state, fresh.layout)
+
