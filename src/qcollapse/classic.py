@@ -3,7 +3,7 @@ pattern-based value selection and restart-on-conflict."""
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right, insort
 from itertools import chain
 
 import numpy as np
@@ -37,10 +37,9 @@ def _steps(adjacency: AdjacencyConfig, comp: CompiledRuleset, n_values: int) -> 
     id (index id - 1): its in-edges as 0-based (row, column) pairs into
     ``Placement.codes``, cut to the last direction a pattern names, and its
     factor outputs, the third part of its ``dist_cache`` key.  Then the
-    start: the entries and entropy groups that an attempt's first refresh of
-    every segment, in ascending id order, gives; None when a segment
-    conflicts there, and the outputs stop at that segment, the last such an
-    attempt reads."""
+    start: every segment's entry under no placed neighbor, and the entropy
+    groups of those entries; None when a segment conflicts there, and the
+    outputs stop at the first such segment, which ``_start`` names."""
     key = (adjacency, n_values)
     steps = comp.cwfc_steps.get(key)
     if steps is None:
@@ -63,90 +62,123 @@ def _steps(adjacency: AdjacencyConfig, comp: CompiledRuleset, n_values: int) -> 
     return steps
 
 
+def _start(adjacency: AdjacencyConfig, ruleset: Ruleset, n_values: int) -> tuple:
+    """The compiled ruleset, checked against the adjacency and W, and its
+    ``_steps`` table.  Raises ConflictError, naming the segment, where the
+    table keeps no start: that conflict reads no draw, so every attempt
+    meets it."""
+    comp = ruleset.compiled
+    comp.check(adjacency.n_directions, n_values)
+    steps = _steps(adjacency, comp, n_values)
+    if steps[2] is None:
+        raise ConflictError(len(steps[1]), ContentInstance(), "before any draw, so every attempt conflicts")
+    return comp, steps
+
+
 class Placement:
     """One cwfc attempt's mutable state.
 
     ``codes[i-1][d-1]`` is segment i's constraint in direction d, as
     ``constraint_signature`` gives it: 0 = no placed neighbor, -1 = placed
     neighbors disagree, otherwise their common value.  A placement updates
-    only the codes of its in-neighbors and marks the unplaced ones whose
-    code changed stale; ``ties`` refreshes their distribution entries, in
-    ascending id order, before it reads the minimum.  ``groups`` maps each
-    entropy (an entry's ``[1]``) to the ascending ids of the unplaced
-    segments that have it, so a step reads as many groups as there are
-    distinct entropies, not every segment.  Placed segments belong to no
-    group.  An attempt starts from copies of its ``_steps`` start, or with
-    every segment stale when a segment conflicts there.
+    only the codes of its in-neighbors and refreshes the distribution entry
+    of each unplaced one whose code it changed, at once.  ``groups`` maps
+    each entropy (an entry's ``[1]``) to the ascending ids of the unplaced
+    segments that have it, and ``levels`` lists its keys in ascending order,
+    so a step reads the lowest entropies first and no other group.  Placed
+    segments belong to no group.  An attempt starts from copies of its
+    ``_steps`` start; where a segment conflicts there, building the state
+    raises ConflictError, before any draw.
     """
 
     def __init__(self, adjacency: AdjacencyConfig, ruleset: Ruleset, n_values: int):
-        comp = ruleset.compiled
-        comp.check(adjacency.n_directions, n_values)
-        n = adjacency.n_segments
+        comp, (self.edges, self.outputs, (entries, groups)) = _start(adjacency, ruleset, n_values)
         self.comp, self.n_values = comp, n_values
-        self.edges, self.outputs, start = _steps(adjacency, comp, n_values)
-        self.codes = [[0] * comp.max_direction for _ in range(n)]
+        self.codes = [[0] * comp.max_direction for _ in range(adjacency.n_segments)]
         self.values: dict[int, int] = {}  # placed segment -> value, in placement order
-        if start is None:
-            self.entries: list[tuple | None] = [None] * n  # each segment's signature_entry, None until refreshed
-            self.groups: dict[float, list[int]] = {}
-            self.stale = set(range(1, n + 1))
-        else:
-            entries, groups = start
-            self.entries = entries.copy()
-            self.groups = {entropy: ids.copy() for entropy, ids in groups.items()}
-            self.stale = set()
+        self.entries: list[tuple] = entries.copy()  # each segment's signature_entry
+        self.groups: dict[float, list[int]] = {entropy: ids.copy() for entropy, ids in groups.items()}
+        self.levels = sorted(groups)
 
     def ties(self) -> list[int]:
         """Ascending ids of the minimum-entropy segments, those within
-        ``_ENTROPY_TIE_TOL`` of it included.  Raises ConflictError naming
-        the lowest stale segment with no admissible value.  The list may be
-        the state's own: read it before the next ``place``.  A refresh reads
-        ``signature_entry``'s cache key itself and calls it only on a miss
-        or a conflict."""
-        entries, groups, codes = self.entries, self.groups, self.codes
-        comp, n_values, outputs = self.comp, self.n_values, self.outputs
+        ``_ENTROPY_TIE_TOL`` of it included: the ties the next step of
+        ``run`` draws among.  The list may be the state's own: read it
+        before the next ``run``."""
+        return _ties(self.levels, self.groups)
+
+    def run(self, u: list[float], steps: int) -> None:
+        """Make ``steps`` more placements.  Placement k of the attempt
+        (0-based) draws its segment among the ties with ``u[2k]`` and its
+        value from the segment's entry with ``u[2k + 1]``.  Raises
+        ConflictError, after the failing placement's two draws, naming the
+        lowest in-neighbor that placement leaves with no admissible value.
+        A refresh reads ``signature_entry``'s cache key itself and calls it
+        only on a miss or a conflict."""
+        entries, groups, levels, codes, values = self.entries, self.groups, self.levels, self.codes, self.values
+        comp, n_values, edges, outputs = self.comp, self.n_values, self.edges, self.outputs
         cache = comp.dist_cache
-        for seg in sorted(self.stale):
-            signature = tuple(codes[seg - 1])
-            entry = cache.get((signature, n_values, outputs[seg - 1]))
-            if entry is None or entry is _CONFLICT:
-                entry = signature_entry(comp, signature, n_values, seg)
-                if entry is None:
-                    raise ConflictError(seg, self.content())
-            old = entries[seg - 1]
-            entries[seg - 1] = entry
-            if old is None or entry[1] != old[1]:
-                if old is not None:
-                    self._leave_group(seg, old[1])
-                insort(groups.setdefault(entry[1], []), seg)
-        self.stale.clear()
-        low = min(groups) + _ENTROPY_TIE_TOL
-        near = [ids for e, ids in groups.items() if e <= low]
-        return near[0] if len(near) == 1 else sorted(chain.from_iterable(near))
-
-    def _leave_group(self, segment: int, entropy: float) -> None:
-        ids = self.groups[entropy]
-        if len(ids) == 1:
-            del self.groups[entropy]
-        else:
-            del ids[bisect_left(ids, segment)]
-
-    def place(self, segment: int, value: int) -> None:
-        self.values[segment] = value
-        self._leave_group(segment, self.entries[segment - 1][1])
-        self.stale.discard(segment)
-        codes = self.codes
-        for row, column in self.edges[segment - 1]:
-            constraint = codes[row]
-            code = constraint[column]
-            if code != value and code != -1:
+        first = 2 * len(values)
+        for k in range(first, first + 2 * steps, 2):
+            segment = draw_tie(_ties(levels, groups), u[k])
+            entry = entries[segment - 1]
+            value = values[segment] = draw_index(entry[2], u[k + 1]) + 1
+            _leave(levels, groups, segment, entry[1])
+            conflict = 0
+            for row, column in edges[segment - 1]:
+                constraint = codes[row]
+                code = constraint[column]
+                if code == value or code == -1:
+                    continue
                 constraint[column] = value if code == 0 else -1
-                if row + 1 not in self.values:
-                    self.stale.add(row + 1)
+                seg = row + 1
+                if seg in values:
+                    continue
+                signature = tuple(constraint)
+                new = cache.get((signature, n_values, outputs[row]))
+                if new is None or new is _CONFLICT:
+                    new = signature_entry(comp, signature, n_values, seg)
+                    if new is None:
+                        if not conflict or seg < conflict:
+                            conflict = seg
+                        continue
+                old = entries[row][1]
+                entries[row] = new
+                entropy = new[1]
+                if entropy != old:
+                    _leave(levels, groups, seg, old)
+                    ids = groups.get(entropy)
+                    if ids is None:
+                        groups[entropy] = [seg]
+                        insort(levels, entropy)
+                    else:
+                        insort(ids, seg)
+            if conflict:
+                raise ConflictError(conflict, self.content())
 
     def content(self) -> ContentInstance:
         return ContentInstance(self.values)
+
+
+def _ties(levels: list[float], groups: dict[float, list[int]]) -> list[int]:
+    """The group at ``levels[0]``, or the ascending merge of every group
+    within ``_ENTROPY_TIE_TOL`` of it."""
+    low = levels[0]
+    if len(levels) == 1 or levels[1] > low + _ENTROPY_TIE_TOL:
+        return groups[low]
+    near = levels[: bisect_right(levels, low + _ENTROPY_TIE_TOL)]
+    return sorted(chain.from_iterable(groups[entropy] for entropy in near))
+
+
+def _leave(levels: list[float], groups: dict[float, list[int]], segment: int, entropy: float) -> None:
+    """Take ``segment`` out of its entropy group; an emptied group and its
+    level go."""
+    ids = groups[entropy]
+    if len(ids) == 1:
+        del groups[entropy]
+        del levels[bisect_left(levels, entropy)]
+    else:
+        del ids[bisect_left(ids, segment)]
 
 
 def _uniform_cumulative(c: int) -> tuple[float, ...]:
@@ -202,7 +234,9 @@ def cwfc_generate(
 ) -> ContentInstance:
     """Entropy-driven generation with restart-from-scratch on conflicts,
     through ``with_restarts``: a conflict discards the partial content and
-    starts over with fresh draws.
+    starts over with fresh draws.  A world that conflicts before any draw
+    is refused once, with ConflictError, after ``with_restarts`` refuses a
+    negative cap: no attempt, restart or draw is made.
 
     Each step draws a segment uniformly among the minimum-entropy ones, then
     its value from its pattern-based value distribution.  An attempt takes
@@ -216,12 +250,12 @@ def cwfc_generate(
         state = Placement(adjacency, ruleset, n_values)
         u = rng.uniforms(2 * n)
         try:
-            for k in range(0, 2 * n, 2):
-                segment = draw_tie(state.ties(), u[k])
-                state.place(segment, draw_index(state.entries[segment - 1][2], u[k + 1]) + 1)
-        except ConflictError:  # only ties raises it, before step k's draws
-            rng.give_back(2 * n - k)
+            state.run(u, n)
+        except ConflictError:  # after the failing placement's two draws
+            rng.give_back(2 * n - 2 * len(state.values))
             raise
-        return state.content()
+        return ContentInstance._adopt(state.values)
 
+    if max_restarts >= 0:  # a negative cap is with_restarts' ValueError
+        _start(adjacency, ruleset, n_values)
     return with_restarts(attempt, max_restarts, on_restart)

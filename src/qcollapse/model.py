@@ -204,7 +204,7 @@ class CompiledRuleset:
     def __init__(self, ruleset: Ruleset):
         m = len(ruleset.rules)
         # (probabilities, entropy, cumulative) keyed (signature, W, factor
-        # outputs); see signature_entry.  classic.Placement reads this key itself.
+        # outputs); see signature_entry.  classic.Placement.run reads this key itself.
         self.dist_cache: dict[tuple, object] = {}
         # whole-world circuits with a walked state by (adjacency, order, W);
         # see quantum.build_circuit
@@ -446,7 +446,7 @@ def signature_entry(
     the functional weights' outputs fix, never the segment itself: one entry
     (a conflict included) serves every segment and every adjacency that
     shows the same key.  W is part of the key because it fixes the vector's
-    length.  cwfc (``classic.Placement.ties``) reads this key in
+    length.  cwfc (``classic.Placement.run``) reads this key in
     ``comp.dist_cache`` itself and calls this only on a miss or a conflict.
     """
     outputs, u = comp.segment_weights(segment)

@@ -1,9 +1,12 @@
 import functools
 import math
+import re
 
 import numpy as np
 import pytest
 from conftest import chain_adjacency, conflict_free_ruleset, entropy_report, reference_cwfc
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcollapse import (
     AdjacencyConfig,
@@ -17,6 +20,7 @@ from qcollapse import (
     grid2d_topology,
     grid3d_topology,
     cwfc_generate,
+    hexgrid_topology,
     make_alphabet,
     make_factor,
     shannon_entropy,
@@ -157,7 +161,7 @@ def test_placement_codes_and_ties_match_a_fresh_report():
         adj, rs, n_values = make()
         max_direction = rs.compiled.max_direction
         for seed in (9, 10):
-            rng = RandomSource(seed)
+            u = RandomSource(seed).uniforms(2 * adj.n_segments)
             state = Placement(adj, rs, n_values)
             for k in range(1, adj.n_segments + 1):
                 ties = state.ties()
@@ -170,11 +174,13 @@ def test_placement_codes_and_ties_match_a_fresh_report():
                 assert tuple(ties) == report.minimizers, (world, k)
                 for seg, h in report.entropies.items():
                     assert state.entries[seg - 1][1] == h, (world, k, seg)
-                seg = draw_tie(ties, rng._rng.random())
+                seg = draw_tie(ties, u[2 * k - 2])
                 entry = state.entries[seg - 1]
                 assert entry[0].tobytes() == value_distribution(seg, adj, content, rs, n_values).tobytes()
                 assert np.array(entry[2]).tobytes() == np.cumsum(entry[0]).tobytes()  # what categorical sums
-                state.place(seg, draw_index(entry[2], rng._rng.random()) + 1)
+                state.run(u, 1)
+                assert state.values[seg] == draw_index(entry[2], u[2 * k - 1]) + 1
+                assert state.levels == sorted(state.groups), (world, k)
             alphabet = make_alphabet(*(f"v{v}" for v in range(1, n_values + 1)))
             assert state.content() == cwfc_generate(adj, alphabet, rs, RandomSource(seed)), world
     assert merged > 0  # some direction held two disagreeing placed values
@@ -218,6 +224,54 @@ def test_cwfc_batched_stream_is_the_dense_single_draw_stream():
     assert exhausted == 34
 
 
+@st.composite
+def unfloored_worlds(draw):
+    """A random ruleset without floor rules over grid2d 3x3 or hexgrid r1:
+    each rule needs up to three neighbour values, so a placement changes
+    several in-neighbours' codes and attempts conflict often.  Constant
+    weights match the all-zero start, so no world conflicts before a draw."""
+    adj = draw(st.sampled_from((grid2d_topology(3, 3).adjacency, hexgrid_topology(1).adjacency)))
+    w = draw(st.integers(2, 3))
+    rules = []
+    for _ in range(draw(st.integers(1, 6))):
+        directions = draw(st.sets(st.integers(1, adj.n_directions), min_size=1, max_size=3))
+        pairs = tuple((d, draw(st.integers(1, w))) for d in sorted(directions))
+        rules.append(Rule(draw(st.integers(1, w)), draw(st.floats(0.1, 5.0)), Pattern.of(*pairs)))
+    return adj, w, Ruleset(tuple(rules))
+
+
+@settings(max_examples=60, deadline=None)
+@given(unfloored_worlds(), st.integers(0, 2**32 - 1))
+def test_cwfc_matches_the_dense_reference_on_unfloored_rulesets(world, seed):
+    """Same instances, restarts, exhaustion messages and generator state as
+    the dense reference, through refreshes at several in-neighbours per
+    placement and conflicts at any of them."""
+    adj, w, rs = world
+    got = _run_shots(cwfc_generate, adj, _alphabet(w), rs, RandomSource(seed), 3, 3)
+    assert got == _run_shots(reference_cwfc, adj, _alphabet(w), Ruleset(rs.rules), RandomSource(seed), 3, 3)
+
+
+def test_ties_reads_the_lowest_level_and_those_within_the_tolerance():
+    """One level gives its own group; a second level exactly at the lowest
+    plus the tolerance merges in ascending order; one a float past it does
+    not, nor does a third level past the tolerance."""
+    low = 0.6931471805599453
+    edge = low + classic._ENTROPY_TIE_TOL
+    past = float(np.nextafter(edge, 1.0))
+    groups = {low: [4, 9]}
+    assert classic._ties([low], groups) is groups[low]
+    groups = {low: [4, 9], edge: [2, 7, 11]}
+    assert classic._ties([low, edge], groups) == [2, 4, 7, 9, 11]
+    groups = {low: [4, 9], edge: [2], past: [1]}
+    assert classic._ties([low, edge, past], groups) == [2, 4, 9]
+    groups = {low: [4, 9], past: [1]}
+    assert classic._ties([low, past], groups) is groups[low]
+
+
+def _no_restart():
+    raise AssertionError("no restart expected")
+
+
 def _alphabet(n_values):
     return make_alphabet(*(f"v{v}" for v in range(1, n_values + 1)))
 
@@ -243,18 +297,27 @@ def test_step_tables_are_kept_per_adjacency_and_alphabet_size(monkeypatch, cap):
         assert all(len(entry[0]) == n_values for entry in steps[2][0])
 
 
-def test_a_start_conflict_restarts_as_the_dense_reference():
+def test_a_start_conflict_is_refused_once():
     """Every rule weighted bottom_layer_only on a two-layer grid: the upper
     layer has no admissible value before any draw, so no start is kept and
-    every attempt names segment 7 and gives back all its uniforms."""
+    cwfc refuses the world once, naming segment 7, with no restart and no
+    draw; a negative cap is still refused first."""
     adj = grid3d_topology(3, 2, 2).adjacency
     bottom = make_factor("bottom_layer_only", u=1.0, layer_size=6)
     rs = Ruleset((Rule(1, bottom, Pattern.of()), Rule(2, bottom, Pattern.of((2, 1)))))
+    message = "no admissible value for segment 7 (before any draw, so every attempt conflicts)"
     for seed in range(3):
-        got = _run_shots(cwfc_generate, adj, _alphabet(2), rs, RandomSource(seed), 2, 4)
-        assert got == _run_shots(reference_cwfc, adj, _alphabet(2), rs, RandomSource(seed), 2, 4)
-        message = "still conflicting after 4 restarts: no admissible value for segment 7"
-        assert got[:2] == ([message] * 2, 8) and got[2] == RandomSource(seed)._rng.bit_generator.state
+        for max_restarts in (0, 4, 100):
+            rng = RandomSource(seed)
+            with pytest.raises(ConflictError) as info:
+                cwfc_generate(adj, _alphabet(2), rs, rng, max_restarts, _no_restart)
+            assert str(info.value) == message and info.value.segment == 7
+            assert info.value.content == ContentInstance()
+            assert rng._rng.bit_generator.state == RandomSource(seed)._rng.bit_generator.state
+        with pytest.raises(ValueError, match="max_restarts must be >= 0"):
+            cwfc_generate(adj, _alphabet(2), rs, RandomSource(seed), -1)
+    with pytest.raises(ConflictError, match=re.escape(message)):
+        Placement(adj, rs, 2)
     assert rs.compiled.cwfc_steps[(adj, 2)][2] is None
 
 

@@ -233,6 +233,28 @@ def test_cli_exit_code_conflict(tmp_path, capsys):
     capsys.readouterr()
 
 
+# the upper layer (segments 7-12) has no admissible value before any draw
+START_CONFLICT = """
+seed: 1
+mode: cwfc
+topology: {type: grid3d, width: 3, depth: 2, height: 2}
+alphabet: [a, b]
+rules:
+  - {value: a, weight: {factor: bottom_layer_only, u: 1.0, layer_size: 6}}
+  - {value: b, weight: {factor: bottom_layer_only, u: 1.0, layer_size: 6}, pattern: {below: a}}
+"""
+
+
+def test_cli_cwfc_start_conflict_is_refused_once(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["--config", str(_write(tmp_path, START_CONFLICT)), "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "generation failed: no admissible value for segment 7 (before any draw, so every attempt conflicts)\n"
+    )
+    assert captured.out == "" and not out.exists()
+
+
 def test_cli_hwfc_restarts_exhausted(tmp_path, capsys):
     doc = CONFLICTING.replace("mode: qwfc\norder: [2, 1]", 'mode: hwfc\npartitions: "blocks:2"\nmax_restarts: 2')
     out = tmp_path / "out"
