@@ -20,9 +20,9 @@ from .model import (
     Ruleset,
     signature_entry,
     value_distribution,  # noqa: F401  (perfbench traces this name)
+    _cache,
     value_entropy,
 )
-from .quantum import _PLAN_CACHE_CAP
 
 _ENTROPY_TIE_TOL = 1e-12
 
@@ -33,13 +33,13 @@ shannon_entropy = value_entropy
 
 def _steps(adjacency: AdjacencyConfig, comp: CompiledRuleset, n_values: int) -> tuple:
     """What every cwfc attempt on (adjacency, W) reads, built once and kept
-    on the compiled ruleset, up to ``_PLAN_CACHE_CAP`` tables.  Per segment
-    id (index id - 1): its in-edges as 0-based (row, column) pairs into
-    ``Placement.codes``, cut to the last direction a pattern names, and its
-    factor outputs, the third part of its ``dist_cache`` key.  Then the
-    start: every segment's entry under no placed neighbor, and the entropy
-    groups of those entries; None when a segment conflicts there, and the
-    outputs stop at the first such segment, which ``_start`` names."""
+    on the compiled ruleset.  Per segment id (index id - 1): its in-edges as
+    0-based (row, column) pairs into ``Placement.codes``, cut to the last
+    direction a pattern names, and its factor outputs, the third part of its
+    ``dist_cache`` key.  Then the start: every segment's entry under no
+    placed neighbor, and the entropy groups of those entries; None when a
+    segment conflicts there, and the outputs stop at the first such
+    segment, which ``_start`` names."""
     key = (adjacency, n_values)
     steps = comp.cwfc_steps.get(key)
     if steps is None:
@@ -56,9 +56,7 @@ def _steps(adjacency: AdjacencyConfig, comp: CompiledRuleset, n_values: int) -> 
                 break
             entries.append(entry)
             groups.setdefault(entry[1], []).append(seg)
-        steps = (edges, tuple(outputs), start)
-        if len(comp.cwfc_steps) < _PLAN_CACHE_CAP:
-            comp.cwfc_steps[key] = steps
+        steps = _cache(comp, comp.cwfc_steps, key, (edges, tuple(outputs), start), len(edges) + sum(map(len, edges)))
     return steps
 
 

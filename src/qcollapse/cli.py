@@ -13,7 +13,7 @@ import sys
 import time
 from pathlib import Path
 
-from .classic import cwfc_generate
+from .classic import _start, cwfc_generate
 from .config import MODES, RunConfig, load_config
 from .errors import (
     BudgetExceededError,
@@ -123,8 +123,8 @@ def _emit_instances(config: RunConfig, instances: list[ContentInstance], out: Pa
 
 def _check_flags(config: RunConfig, args) -> None:
     """Refuse the flags the configured mode cannot serve, an exact
-    enumeration past its budget and a circuit past the int64 basis indices,
-    before anything is compiled or drawn."""
+    enumeration past its budget, a circuit past the int64 basis indices and
+    a cwfc world that conflicts before any draw, before anything is drawn."""
     if args.export_qasm and config.mode != "qwfc":
         raise ConfigError("--export-qasm only applies to mode 'qwfc' (one circuit per run)")
     if args.exact_dist and config.mode == "cwfc":
@@ -135,6 +135,8 @@ def _check_flags(config: RunConfig, args) -> None:
         _check_index_qubits(len(config.order) * bits_per_value(config.alphabet.n_values))
     elif config.mode == "hwfc":
         _check_blocks(config.partitioning, config.alphabet.n_values)
+    elif config.mode == "cwfc":
+        _start(config.topology.adjacency, config.ruleset, config.alphabet.n_values)
 
 
 def run(config: RunConfig, args, started: float) -> int:

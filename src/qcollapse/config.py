@@ -34,6 +34,16 @@ FIELDS = (
     "name", "seed", "mode", "topology", "alphabet", "rules",
     "order", "partitions", "shots", "max_restarts", "format", "scale",
 )
+# the modes that read each field some mode ignores; a file whose own mode is
+# not among them refuses the field
+READ_BY = {
+    "order": ("qwfc", "oracle"),
+    "partitions": ("hwfc",),
+    "max_restarts": ("cwfc", "hwfc"),
+    "shots": ("cwfc", "qwfc", "hwfc"),
+    "format": ("cwfc", "qwfc", "hwfc"),
+    "scale": ("cwfc", "qwfc", "hwfc"),
+}
 
 # size caps, checked before the world is built; exceeding one exits 4
 MAX_CONFIG_BYTES = 1 << 15  # bytes of a config file, checked before it is parsed
@@ -100,8 +110,12 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
         raise ConfigError("config document must be a mapping")
     config = _build({**doc, **(overrides or {})})
     # the file's own mode, unless a --mode override runs the file under another
-    if "order" in doc and config.mode in ("cwfc", "hwfc") and config.mode == doc.get("mode"):
-        raise ConfigError(f"field 'order' is not read in mode {config.mode!r}; only qwfc and oracle follow it")
+    if config.mode == doc.get("mode"):
+        for field, modes in READ_BY.items():
+            if field in doc and config.mode not in modes:
+                *others, last = modes
+                who = f"{', '.join(others)} and {last} follow" if others else f"{last} follows"
+                raise ConfigError(f"field {field!r} is not read in mode {config.mode!r}; only {who} it")
     return config
 
 

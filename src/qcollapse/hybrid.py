@@ -11,8 +11,8 @@ from typing import NamedTuple
 
 from .errors import CapacityError, ConflictError
 from .framework import RandomSource, _check_budget, draw_index
-from .model import AdjacencyConfig, ContentInstance, Distribution, Ruleset, bits_per_value, decode_values
-from .quantum import _PLAN_CACHE_CAP, SparseState, _cache, _check_index_qubits, _product_entries, _walk_shape
+from .model import AdjacencyConfig, ContentInstance, Distribution, Ruleset, _cache, bits_per_value, decode_values
+from .quantum import SparseState, _cells, _check_index_qubits, _product_entries, _walk_shape
 from .quantum import build_circuit, order_plan, walked_state
 
 # Unused here; perfbench/layers.py wraps these names on this module.
@@ -91,11 +91,10 @@ def _schedule(
     adjacency: AdjacencyConfig, n_values: int, ruleset: Ruleset, partitioning: Partitioning
 ) -> tuple[_Block, ...]:
     """The partitioning's blocks, resolved and checked once per (adjacency,
-    W, blocks) and kept on the compiled ruleset, up to ``_PLAN_CACHE_CAP``
-    schedules.  A block's interface is the sorted earlier-block segments
-    adjacent to it in any direction; its shape id interns its
-    ``quantum._walk_shape`` on the compiled ruleset (None once
-    ``_PLAN_CACHE_CAP`` shapes are and this one is new), and a product
+    W, blocks) and kept on the compiled ruleset.  A block's interface is
+    the sorted earlier-block segments adjacent to it in any direction; its
+    shape id interns its ``quantum._walk_shape`` on the compiled ruleset
+    (None where the cache budget cannot keep a new one), and a product
     block, one whose plan gives no step a dependency, keeps that walk's
     recipes over interface positions.  Before any draw, raises ValueError
     for an invalid partitioning (a repeated id in one block as the compile
@@ -120,15 +119,13 @@ def _schedule(
             near = {s for seg in block for d in dirs for s in adjacency.neighbors(seg, d)}
             placed = tuple(sorted(near & earlier))
             walk = _walk_shape(comp, plan, block, placed)
+            if walk not in comp.shape_ids:
+                _cache(comp, comp.shape_ids, walk, len(comp.shape_ids), _cells(step[1:3] for step in walk))
             shape = comp.shape_ids.get(walk)
-            if shape is None and len(comp.shape_ids) < _PLAN_CACHE_CAP:
-                shape = comp.shape_ids[walk] = len(comp.shape_ids)
             positions = None if any(plan.deps) else tuple(step[2] for step in walk)
             schedule.append(_Block(block, placed, shape, tuple(sorted(block)), positions))
             earlier.update(block)
-        schedule = tuple(schedule)
-        if len(comp.schedules) < _PLAN_CACHE_CAP:
-            comp.schedules[key] = schedule
+        schedule = _cache(comp, comp.schedules, key, tuple(schedule), sum(map(len, partitioning.blocks)))
     return schedule
 
 

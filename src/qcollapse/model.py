@@ -192,6 +192,11 @@ class Ruleset:
         return CompiledRuleset(self)
 
 
+# cells per compiled ruleset, shared by its seven caches; a cell costs up to
+# ~300 B on the worlds measured (see CompiledRuleset), ~300 MB at the cap
+_CACHE_CAP = 1 << 20
+
+
 class CompiledRuleset:
     """Array form of a ruleset for batched pattern matching, and the caches
     that read it.
@@ -203,28 +208,32 @@ class CompiledRuleset:
 
     def __init__(self, ruleset: Ruleset):
         m = len(ruleset.rules)
-        # (probabilities, entropy, cumulative) keyed (signature, W, factor
-        # outputs); see signature_entry.  classic.Placement.run reads this key itself.
+        # Seven caches, each filled through _cache on a miss while cache_cells
+        # stays within _CACHE_CAP, never evicted.  Per kept object its cells,
+        # and the bytes per cell tracemalloc sees (CPython 3.11, 64-bit):
+        # - dist_cache: signature_entry's by (signature, W, factor outputs), W
+        #   cells or 1 for a conflict: ~250 B at W = 2, ~300 at 1, ~65 at 16
+        # - circuits: quantum.build_circuit's by (adjacency, order, W), its
+        #   state's entries plus W per load: 17-50 B, ~230 for a tiny state
+        # - block_cache: hwfc blocks by (shape id, W, interface values): walked
+        #   states, their entries, and product blocks' factors, W per segment,
+        #   whose walked state keys with "walked" appended: 40-60 B.  A state's
+        #   support dict, once exact_distribution reads it, adds ~85 B an entry
+        # - schedules: hybrid._schedule's by (adjacency, W, blocks), their
+        #   blocks' segments: 60-250 B; shape_ids: its walk shapes interned to
+        #   ids, counted as plans are: 60-85 B
+        # - plans: quantum.order_plan's by (adjacency, order), per step one, its
+        #   dependencies and per direction one plus what it lists: ~60 B
+        # - cwfc_steps: classic._steps' tables by (adjacency, W), their
+        #   segments plus their in-edges: ~95 B
         self.dist_cache: dict[tuple, object] = {}
-        # whole-world circuits with a walked state by (adjacency, order, W);
-        # see quantum.build_circuit
         self.circuits: dict[tuple, object] = {}
-        # hwfc blocks keyed (shape id, W, interface values): walked states, and
-        # a product block's factors, whose walked state keys with "walked"
-        # appended.  See hybrid._schedule.
         self.block_cache: dict[tuple, object] = {}
-        # cells held by circuits and block_cache together, up to quantum._CACHE_CAP
-        self.cache_cells = 0
-        # hwfc partitionings resolved and checked per block by (adjacency, W,
-        # blocks): interfaces, shape ids, product recipes; see hybrid._schedule
         self.schedules: dict[tuple, tuple] = {}
-        # walk shapes (quantum._walk_shape) interned to ids as schedules are built
         self.shape_ids: dict[tuple, int] = {}
-        # per-step dependencies and recipes by (adjacency, order); see quantum.order_plan
         self.plans: dict[tuple, tuple] = {}
-        # cwfc's per-segment in-edges, factor outputs and start by (adjacency,
-        # W); see classic._steps
         self.cwfc_steps: dict[tuple, tuple] = {}
+        self.cache_cells = 0
         self.max_value = max(rule.value for rule in ruleset.rules)
         self.pattern_directions = frozenset(
             d for rule in ruleset.rules for d, _ in rule.pattern.pairs
@@ -273,6 +282,15 @@ class CompiledRuleset:
             raise ValueError(f"pattern direction {self.max_direction} outside [1,{n_directions}]")
         if n_values is not None and self.max_value > n_values:
             raise ValueError(f"rule value {self.max_value} outside the alphabet [1,{n_values}]")
+
+
+def _cache(comp: CompiledRuleset, cache: dict, key, value, cells: int):
+    """``value``, kept in ``cache`` under ``key`` if its ``cells`` fit the
+    compiled ruleset's ``_CACHE_CAP``."""
+    if comp.cache_cells + cells <= _CACHE_CAP:
+        cache[key] = value
+        comp.cache_cells += cells
+    return value
 
 
 # --- functional factors ----------------------------------------------------
@@ -387,7 +405,6 @@ class ContentInstance:
 
 
 _CONFLICT = object()  # cache sentinel for keys with no admissible value
-_DIST_CACHE_CAP = 1 << 18
 
 
 def constraint_signature(
@@ -455,8 +472,7 @@ def signature_entry(
     entry = cache.get(key)
     if entry is None:
         entry = _fill_entry(comp, signature, n_values, u)
-        if len(cache) < _DIST_CACHE_CAP:
-            cache[key] = entry
+        _cache(comp, cache, key, entry, 1 if entry is _CONFLICT else n_values)
     return None if entry is _CONFLICT else entry
 
 

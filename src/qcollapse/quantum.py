@@ -27,6 +27,7 @@ from .model import (
     ContentInstance,
     Distribution,
     Ruleset,
+    _cache,
     bits_per_value,
     signature_entry,
 )
@@ -41,14 +42,6 @@ DEFAULT_QUBIT_CAP = 26  # ~512 MiB of float64 amplitudes in a dense view
 INDEX_QUBIT_LIMIT = 63  # basis indices are int64
 DEFAULT_LOAD_CAP = 4096  # reachable control assignments per iteration
 DEFAULT_SUPPORT_CAP = 1 << 20  # reachable partial assignments while compiling
-_PLAN_CACHE_CAP = 1 << 12  # order plans kept per compiled ruleset
-# cells per compiled ruleset, shared by the whole-world circuits build_circuit
-# keeps and hwfc's blocks: a walked state counts its entries, each carrying
-# index, probability and draw cumulative (24 B, ~24 MB at the cap), a product
-# block's factors W cells per segment.  A kept state's support dict, built
-# when exact_distribution first reads it, adds ~85 B per entry (~90 MB for a
-# 2^20-entry state, the size of the dict each call used to build and free).
-_CACHE_CAP = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -194,7 +187,7 @@ class OrderPlan(NamedTuple):
 
 def order_plan(adjacency: AdjacencyConfig, ruleset: Ruleset, order: tuple[int, ...]) -> OrderPlan:
     """The order's ``OrderPlan``, made once per (adjacency, order) and kept
-    on the compiled ruleset, up to ``_PLAN_CACHE_CAP`` plans."""
+    on the compiled ruleset."""
     comp = ruleset.compiled
     key = (adjacency, order)
     plan = comp.plans.get(key)
@@ -213,10 +206,14 @@ def order_plan(adjacency: AdjacencyConfig, ruleset: Ruleset, order: tuple[int, .
                 recipe.append((cols, tuple(s for s in near if s not in step)))
             deps.append(dep)
             recipes.append(tuple(recipe))
-        plan = OrderPlan(tuple(deps), tuple(recipes))
-        if len(comp.plans) < _PLAN_CACHE_CAP:
-            comp.plans[key] = plan
+        plan = _cache(comp, comp.plans, key, OrderPlan(tuple(deps), tuple(recipes)), _cells(zip(deps, recipes)))
     return plan
+
+
+def _cells(steps) -> int:
+    """Cache cells of an order plan's or a walk shape's (dependencies, recipe)
+    steps: per step one, its dependencies, per direction one and its lists."""
+    return sum(1 + len(deps) + sum(1 + len(a) + len(b) for a, b in recipe) for deps, recipe in steps)
 
 
 def _walk_shape(
@@ -239,15 +236,6 @@ def _walk_shape(
         )
         for target, deps, recipe in zip(order, plan.deps, plan.recipes)
     )
-
-
-def _cache(comp: CompiledRuleset, cache: dict, key: tuple, value, cells: int):
-    """``value``, kept in ``cache`` under ``key`` if its ``cells`` fit the
-    compiled ruleset's ``_CACHE_CAP``."""
-    if comp.cache_cells + cells <= _CACHE_CAP:
-        cache[key] = value
-        comp.cache_cells += cells
-    return value
 
 
 def build_circuit(
@@ -281,8 +269,8 @@ def build_circuit(
     are Python ints and no state is kept.
 
     Without ``frozen``, the program is prepared once per (adjacency, order,
-    W) and kept on the compiled ruleset, while its walked state's entries
-    fit ``_CACHE_CAP``: a repeated call returns the same program.  A
+    W) and kept on the compiled ruleset, while its state's entries plus W
+    cells per load fit the cache budget: a repeated call returns it.  A
     program without a walked state, a conflict or a capacity refusal is not
     kept, so it compiles or raises again.  A call with ``frozen`` (each hwfc
     block, which keeps its own cache) always compiles.
@@ -360,7 +348,7 @@ def build_circuit(
     state = _sparse_state(layout, idx, amp) if dtype is np.int64 else None
     circuit = CircuitProgram(layout, tuple(tables), state)
     if frozen is None and state is not None:
-        _cache(comp, comp.circuits, key, circuit, len(state.indices))
+        _cache(comp, comp.circuits, key, circuit, len(state.indices) + n_values * sum(len(t.values) for t in tables))
     return circuit
 
 

@@ -40,7 +40,8 @@ from qcollapse import (
     with_restarts,
 )
 from qcollapse.classic import _ENTROPY_TIE_TOL
-from qcollapse.quantum import INDEX_QUBIT_LIMIT, _SIM_NORM_TOL, _sparse_state
+from qcollapse.model import _CONFLICT
+from qcollapse.quantum import INDEX_QUBIT_LIMIT, _SIM_NORM_TOL, SparseState, _sparse_state
 
 
 def reference_chain_distribution(adjacency, ruleset, n_values, order):
@@ -249,6 +250,41 @@ def conflict_free_ruleset(rules, n_values, floor=1e-6):
     """Append a tiny unconditional rule per value so no dead end can occur."""
     extra = tuple(Rule(v, floor, Pattern.of()) for v in range(1, n_values + 1))
     return Ruleset(tuple(rules) + extra)
+
+
+def steps_cells(steps):
+    """The cells of (dependencies, recipe) steps, an order plan's or a walk
+    shape's: per step one, its dependencies, and per direction one plus the
+    columns and neighbours or interface positions it lists."""
+    return sum(1 + len(deps) + sum(1 + len(cols) + len(more) for cols, more in recipe) for deps, recipe in steps)
+
+
+def plan_cells(plan):
+    return steps_cells(zip(plan.deps, plan.recipes))
+
+
+def walk_cells(walk):
+    return steps_cells(step[1:3] for step in walk)
+
+
+def stated_cells(comp):
+    """The cells each of the seven caches on a compiled ruleset holds, as
+    its kept objects state them; ``comp.cache_cells`` is their sum."""
+    return {
+        "dist_cache": sum(1 if entry is _CONFLICT else key[1] for key, entry in comp.dist_cache.items()),
+        "circuits": sum(
+            len(circuit.state.indices) + circuit.layout.n_values * sum(len(step.values) for step in circuit.steps)
+            for circuit in comp.circuits.values()
+        ),
+        "block_cache": sum(
+            len(kept.indices) if isinstance(kept, SparseState) else sum(len(cum) for _, cum in kept)
+            for kept in comp.block_cache.values()
+        ),
+        "schedules": sum(len(block.order) for schedule in comp.schedules.values() for block in schedule),
+        "shape_ids": sum(map(walk_cells, comp.shape_ids)),
+        "plans": sum(map(plan_cells, comp.plans.values())),
+        "cwfc_steps": sum(len(edges) + sum(map(len, edges)) for edges, _, _ in comp.cwfc_steps.values()),
+    }
 
 
 def assert_walked_state_is_simulated(circuit):

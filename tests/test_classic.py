@@ -26,7 +26,7 @@ from qcollapse import (
     shannon_entropy,
     value_distribution,
 )
-from qcollapse import classic
+from qcollapse import classic, model
 from qcollapse.classic import Placement, draw_tie
 from qcollapse.framework import draw_index
 from qcollapse.model import CompiledRuleset, constraint_signature
@@ -276,13 +276,13 @@ def _alphabet(n_values):
     return make_alphabet(*(f"v{v}" for v in range(1, n_values + 1)))
 
 
-@pytest.mark.parametrize("cap", [None, 1])
-def test_step_tables_are_kept_per_adjacency_and_alphabet_size(monkeypatch, cap):
+@pytest.mark.parametrize("tables", [None, 1])
+def test_step_tables_are_kept_per_adjacency_and_alphabet_size(monkeypatch, tables):
     """Two adjacencies of 16 segments at W = 2 and 3, interleaved on one
     ruleset, give a fresh ruleset's instances, with every table kept and
     with one kept (the rest built on every attempt)."""
-    if cap is not None:
-        monkeypatch.setattr(classic, "_PLAN_CACHE_CAP", cap)
+    if tables is not None:  # 100 cells hold the first table's 64 and entries, not a second's 60 more
+        monkeypatch.setattr(model, "_CACHE_CAP", 100)
     shared = checkerboard_ruleset()
     worlds = (grid2d_topology(4, 4).adjacency, grid2d_topology(8, 2).adjacency)
     for seed in range(4):
@@ -292,7 +292,7 @@ def test_step_tables_are_kept_per_adjacency_and_alphabet_size(monkeypatch, cap):
                 fresh = cwfc_generate(adj, _alphabet(n_values), Ruleset(shared.rules), RandomSource(seed))
                 assert got == fresh, (seed, adj, n_values)
     kept = shared.compiled.cwfc_steps
-    assert len(kept) == (4 if cap is None else 1)
+    assert len(kept) == (4 if tables is None else tables)
     for (adj, n_values), steps in kept.items():
         assert all(len(entry[0]) == n_values for entry in steps[2][0])
 

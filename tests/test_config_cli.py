@@ -138,7 +138,8 @@ rules:
 
 
 def test_column_partitions():
-    doc = CHECKER.replace("width: 3, height: 3", "width: 4, height: 2") + "partitions: 'columns:2'"
+    doc = CHECKER.replace("mode: qwfc", "mode: hwfc").replace("width: 3, height: 3", "width: 4, height: 2")
+    doc += "partitions: 'columns:2'"
     cfg = parse_config(doc)
     assert cfg.partitioning.blocks == ((1, 5, 2, 6), (3, 7, 4, 8))
 
@@ -245,9 +246,10 @@ rules:
 """
 
 
-def test_cli_cwfc_start_conflict_is_refused_once(tmp_path, capsys):
+@pytest.mark.parametrize("args", [[], ["--validate-only"]], ids=["run", "validate-only"])
+def test_cli_cwfc_start_conflict_is_refused_once(tmp_path, capsys, args):
     out = tmp_path / "out"
-    assert main(["--config", str(_write(tmp_path, START_CONFLICT)), "--out", str(out)]) == 3
+    assert main(["--config", str(_write(tmp_path, START_CONFLICT)), "--out", str(out), *args]) == 3
     captured = capsys.readouterr()
     assert captured.err == (
         "generation failed: no admissible value for segment 7 (before any draw, so every attempt conflicts)\n"
@@ -523,6 +525,16 @@ MALFORMED = {
     "'order' is not read in mode 'cwfc' (spiral)": TWO_CELLS + "order: spiral\n",
     "'order' is not read in mode 'hwfc'": TWO_CELLS.replace("mode: cwfc", "mode: hwfc")
     + 'order: [2, 1]\npartitions: "blocks:2"\n',
+    # any other field the file's own mode never reads: each used to exit 0 too
+    "'partitions' is not read in mode 'qwfc'": TWO_CELLS.replace("mode: cwfc", "mode: qwfc")
+    + 'partitions: "blocks:2"\n',
+    "'partitions' is not read in mode 'cwfc'": TWO_CELLS + 'partitions: "blocks:2"\n',
+    "'max_restarts' is not read in mode 'qwfc'": TWO_CELLS.replace("mode: cwfc", "mode: qwfc") + "max_restarts: 3\n",
+    "'max_restarts' is not read in mode 'oracle'": TWO_CELLS.replace("mode: cwfc", "mode: oracle")
+    + "max_restarts: 3\n",
+    "'shots' is not read in mode 'oracle'": TWO_CELLS.replace("mode: cwfc", "mode: oracle") + "shots: 2\n",
+    "'format' is not read in mode 'oracle'": TWO_CELLS.replace("mode: cwfc", "mode: oracle") + "format: ppm\n",
+    "'scale' is not read in mode 'oracle'": TWO_CELLS.replace("mode: cwfc", "mode: oracle") + "scale: 4\n",
 }
 
 
@@ -715,12 +727,20 @@ def test_cli_every_format_on_every_topology(tmp_path, capsys, topology, fmt, mod
     doc = TWO_CELLS.replace("mode: cwfc", f"mode: {mode}").replace(
         "{type: grid2d, width: 2, height: 1}", TOPOLOGIES[topology]
     )
-    cfg = _write(tmp_path, doc + f"format: {fmt}\npartitions: 'blocks:2'\n")
+    if mode == "hwfc":
+        doc += "partitions: 'blocks:2'\n"
+    cfg = _write(tmp_path, doc + f"format: {fmt}\n")
     code = main(["--config", str(cfg), "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    # oracle mode renders nothing, so it takes any format
-    assert code == (2 if mode != "oracle" and (topology, fmt) in UNDRAWABLE else 0), err
+    if mode == "oracle":
+        # oracle mode renders nothing: its own file refuses a format, and the flag takes any
+        assert code == 2 and "field 'format' is not read in mode 'oracle'" in err
+        cfg = _write(tmp_path, doc)
+        assert main(["--config", str(cfg), "--format", fmt, "--out", str(tmp_path / "out")]) == 0
+        capsys.readouterr()
+    else:
+        assert code == (2 if (topology, fmt) in UNDRAWABLE else 0), err
 
 
 def test_cli_wall_time_counts_config_load(tmp_path, capsys, monkeypatch):

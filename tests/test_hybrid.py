@@ -3,7 +3,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import assert_walked_state_is_simulated, max_prob_deviation, simulate_loads
+from conftest import (
+    assert_walked_state_is_simulated,
+    max_prob_deviation,
+    plan_cells,
+    simulate_loads,
+    stated_cells,
+    walk_cells,
+)
 from test_golden import QWFC_CIRCUITS
 
 from qcollapse import (
@@ -285,7 +292,10 @@ def test_schedules_keep_adjacencies_and_blocks_apart(monkeypatch):
     shared = hexmap_usecase(3).ruleset
     assert list(outputs(shared)) == fresh
     assert len(shared.compiled.schedules) == 10
-    monkeypatch.setattr(hybrid, "_PLAN_CACHE_CAP", 1)
+    # a budget that the first schedule, its plans and shapes fill keeps no other
+    probe = Ruleset(shared.rules)
+    hybrid._schedule(hexmap_usecase(3).adjacency, 4, probe, worlds[0][1][0])
+    monkeypatch.setattr(model, "_CACHE_CAP", probe.compiled.cache_cells)
     shared = Ruleset(shared.rules)
     assert list(outputs(shared)) == fresh
     assert len(shared.compiled.schedules) == 1
@@ -296,16 +306,13 @@ def test_block_cache_cap_stops_growth_not_output(monkeypatch):
     args = (uc.adjacency, uc.alphabet.n_values)
     cold = _samples(*args, uc.ruleset, uc.partitioning, 11, 6)
     cap = 3000
-    monkeypatch.setattr(quantum, "_CACHE_CAP", cap)
+    monkeypatch.setattr(model, "_CACHE_CAP", cap)
     capped = Ruleset(uc.ruleset.rules)
     comp = capped.compiled
     assert _samples(*args, capped, uc.partitioning, 11, 6) == cold
-    assert 0 < comp.cache_cells <= cap
     # a walked state counts its entries, a product block's factors W cells per segment
-    assert comp.cache_cells == sum(
-        len(t.indices) if isinstance(t, quantum.SparseState) else sum(len(cum) for _, cum in t)
-        for t in comp.block_cache.values()
-    )
+    assert 0 < stated_cells(comp)["block_cache"] <= comp.cache_cells <= cap
+    assert comp.cache_cells == sum(stated_cells(comp).values())
     for seed in (12, 13):
         _samples(*args, capped, uc.partitioning, seed, 6)
         assert comp.cache_cells <= cap
@@ -315,13 +322,14 @@ def test_block_cache_counts_a_product_block_by_its_cells(monkeypatch):
     uc = platformer_usecase(10, 10)  # 20 product blocks of 5 segments, W = 8
     args = (uc.adjacency, uc.alphabet.n_values)
     cold = _samples(*args, Ruleset(uc.ruleset.rules), uc.partitioning, 11, 6)
-    monkeypatch.setattr(quantum, "_CACHE_CAP", 1000)
+    monkeypatch.setattr(model, "_CACHE_CAP", 1000)
     capped = Ruleset(uc.ruleset.rules)
     comp = capped.compiled
     assert _samples(*args, capped, uc.partitioning, 11, 6) == cold
     factors = list(comp.block_cache.values())
     assert all(len(f) == 5 and all(len(probs) == len(cum) == 8 for probs, cum in f) for f in factors)
-    assert comp.cache_cells == 40 * len(factors) and 1000 - 40 < comp.cache_cells <= 1000
+    assert stated_cells(comp)["block_cache"] == 40 * len(factors)
+    assert comp.cache_cells == sum(stated_cells(comp).values()) and 1000 - 40 < comp.cache_cells <= 1000
 
 
 def test_repeated_conflicting_interface_raises_again():
@@ -566,7 +574,13 @@ def test_plan_cache_cap_stops_growth_not_output(monkeypatch):
     uc = replace(hexmap_usecase(3), partitioning=equal_blocks(37, 8))
     args = (uc.adjacency, uc.alphabet.n_values)
     cold = _samples(*args, Ruleset(uc.ruleset.rules), uc.partitioning, 11, 6)
-    monkeypatch.setattr(quantum, "_PLAN_CACHE_CAP", 3)
+    # a budget that the first three blocks' plans and shapes fill, as the schedule interleaves them
+    probe = Ruleset(uc.ruleset.rules)
+    schedule = hybrid._schedule(*args, probe, uc.partitioning)
+    assert [block.shape for block in schedule[:3]] == [0, 1, 2]
+    cap = sum(plan_cells(probe.compiled.plans[(uc.adjacency, block)]) for block in uc.partitioning.blocks[:3])
+    cap += sum(walk_cells(walk) for walk, shape in probe.compiled.shape_ids.items() if shape < 3)
+    monkeypatch.setattr(model, "_CACHE_CAP", cap)
     capped = Ruleset(uc.ruleset.rules)
     assert _samples(*args, capped, uc.partitioning, 11, 6) == cold
     assert list(capped.compiled.plans) == [(uc.adjacency, block) for block in uc.partitioning.blocks[:3]]

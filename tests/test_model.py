@@ -1,6 +1,9 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
-from conftest import chain_adjacency, pattern_matches
+from conftest import chain_adjacency, pattern_matches, stated_cells
 
 from qcollapse import (
     Alphabet,
@@ -8,6 +11,7 @@ from qcollapse import (
     ContentInstance,
     Distribution,
     FunctionalWeight,
+    Partitioning,
     Pattern,
     RandomSource,
     Rule,
@@ -16,6 +20,8 @@ from qcollapse import (
     bits_per_value,
     build_circuit,
     equal_blocks,
+    exact_distribution,
+    hwfc_exact_distribution,
     hwfc_generate,
     grid2d_topology,
     grid3d_topology,
@@ -25,11 +31,12 @@ from qcollapse import (
     encode_values,
     make_alphabet,
     make_factor,
+    sample_shots,
     value_distribution,
     value_entropy,
 )
 from qcollapse import model
-from qcollapse.quantum import order_plan
+from qcollapse.quantum import order_plan, walked_state
 from qcollapse.topology import hexgrid_coordinates
 from qcollapse.usecases import (
     checkerboard_ruleset,
@@ -366,7 +373,7 @@ def test_checkerboard_canonical_keys():
 
 
 def test_distribution_cache_serves_hits_once_full(monkeypatch):
-    monkeypatch.setattr(model, "_DIST_CACHE_CAP", 2)
+    monkeypatch.setattr(model, "_CACHE_CAP", 4)  # two entries of W = 2 cells
     adj = grid2d_topology(3, 3).adjacency
     rs = Ruleset(checkerboard_ruleset().rules)
     first = value_distribution(5, adj, ContentInstance(), rs, 2)
@@ -482,3 +489,76 @@ def test_non_finite_factor_raises_on_a_cached_signature():
     for _ in range(2):
         with pytest.raises(ValueError, match="finite"):
             value_distribution(2, adj, ContentInstance(), rs, 2)
+
+
+# --------------------------------------------------------------------------
+# the cache budget
+# --------------------------------------------------------------------------
+
+
+def test_the_cache_budget_bounds_what_a_ruleset_keeps(monkeypatch):
+    """One ruleset runs cwfc and builds whole-world plans over 20 distinct
+    large adjacencies under a budget of 2^13 cells.  What its caches keep
+    stays within the budget at ~300 B per cell, the most any kind costs
+    (see CompiledRuleset), and its outputs are a fresh ruleset's."""
+    cap = 1 << 13
+    monkeypatch.setattr(model, "_CACHE_CAP", cap)
+    alphabet = make_alphabet("black", "white")
+    worlds = []
+    for i in range(20):  # 576 to 1,032 segments: each table and plan fills over a third of the budget
+        adjacency = grid2d_topology(24, 24 + i).adjacency
+        order = tuple(range(1, adjacency.n_segments + 1))
+        fresh = Ruleset(checkerboard_ruleset().rules)
+        want = (cwfc_generate(adjacency, alphabet, fresh, RandomSource(i)), order_plan(adjacency, fresh, order))
+        worlds.append((adjacency, order, want))
+    shared = Ruleset(checkerboard_ruleset().rules)
+    comp = shared.compiled
+    del fresh
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        for i, (adjacency, order, want) in enumerate(worlds):
+            got = (cwfc_generate(adjacency, alphabet, shared, RandomSource(i)), order_plan(adjacency, shared, order))
+            assert got == want
+        del got
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert comp.plans and comp.cwfc_steps and 0 < comp.cache_cells <= cap
+    assert kept <= 300 * cap
+
+
+@pytest.mark.parametrize(
+    "make, partitionings",
+    [
+        # product blocks (half-rows) and blocks with a dependency (columns)
+        (lambda: platformer_usecase(2, 2), (equal_blocks(4, 2), Partitioning(((1, 3), (2, 4))))),
+        (lambda: hexmap_usecase(1), (equal_blocks(7, 3), equal_blocks(7, 2))),
+    ],
+    ids=["platformer-2x2", "hexmap-r1"],
+)
+def test_every_cache_on_a_compiled_ruleset_is_charged(make, partitionings):
+    """cwfc, qwfc, hwfc and hwfc's exact distribution on one ruleset:
+    ``cache_cells`` is the sum of the cells every kept object states, and
+    no other dict on the compiled ruleset grows but its weight rows."""
+    uc = make()
+    adjacency, n_values, rs = uc.adjacency, uc.alphabet.n_values, uc.ruleset
+    for seed in range(5):
+        cwfc_generate(adjacency, uc.alphabet, rs, RandomSource(seed))
+    state = walked_state(build_circuit(adjacency, n_values, rs, uc.order))
+    sample_shots(state, state.layout, 50, RandomSource(1))
+    exact_distribution(state, state.layout)
+    for partitioning in partitionings:
+        hwfc_exact_distribution(adjacency, n_values, rs, partitioning)
+        for seed in range(5):
+            try:
+                hwfc_generate(adjacency, n_values, rs, partitioning, RandomSource(seed))
+            except ConflictError:
+                pass
+    comp = rs.compiled
+    cells = stated_cells(comp)
+    assert comp.cache_cells == sum(cells.values())
+    grown = {name for name, value in vars(comp).items() if isinstance(value, dict) and value}
+    assert grown - {"_segment_weights", "_rows"} == set(cells)

@@ -12,6 +12,7 @@ from conftest import (
     reference_chain_distribution,
     simulate_gates,
     simulate_loads,
+    stated_cells,
 )
 from test_golden import QWFC_CIRCUITS
 
@@ -38,7 +39,7 @@ from qcollapse import (
     lower_to_gates,
     sample_shots,
 )
-from qcollapse import quantum
+from qcollapse import model, quantum
 from qcollapse.model import constraint_signature
 from qcollapse.quantum import StepTable, order_plan, walked_state
 from qcollapse.usecases import checkerboard_ruleset, checkerboard_usecase
@@ -502,7 +503,10 @@ def test_a_repeated_circuit_is_the_kept_program():
     assert build_circuit(uc.adjacency, 2, rs, list(uc.order)) is first
     comp = rs.compiled
     assert list(comp.circuits) == [(uc.adjacency, tuple(uc.order), 2)]
-    assert comp.cache_cells == len(first.state.indices) == 2
+    # its state's entries and W cells per load
+    assert len(first.state.indices) == 2
+    assert stated_cells(comp)["circuits"] == 2 + 2 * len(first.loads)
+    assert comp.cache_cells == sum(stated_cells(comp).values())
 
 
 def test_the_circuit_cache_keys_on_order_w_adjacency_and_ruleset():
@@ -532,7 +536,7 @@ def test_a_frozen_call_neither_reads_nor_fills_the_circuit_cache():
         assert build_circuit(uc.adjacency, 2, rs, order, frozen=frozen) is not build_circuit(
             uc.adjacency, 2, rs, order, frozen=frozen
         )
-        assert comp.circuits == {} and comp.cache_cells == 0
+        assert comp.circuits == {} and comp.cache_cells == sum(stated_cells(comp).values())
     kept = build_circuit(uc.adjacency, 2, rs, uc.order)
     thawed = build_circuit(uc.adjacency, 2, rs, uc.order, frozen=ContentInstance())
     assert thawed is not kept and _same_state(thawed, kept)
@@ -553,7 +557,7 @@ def test_a_refused_circuit_is_not_kept(monkeypatch):
     for _ in range(2):
         with pytest.raises(CapacityError, match="grew past 16 at iteration 5"):
             build_circuit(chain_adjacency(8), 2, rs, tuple(range(1, 9)))
-    assert rs.compiled.circuits == {} and rs.compiled.cache_cells == 0
+    assert rs.compiled.circuits == {} and rs.compiled.cache_cells == sum(stated_cells(rs.compiled).values())
 
 
 def test_a_circuit_without_a_walked_state_is_not_kept():
@@ -568,17 +572,20 @@ def test_a_circuit_without_a_walked_state_is_not_kept():
 def test_the_cell_cap_stops_the_circuit_cache_not_its_output(monkeypatch):
     # no rule names a direction: a chain of n segments walks all 2^n outcomes
     rs = conflict_free_ruleset((), 2)
-    monkeypatch.setattr(quantum, "_CACHE_CAP", 24)
     comp = rs.compiled
+    chains = [(chain_adjacency(n), tuple(range(1, n + 1))) for n in (3, 4, 5, 2)]
+    for adjacency, order in chains:  # a frozen compile keeps the plans and entries, not the circuit
+        build_circuit(adjacency, 2, rs, order, frozen=ContentInstance())
+    base = comp.cache_cells
+    monkeypatch.setattr(model, "_CACHE_CAP", base + 38)
     kept = []
-    for n in (3, 4, 5, 2):
-        order = tuple(range(1, n + 1))
-        circuit = build_circuit(chain_adjacency(n), 2, rs, order)
-        assert _same_state(circuit, build_circuit(chain_adjacency(n), 2, Ruleset(rs.rules), order))
-        kept.append(build_circuit(chain_adjacency(n), 2, rs, order) is circuit)
-        assert comp.cache_cells == sum(len(c.state.indices) for c in comp.circuits.values()) <= 24
-    assert kept == [True, True, False, False]  # 8 + 16 cells fill the cap
-    assert comp.cache_cells == 24
+    for adjacency, order in chains:
+        circuit = build_circuit(adjacency, 2, rs, order)
+        assert _same_state(circuit, build_circuit(adjacency, 2, Ruleset(rs.rules), order))
+        kept.append(build_circuit(adjacency, 2, rs, order) is circuit)
+        assert comp.cache_cells - base == stated_cells(comp)["circuits"] <= 38
+    assert kept == [True, True, False, False]  # 8 + 16 entries and 3 + 4 loads of 2 cells fill the cap
+    assert comp.cache_cells - base == 38
 
 
 def test_exact_distribution_copies_the_kept_support():
