@@ -184,13 +184,7 @@ def _uniform_cumulative(c: int) -> tuple[float, ...]:
     return tuple(np.full(c, 1.0 / c).cumsum().tolist())
 
 
-# Made once for tie counts up to 64, which cover over 99% of the draws on the
-# benchmark's cwfc worlds.  On a 2-vCPU VM a lookup takes ~0.1 us and building
-# a table ~4 us: built on every draw, tables took ~18% of a cwfc-worlds request.
-_UNIFORM_CUMULATIVE = {c: _uniform_cumulative(c) for c in range(1, 65)}
-
-
-# Totals of the tables past 64 ties, by tie count: one float per count drawn.
+# Totals of the tables, by tie count: one float per count drawn.
 _UNIFORM_TOTAL: dict[int, float] = {}
 
 
@@ -200,26 +194,25 @@ def draw_tie(ties: list[int], u: float) -> int:
     over the ties alone.  A dense cumulative stays flat across zeros, so
     both land on the same id.
 
-    Past 64 ties the index is floor(t*c), t = u * total, unless t*c lies
-    within c*c*2^-52 of an integer; only then is the table built.  Every
-    partial sum of the table is below 2, so each of its c roundings errs by
-    at most 2^-53 and fl(1/c) by at most 2^-53/c: entry k lies within
-    c*2^-53 of (k+1)/c.  fl(t*c) lies within c*2^-52 of t*c, so outside the
-    margin t lies farther than c*2^-53 from every k/c (c >= 2), and
-    ``draw_index`` on the table lands on floor(t*c) too."""
+    A lone tie is the draw.  Among c >= 2 the index is floor(t*c), t =
+    u * total, unless t*c lies within c*c*2^-52 of an integer; only then is
+    the table built.  Every partial sum of the table is below 2, so each of
+    its c roundings errs by at most 2^-53 and fl(1/c) by at most 2^-53/c:
+    entry k lies within c*2^-53 of (k+1)/c.  fl(t*c) lies within c*2^-52 of
+    t*c, so outside the margin t lies farther than c*2^-53 from every k/c
+    (c >= 2), and ``draw_index`` on the table lands on floor(t*c) too."""
     c = len(ties)
-    cum = _UNIFORM_CUMULATIVE.get(c)
-    if cum is None:
-        total = _UNIFORM_TOTAL.get(c)
-        if total is None:
-            total = _UNIFORM_TOTAL[c] = _uniform_cumulative(c)[-1]
-        x = u * total * c
-        k = int(x)
-        margin = c * c * 2.0**-52
-        if margin < x - k < 1.0 - margin:
-            return ties[k]
-        cum = _uniform_cumulative(c)
-    return ties[draw_index(cum, u)]
+    if c == 1:
+        return ties[0]
+    total = _UNIFORM_TOTAL.get(c)
+    if total is None:
+        total = _UNIFORM_TOTAL[c] = _uniform_cumulative(c)[-1]
+    x = u * total * c
+    k = int(x)
+    margin = c * c * 2.0**-52
+    if margin < x - k < 1.0 - margin:
+        return ties[k]
+    return ties[draw_index(_uniform_cumulative(c), u)]
 
 
 def cwfc_generate(

@@ -30,6 +30,7 @@ from .render import FORMATS, can_draw, ppm_size
 from .topology import DIRECTION_NAMES, Topology, grid2d_topology, grid3d_topology, hexgrid_topology
 
 MODES = ("cwfc", "qwfc", "hwfc", "oracle")
+DEFAULT_FORMAT = "ascii"  # of a file without 'format'
 FIELDS = (
     "name", "seed", "mode", "topology", "alphabet", "rules",
     "order", "partitions", "shots", "max_restarts", "format", "scale",
@@ -116,6 +117,10 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
                 *others, last = modes
                 who = f"{', '.join(others)} and {last} follow" if others else f"{last} follows"
                 raise ConfigError(f"field {field!r} is not read in mode {config.mode!r}; only {who} it")
+    # the file's own format, unless a --format override draws it in another
+    own = doc.get("format", DEFAULT_FORMAT)
+    if "scale" in doc and config.output_format == own != "ppm":
+        raise ConfigError(f"field 'scale' is not read with format {own!r}; only ppm follows it")
     return config
 
 
@@ -425,7 +430,7 @@ def _build(doc: dict) -> RunConfig:
     topology = _build_topology(_require(doc, "topology"))
     shots = _int_field(doc, "shots", default=1, minimum=1)
     _check_cap(shots * topology.adjacency.n_segments, "shots x segments", MAX_SHOT_SEGMENTS)
-    output_format = doc.get("format", "ascii")
+    output_format = doc.get("format", DEFAULT_FORMAT)
     if output_format not in FORMATS:
         raise ConfigError(f"field 'format' must be one of {FORMATS}, got {output_format!r}")
     scale = _int_field(doc, "scale", default=16, minimum=1)

@@ -96,10 +96,12 @@ def _schedule(
     shape id interns its ``quantum._walk_shape`` on the compiled ruleset
     (None where the cache budget cannot keep a new one), and a product
     block, one whose plan gives no step a dependency, keeps that walk's
-    recipes over interface positions.  Before any draw, raises ValueError
-    for an invalid partitioning (a repeated id in one block as the compile
-    does, else ``validate_partitioning``'s first message) or a ruleset that
-    does not fit the adjacency and W, and ``_check_blocks``' CapacityError.
+    recipes over interface positions, one tuple for all blocks of one walk
+    in the schedule (the interned walk's when this call interns it).
+    Before any draw, raises ValueError for an invalid partitioning (a
+    repeated id in one block as the compile does, else
+    ``validate_partitioning``'s first message) or a ruleset that does not
+    fit the adjacency and W, and ``_check_blocks``' CapacityError.
     """
     comp = ruleset.compiled
     key = (adjacency, n_values, partitioning.blocks)
@@ -113,7 +115,7 @@ def _schedule(
         comp.check(adjacency.n_directions, n_values)
         _check_blocks(partitioning, n_values)
         dirs = range(1, adjacency.n_directions + 1)
-        schedule, earlier = [], set()
+        schedule, earlier, recipes = [], set(), {}
         for block in partitioning.blocks:
             plan = order_plan(adjacency, ruleset, block)
             near = {s for seg in block for d in dirs for s in adjacency.neighbors(seg, d)}
@@ -122,7 +124,11 @@ def _schedule(
             if walk not in comp.shape_ids:
                 _cache(comp, comp.shape_ids, walk, len(comp.shape_ids), _cells(step[1:3] for step in walk))
             shape = comp.shape_ids.get(walk)
-            positions = None if any(plan.deps) else tuple(step[2] for step in walk)
+            positions = None
+            if not any(plan.deps):  # blocks of one walk share the first one's recipes
+                positions = recipes.get(walk)
+                if positions is None:
+                    positions = recipes[walk] = tuple(step[2] for step in walk)
             schedule.append(_Block(block, placed, shape, tuple(sorted(block)), positions))
             earlier.update(block)
         schedule = _cache(comp, comp.schedules, key, tuple(schedule), sum(map(len, partitioning.blocks)))

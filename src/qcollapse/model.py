@@ -214,13 +214,15 @@ class CompiledRuleset:
         # - dist_cache: signature_entry's by (signature, W, factor outputs), W
         #   cells or 1 for a conflict: ~250 B at W = 2, ~300 at 1, ~65 at 16
         # - circuits: quantum.build_circuit's by (adjacency, order, W), its
-        #   state's entries plus W per load: 17-50 B, ~230 for a tiny state
+        #   state's entries plus W per load: 17-50 B, ~230 for a tiny state;
+        #   plus the pairs its layout's decode tables can hold (table_cells),
+        #   whether or not shots fill them: ~41 B in a dict of ten, ~310 alone
         # - block_cache: hwfc blocks by (shape id, W, interface values): walked
         #   states, their entries, and product blocks' factors, W per segment,
         #   whose walked state keys with "walked" appended: 40-60 B.  A state's
         #   support dict, once exact_distribution reads it, adds ~85 B an entry
         # - schedules: hybrid._schedule's by (adjacency, W, blocks), their
-        #   blocks' segments: 60-250 B; shape_ids: its walk shapes interned to
+        #   blocks' segments: 50-65 B; shape_ids: its walk shapes interned to
         #   ids, counted as plans are: 60-85 B
         # - plans: quantum.order_plan's by (adjacency, order), per step one, its
         #   dependencies and per direction one plus what it lists: ~60 B
@@ -356,14 +358,15 @@ class ContentInstance:
         mapping = dict(entries)
         if len(mapping) != len(entries):
             raise ValueError("segment ids must be pairwise distinct")
-        self.__dict__["mapping"] = mapping
+        # object.__setattr__ stores it without building a per-instance __dict__
+        object.__setattr__(self, "mapping", mapping)
 
     @classmethod
     def _adopt(cls, mapping: dict[int, int]) -> "ContentInstance":
         """An instance whose ``mapping`` is ``mapping`` itself, neither copied
         nor checked: for a fresh dict that no one else holds or changes."""
         instance = object.__new__(cls)
-        instance.__dict__["mapping"] = mapping
+        object.__setattr__(instance, "mapping", mapping)
         return instance
 
     @cached_property

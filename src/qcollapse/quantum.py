@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from typing import Mapping, NamedTuple
 
 import numpy as np
@@ -29,6 +30,7 @@ from .model import (
     Ruleset,
     _cache,
     bits_per_value,
+    decode_values,
     signature_entry,
 )
 
@@ -75,15 +77,64 @@ class QubitLayout:
         q = self.bits_per_value
         return {seg: pos * q for pos, seg in enumerate(self.segments)}
 
+    @cached_property
+    def _chunks(self) -> tuple[tuple[int, tuple[int, ...], np.ndarray, dict[int, dict[int, int]]], ...]:
+        """Per chunk of consecutive segments: its least significant qubit,
+        its segments, their shifts within the chunk, and a table from each
+        chunk value decoded so far to its {segment: value} dict, which only
+        drawn values fill.  A chunk spans at most 10 qubits, or one segment
+        when a value takes more (W > 1024: a table then holds up to W
+        entries), and the whole layout at q = 0.  ``table_cells`` bounds
+        what the tables hold; ``build_circuit`` charges it to the cache
+        budget of the circuit that keeps the layout."""
+        q, segments = self.bits_per_value, self.segments
+        size = max(10 // q, 1) if q else max(len(segments), 1)
+        starts = range(0, len(segments), size) or (0,)  # an empty layout decodes as one empty chunk
+        chunks = []
+        for pos in starts:
+            part = segments[pos : pos + size]
+            chunks.append((pos * q, part, np.arange(len(part), dtype=np.int64) * q, {}))
+        return tuple(chunks)
+
+    def table_cells(self, support: int) -> int:
+        """Pairs ``decode_many``'s tables can hold once keys from a support
+        of ``support`` entries have been drawn: per chunk, min(support, W^k)
+        dicts of k pairs, k its segments.  Measured under tracemalloc
+        (CPython 3.11, 64-bit), a pair costs ~41 B in a dict of ten and
+        ~310 B alone, with the dict's key and table slot: the seven tables
+        of a 63-qubit W = 2 layout hold at most 2.6 MB."""
+        return sum(
+            min(support, self.n_values ** len(segments)) * len(segments) for _, segments, _, _ in self._chunks
+        )
+
     def decode_many(self, keys: np.ndarray) -> list[ContentInstance]:
-        """The instance each int64 basis key encodes, decoded with array shifts and masks."""
-        q = self.bits_per_value
-        shifts = np.arange(len(self.segments), dtype=np.int64) * q
-        values = ((keys[:, None] >> shifts[None, :]) & ((1 << q) - 1)) + 1
-        bad = (values > self.n_values).any(axis=1)
-        if bad.any():
-            raise ValueError(f"basis key {int(keys[bad][0])} decodes outside the alphabet")
-        return [ContentInstance._adopt(dict(zip(self.segments, row))) for row in values.tolist()]
+        """The instance each int64 basis key encodes: each key's chunk values,
+        split with array shifts and masks, looked up in ``_chunks``' tables
+        and merged into one fresh dict per key.  Raises ValueError, before
+        any instance is made, naming the first key that decodes outside the
+        alphabet."""
+        q, n_values = self.bits_per_value, self.n_values
+        parts = []
+        for low, segments, shifts, table in self._chunks:
+            codes = ((keys >> low) & ((1 << q * len(segments)) - 1)).tolist()
+            try:
+                parts.append(list(map(table.__getitem__, codes)))
+            except KeyError:
+                new = np.array(list(set(codes).difference(table)), dtype=np.int64)
+                values = ((new[:, None] >> shifts) & ((1 << q) - 1)) + 1
+                if (values > n_values).any():
+                    for key in keys.tolist():  # raises at the first key outside, in input order
+                        decode_values(key, self.segments, n_values)
+                table.update(zip(new.tolist(), map(dict, map(zip, repeat(segments), values.tolist()))))
+                parts.append(list(map(table.__getitem__, codes)))
+        adopt = ContentInstance._adopt
+        if len(parts) == 1:
+            return [adopt(mapping.copy()) for mapping in parts[0]]
+        mappings = [{**a, **b} for a, b in zip(parts[0], parts[1])]
+        for part in parts[2:]:
+            for mapping, more in zip(mappings, part):
+                mapping.update(more)
+        return list(map(adopt, mappings))
 
 
 @dataclass(frozen=True)
@@ -269,11 +320,12 @@ def build_circuit(
     are Python ints and no state is kept.
 
     Without ``frozen``, the program is prepared once per (adjacency, order,
-    W) and kept on the compiled ruleset, while its state's entries plus W
-    cells per load fit the cache budget: a repeated call returns it.  A
-    program without a walked state, a conflict or a capacity refusal is not
-    kept, so it compiles or raises again.  A call with ``frozen`` (each hwfc
-    block, which keeps its own cache) always compiles.
+    W) and kept on the compiled ruleset, while its state's entries, W cells
+    per load and its layout's ``table_cells`` fit the cache budget: a
+    repeated call returns it.  A program without a walked state, a conflict
+    or a capacity refusal is not kept, so it compiles or raises again.  A
+    call with ``frozen`` (each hwfc block, which keeps its own cache) always
+    compiles.
     """
     order = tuple(order)
     comp = ruleset.compiled
@@ -348,7 +400,8 @@ def build_circuit(
     state = _sparse_state(layout, idx, amp) if dtype is np.int64 else None
     circuit = CircuitProgram(layout, tuple(tables), state)
     if frozen is None and state is not None:
-        _cache(comp, comp.circuits, key, circuit, len(state.indices) + n_values * sum(len(t.values) for t in tables))
+        support, loads = len(state.indices), n_values * sum(len(t.values) for t in tables)
+        _cache(comp, comp.circuits, key, circuit, support + loads + layout.table_cells(support))
     return circuit
 
 

@@ -273,7 +273,9 @@ def stated_cells(comp):
     return {
         "dist_cache": sum(1 if entry is _CONFLICT else key[1] for key, entry in comp.dist_cache.items()),
         "circuits": sum(
-            len(circuit.state.indices) + circuit.layout.n_values * sum(len(step.values) for step in circuit.steps)
+            len(circuit.state.indices)
+            + circuit.layout.n_values * sum(len(step.values) for step in circuit.steps)
+            + circuit.layout.table_cells(len(circuit.state.indices))
             for circuit in comp.circuits.values()
         ),
         "block_cache": sum(

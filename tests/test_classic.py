@@ -125,12 +125,13 @@ def test_draw_tie_is_the_dense_categorical_draw():
         assert sparse._rng.bit_generator.state == dense._rng.bit_generator.state, seed
 
 
-@pytest.mark.parametrize("c", [65, 2994, 65536])
+@pytest.mark.parametrize("c", [2, 3, 7, 64, 65, 2994, 65536])
 def test_draw_tie_past_64_ties_is_the_table_draw(monkeypatch, c):
-    """Past 64 ties the index floor(u * total * c) is the table's draw: at
-    every boundary uniform, its float neighbours and random uniforms.  The
-    table, built only near a boundary, is memoised here to keep the test
-    short; it is built the same way."""
+    """Among any c >= 2 ties, within 64 or past them, the index
+    floor(u * total * c) is the table's draw: at every boundary uniform,
+    its float neighbours and random uniforms.  The table, built only near
+    a boundary, is memoised here to keep the test short; it is built the
+    same way."""
     builds = []
     table = functools.cache(classic._uniform_cumulative)
     monkeypatch.setattr(classic, "_uniform_cumulative", lambda n: builds.append(n) or table(n))

@@ -535,6 +535,9 @@ MALFORMED = {
     "'shots' is not read in mode 'oracle'": TWO_CELLS.replace("mode: cwfc", "mode: oracle") + "shots: 2\n",
     "'format' is not read in mode 'oracle'": TWO_CELLS.replace("mode: cwfc", "mode: oracle") + "format: ppm\n",
     "'scale' is not read in mode 'oracle'": TWO_CELLS.replace("mode: cwfc", "mode: oracle") + "scale: 4\n",
+    # a scale with a format that draws no pixels: each used to exit 0 too
+    "'scale' is not read with format 'ascii'": TWO_CELLS + "scale: 4\n",
+    "'scale' is not read with format 'structured-dump'": TWO_CELLS + "format: structured-dump\nscale: 4\n",
 }
 
 
@@ -559,6 +562,18 @@ def test_cli_mode_flag_accepts_an_order_for_another_mode(tmp_path, capsys, own, 
     if own != "qwfc":
         assert main(["--config", cfg, "--validate-only"]) == 2
         assert f"config error: field 'order' is not read in mode '{own}'" in capsys.readouterr().err
+
+
+# a --format flag that draws the file in another format accepts a scale the
+# file's own format would refuse, as --mode does for the fields of READ_BY
+@pytest.mark.parametrize("own, run", [("ascii", "ppm"), ("ascii", "structured-dump"), ("ppm", "ascii")])
+def test_cli_format_flag_accepts_a_scale_for_another_format(tmp_path, capsys, own, run):
+    cfg = str(_write(tmp_path, TWO_CELLS + f"format: {own}\nscale: 4\n"))
+    assert main(["--config", cfg, "--format", run, "--out", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    assert main(["--config", cfg, "--validate-only"]) == (0 if own == "ppm" else 2)
+    if own != "ppm":
+        assert f"config error: field 'scale' is not read with format '{own}'" in capsys.readouterr().err
 
 
 # a flag replaces the config field of its name before any check: it wins over

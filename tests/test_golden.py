@@ -9,15 +9,18 @@ sampling criteria before updating the numbers.
 import hashlib
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
-from conftest import simulate_loads
+from conftest import chain_adjacency, conflict_free_ruleset, simulate_loads
 
 from qcollapse import (
     ConflictError,
     ContentInstance,
+    Pattern,
     RandomSource,
     RestartsExhaustedError,
+    Rule,
     build_circuit,
     cwfc_generate,
     encode_values,
@@ -143,8 +146,21 @@ CWFC_KEYS = {
     ),
 }
 
+
+def _chain_of_three_values():
+    """An 11-segment chain over W = 3 (q = 2): each value follows any other
+    one, weighted by both, plus a small floor; 177,147 outcomes."""
+    rules = [Rule(v, float(u + 2 * v), Pattern.of((2, u))) for u in (1, 2, 3) for v in (1, 2, 3) if u != v]
+    ruleset = conflict_free_ruleset(rules, 3, floor=0.1)
+    return SimpleNamespace(
+        adjacency=chain_adjacency(11), alphabet=SimpleNamespace(n_values=3), ruleset=ruleset, order=tuple(range(1, 12))
+    )
+
+
 # sha256 of the canonical keys of the first 1,000 qwfc shots from
-# RandomSource(SAMPLE_SEED)
+# RandomSource(SAMPLE_SEED); the last three, recorded before shots were
+# decoded from per-chunk tables, cover chunks of 3 segments at q = 3, of
+# 5 at q = 2 (11 segments: 5, 5, 1) and of 10 at q = 1 (49 qubits: 10 x 4, 9)
 SHOT_KEYS = {
     "voxels-3x3x2": (
         lambda: voxel_skyline_usecase(3, 3, 2),
@@ -153,6 +169,18 @@ SHOT_KEYS = {
     "platformer-3x2": (
         lambda: platformer_usecase(3, 2),
         "448947c7599da4ce6a39494fbfad0b71e56f4a155fc808f1a7cf65d9b2b6ad6b",
+    ),
+    "pipes-3x3": (
+        lambda: pipes_usecase(3, 3),
+        "f07f50de79f32382e884693d52cb97f831e1d3f93039efa8d295774893e24eb6",
+    ),
+    "chain-11-w3": (
+        _chain_of_three_values,
+        "50aa93ecf694fb776529a0e03bed5c02be5970fb9e2e657c4ba8f1beb7f479de",
+    ),
+    "checkerboard-7x7": (
+        lambda: checkerboard_usecase(7, 7),
+        "410507e08f13028e14be21268d789bf33100d2a8586fcbd3069d3374bdca6ae5",
     ),
 }
 

@@ -690,6 +690,22 @@ def test_equal_shapes_share_one_id_and_state():
     assert {key[0] for key in comp.block_cache} == set(ids)
 
 
+def test_product_blocks_of_one_shape_share_their_recipes():
+    uc = platformer_usecase(10, 10)
+    schedule = hybrid._schedule(uc.adjacency, uc.alphabet.n_values, uc.ruleset, uc.partitioning)
+    by_shape = {}
+    for block in schedule:
+        assert block.positions is not None and block.shape is not None
+        by_shape.setdefault(block.shape, []).append(block.positions)
+    assert max(map(len, by_shape.values())) > 1
+    for positions in by_shape.values():
+        assert all(p is positions[0] for p in positions)
+    # read from the walk the shape interned
+    interned = {shape: walk for walk, shape in uc.ruleset.compiled.shape_ids.items()}
+    for shape, positions in by_shape.items():
+        assert all(a is step[2] for a, step in zip(positions[0], interned[shape]))
+
+
 # sha256 of every load of every block of the instances RandomSource(2024) and
 # RandomSource(7) draw, each block compiled under its frozen interface; every
 # step of these blocks has no dependency, so each broadcasts its one load

@@ -1,3 +1,4 @@
+import gc
 import math
 import tracemalloc
 from pathlib import Path
@@ -30,6 +31,7 @@ from qcollapse import (
     Rule,
     Ruleset,
     SparseState,
+    bits_per_value,
     build_circuit,
     decode_values,
     grid2d_topology,
@@ -277,6 +279,130 @@ def test_sample_shots_rejects_keys_outside_the_alphabet():
         sample_shots(state, layout, 1, RandomSource(0))
 
 
+def _random_layout(rng, n_values):
+    """A layout of ascending ids over W = ``n_values``, at most 63 qubits."""
+    q = bits_per_value(n_values)
+    n_segments = int(rng.integers(1, 63 // q + 1)) if q else int(rng.integers(1, 64))
+    return QubitLayout(tuple(sorted(rng.choice(np.arange(1, 200), n_segments, replace=False).tolist())), n_values)
+
+
+def _random_keys(rng, layout, count):
+    values = rng.integers(1, layout.n_values + 1, size=(count, len(layout.segments))).tolist()
+    return [encode_values(dict(zip(layout.segments, row)), layout.segments, layout.n_values) for row in values]
+
+
+def _outside(layout, key) -> bool:
+    try:
+        decode_values(key, layout.segments, layout.n_values)
+    except ValueError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("n_values", [*range(1, 10), 1025, 1 << 20])
+def test_decode_many_is_decode_values_per_key(n_values):
+    """Layouts of 1 to 63 qubits, and past W = 1024 chunks of one segment
+    of 11 and 20 qubits."""
+    rng = np.random.default_rng(n_values)
+    q, sizes = bits_per_value(n_values), set()
+    per_chunk = max(10 // q, 1) if q else 0
+    for _ in range(12):
+        layout = _random_layout(rng, n_values)
+        sizes.add(len(layout.segments) % per_chunk if per_chunk else 0)  # segments past whole chunks
+        keys = _random_keys(rng, layout, 300)
+        for _ in range(2):  # a fresh layout's tables, then filled ones
+            got = layout.decode_many(np.array(keys, dtype=np.int64))
+            assert [c.entries for c in got] == [decode_values(k, layout.segments, n_values) for k in keys]
+            assert all(c.mapping == dict(c.entries) for c in got)
+        if n_values & (n_values - 1):  # a value past W has a code: any random bits may decode outside
+            raw = rng.integers(0, 1 << layout.n_qubits, size=50, dtype=np.int64).tolist()
+            mixed = keys[:20] + raw
+            bad = [k for k in mixed if _outside(layout, k)]
+            if bad:
+                with pytest.raises(ValueError, match=f"^basis key {bad[0]} decodes outside the alphabet$"):
+                    layout.decode_many(np.array(mixed, dtype=np.int64))
+    if per_chunk > 1:  # some layouts' segment counts are no multiple of a chunk's
+        assert sizes - {0}
+
+
+def test_decode_many_names_the_first_key_outside_in_input_order():
+    layout = QubitLayout(tuple(range(1, 8)), 3)  # q = 2: chunks of segments 1-5 and 6-7
+    inside = encode_values(dict.fromkeys(range(1, 8), 2), layout.segments, 3)
+    late = inside | 3 << 12  # segment 7, in the second chunk, decodes to 4
+    early = inside | 3  # segment 1, in the first chunk, decodes to 4
+    for keys in ([inside, late, early], [late, early], [early, late]):
+        with pytest.raises(ValueError, match=f"^basis key {keys[1 if keys[0] == inside else 0]} decodes"):
+            layout.decode_many(np.array(keys, dtype=np.int64))
+    assert [c.entries for c in layout.decode_many(np.array([inside]))] == [decode_values(inside, layout.segments, 3)]
+
+
+def test_decoded_shots_share_no_mapping():
+    layout = QubitLayout(tuple(range(1, 13)), 2)  # chunks of segments 1-10 and 11-12
+    keys = np.array([0, 1 << 10, 1 << 11, 3 << 10, 1, 1 | 1 << 10], dtype=np.int64)  # chunk values repeat
+    first = layout.decode_many(keys)
+    want = [c.entries for c in first]
+    first[0].mapping[1] = 2
+    first[1].mapping[12] = 1
+    assert [c.entries for c in first[2:]] == want[2:]
+    assert [c.entries for c in layout.decode_many(keys)] == want
+    # shots of a kept circuit: a write into one instance reaches no other, nor a later call
+    uc = checkerboard_usecase(4, 4)
+    circuit = build_circuit(uc.adjacency, 2, Ruleset(uc.ruleset.rules), uc.order)
+    shots = sample_shots(circuit.state, circuit.layout, 50, RandomSource(5))
+    distinct = list({id(c): c for c in shots}.values())
+    assert len(distinct) == 2
+    before = [dict(c.mapping) for c in distinct]
+    distinct[0].mapping[1] = 3 - distinct[0].mapping[1]
+    assert distinct[1].mapping == before[1]
+    again = sample_shots(circuit.state, circuit.layout, 50, RandomSource(5))
+    assert [c.mapping for c in again] == [before[distinct.index(c)] for c in shots]
+
+
+def _table_bytes(layout, keys) -> int:
+    """Bytes tracemalloc sees kept after ``layout.decode_many(keys)``."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        layout.decode_many(keys)
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_decode_tables_stay_within_their_bound():
+    """Every chunk value of a 63-qubit layout decoded: the tables, all that
+    outlives the call, hold at most 450 B per value, 2^10 values a chunk,
+    and no more than 320 B per cell ``table_cells`` charges."""
+    layout = QubitLayout(tuple(range(1, 64)), 2)  # seven chunks: six of 10 segments, one of 3
+    keys = np.arange(1 << 10, dtype=np.int64)
+    keys = keys * sum(1 << low for low, *_ in layout._chunks)  # every chunk takes every value
+    keys &= (1 << 63) - 1
+    kept = _table_bytes(layout, keys)
+    sizes = [len(table) for *_, table in layout._chunks]
+    assert sizes == [1 << 10] * 6 + [1 << 3]
+    assert kept <= 450 * sum(sizes) <= 450 * (1 << 10) * len(sizes)
+    assert layout.table_cells(len(keys)) == 6 * 10 * (1 << 10) + 3 * (1 << 3)
+    assert kept <= 320 * layout.table_cells(len(keys))
+    # only drawn values fill a table
+    fresh = QubitLayout(tuple(range(1, 64)), 2)
+    fresh.decode_many(keys[:5])
+    assert [len(table) for *_, table in fresh._chunks] == [5] * 6 + [5]
+
+
+def test_decode_tables_past_w_1024_hold_one_pair_a_value():
+    layout = QubitLayout((2, 5, 9), 1025)  # q = 11: a chunk per segment
+    assert [segments for _, segments, *_ in layout._chunks] == [(2,), (5,), (9,)]
+    keys = np.arange(1025, dtype=np.int64) * (1 | 1 << 11 | 1 << 22)  # every chunk takes every value
+    kept = _table_bytes(layout, keys)
+    assert [len(table) for *_, table in layout._chunks] == [1025] * 3
+    assert layout.table_cells(len(keys)) == layout.table_cells(1 << 20) == 3 * 1025
+    assert kept <= 320 * layout.table_cells(len(keys))
+    with pytest.raises(ValueError, match="^basis key 1025 decodes outside the alphabet$"):
+        layout.decode_many(np.array([1024, 1025], dtype=np.int64))
+
+
 @pytest.mark.parametrize("n_values", [2, 3, 4])
 def test_gate_lowering_round_trip(n_values):
     adj = chain_adjacency(3)
@@ -503,9 +629,9 @@ def test_a_repeated_circuit_is_the_kept_program():
     assert build_circuit(uc.adjacency, 2, rs, list(uc.order)) is first
     comp = rs.compiled
     assert list(comp.circuits) == [(uc.adjacency, tuple(uc.order), 2)]
-    # its state's entries and W cells per load
+    # its state's entries, W cells per load, and its decode tables' 9 pairs per entry
     assert len(first.state.indices) == 2
-    assert stated_cells(comp)["circuits"] == 2 + 2 * len(first.loads)
+    assert stated_cells(comp)["circuits"] == 2 + 2 * len(first.loads) + 2 * 9
     assert comp.cache_cells == sum(stated_cells(comp).values())
 
 
@@ -577,15 +703,16 @@ def test_the_cell_cap_stops_the_circuit_cache_not_its_output(monkeypatch):
     for adjacency, order in chains:  # a frozen compile keeps the plans and entries, not the circuit
         build_circuit(adjacency, 2, rs, order, frozen=ContentInstance())
     base = comp.cache_cells
-    monkeypatch.setattr(model, "_CACHE_CAP", base + 38)
+    monkeypatch.setattr(model, "_CACHE_CAP", base + 126)
     kept = []
     for adjacency, order in chains:
         circuit = build_circuit(adjacency, 2, rs, order)
         assert _same_state(circuit, build_circuit(adjacency, 2, Ruleset(rs.rules), order))
         kept.append(build_circuit(adjacency, 2, rs, order) is circuit)
-        assert comp.cache_cells - base == stated_cells(comp)["circuits"] <= 38
-    assert kept == [True, True, False, False]  # 8 + 16 entries and 3 + 4 loads of 2 cells fill the cap
-    assert comp.cache_cells - base == 38
+        assert comp.cache_cells - base == stated_cells(comp)["circuits"] <= 126
+    # 8 + 16 entries, 3 + 4 loads of 2 cells and 8 x 3 + 16 x 4 table pairs fill the cap
+    assert kept == [True, True, False, False]
+    assert comp.cache_cells - base == 126
 
 
 def test_exact_distribution_copies_the_kept_support():
