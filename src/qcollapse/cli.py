@@ -31,7 +31,7 @@ from .framework import (
     ruleset_value_selector,
     with_restarts,
 )
-from .hybrid import _check_blocks, hwfc_exact_distribution, hwfc_generate
+from .hybrid import _check_first_blocks, hwfc_exact_distribution, hwfc_generate
 from .model import ContentInstance, Distribution, bits_per_value
 from .quantum import (
     _check_index_qubits,
@@ -123,8 +123,10 @@ def _emit_instances(config: RunConfig, instances: list[ContentInstance], out: Pa
 
 def _check_flags(config: RunConfig, args) -> None:
     """Refuse the flags the configured mode cannot serve, an exact
-    enumeration past its budget, a circuit past the int64 basis indices and
-    a cwfc world that conflicts before any draw, before anything is drawn."""
+    enumeration past its budget, a circuit past the int64 basis indices, a
+    cwfc world that conflicts before any draw and an hwfc block whose
+    interface is empty that conflicts or passes a cap, before anything is
+    drawn."""
     if args.export_qasm and config.mode != "qwfc":
         raise ConfigError("--export-qasm only applies to mode 'qwfc' (one circuit per run)")
     if args.exact_dist and config.mode == "cwfc":
@@ -134,7 +136,8 @@ def _check_flags(config: RunConfig, args) -> None:
     if config.mode == "qwfc":
         _check_index_qubits(len(config.order) * bits_per_value(config.alphabet.n_values))
     elif config.mode == "hwfc":
-        _check_blocks(config.partitioning, config.alphabet.n_values)
+        adjacency, n_values = config.topology.adjacency, config.alphabet.n_values
+        _check_first_blocks(adjacency, n_values, config.ruleset, config.partitioning)
     elif config.mode == "cwfc":
         _start(config.topology.adjacency, config.ruleset, config.alphabet.n_values)
 

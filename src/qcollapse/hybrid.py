@@ -12,8 +12,9 @@ from typing import NamedTuple
 from .errors import CapacityError, ConflictError
 from .framework import RandomSource, _check_budget, draw_index
 from .model import AdjacencyConfig, ContentInstance, Distribution, Ruleset, _cache, bits_per_value, decode_values
-from .quantum import SparseState, _cells, _check_index_qubits, _product_entries, _walk_shape
-from .quantum import build_circuit, order_plan, walked_state
+from .model import signature_entry
+from .quantum import SparseState, _cells, _check_index_qubits, _check_support, _conflict, _fixed_codes
+from .quantum import _walk_shape, build_circuit, order_plan, walked_state
 
 # Unused here; perfbench/layers.py wraps these names on this module.
 from .quantum import exact_distribution, sample_shots, simulate  # noqa: F401
@@ -84,7 +85,7 @@ class _Block(NamedTuple):
     placed: tuple[int, ...]  # the interface: earlier blocks' segments adjacent to this one
     shape: int | None
     layout: tuple[int, ...]
-    positions: tuple | None  # a product block's recipes over interface positions, else None
+    product: bool  # its plan gives no step a dependency
 
 
 def _schedule(
@@ -94,10 +95,8 @@ def _schedule(
     W, blocks) and kept on the compiled ruleset.  A block's interface is
     the sorted earlier-block segments adjacent to it in any direction; its
     shape id interns its ``quantum._walk_shape`` on the compiled ruleset
-    (None where the cache budget cannot keep a new one), and a product
-    block, one whose plan gives no step a dependency, keeps that walk's
-    recipes over interface positions, one tuple for all blocks of one walk
-    in the schedule (the interned walk's when this call interns it).
+    (None where the cache budget cannot keep a new one); a product block
+    is one whose plan gives no step a dependency.
     Before any draw, raises ValueError for an invalid partitioning (a
     repeated id in one block as the compile does, else
     ``validate_partitioning``'s first message) or a ruleset that does not
@@ -115,7 +114,7 @@ def _schedule(
         comp.check(adjacency.n_directions, n_values)
         _check_blocks(partitioning, n_values)
         dirs = range(1, adjacency.n_directions + 1)
-        schedule, earlier, recipes = [], set(), {}
+        schedule, earlier = [], set()
         for block in partitioning.blocks:
             plan = order_plan(adjacency, ruleset, block)
             near = {s for seg in block for d in dirs for s in adjacency.neighbors(seg, d)}
@@ -123,13 +122,8 @@ def _schedule(
             walk = _walk_shape(comp, plan, block, placed)
             if walk not in comp.shape_ids:
                 _cache(comp, comp.shape_ids, walk, len(comp.shape_ids), _cells(step[1:3] for step in walk))
-            shape = comp.shape_ids.get(walk)
-            positions = None
-            if not any(plan.deps):  # blocks of one walk share the first one's recipes
-                positions = recipes.get(walk)
-                if positions is None:
-                    positions = recipes[walk] = tuple(step[2] for step in walk)
-            schedule.append(_Block(block, placed, shape, tuple(sorted(block)), positions))
+            product = not any(plan.deps)
+            schedule.append(_Block(block, placed, comp.shape_ids.get(walk), tuple(sorted(block)), product))
             earlier.update(block)
         schedule = _cache(comp, comp.schedules, key, tuple(schedule), sum(map(len, partitioning.blocks)))
     return schedule
@@ -142,6 +136,20 @@ def _check_blocks(partitioning: Partitioning, n_values: int) -> None:
     for h, block in enumerate(partitioning.blocks, start=1):
         with _named(h):
             _check_index_qubits(len(block) * q)
+
+
+def _check_first_blocks(
+    adjacency: AdjacencyConfig, n_values: int, ruleset: Ruleset, partitioning: Partitioning
+) -> None:
+    """Refuse, before any draw, what would refuse every attempt of
+    ``hwfc_generate``: what ``_schedule`` refuses, then a block with an
+    empty interface that conflicts or passes a cap, since its refusal reads
+    no draw.  Builds, and keeps within the cell budget, what each such
+    block draws from."""
+    for h, block in enumerate(_schedule(adjacency, n_values, ruleset, partitioning), start=1):
+        if not block.placed:
+            build = _block_factors if block.product else _block_outcomes
+            build(adjacency, n_values, ruleset, h, block, (block.shape, n_values, ()))
 
 
 @contextmanager
@@ -166,7 +174,7 @@ def _block_outcomes(
     loads are never read, so none is built.  Conflicts are not cached: they
     raise again on every call, named after partition ``h``.
     """
-    if block.positions is not None:
+    if block.product:
         key += ("walked",)
     comp = ruleset.compiled
     state = comp.block_cache.get(key)
@@ -179,17 +187,30 @@ def _block_outcomes(
     return state
 
 
-def _block_factors(n_values: int, ruleset: Ruleset, h: int, block: _Block, key: tuple) -> tuple:
+def _block_factors(
+    adjacency: AdjacencyConfig, n_values: int, ruleset: Ruleset, h: int, block: _Block, key: tuple
+) -> tuple:
     """The factors of a product block under its cache ``key``: for each
-    segment, highest id first, the probabilities and cumulative of its
-    entry (see ``quantum._product_entries``, which refuses as the block's
-    compile would); cached under the key as W cells per segment."""
+    segment, highest id first, the probabilities and cumulative of the
+    entry that its step of the block's compile reads, the signature folded
+    from the interface values over the plan's recipe (``_fixed_codes``).
+    Refuses as the compile does, with its conflict and support-cap texts at
+    the same iteration.  Cached under the key as W cells per segment."""
     comp = ruleset.compiled
     factors = comp.block_cache.get(key)
     if factors is None:
+        fixed, entries, rows = dict(zip(block.placed, key[2])), {}, 1
         with _named(h):
-            entries = _product_entries(n_values, ruleset, block.order, key[2], block.positions)
-        factors = tuple((entries[s][0].tolist(), entries[s][2]) for s in reversed(block.layout))
+            steps = zip(block.order, order_plan(adjacency, ruleset, block.order).recipes)
+            for k, (target, recipe) in enumerate(steps, start=1):
+                entry = signature_entry(comp, tuple(_fixed_codes(recipe, fixed)), n_values, target)
+                if entry is None:
+                    raise _conflict(target, (), k)
+                probs = entry[0].tolist()
+                entries[target] = probs, entry[2]
+                rows *= len(probs) - probs.count(0.0)
+                _check_support(rows, k)
+        factors = tuple(map(entries.__getitem__, reversed(block.layout)))
         if key[0] is not None:
             _cache(comp, comp.block_cache, key, factors, n_values * len(block.order))
     return factors
@@ -262,15 +283,15 @@ def hwfc_generate(
     values: dict[int, int] = {}
     for h, block in enumerate(_schedule(adjacency, n_values, ruleset, partitioning), start=1):
         key = (block.shape, n_values, tuple([values[s] for s in block.placed]))
-        if block.positions is not None:
-            factors = _block_factors(n_values, ruleset, h, block, key)
+        if block.product:
+            factors = _block_factors(adjacency, n_values, ruleset, h, block, key)
             u = rng.uniform()
             digits = _digit_draw(factors, u)
             if digits is not None:
                 values.update(zip(block.layout, digits))
                 continue
         state = _block_outcomes(adjacency, n_values, ruleset, h, block, key)
-        drawn = draw_index(state.cumulative, rng.uniform() if block.positions is None else u)
+        drawn = draw_index(state.cumulative, u if block.product else rng.uniform())
         # the block's own layout: a shared state keeps its first block's
         values.update(decode_values(int(state.indices[drawn]), block.layout, n_values))
     return ContentInstance._adopt(values)

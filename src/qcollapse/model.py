@@ -217,10 +217,12 @@ class CompiledRuleset:
         #   state's entries plus W per load: 17-50 B, ~230 for a tiny state;
         #   plus the pairs its layout's decode tables can hold (table_cells),
         #   whether or not shots fill them: ~41 B in a dict of ten, ~310 alone
-        # - block_cache: hwfc blocks by (shape id, W, interface values): walked
-        #   states, their entries, and product blocks' factors, W per segment,
-        #   whose walked state keys with "walked" appended: 40-60 B.  A state's
-        #   support dict, once exact_distribution reads it, adds ~85 B an entry
+        # - block_cache: hwfc blocks by (shape id, W, interface values): a
+        #   product block's factors, W per segment, whose walked state, kept
+        #   only for a draw near a boundary and for hwfc_exact_distribution,
+        #   keys with "walked" appended; a dependency block's walked state,
+        #   its entries: 40-60 B.  A state's support dict, once
+        #   exact_distribution reads it, adds ~85 B an entry
         # - schedules: hybrid._schedule's by (adjacency, W, blocks), their
         #   blocks' segments: 50-65 B; shape_ids: its walk shapes interned to
         #   ids, counted as plans are: 60-85 B
@@ -228,6 +230,8 @@ class CompiledRuleset:
         #   dependencies and per direction one plus what it lists: ~60 B
         # - cwfc_steps: classic._steps' tables by (adjacency, W), their
         #   segments plus their in-edges: ~95 B
+        # Keys that hold an AdjacencyConfig keep it alive uncharged, with the
+        # neighbour maps it builds: ~1.0 MB for checkerboard 32x32.
         self.dist_cache: dict[tuple, object] = {}
         self.circuits: dict[tuple, object] = {}
         self.block_cache: dict[tuple, object] = {}

@@ -376,7 +376,7 @@ def build_circuit(
         if None in entries:
             # name the first conflicting control tuple in sorted order
             controls = min(tuple(zip(deps, vals)) for vals, r in zip(values, rows) if entries[r] is None)
-            raise ConflictError(target, ContentInstance(controls), f"while compiling iteration {k}")
+            raise _conflict(target, controls, k)
         table = np.sqrt([entry[0] for entry in entries])
         _check_amplitudes(table)
         tables.append(StepTable(k, target, deps, values, signatures, rows, table))
@@ -385,15 +385,13 @@ def build_circuit(
         if deps:  # one output row per nonzero root of the row's assignment
             table = table.take(np.array(rows).take(np.searchsorted(keys, masked)), axis=0)
             branches = table > 0.0
-            if np.count_nonzero(branches) > DEFAULT_SUPPORT_CAP:
-                raise CapacityError(f"reachable support grew past {DEFAULT_SUPPORT_CAP} at iteration {k}")
+            _check_support(np.count_nonzero(branches), k)
             idx = (idx[:, None] | lifted)[branches]
             amp = (amp[:, None] * table)[branches]
         else:  # every row by the one distribution's nonzero roots
             roots = table[0]
             nonzero = roots.nonzero()[0]
-            if len(nonzero) * len(idx) > DEFAULT_SUPPORT_CAP:
-                raise CapacityError(f"reachable support grew past {DEFAULT_SUPPORT_CAP} at iteration {k}")
+            _check_support(len(nonzero) * len(idx), k)
             idx = (idx[:, None] | lifted[nonzero]).ravel()
             amp = (amp[:, None] * roots[nonzero]).ravel()
 
@@ -405,36 +403,32 @@ def build_circuit(
     return circuit
 
 
-def _product_entries(
-    n_values: int, ruleset: Ruleset, order: tuple, interface: tuple, positions: tuple
-) -> dict[int, tuple]:
-    """Each segment's ``signature_entry`` under the ``interface`` values, for
-    an order of distinct ids whose ``order_plan`` gives no step a dependency,
-    so that its circuit prepares the product of these distributions.  Step
-    k folds, per direction, the values at the interface positions of its
-    recipe ``positions[k]`` (see ``_walk_shape``), as ``_signature_codes``
-    folds frozen neighbours.  For a ruleset that fits W (the caller checks
-    it), refuses as ``build_circuit`` does, with the same text at the same
-    iteration: at the first step without an entry, or once the product of
-    nonzero counts passes ``DEFAULT_SUPPORT_CAP``."""
-    comp = ruleset.compiled
-    entries, support = {}, 1
-    for k, (target, recipe) in enumerate(zip(order, positions), start=1):
-        signature = []
-        for _, near in recipe:
-            code = 0
-            for p in near:
-                v = interface[p]
+def _check_support(rows: int, k: int) -> None:
+    """Refuse step ``k`` once its reachable partial assignments pass
+    ``DEFAULT_SUPPORT_CAP``."""
+    if rows > DEFAULT_SUPPORT_CAP:
+        raise CapacityError(f"reachable support grew past {DEFAULT_SUPPORT_CAP} at iteration {k}")
+
+
+def _conflict(target: int, controls: tuple[tuple[int, int], ...], k: int) -> ConflictError:
+    """The compile's refusal at iteration ``k``: ``target`` has no admissible
+    value under the control tuple ``controls``."""
+    return ConflictError(target, ContentInstance(controls), f"while compiling iteration {k}")
+
+
+def _fixed_codes(recipe: tuple, fixed: Mapping[int, int]) -> list[int]:
+    """Each direction's code of a step's target under the ``fixed``
+    neighbour values alone, over the step's ``OrderPlan`` recipe (see
+    ``_signature_codes``)."""
+    codes = []
+    for _, others in recipe:
+        code = 0
+        for s in others:
+            v = fixed.get(s)
+            if v is not None:
                 code = v if code in (0, v) else -1
-            signature.append(code)
-        entry = signature_entry(comp, tuple(signature), n_values, target)
-        if entry is None:
-            raise ConflictError(target, ContentInstance(), f"while compiling iteration {k}")
-        support *= int(np.count_nonzero(entry[0]))
-        if support > DEFAULT_SUPPORT_CAP:
-            raise CapacityError(f"reachable support grew past {DEFAULT_SUPPORT_CAP} at iteration {k}")
-        entries[target] = entry
-    return entries
+        codes.append(code)
+    return codes
 
 
 def _signature_codes(
@@ -449,17 +443,11 @@ def _signature_codes(
 
     A direction's code is 0 when no neighbour value is known there, v when
     every known value is v and -1 otherwise, as ``constraint_signature``
-    gives it.  The fixed neighbours are folded once per direction; each
-    list then folds in the values of the dependency columns adjacent there.
+    gives it.  The fixed neighbours are folded once per direction
+    (``_fixed_codes``); each list then folds in the values of the dependency
+    columns adjacent there.
     """
-    base = []
-    for cols, others in recipe:
-        code = 0
-        for s in others:
-            v = fixed.get(s)
-            if v is not None:
-                code = v if code in (0, v) else -1
-        base.append((code, cols))
+    base = list(zip(_fixed_codes(recipe, fixed), (cols for cols, _ in recipe)))
     index: dict[tuple[int, ...], int] = {}
     rows = []
     for vals in values:
@@ -568,7 +556,9 @@ def exact_distribution(state: SparseState, layout: QubitLayout) -> Distribution:
 def sample_shots(
     state: SparseState, layout: QubitLayout, shots: int, rng: RandomSource
 ) -> list[ContentInstance]:
-    """Independent measurement samples, deterministic under a fixed seed."""
+    """Independent measurement samples, deterministic under a fixed seed.
+    Equal shots of one call are one ``ContentInstance`` object; distinct
+    shots, and the shots of later calls, share nothing."""
     if shots < 1:
         raise ValueError("shots must be >= 1")
     drawn, inverse = np.unique(rng.draw(state.cumulative, shots), return_inverse=True)

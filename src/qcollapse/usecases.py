@@ -186,6 +186,13 @@ def generate_hexmap_ruleset(u_blue: float = 5.0) -> Ruleset:
 
 
 def hexmap_usecase(radius: int, u_blue: float = 5.0) -> UseCase:
+    """Hexagonal terrain disc of the given radius, water weighted ``u_blue``.
+
+    The default partitioning is two equal blocks.  They draw at radius <= 2;
+    from radius 3 up the first block, whose interface is empty, passes the
+    support cap whatever is drawn, so hwfc and ``--validate-only`` refuse it
+    before any draw.  Larger discs must set a partitioning; the demo config
+    uses ``blocks:8``."""
     topology = hexgrid_topology(radius)
     alphabet = make_alphabet(
         ("blue", (60, 110, 220), "~"),

@@ -269,7 +269,10 @@ def walk_cells(walk):
 
 def stated_cells(comp):
     """The cells each of the seven caches on a compiled ruleset holds, as
-    its kept objects state them; ``comp.cache_cells`` is their sum."""
+    its kept objects state them; ``comp.cache_cells`` is their sum.  The
+    block cache holds product blocks' factors, W cells per segment, and
+    walked states, one cell per entry: a dependency block's, and a product
+    block's for a draw near a boundary or for ``hwfc_exact_distribution``."""
     return {
         "dist_cache": sum(1 if entry is _CONFLICT else key[1] for key, entry in comp.dist_cache.items()),
         "circuits": sum(

@@ -257,6 +257,56 @@ def test_cli_cwfc_start_conflict_is_refused_once(tmp_path, capsys, args):
     assert captured.out == "" and not out.exists()
 
 
+# one block of two segments with an empty interface: segment 2 conflicts
+# on every attempt, whatever is drawn
+HWFC_START_CONFLICT = CONFLICTING.replace("mode: qwfc\norder: [2, 1]", 'mode: hwfc\npartitions: "blocks:1"')
+
+
+@pytest.mark.parametrize("args", [[], ["--validate-only"]], ids=["run", "validate-only"])
+def test_cli_hwfc_start_conflict_is_refused_once(tmp_path, capsys, monkeypatch, args):
+    def refuse(*args):
+        raise AssertionError("an attempt was made")
+
+    monkeypatch.setattr(cli, "hwfc_generate", refuse)
+    out = tmp_path / "out"
+    assert main(["--config", str(_write(tmp_path, HWFC_START_CONFLICT)), "--out", str(out), *args]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "generation failed: partition 1: no admissible value for segment 2 (while compiling iteration 2)\n"
+    )
+    assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("args", [[], ["--validate-only"]], ids=["run", "validate-only"])
+def test_cli_hexmap_r3_default_halves_are_refused_before_any_draw(tmp_path, capsys, monkeypatch, args):
+    # without partitions, hexmap r3 is two blocks; the first, whose interface
+    # is empty, passes the support cap whatever is drawn
+    doc = (DEMO_CONFIGS / "hexmap.yaml").read_text().replace('partitions: "blocks:8"\n', "")
+    assert "partitions" not in doc
+    monkeypatch.setattr(cli, "hwfc_generate", lambda *args: pytest.fail("an attempt was made"))
+    out = tmp_path / "out"
+    assert main(["--config", str(_write(tmp_path, doc)), "--out", str(out), *args]) == 4
+    captured = capsys.readouterr()
+    assert captured.err == "capacity exceeded: partition 1: reachable support grew past 1048576 at iteration 17\n"
+    assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in DEMO_CONFIGS.glob("*.yaml")))
+@pytest.mark.parametrize("partitions", ["configured", "removed"])
+def test_cli_validate_only_exits_as_the_run_does(tmp_path, capsys, name, partitions):
+    lines = (DEMO_CONFIGS / name).read_text().splitlines(keepends=True)
+    if partitions == "removed":
+        lines = [line for line in lines if not line.startswith("partitions:")]
+    cfg = str(_write(tmp_path, "".join(lines), name))
+    checked = main(["--config", cfg, "--validate-only"])
+    checked_err = capsys.readouterr().err
+    ran = main(["--config", cfg, "--out", str(tmp_path / "out")])
+    ran_err = capsys.readouterr().err
+    assert checked == ran and (checked == 0 or checked_err == ran_err)
+    # only the hexmap disc without its blocks is refused
+    assert ran == (4 if (name, partitions) == ("hexmap.yaml", "removed") else 0)
+
+
 def test_cli_hwfc_restarts_exhausted(tmp_path, capsys):
     doc = CONFLICTING.replace("mode: qwfc\norder: [2, 1]", 'mode: hwfc\npartitions: "blocks:2"\nmax_restarts: 2')
     out = tmp_path / "out"

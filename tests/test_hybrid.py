@@ -690,20 +690,18 @@ def test_equal_shapes_share_one_id_and_state():
     assert {key[0] for key in comp.block_cache} == set(ids)
 
 
-def test_product_blocks_of_one_shape_share_their_recipes():
+def test_a_schedule_keeps_no_walk_recipes():
+    # a scheduled block holds its ids, its shape id and whether it is a
+    # product block; a product block's factors read the plan's recipes on a
+    # miss, so the schedule keeps no copy of them
     uc = platformer_usecase(10, 10)
+    comp = uc.ruleset.compiled
     schedule = hybrid._schedule(uc.adjacency, uc.alphabet.n_values, uc.ruleset, uc.partitioning)
-    by_shape = {}
     for block in schedule:
-        assert block.positions is not None and block.shape is not None
-        by_shape.setdefault(block.shape, []).append(block.positions)
-    assert max(map(len, by_shape.values())) > 1
-    for positions in by_shape.values():
-        assert all(p is positions[0] for p in positions)
-    # read from the walk the shape interned
-    interned = {shape: walk for walk, shape in uc.ruleset.compiled.shape_ids.items()}
-    for shape, positions in by_shape.items():
-        assert all(a is step[2] for a, step in zip(positions[0], interned[shape]))
+        assert block.product is True and block.shape is not None
+        assert all(type(s) is int for s in block.order + block.placed + block.layout)
+    assert len(schedule[0]) == 5
+    assert stated_cells(comp)["schedules"] == 100
 
 
 # sha256 of every load of every block of the instances RandomSource(2024) and
@@ -816,7 +814,7 @@ def test_digit_draw_agrees_with_the_walked_draw_at_every_boundary(world):
     pick = np.random.default_rng(11)
     deferred = 0
     for h, block, key in _scheduled_blocks(uc, instance):
-        factors = hybrid._block_factors(n_values, uc.ruleset, h, block, key)
+        factors = hybrid._block_factors(uc.adjacency, n_values, uc.ruleset, h, block, key)
         state = hybrid._block_outcomes(uc.adjacency, n_values, uc.ruleset, h, block, key)
         decode = lambda index: decode_values(index, block.layout, n_values)
         # every uniform whose walked target lands on an entry of the table and
@@ -868,16 +866,18 @@ def test_positional_fold_equals_the_fold_by_segment(world):
     comp = ruleset.compiled
     signatures = set()
     for instance in instances:
-        for block in hybrid._schedule(adjacency, n_values, ruleset, partitioning):
-            assert block.positions is not None
+        for h, block in enumerate(hybrid._schedule(adjacency, n_values, ruleset, partitioning), start=1):
+            assert block.product
             interface = tuple(instance[s] for s in block.placed)
-            got = quantum._product_entries(n_values, ruleset, block.order, interface, block.positions)
-            # each segment's entry under the constraint signature of the
-            # interface values, folded by segment id
+            key = (block.shape, n_values, interface)
+            factors = hybrid._block_factors(adjacency, n_values, ruleset, h, block, key)
+            # each segment's factor, highest id first, is its entry under the
+            # constraint signature of the interface values, folded by segment id
             fixed = dict(zip(block.placed, interface))
-            for target in block.order:
+            for target, (probs, cum) in zip(block.layout[::-1], factors):
                 signature = model.constraint_signature(target, adjacency, fixed)[: comp.max_direction]
-                assert got[target] is model.signature_entry(comp, signature, n_values, target)
+                entry = model.signature_entry(comp, signature, n_values, target)
+                assert probs == entry[0].tolist() and cum is entry[2]
                 signatures.add(signature)
     if world == "several-directions":
         assert any(-1 in sig for sig in signatures) and any(0 not in sig for sig in signatures)
@@ -974,3 +974,50 @@ def test_product_refusals_read_as_the_compile_gives_them():
         hwfc_generate(adj, 2, rs, Partitioning((tuple(range(1, 65)),)), RandomSource(0))
     with pytest.raises(ValueError, match="^segment order must not repeat ids$"):
         hwfc_generate(adj, 2, rs, Partitioning(((1, 2, 1),)), RandomSource(0))
+
+
+def _left_reading_world(width, n_values, needs_left_one=False):
+    """A width x 1 chain whose rules read the left neighbour (direction 3),
+    so a block of it has dependencies; with ``needs_left_one`` every value
+    needs that neighbour to be 1, else any value follows any value."""
+    lefts = (1,) if needs_left_one else range(1, n_values + 1)
+    rules = tuple(Rule(v, 1.0, Pattern.of((3, a))) for v in range(1, n_values + 1) for a in lefts)
+    return grid2d_topology(width, 1).adjacency, n_values, Ruleset(rules)
+
+
+def _wide_read_world():
+    # segment 15 reads segments 2-14 in direction 1; segment 2 reads segment 1
+    edges = (frozenset((15, s) for s in range(2, 15)), frozenset({(2, 1)}))
+    rules = (Rule(1, 1.0, Pattern.of()), Rule(2, 1.0, Pattern.of()), Rule(2, 1.0, Pattern.of((1, 1))))
+    return AdjacencyConfig(15, 2, edges), 2, Ruleset(rules)
+
+
+DEPENDENCY_REFUSALS = {
+    # 16^5 rows after iteration 5, then 16 values each to gather
+    "gather": (lambda: _left_reading_world(7, 16), "1048576 rows x 16 values at iteration 6 exceed the cap"),
+    "loads": (_wide_read_world, "8192 control assignments at iteration 14 exceed the cap of 4096"),
+    # after a first segment of 1, segment 3 conflicts under 2 = 2 and 2 = 3
+    "conflict": (lambda: _left_reading_world(4, 3, True), "no admissible value for segment 3"),
+    "support": (lambda: _left_reading_world(22, 2), "reachable support grew past 1048576 at iteration 21"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DEPENDENCY_REFUSALS))
+def test_dependency_refusals_read_as_the_compile_gives_them(case):
+    make, text = DEPENDENCY_REFUSALS[case]
+    adjacency, n_values, ruleset = make()
+    block = tuple(range(2, adjacency.n_segments + 1))
+    assert any(order_plan(adjacency, ruleset, block).deps)
+    # a stream whose first uniform draws value 1 for segment 1
+    seed = next(s for s in range(100) if RandomSource(s).uniform() < 1 / n_values)
+    rng = RandomSource(seed)
+    error = ConflictError if case == "conflict" else CapacityError
+    with pytest.raises(error) as got:
+        hwfc_generate(adjacency, n_values, ruleset, Partitioning(((1,), block)), rng)
+    with pytest.raises(error) as want:
+        build_circuit(adjacency, n_values, ruleset, block, frozen=ContentInstance({1: 1}))
+    assert str(got.value) == f"partition 2: {want.value}" and text in str(want.value)
+    if case == "conflict":  # the smallest conflicting control tuple is named
+        assert got.value.content == want.value.content == ContentInstance({2: 2})
+    # partition 1 drew one uniform; partition 2 refused before drawing
+    assert rng.uniform() == RandomSource(seed).uniforms(2)[1]
