@@ -372,10 +372,19 @@ def _build_from_generator(spec, topology: Topology):
     return uc.alphabet, uc.ruleset, uc.validator, uc.partitioning
 
 
+# how each built-in kind numbers its ids; a custom topology's ids take either name
+_ID_ORDER = {"grid2d": "raster", "grid3d": "raster", "hexgrid": "spiral"}
+
+
 def _build_order(spec, topology: Topology) -> tuple[int, ...]:
     n = topology.adjacency.n_segments
     if spec is None or spec in ("raster", "spiral"):
-        # ids are already raster (grids) or ring-spiral (hex discs)
+        own = _ID_ORDER.get(topology.kind, spec)
+        if spec not in (None, own):
+            raise ConfigError(
+                f"field 'order' is {spec!r}, but a {topology.kind} topology numbers its ids "
+                f"{own}; give {own!r} or a permutation of the ids"
+            )
         return tuple(range(1, n + 1))
     if not isinstance(spec, list):
         raise ConfigError(f"field 'order' must be 'raster', 'spiral' or a list, got {spec!r}")

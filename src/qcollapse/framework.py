@@ -187,20 +187,32 @@ def exact_distribution_oracle(
 
     Walks every reachable (partial content, iteration) branch breadth-first,
     merging branches that reach the same set of placed pairs, so the sum over
-    selection orders is accumulated without enumerating permutations.
+    selection orders is accumulated without enumerating permutations.  A
+    branch is keyed on one integer, value v of segment s at bits
+    (s - 1) * W.bit_length() (0 while unplaced), and its pairs are decoded
+    only to call the selectors and to fold.
     """
     _check_budget(n_segments, n_values)
-    frontier: dict[frozenset[tuple[int, int]], float] = {frozenset(): 1.0}
+    bits = n_values.bit_length()
+    mask = (1 << bits) - 1
+    shifts = [(s, (s - 1) * bits) for s in range(1, n_segments + 1)]
+
+    def pairs(state: int) -> tuple[tuple[int, int], ...]:
+        placed = shifts[: -(-state.bit_length() // bits)]  # up to the highest placed segment
+        return tuple([(s, v) for s, shift in placed if (v := state >> shift & mask)])
+
+    frontier: dict[int, float] = {0: 1.0}
     for k in range(1, n_segments + 1):
-        nxt: dict[frozenset[tuple[int, int]], float] = {}
+        nxt: dict[int, float] = {}
         for state, mass in frontier.items():
-            content = ContentInstance(tuple(sorted(state)))
+            content = ContentInstance(pairs(state))
             id_probs = np.asarray(identifier_selector(k, content), dtype=float)
             for seg0 in np.nonzero(id_probs > 0.0)[0]:
                 segment = int(seg0) + 1
                 value_probs = np.asarray(value_selector(k, segment, content), dtype=float)
                 for v0 in np.nonzero(value_probs > 0.0)[0]:
-                    child = state | {(segment, int(v0) + 1)}
+                    child = state | (int(v0) + 1) << (segment - 1) * bits
                     nxt[child] = nxt.get(child, 0.0) + mass * id_probs[seg0] * value_probs[v0]
         frontier = nxt
-    return Distribution.fold(tuple(range(1, n_segments + 1)), n_values, frontier.items())
+    folded = ((pairs(state), mass) for state, mass in frontier.items())
+    return Distribution.fold(tuple(range(1, n_segments + 1)), n_values, folded)

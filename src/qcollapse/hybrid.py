@@ -9,12 +9,15 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import NamedTuple
 
+import numpy as np
+
 from .errors import CapacityError, ConflictError
 from .framework import RandomSource, _check_budget, draw_index
 from .model import AdjacencyConfig, ContentInstance, Distribution, Ruleset, _cache, bits_per_value, decode_values
 from .model import signature_entry
-from .quantum import SparseState, _cells, _check_index_qubits, _check_support, _conflict, _fixed_codes
-from .quantum import _walk_shape, build_circuit, order_plan, walked_state
+from .quantum import QubitLayout, SparseState, WalkStep, _cells, _check_index_qubits, _check_support, _conflict
+from .quantum import _fixed_codes, _sparse_state, _walk_shape, build_circuit, order_plan, walk_step, walk_steps
+from .quantum import walked_state
 
 # Unused here; perfbench/layers.py wraps these names on this module.
 from .quantum import exact_distribution, sample_shots, simulate  # noqa: F401
@@ -78,14 +81,26 @@ def validate_partitioning(partitioning: Partitioning, n_segments: int) -> list[s
     return violations
 
 
+class _Walk(NamedTuple):
+    """What resuming a dependency block's walk reads, kept on its schedule."""
+
+    layout: QubitLayout
+    steps: tuple[WalkStep, ...]
+    reads: tuple[int, ...]  # per step, the interface values it and the steps before it read
+
+
 class _Block(NamedTuple):
     """One block of a partitioning as ``_schedule`` resolves it."""
 
     order: tuple[int, ...]
-    placed: tuple[int, ...]  # the interface: earlier blocks' segments adjacent to this one
+    placed: tuple[int, ...]  # the interface, in the order the block's steps first read it
     shape: int | None
     layout: tuple[int, ...]
-    product: bool  # its plan gives no step a dependency
+    walk: _Walk | None  # None for a product block: its plan gives no step a dependency
+
+    @property
+    def product(self) -> bool:
+        return self.walk is None
 
 
 def _schedule(
@@ -93,10 +108,14 @@ def _schedule(
 ) -> tuple[_Block, ...]:
     """The partitioning's blocks, resolved and checked once per (adjacency,
     W, blocks) and kept on the compiled ruleset.  A block's interface is
-    the sorted earlier-block segments adjacent to it in any direction; its
-    shape id interns its ``quantum._walk_shape`` on the compiled ruleset
-    (None where the cache budget cannot keep a new one); a product block
-    is one whose plan gives no step a dependency.
+    the earlier-block segments adjacent to it in any direction, ordered by
+    the first step whose recipe reads each (then by id; unread ones last),
+    so the values that steps 1..j read are a prefix of the interface
+    values.  Its shape id interns its ``quantum._walk_shape`` on the
+    compiled ruleset (None where the cache budget cannot keep a new one).
+    A dependency block keeps its ``_Walk``: its layout, its
+    ``quantum.walk_steps`` and per step the length of that prefix; a
+    product block is one whose plan gives no step a dependency.
     Before any draw, raises ValueError for an invalid partitioning (a
     repeated id in one block as the compile does, else
     ``validate_partitioning``'s first message) or a ruleset that does not
@@ -114,19 +133,40 @@ def _schedule(
         comp.check(adjacency.n_directions, n_values)
         _check_blocks(partitioning, n_values)
         dirs = range(1, adjacency.n_directions + 1)
-        schedule, earlier = [], set()
+        schedule, earlier, cells = [], set(), sum(map(len, partitioning.blocks))
         for block in partitioning.blocks:
             plan = order_plan(adjacency, ruleset, block)
             near = {s for seg in block for d in dirs for s in adjacency.neighbors(seg, d)}
-            placed = tuple(sorted(near & earlier))
-            walk = _walk_shape(comp, plan, block, placed)
-            if walk not in comp.shape_ids:
-                _cache(comp, comp.shape_ids, walk, len(comp.shape_ids), _cells(step[1:3] for step in walk))
-            product = not any(plan.deps)
-            schedule.append(_Block(block, placed, comp.shape_ids.get(walk), tuple(sorted(block)), product))
+            placed, reads = _first_reads(plan, near & earlier)
+            shape = _walk_shape(comp, plan, block, placed)
+            if shape not in comp.shape_ids:
+                _cache(comp, comp.shape_ids, shape, len(comp.shape_ids), _cells(step[1:3] for step in shape))
+            layout, walk = tuple(sorted(block)), None
+            if any(plan.deps):
+                qubits = QubitLayout(layout, n_values)
+                steps = walk_steps(qubits, block, plan)
+                walk = _Walk(qubits, steps, reads)
+                # per step its recipe's cells, its dependency offsets and W lifted values
+                cells += _cells((step.deps, step.recipe) for step in steps)
+                cells += sum(len(step.offsets) + len(step.lifted) for step in steps)
+            schedule.append(_Block(block, placed, comp.shape_ids.get(shape), layout, walk))
             earlier.update(block)
-        schedule = _cache(comp, comp.schedules, key, tuple(schedule), sum(map(len, partitioning.blocks)))
+        schedule = _cache(comp, comp.schedules, key, tuple(schedule), cells)
     return schedule
+
+
+def _first_reads(plan, interface: set[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The ``interface`` segments in the order the plan's recipes first read
+    them (then by id, unread ones last), and per step how many of them it
+    and the steps before it read."""
+    first: dict[int, int] = {}
+    for k, recipe in enumerate(plan.recipes):
+        for _, others in recipe:
+            for s in interface.intersection(others):
+                first.setdefault(s, k)
+    n = len(plan.recipes)
+    placed = tuple(sorted(interface, key=lambda s: (first.get(s, n), s)))
+    return placed, tuple(sum(f <= k for f in first.values()) for k in range(n))
 
 
 def _check_blocks(partitioning: Partitioning, n_values: int) -> None:
@@ -167,12 +207,14 @@ def _block_outcomes(
 ) -> SparseState:
     """Partition ``h``'s walked state under its cache ``key``.
 
-    The circuit is compiled on the interface alone, and the state it walked
-    is cached under the block's key (with ``"walked"`` appended for a
-    product block, whose key holds its factors): blocks of one shape share
-    a state, whose ``layout`` is that of the block that compiled it.  Its
-    loads are never read, so none is built.  Conflicts are not cached: they
-    raise again on every call, named after partition ``h``.
+    The state is walked on the interface alone and cached under the block's
+    key (with ``"walked"`` appended for a product block, whose key holds its
+    factors): blocks of one shape share a state, whose ``layout`` is that of
+    the block that walked it.  A dependency block with an interface resumes
+    its walk from the longest prefix kept (``_resume``); a block without
+    one, and a product block, compile it with ``build_circuit``, whose loads
+    are never read, so none is built.  Conflicts are not cached: they raise
+    again on every call, named after partition ``h``.
     """
     if block.product:
         key += ("walked",)
@@ -180,11 +222,43 @@ def _block_outcomes(
     state = comp.block_cache.get(key)
     if state is None:
         with _named(h):
-            frozen = ContentInstance(dict(zip(block.placed, key[2])))
-            state = walked_state(build_circuit(adjacency, n_values, ruleset, block.order, frozen=frozen))
+            if block.product or not block.placed:
+                frozen = ContentInstance(dict(zip(block.placed, key[2])))
+                state = walked_state(build_circuit(adjacency, n_values, ruleset, block.order, frozen=frozen))
+            else:
+                state = _resume(comp, n_values, block, key)
         if key[0] is not None:  # the shape has an id
             _cache(comp, comp.block_cache, key, state, len(state.indices))
     return state
+
+
+def _resume(comp, n_values: int, block: _Block, key: tuple) -> SparseState:
+    """The walked state of dependency block ``block`` under ``key``, walked
+    with ``quantum.walk_step`` from the longest prefix of its steps kept.
+
+    The rows after step j read only the shape, W and the first
+    ``reads[j]`` interface values, so they are kept in the block cache under
+    (shape id, W, those values, j), one cell per row, within the cell
+    budget: a later miss of any block of the shape that agrees on those
+    values starts at step j + 1.  Steps are probed from the last but one
+    down; the last step's rows are the state itself.  A step that refuses
+    keeps nothing, and the steps before it stay kept."""
+    shape, _, values = key
+    walk, cache = block.walk, comp.block_cache
+    n = len(walk.steps)
+    for j in range(n - 1, 0, -1):
+        rows = cache.get((shape, n_values, values[: walk.reads[j - 1]], j))
+        if rows is not None:
+            break
+    else:
+        j, rows = 0, (np.zeros(1, dtype=np.int64), np.ones(1))
+    idx, amp = rows
+    fixed = dict(zip(block.placed, values))
+    for k in range(j + 1, n + 1):
+        idx, amp, _ = walk_step(comp, n_values, k, walk.steps[k - 1], fixed, idx, amp)
+        if k < n and shape is not None:
+            _cache(comp, cache, (shape, n_values, values[: walk.reads[k - 1]], k), (idx, amp), len(idx))
+    return _sparse_state(walk.layout, idx, amp)
 
 
 def _block_factors(
@@ -283,7 +357,8 @@ def hwfc_generate(
     values: dict[int, int] = {}
     for h, block in enumerate(_schedule(adjacency, n_values, ruleset, partitioning), start=1):
         key = (block.shape, n_values, tuple([values[s] for s in block.placed]))
-        if block.product:
+        product = block.walk is None  # the field, not the property: this loop is hot
+        if product:
             factors = _block_factors(adjacency, n_values, ruleset, h, block, key)
             u = rng.uniform()
             digits = _digit_draw(factors, u)
@@ -291,7 +366,7 @@ def hwfc_generate(
                 values.update(zip(block.layout, digits))
                 continue
         state = _block_outcomes(adjacency, n_values, ruleset, h, block, key)
-        drawn = draw_index(state.cumulative, u if block.product else rng.uniform())
+        drawn = draw_index(state.cumulative, u if product else rng.uniform())
         # the block's own layout: a shared state keeps its first block's
         values.update(decode_values(int(state.indices[drawn]), block.layout, n_values))
     return ContentInstance._adopt(values)

@@ -222,10 +222,15 @@ class CompiledRuleset:
         #   only for a draw near a boundary and for hwfc_exact_distribution,
         #   keys with "walked" appended; a dependency block's walked state,
         #   its entries: 40-60 B.  A state's support dict, once
-        #   exact_distribution reads it, adds ~85 B an entry
+        #   exact_distribution reads it, adds ~85 B an entry.  And the rows
+        #   (index, amplitude arrays) after step j of a dependency block's
+        #   walk, by (shape id, W, the interface values steps 1..j read, j),
+        #   one cell per row: 37-45 B
         # - schedules: hybrid._schedule's by (adjacency, W, blocks), their
-        #   blocks' segments: 50-65 B; shape_ids: its walk shapes interned to
-        #   ids, counted as plans are: 60-85 B
+        #   blocks' segments, and per dependency block's walk step one, its
+        #   recipe's cells, its dependency offsets and W lifted values:
+        #   22-65 B; shape_ids: its walk shapes interned to ids, counted as
+        #   plans are: 60-85 B
         # - plans: quantum.order_plan's by (adjacency, order), per step one, its
         #   dependencies and per direction one plus what it lists: ~60 B
         # - cwfc_steps: classic._steps' tables by (adjacency, W), their

@@ -305,7 +305,8 @@ def build_circuit(
 
     The compile walks the reachable support in array form: one row per
     reachable partial assignment, its basis index in the layout and the real
-    product of its amplitudes.  Each step masks the rows down to its
+    product of its amplitudes.  Each step (``walk_step``, which hwfc's
+    resumed block walks run too) masks the rows down to its
     ``order_plan`` dependency groups to find the control assignments, takes
     each one's constraint signature from its dependency values and the
     frozen neighbours over the plan's recipe (see ``_signature_codes``), so
@@ -339,68 +340,111 @@ def build_circuit(
         raise ValueError("segment order overlaps the frozen context")
 
     layout = QubitLayout(tuple(sorted(order)), n_values)
-    q = layout.bits_per_value
-    group = (1 << q) - 1
-    offset = layout.offsets
-    dtype = np.int64 if layout.n_qubits <= INDEX_QUBIT_LIMIT else object
-    alphabet = np.arange(n_values, dtype=dtype)
-    idx = np.zeros(1, dtype=dtype)
+    idx = np.zeros(1, dtype=np.int64 if layout.n_qubits <= INDEX_QUBIT_LIMIT else object)
     amp = np.ones(1)
     tables: list[StepTable] = []
 
     plan = order_plan(adjacency, ruleset, order)
     comp.check(adjacency.n_directions, n_values)
-    for k, (target, deps, recipe) in enumerate(zip(order, plan.deps, plan.recipes), start=1):
-        if deps:
-            # the gather below holds rows x W cells; four per row of the
-            # support cap let a world of up to four values gather at full support
-            if len(idx) * n_values > 4 * DEFAULT_SUPPORT_CAP:
-                raise CapacityError(
-                    f"{len(idx)} rows x {n_values} values at iteration {k} "
-                    f"exceed the cap of {4 * DEFAULT_SUPPORT_CAP} gathered cells"
-                )
-            offsets = [offset[s] for s in deps]
-            masked = idx & sum(group << o for o in offsets)
-            ordered = np.sort(masked)
-            keys = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
-            if len(keys) > DEFAULT_LOAD_CAP:
-                raise CapacityError(
-                    f"{len(keys)} control assignments at iteration {k} "
-                    f"exceed the cap of {DEFAULT_LOAD_CAP}"
-                )
-            values = [[((key >> o) & group) + 1 for o in offsets] for key in keys.tolist()]
-        else:
-            values = [[]]  # one control assignment, broadcast over the walk below
-        signatures, rows = _signature_codes(recipe, fixed, values)
-        entries = [signature_entry(comp, sig, n_values, target) for sig in signatures]
-        if None in entries:
-            # name the first conflicting control tuple in sorted order
-            controls = min(tuple(zip(deps, vals)) for vals, r in zip(values, rows) if entries[r] is None)
-            raise _conflict(target, controls, k)
-        table = np.sqrt([entry[0] for entry in entries])
-        _check_amplitudes(table)
-        tables.append(StepTable(k, target, deps, values, signatures, rows, table))
+    for k, step in enumerate(walk_steps(layout, order, plan), start=1):
+        idx, amp, table = walk_step(comp, n_values, k, step, fixed, idx, amp)
+        tables.append(table)
 
-        lifted = alphabet << offset[target]
-        if deps:  # one output row per nonzero root of the row's assignment
-            table = table.take(np.array(rows).take(np.searchsorted(keys, masked)), axis=0)
-            branches = table > 0.0
-            _check_support(np.count_nonzero(branches), k)
-            idx = (idx[:, None] | lifted)[branches]
-            amp = (amp[:, None] * table)[branches]
-        else:  # every row by the one distribution's nonzero roots
-            roots = table[0]
-            nonzero = roots.nonzero()[0]
-            _check_support(len(nonzero) * len(idx), k)
-            idx = (idx[:, None] | lifted[nonzero]).ravel()
-            amp = (amp[:, None] * roots[nonzero]).ravel()
-
-    state = _sparse_state(layout, idx, amp) if dtype is np.int64 else None
+    state = _sparse_state(layout, idx, amp) if idx.dtype == np.int64 else None
     circuit = CircuitProgram(layout, tuple(tables), state)
     if frozen is None and state is not None:
         support, loads = len(state.indices), n_values * sum(len(t.values) for t in tables)
         _cache(comp, comp.circuits, key, circuit, support + loads + layout.table_cells(support))
     return circuit
+
+
+class WalkStep(NamedTuple):
+    """What one step of a compile's walk reads: its target, its
+    ``order_plan`` dependencies and recipe, the dependencies' offsets in the
+    layout and the mask of their groups, and the target's alphabet as
+    basis-index bits at its offset (v - 1 for value v)."""
+
+    target: int
+    deps: tuple[int, ...]
+    recipe: tuple
+    offsets: tuple[int, ...]
+    mask: int
+    lifted: np.ndarray
+
+
+def walk_steps(layout: QubitLayout, order: tuple[int, ...], plan: OrderPlan) -> tuple[WalkStep, ...]:
+    """The steps of ``order``'s walk over ``layout`` under its ``plan``; past
+    INDEX_QUBIT_LIMIT qubits the lifted alphabets hold Python ints."""
+    group = (1 << layout.bits_per_value) - 1
+    offset = layout.offsets
+    dtype = np.int64 if layout.n_qubits <= INDEX_QUBIT_LIMIT else object
+    alphabet = np.arange(layout.n_values, dtype=dtype)
+    steps = []
+    for target, deps, recipe in zip(order, plan.deps, plan.recipes):
+        offsets = tuple(offset[s] for s in deps)
+        mask = sum(group << o for o in offsets)
+        steps.append(WalkStep(target, deps, recipe, offsets, mask, alphabet << offset[target]))
+    return tuple(steps)
+
+
+def walk_step(
+    comp: CompiledRuleset,
+    n_values: int,
+    k: int,
+    step: WalkStep,
+    fixed: Mapping[int, int],
+    idx: np.ndarray,
+    amp: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, StepTable]:
+    """Iteration ``k`` of ``build_circuit``'s walk, from the rows ``idx`` and
+    ``amp`` before it: the rows after it and its loads.  ``fixed`` holds the
+    frozen neighbour values its recipe folds.  Every refusal of the compile
+    is raised here: the gather and load caps, the smallest conflicting
+    control tuple, the amplitude checks and the support cap."""
+    target, deps = step.target, step.deps
+    if deps:
+        # the gather below holds rows x W cells; four per row of the
+        # support cap let a world of up to four values gather at full support
+        if len(idx) * n_values > 4 * DEFAULT_SUPPORT_CAP:
+            raise CapacityError(
+                f"{len(idx)} rows x {n_values} values at iteration {k} "
+                f"exceed the cap of {4 * DEFAULT_SUPPORT_CAP} gathered cells"
+            )
+        masked = idx & step.mask
+        ordered = np.sort(masked)
+        keys = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
+        if len(keys) > DEFAULT_LOAD_CAP:
+            raise CapacityError(
+                f"{len(keys)} control assignments at iteration {k} "
+                f"exceed the cap of {DEFAULT_LOAD_CAP}"
+            )
+        group = (1 << bits_per_value(n_values)) - 1
+        values = [[((key >> o) & group) + 1 for o in step.offsets] for key in keys.tolist()]
+    else:
+        values = [[]]  # one control assignment, broadcast over the walk below
+    signatures, rows = _signature_codes(step.recipe, fixed, values)
+    entries = [signature_entry(comp, sig, n_values, target) for sig in signatures]
+    if None in entries:
+        # name the first conflicting control tuple in sorted order
+        controls = min(tuple(zip(deps, vals)) for vals, r in zip(values, rows) if entries[r] is None)
+        raise _conflict(target, controls, k)
+    table = np.sqrt([entry[0] for entry in entries])
+    _check_amplitudes(table)
+    loads = StepTable(k, target, deps, values, signatures, rows, table)
+
+    if deps:  # one output row per nonzero root of the row's assignment
+        table = table.take(np.array(rows).take(np.searchsorted(keys, masked)), axis=0)
+        branches = table > 0.0
+        _check_support(np.count_nonzero(branches), k)
+        idx = (idx[:, None] | step.lifted)[branches]
+        amp = (amp[:, None] * table)[branches]
+    else:  # every row by the one distribution's nonzero roots
+        roots = table[0]
+        nonzero = roots.nonzero()[0]
+        _check_support(len(nonzero) * len(idx), k)
+        idx = (idx[:, None] | step.lifted[nonzero]).ravel()
+        amp = (amp[:, None] * roots[nonzero]).ravel()
+    return idx, amp, loads
 
 
 def _check_support(rows: int, k: int) -> None:

@@ -99,38 +99,51 @@ def _render_hex_ascii(instance, alphabet, topology):
 def render_ppm(
     instance: ContentInstance, alphabet: Alphabet, topology: Topology, scale: int = 16
 ) -> str:
-    """Plain-text P3 image; every tile becomes a scale x scale pixel block."""
+    """Plain-text P3 image; every tile becomes a scale x scale pixel block.
+    Each value's ``"r g b"`` text is formatted once per image, and each row
+    of tiles is joined once and repeated ``scale`` times."""
+    texts: dict[int, str] = {}
+
+    def tile(v):  # the tile's ``scale`` pixels of one pixel row
+        text = texts.get(v)
+        if text is None:
+            r, g, b = _color(alphabet, v)
+            text = texts[v] = " ".join([f"{r} {g} {b}"] * scale)
+        return text
+
     if topology.kind == "hexgrid":
-        pixels = _hex_pixels(instance, alphabet, topology, scale)
+        width, height = ppm_size(topology, scale)
+        rows = _hex_rows(instance, topology, scale, width, tile)
     else:
-        pixels = [
-            [_color(alphabet, v) for v in row for _ in range(scale)]
-            for row in _cell_rows(instance, topology)
-            for _ in range(scale)
-        ]
-    height = len(pixels)
-    width = len(pixels[0]) if height else 0
+        cells = _cell_rows(instance, topology)
+        rows = [" ".join(map(tile, row)) for row in cells]
+        width, height = (len(cells[0]) * scale if cells else 0), len(cells) * scale
     lines = ["P3", f"{width} {height}", "255"]
-    for prow in pixels:
-        lines.append(" ".join(f"{r} {g} {b}" for r, g, b in prow))
+    for row in rows:
+        lines += [row] * scale
     return "\n".join(lines) + "\n"
 
 
-def _hex_pixels(instance, alphabet, topology, scale):
+def _hex_rows(instance, topology, scale, width, tile):
+    """Each hex row's pixel row text, top first: white around tiles that
+    sit ``scale`` pixels apart, shifted half a tile per row."""
     values = instance.mapping
     radius = topology.param("radius")
-    coords = hexgrid_coordinates(radius)
-    width, height = ppm_size(topology, scale)
-    background = (255, 255, 255)
-    pixels = [[background] * width for _ in range(height)]
-    for idx, (q, r) in enumerate(coords):
+    by_row: dict[int, list[tuple[int, int]]] = {}
+    for idx, (q, r) in enumerate(hexgrid_coordinates(radius)):
         x0 = (q + radius) * scale + (r + radius) * (scale // 2)
-        y0 = (r + radius) * scale
-        color = _color(alphabet, values[idx + 1])
-        for dy in range(scale):
-            for dx in range(scale):
-                pixels[y0 + dy][x0 + dx] = color
-    return pixels
+        by_row.setdefault(r, []).append((x0, values[idx + 1]))
+    white = "255 255 255"
+    rows = []
+    for r in range(-radius, radius + 1):
+        parts, x = [], 0
+        for x0, v in sorted(by_row.get(r, [])):
+            parts += [white] * (x0 - x)
+            parts.append(tile(v))
+            x = x0 + scale
+        parts += [white] * (width - x)
+        rows.append(" ".join(parts))
+    return rows
 
 
 def render_voxel_slices(instance: ContentInstance, alphabet: Alphabet, topology: Topology) -> str:

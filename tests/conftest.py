@@ -267,12 +267,33 @@ def walk_cells(walk):
     return steps_cells(step[1:3] for step in walk)
 
 
+def _kept_walk_cells(walk):
+    """The cells of a scheduled dependency block's walk: per step those of
+    its (dependencies, recipe), its dependency offsets and its W lifted
+    values."""
+    return steps_cells((step.deps, step.recipe) for step in walk.steps) + sum(
+        len(step.offsets) + len(step.lifted) for step in walk.steps
+    )
+
+
+def _block_cells(key, kept):
+    """One cell per entry of a walked state or row of a kept walk prefix
+    (keyed on its step), W per segment of a product block's factors."""
+    if isinstance(kept, SparseState):
+        return len(kept.indices)
+    if isinstance(key[-1], int):
+        return len(kept[0])
+    return sum(len(cum) for _, cum in kept)
+
+
 def stated_cells(comp):
     """The cells each of the seven caches on a compiled ruleset holds, as
     its kept objects state them; ``comp.cache_cells`` is their sum.  The
-    block cache holds product blocks' factors, W cells per segment, and
-    walked states, one cell per entry: a dependency block's, and a product
-    block's for a draw near a boundary or for ``hwfc_exact_distribution``."""
+    block cache holds product blocks' factors, W cells per segment, walked
+    states, one cell per entry (a dependency block's, and a product block's
+    for a draw near a boundary or for ``hwfc_exact_distribution``), and the
+    rows of dependency blocks' walk prefixes, one cell per row.  A schedule
+    holds its blocks' segments and its dependency blocks' walks."""
     return {
         "dist_cache": sum(1 if entry is _CONFLICT else key[1] for key, entry in comp.dist_cache.items()),
         "circuits": sum(
@@ -281,11 +302,12 @@ def stated_cells(comp):
             + circuit.layout.table_cells(len(circuit.state.indices))
             for circuit in comp.circuits.values()
         ),
-        "block_cache": sum(
-            len(kept.indices) if isinstance(kept, SparseState) else sum(len(cum) for _, cum in kept)
-            for kept in comp.block_cache.values()
+        "block_cache": sum(_block_cells(key, kept) for key, kept in comp.block_cache.items()),
+        "schedules": sum(
+            len(block.order) + (_kept_walk_cells(block.walk) if block.walk else 0)
+            for schedule in comp.schedules.values()
+            for block in schedule
         ),
-        "schedules": sum(len(block.order) for schedule in comp.schedules.values() for block in schedule),
         "shape_ids": sum(map(walk_cells, comp.shape_ids)),
         "plans": sum(map(plan_cells, comp.plans.values())),
         "cwfc_steps": sum(len(edges) + sum(map(len, edges)) for edges, _, _ in comp.cwfc_steps.values()),

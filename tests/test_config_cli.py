@@ -572,9 +572,20 @@ MALFORMED = {
     # an order under a mode that never reads it: each used to exit 0 with
     # the artifacts of the file without it
     "'order' is not read in mode 'cwfc'": TWO_CELLS + "order: [2, 1]\n",
-    "'order' is not read in mode 'cwfc' (spiral)": TWO_CELLS + "order: spiral\n",
+    "'order' is not read in mode 'cwfc' (raster)": TWO_CELLS + "order: raster\n",
     "'order' is not read in mode 'hwfc'": TWO_CELLS.replace("mode: cwfc", "mode: hwfc")
     + 'order: [2, 1]\npartitions: "blocks:2"\n',
+    # a named order that is not how the topology numbers its ids: each used
+    # to run in ascending ids, as if the file had named the other order
+    "'spiral', but a grid2d topology": TWO_CELLS.replace("mode: cwfc", "mode: qwfc") + "order: spiral\n",
+    "'spiral', but a grid3d topology": TWO_CELLS.replace("mode: cwfc", "mode: oracle").replace(
+        GRID, "{type: grid3d, width: 1, depth: 1, height: 2}"
+    )
+    + "order: spiral\n",
+    "'raster', but a hexgrid topology": TWO_CELLS.replace("mode: cwfc", "mode: qwfc").replace(
+        GRID, "{type: hexgrid, radius: 1}"
+    )
+    + "order: raster\n",
     # any other field the file's own mode never reads: each used to exit 0 too
     "'partitions' is not read in mode 'qwfc'": TWO_CELLS.replace("mode: cwfc", "mode: qwfc")
     + 'partitions: "blocks:2"\n',

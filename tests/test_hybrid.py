@@ -35,7 +35,8 @@ from qcollapse import (
     with_restarts,
 )
 from qcollapse import framework, hybrid, model, quantum
-from qcollapse.quantum import order_plan
+from qcollapse.model import bits_per_value
+from qcollapse.quantum import SparseState, order_plan
 from qcollapse.topology import grid2d_topology
 from qcollapse.usecases import (
     checkerboard_usecase,
@@ -430,8 +431,8 @@ def test_a_warm_draw_resolves_nothing(world, monkeypatch):
     ],
     ids=["pipes-10x4", "platformer-10x10", "voxels-4x4x4", "hexmap-r3"],
 )
-def test_block_states_equal_simulate(make, monkeypatch):
-    # every block compiled for three instances, under its real frozen interface
+def test_block_states_equal_simulate(make):
+    # every block walked for three instances, under its real frozen interface
     uc = make()
     n_values, blocks = uc.alphabet.n_values, uc.partitioning.blocks
     if not any(dep for block in blocks for dep in order_plan(uc.adjacency, uc.ruleset, block).deps):
@@ -444,23 +445,161 @@ def test_block_states_equal_simulate(make, monkeypatch):
                 frozen = ContentInstance(_per_call_interface(uc.adjacency, block, earlier))
                 assert_walked_state_is_simulated(build_circuit(uc.adjacency, n_values, uc.ruleset, block, frozen))
         return
-    compiled = []
+    fresh = Ruleset(uc.ruleset.rules)  # an empty block cache: every block walks
+    _samples(uc.adjacency, n_values, fresh, uc.partitioning, 2024, 3)
+    first = {}
+    for block in hybrid._schedule(uc.adjacency, n_values, fresh, uc.partitioning):
+        first.setdefault(block.shape, block)
+    states = [(key, kept) for key, kept in fresh.compiled.block_cache.items() if isinstance(kept, SparseState)]
+    assert len(states) >= len(blocks)
+    # each cached state, resumed or compiled, is bit for bit the loads' state
+    # of a fresh compile of a block of its shape under its interface values
+    for (shape, _, values), state in states:
+        block = first[shape]
+        frozen = ContentInstance(dict(zip(block.placed, values)))
+        want = simulate_loads(build_circuit(uc.adjacency, n_values, Ruleset(uc.ruleset.rules), block.order, frozen))
+        for got, expected in ((state.indices, want.indices), (state.probabilities, want.probabilities)):
+            assert got.dtype == expected.dtype and np.array_equal(got, expected)
 
-    def recording(*args, **kwargs):
-        circuit = build_circuit(*args, **kwargs)
-        compiled.append(circuit)
-        return circuit
 
-    monkeypatch.setattr(hybrid, "build_circuit", recording)
-    fresh = Ruleset(uc.ruleset.rules)  # an empty block cache: every block compiles
-    _samples(uc.adjacency, uc.alphabet.n_values, fresh, uc.partitioning, 2024, 3)
-    assert len(compiled) >= len(uc.partitioning.blocks)
-    # each compile's state is cached as it is, in compile order
-    cached = list(fresh.compiled.block_cache.values())
-    assert len(cached) == len(compiled)
-    assert all(state is circuit.state for state, circuit in zip(cached, compiled))
-    for circuit in compiled:
-        assert_walked_state_is_simulated(circuit)
+# --------------------------------------------------------------------------
+# dependency blocks: walks resumed from a kept prefix
+# --------------------------------------------------------------------------
+
+
+def _first_read_steps(adjacency, ruleset, block, interface):
+    """Each interface segment's first step (0-based) whose target has it as
+    a neighbour in a direction up to the ruleset's largest; unread ones are
+    left out."""
+    comp = ruleset.compiled
+    first = {}
+    for k, target in enumerate(block):
+        for d in range(1, comp.max_direction + 1):
+            for s in adjacency.neighbors(target, d):
+                if s in interface:
+                    first.setdefault(s, k)
+    return first
+
+
+def _walk_or_refusal(make, h, block, values):
+    """A block's walked state as (indices, probabilities), or the text of
+    its conflict or capacity refusal named after partition ``h``."""
+    try:
+        state = make(h, block, values)
+    except (ConflictError, CapacityError) as exc:
+        return str(exc) if str(exc).startswith("partition ") else f"partition {h}: {exc}"
+    return state.indices, state.probabilities
+
+
+def _same_walk(a, b) -> bool:
+    if isinstance(a, str) or isinstance(b, str):
+        return a == b
+    return all(x.dtype == y.dtype and np.array_equal(x, y) for x, y in zip(a, b))
+
+
+def _resume_world(name):
+    """(adjacency, the alphabet sizes to walk it at, ruleset, partitioning):
+    its own W and a larger one whose values take one more bit."""
+    if name == "several-directions":
+        adjacency, n_values, ruleset, partitioning = _several_directions_dependent_world()
+    else:
+        adjacency, n_values, ruleset, partitioning = PLAN_WORLDS[name]()
+    return adjacency, (n_values, (1 << bits_per_value(n_values)) + 1), ruleset, partitioning
+
+
+@pytest.mark.parametrize("world", ["pipes-10x4", "hexmap-r3-blocks8", "hexmap-r2", "several-directions"])
+def test_resumed_walks_equal_fresh_compiles(world):
+    adjacency, alphabets, rules, partitioning = _resume_world(world)
+    shared = Ruleset(rules.rules)  # one cache across both alphabet sizes
+    comp = shared.compiled
+    pick = np.random.default_rng(17)
+    resumed = compared = 0
+    for n_values in alphabets:
+        schedule = hybrid._schedule(adjacency, n_values, shared, partitioning)
+        walked = [(h, b) for h, b in enumerate(schedule, start=1) if not b.product and b.placed]
+        assert walked
+
+        def cached(h, block, values):
+            return hybrid._block_outcomes(adjacency, n_values, shared, h, block, (block.shape, n_values, values))
+
+        def fresh(h, block, values):
+            frozen = ContentInstance(dict(zip(block.placed, values)))
+            return build_circuit(adjacency, n_values, Ruleset(rules.rules), block.order, frozen).state
+
+        def random_values(block):
+            return tuple(pick.integers(1, n_values + 1, len(block.placed)).tolist())
+
+        # warm: 50 walks of random blocks under random interface values
+        for _ in range(50):
+            h, block = walked[pick.integers(len(walked))]
+            _walk_or_refusal(cached, h, block, random_values(block))
+        # the interfaces of hwfc draws, and fresh random ones
+        rng = RandomSource(23)
+        drawn = []
+        for _ in range(3):
+            try:
+                drawn.append(hwfc_generate(adjacency, n_values, shared, partitioning, rng).mapping)
+            except (ConflictError, CapacityError):
+                pass
+        for h, block in walked:
+            interfaces = {tuple(m[s] for s in block.placed) for m in drawn}
+            interfaces.update(random_values(block) for _ in range(12))
+            for values in sorted(interfaces):
+                reads, n = block.walk.reads, len(block.order)
+                prefixes = [(block.shape, n_values, values[: reads[j - 1]], j) for j in range(1, n)]
+                resumed += (block.shape, n_values, values) not in comp.block_cache and any(
+                    key in comp.block_cache for key in prefixes
+                )
+                got = _walk_or_refusal(cached, h, block, values)
+                assert _same_walk(got, _walk_or_refusal(fresh, h, block, values)), (n_values, h, values)
+                compared += 1
+    assert resumed > compared // 10
+    # the interface is listed in the order its segments are first read,
+    # which on a hex disc is not always the sorted order
+    orders = []
+    for n_values in alphabets:
+        for block in hybrid._schedule(adjacency, n_values, shared, partitioning):
+            first = _first_read_steps(adjacency, shared, block.order, set(block.placed))
+            want = sorted(block.placed, key=lambda s: (first.get(s, len(block.order)), s))
+            assert list(block.placed) == want
+            orders.append(list(block.placed) == sorted(block.placed))
+    assert not world.startswith("hexmap") or not all(orders)
+
+
+def test_a_budget_that_keeps_some_prefixes_changes_no_output(monkeypatch):
+    uc = replace(hexmap_usecase(3), partitioning=equal_blocks(37, 8))
+    args = (uc.adjacency, uc.alphabet.n_values)
+
+    def outputs(ruleset):
+        rng = RandomSource(31)
+        out = []
+        for _ in range(40):
+            try:
+                out.append(hwfc_generate(*args, ruleset, uc.partitioning, rng).entries)
+            except ConflictError as exc:
+                out.append(str(exc))
+        return out, rng.uniform()
+
+    def prefixes(comp):
+        return [key for key in comp.block_cache if isinstance(key[-1], int)]
+
+    unbounded = Ruleset(uc.ruleset.rules)
+    cold = outputs(unbounded)
+    kept = len(prefixes(unbounded.compiled))
+    assert kept > 0
+    monkeypatch.setattr(model, "_CACHE_CAP", unbounded.compiled.cache_cells // 2)
+    capped = Ruleset(uc.ruleset.rules)
+    assert outputs(capped) == cold
+    comp = capped.compiled
+    assert 0 < len(prefixes(comp)) < kept
+    assert comp.cache_cells == sum(stated_cells(comp).values()) <= model._CACHE_CAP
+    # the prefix rows are charged one cell per row
+    rows = sum(len(comp.block_cache[key][0]) for key in prefixes(comp))
+    states = sum(len(kept.indices) for kept in comp.block_cache.values() if isinstance(kept, SparseState))
+    assert 0 < rows and stated_cells(comp)["block_cache"] == rows + states + sum(
+        len(cum) for key, kept in comp.block_cache.items() if len(key) == 3 and not isinstance(kept, SparseState)
+        for _, cum in kept
+    )
 
 
 # --------------------------------------------------------------------------
@@ -531,16 +670,16 @@ def test_plan_boundary_gives_the_per_call_interface(world):
     schedule = hybrid._schedule(adjacency, n_values, ruleset, partitioning)
     for h, block in enumerate(blocks):
         interface = schedule[h].placed
-        assert list(interface) == sorted(set(interface)) and not set(interface) & set(block)
+        assert len(set(interface)) == len(interface) and not set(interface) & set(block)
         placed = [s for b in blocks[:h] for s in b]
         for trial in range(6):
             # every earlier block's segments first, then random parts of them
             kept = placed if trial == 0 else [s for s in placed if rng.random() < 0.5]
             values = {int(s): int(rng.integers(1, n_values + 1)) for s in kept}
-            got = tuple((s, values[s]) for s in interface if s in values)
+            got = tuple(sorted((s, values[s]) for s in interface if s in values))
             assert got == _per_call_interface(adjacency, block, values)
-    # every block compiled by hwfc is cached under its shape and the values
-    # of the per-call interface
+    # every block walked by hwfc is cached under its shape and the values of
+    # the per-call interface, listed in the schedule's order
     fresh = Ruleset(ruleset.rules)
     rng = RandomSource(5)
     for _ in range(3):
@@ -549,8 +688,9 @@ def test_plan_boundary_gives_the_per_call_interface(world):
             earlier = {s: instance.mapping[s] for b in blocks[:h] for s in b}
             interface = _per_call_interface(adjacency, block, earlier)
             scheduled = hybrid._schedule(adjacency, n_values, fresh, partitioning)[h]
-            assert scheduled.placed == tuple(s for s, _ in interface)
-            assert (scheduled.shape, n_values, tuple(v for _, v in interface)) in fresh.compiled.block_cache
+            assert tuple(sorted(scheduled.placed)) == tuple(s for s, _ in interface)
+            key = (scheduled.shape, n_values, tuple(earlier[s] for s in scheduled.placed))
+            assert key in fresh.compiled.block_cache
 
 
 def test_plan_steps_are_the_dependency_sets():
@@ -848,6 +988,18 @@ def _several_directions_world():
         )
     )
     return AdjacencyConfig(6, 2, edges), 3, rs, Partitioning(((1, 2, 3), (6, 4, 5)))
+
+
+def _several_directions_dependent_world():
+    # _several_directions_world's rules where block (4, 5, 6) depends on
+    # itself: 5 reads 4 beside interface segment 2 in direction 1, and 6
+    # reads 5 in direction 2 and three interface segments in direction 1
+    edges = (
+        frozenset({(4, 1), (5, 2), (5, 4), (6, 1), (6, 2), (6, 3)}),
+        frozenset({(6, 5), (2, 6), (1, 4)}),
+    )
+    rules = _several_directions_world()[2]
+    return AdjacencyConfig(6, 2, edges), 3, rules, Partitioning(((1, 2, 3), (4, 5, 6)))
 
 
 @pytest.mark.parametrize("world", ["platformer-10x10", "voxels-4x4x4", "several-directions"])

@@ -12,6 +12,8 @@ from conftest import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qcollapse.model import Distribution
+
 from qcollapse import (
     ContentInstance,
     Pattern,
@@ -152,3 +154,45 @@ def test_categorical_is_deterministic_and_supported(seed, weights):
     b = [RandomSource(seed).categorical(probs) for _ in range(5)]
     assert a == b
     assert all(0 <= i < len(weights) for i in a)
+
+
+def _frozenset_oracle(n_segments, n_values, identifier_selector, value_selector):
+    """The oracle as it keyed its frontier before integer keys: one frozenset
+    of (segment, value) pairs per partial instance."""
+    frontier = {frozenset(): 1.0}
+    for k in range(1, n_segments + 1):
+        nxt = {}
+        for state, mass in frontier.items():
+            content = ContentInstance(tuple(sorted(state)))
+            id_probs = np.asarray(identifier_selector(k, content), dtype=float)
+            for seg0 in np.nonzero(id_probs > 0.0)[0]:
+                segment = int(seg0) + 1
+                value_probs = np.asarray(value_selector(k, segment, content), dtype=float)
+                for v0 in np.nonzero(value_probs > 0.0)[0]:
+                    child = state | {(segment, int(v0) + 1)}
+                    nxt[child] = nxt.get(child, 0.0) + mass * id_probs[seg0] * value_probs[v0]
+        frontier = nxt
+    return Distribution.fold(tuple(range(1, n_segments + 1)), n_values, frontier.items())
+
+
+@settings(max_examples=40, deadline=None)
+@given(chain_setups(), st.integers(0, 5), st.booleans())
+def test_oracle_is_the_frozenset_oracle_bit_for_bit(setup, wider, any_order):
+    """Integer frontier keys change no sum and no merge order, at widths
+    whose top value fills its bits (3, 7) and at ones that do not."""
+    n, w, ruleset, order = setup
+    w += wider  # the rules name values up to their own W; the rest is floor mass
+    ruleset = conflict_free_ruleset(list(ruleset.rules), w, floor=0.05)
+    adj = chain_adjacency(n)
+    values = ruleset_value_selector(adj, ruleset, w)
+    ids = fixed_order_selector(order, n)
+    if any_order:  # every unplaced id, weighted by the values placed so far
+
+        def ids(k, content):
+            placed = content.mapping
+            probs = np.array([0.0 if s in placed else 1.0 + s + sum(placed.values()) for s in range(1, n + 1)])
+            return probs / probs.sum()
+
+    got = exact_distribution_oracle(n, w, ids, values)
+    want = _frozenset_oracle(n, w, ids, values)
+    assert list(got.probs.items()) == list(want.probs.items())
