@@ -4,7 +4,7 @@ previously sampled partitions frozen as classical constraints, then join."""
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -16,7 +16,7 @@ from .framework import RandomSource, _check_budget, draw_index
 from .model import AdjacencyConfig, ContentInstance, Distribution, Ruleset, _cache, bits_per_value, decode_values
 from .model import signature_entry
 from .quantum import QubitLayout, SparseState, WalkStep, _cells, _check_index_qubits, _check_support, _conflict
-from .quantum import _fixed_codes, _sparse_state, _walk_shape, build_circuit, order_plan, walk_step, walk_steps
+from .quantum import _fixed_codes, _sparse_state, _walk_shape, build_circuit, walk_step, walk_steps
 from .quantum import walked_state
 
 # Unused here; perfbench/layers.py wraps these names on this module.
@@ -81,26 +81,16 @@ def validate_partitioning(partitioning: Partitioning, n_segments: int) -> list[s
     return violations
 
 
-class _Walk(NamedTuple):
-    """What resuming a dependency block's walk reads, kept on its schedule."""
-
-    layout: QubitLayout
-    steps: tuple[WalkStep, ...]
-    reads: tuple[int, ...]  # per step, the interface values it and the steps before it read
-
-
 class _Block(NamedTuple):
     """One block of a partitioning as ``_schedule`` resolves it."""
 
     order: tuple[int, ...]
     placed: tuple[int, ...]  # the interface, in the order the block's steps first read it
     shape: int | None
-    layout: tuple[int, ...]
-    walk: _Walk | None  # None for a product block: its plan gives no step a dependency
-
-    @property
-    def product(self) -> bool:
-        return self.walk is None
+    layout: QubitLayout
+    steps: tuple[WalkStep, ...]
+    reads: tuple[int, ...]  # per step, the interface values it and the steps before it read
+    product: bool  # no step has a dependency
 
 
 def _schedule(
@@ -111,11 +101,10 @@ def _schedule(
     the earlier-block segments adjacent to it in any direction, ordered by
     the first step whose recipe reads each (then by id; unread ones last),
     so the values that steps 1..j read are a prefix of the interface
-    values.  Its shape id interns its ``quantum._walk_shape`` on the
-    compiled ruleset (None where the cache budget cannot keep a new one).
-    A dependency block keeps its ``_Walk``: its layout, its
-    ``quantum.walk_steps`` and per step the length of that prefix; a
-    product block is one whose plan gives no step a dependency.
+    values.  Each block keeps its layout, its ``quantum.walk_steps`` and
+    per step the length of that prefix; its shape id interns its
+    ``quantum._walk_shape`` on the compiled ruleset (None where the cache
+    budget cannot keep a new one).
     Before any draw, raises ValueError for an invalid partitioning (a
     repeated id in one block as the compile does, else
     ``validate_partitioning``'s first message) or a ruleset that does not
@@ -135,36 +124,33 @@ def _schedule(
         dirs = range(1, adjacency.n_directions + 1)
         schedule, earlier, cells = [], set(), sum(map(len, partitioning.blocks))
         for block in partitioning.blocks:
-            plan = order_plan(adjacency, ruleset, block)
+            layout = QubitLayout(tuple(sorted(block)), n_values)
+            steps = walk_steps(adjacency, comp, layout, block)
             near = {s for seg in block for d in dirs for s in adjacency.neighbors(seg, d)}
-            placed, reads = _first_reads(plan, near & earlier)
-            shape = _walk_shape(comp, plan, block, placed)
+            placed, reads = _first_reads(steps, near & earlier)
+            shape = _walk_shape(comp, steps, placed)
             if shape not in comp.shape_ids:
                 _cache(comp, comp.shape_ids, shape, len(comp.shape_ids), _cells(step[1:3] for step in shape))
-            layout, walk = tuple(sorted(block)), None
-            if any(plan.deps):
-                qubits = QubitLayout(layout, n_values)
-                steps = walk_steps(qubits, block, plan)
-                walk = _Walk(qubits, steps, reads)
-                # per step its recipe's cells, its dependency offsets and W lifted values
-                cells += _cells((step.deps, step.recipe) for step in steps)
-                cells += sum(len(step.offsets) + len(step.lifted) for step in steps)
-            schedule.append(_Block(block, placed, comp.shape_ids.get(shape), layout, walk))
+            # per step one, its dependencies and recipe, its dependency offsets and W lifted values
+            cells += _cells((step.deps, step.recipe) for step in steps)
+            cells += sum(len(step.offsets) + len(step.lifted) for step in steps)
+            product = not any(step.deps for step in steps)
+            schedule.append(_Block(block, placed, comp.shape_ids.get(shape), layout, steps, reads, product))
             earlier.update(block)
         schedule = _cache(comp, comp.schedules, key, tuple(schedule), cells)
     return schedule
 
 
-def _first_reads(plan, interface: set[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The ``interface`` segments in the order the plan's recipes first read
+def _first_reads(steps: tuple[WalkStep, ...], interface: set[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The ``interface`` segments in the order the steps' recipes first read
     them (then by id, unread ones last), and per step how many of them it
     and the steps before it read."""
     first: dict[int, int] = {}
-    for k, recipe in enumerate(plan.recipes):
-        for _, others in recipe:
+    for k, step in enumerate(steps):
+        for _, others in step.recipe:
             for s in interface.intersection(others):
                 first.setdefault(s, k)
-    n = len(plan.recipes)
+    n = len(steps)
     placed = tuple(sorted(interface, key=lambda s: (first.get(s, n), s)))
     return placed, tuple(sum(f <= k for f in first.values()) for k in range(n))
 
@@ -210,44 +196,44 @@ def _block_outcomes(
     The state is walked on the interface alone and cached under the block's
     key (with ``"walked"`` appended for a product block, whose key holds its
     factors): blocks of one shape share a state, whose ``layout`` is that of
-    the block that walked it.  A dependency block with an interface resumes
-    its walk from the longest prefix kept (``_resume``); a block without
-    one, and a product block, compile it with ``build_circuit``, whose loads
-    are never read, so none is built.  Conflicts are not cached: they raise
-    again on every call, named after partition ``h``.
+    the block that walked it.  A block with an interface resumes its walk
+    from the longest prefix kept (``_resume``); a block without one has
+    nothing to resume and compiles its order with ``build_circuit``, whose
+    loads are never read, so none is built.  Conflicts are not cached: they
+    raise again on every call, named after partition ``h``.
     """
-    if block.product:
-        key += ("walked",)
     comp = ruleset.compiled
-    state = comp.block_cache.get(key)
+    walked = key + ("walked",) if block.product else key
+    state = comp.block_cache.get(walked)
     if state is None:
         with _named(h):
-            if block.product or not block.placed:
-                frozen = ContentInstance(dict(zip(block.placed, key[2])))
-                state = walked_state(build_circuit(adjacency, n_values, ruleset, block.order, frozen=frozen))
-            else:
+            if block.placed:
                 state = _resume(comp, n_values, block, key)
+            else:
+                state = walked_state(build_circuit(adjacency, n_values, ruleset, block.order, frozen=ContentInstance()))
         if key[0] is not None:  # the shape has an id
-            _cache(comp, comp.block_cache, key, state, len(state.indices))
+            _cache(comp, comp.block_cache, walked, state, len(state.indices))
     return state
 
 
 def _resume(comp, n_values: int, block: _Block, key: tuple) -> SparseState:
-    """The walked state of dependency block ``block`` under ``key``, walked
-    with ``quantum.walk_step`` from the longest prefix of its steps kept.
+    """The walked state of ``block`` under ``key``, walked with
+    ``quantum.walk_step`` from the longest prefix of its steps kept.
 
     The rows after step j read only the shape, W and the first
     ``reads[j]`` interface values, so they are kept in the block cache under
     (shape id, W, those values, j), one cell per row, within the cell
     budget: a later miss of any block of the shape that agrees on those
-    values starts at step j + 1.  Steps are probed from the last but one
-    down; the last step's rows are the state itself.  A step that refuses
-    keeps nothing, and the steps before it stay kept."""
+    values starts at step j + 1.  Only the steps before the one by which
+    the block has read its whole interface are kept and probed, from the
+    last down: rows after it are keyed on the walked state's own values.
+    A step that refuses keeps nothing, and the steps before it stay kept."""
     shape, _, values = key
-    walk, cache = block.walk, comp.block_cache
-    n = len(walk.steps)
-    for j in range(n - 1, 0, -1):
-        rows = cache.get((shape, n_values, values[: walk.reads[j - 1]], j))
+    cache, steps, reads = comp.block_cache, block.steps, block.reads
+    n = len(steps)
+    last = bisect_left(reads, len(values), 0, n - 1)  # the steps j < n with reads[j - 1] < len(values)
+    for j in range(last, 0, -1):
+        rows = cache.get((shape, n_values, values[: reads[j - 1]], j))
         if rows is not None:
             break
     else:
@@ -255,10 +241,10 @@ def _resume(comp, n_values: int, block: _Block, key: tuple) -> SparseState:
     idx, amp = rows
     fixed = dict(zip(block.placed, values))
     for k in range(j + 1, n + 1):
-        idx, amp, _ = walk_step(comp, n_values, k, walk.steps[k - 1], fixed, idx, amp)
-        if k < n and shape is not None:
-            _cache(comp, cache, (shape, n_values, values[: walk.reads[k - 1]], k), (idx, amp), len(idx))
-    return _sparse_state(walk.layout, idx, amp)
+        idx, amp, _ = walk_step(comp, n_values, k, steps[k - 1], fixed, idx, amp)
+        if k <= last and shape is not None:
+            _cache(comp, cache, (shape, n_values, values[: reads[k - 1]], k), (idx, amp), len(idx))
+    return _sparse_state(block.layout, idx, amp)
 
 
 def _block_factors(
@@ -267,7 +253,7 @@ def _block_factors(
     """The factors of a product block under its cache ``key``: for each
     segment, highest id first, the probabilities and cumulative of the
     entry that its step of the block's compile reads, the signature folded
-    from the interface values over the plan's recipe (``_fixed_codes``).
+    from the interface values over the step's recipe (``_fixed_codes``).
     Refuses as the compile does, with its conflict and support-cap texts at
     the same iteration.  Cached under the key as W cells per segment."""
     comp = ruleset.compiled
@@ -275,16 +261,15 @@ def _block_factors(
     if factors is None:
         fixed, entries, rows = dict(zip(block.placed, key[2])), {}, 1
         with _named(h):
-            steps = zip(block.order, order_plan(adjacency, ruleset, block.order).recipes)
-            for k, (target, recipe) in enumerate(steps, start=1):
-                entry = signature_entry(comp, tuple(_fixed_codes(recipe, fixed)), n_values, target)
+            for k, step in enumerate(block.steps, start=1):
+                entry = signature_entry(comp, tuple(_fixed_codes(step.recipe, fixed)), n_values, step.target)
                 if entry is None:
-                    raise _conflict(target, (), k)
+                    raise _conflict(step.target, (), k)
                 probs = entry[0].tolist()
-                entries[target] = probs, entry[2]
+                entries[step.target] = probs, entry[2]
                 rows *= len(probs) - probs.count(0.0)
                 _check_support(rows, k)
-        factors = tuple(map(entries.__getitem__, reversed(block.layout)))
+        factors = tuple(map(entries.__getitem__, reversed(block.layout.segments)))
         if key[0] is not None:
             _cache(comp, comp.block_cache, key, factors, n_values * len(block.order))
     return factors
@@ -357,18 +342,17 @@ def hwfc_generate(
     values: dict[int, int] = {}
     for h, block in enumerate(_schedule(adjacency, n_values, ruleset, partitioning), start=1):
         key = (block.shape, n_values, tuple([values[s] for s in block.placed]))
-        product = block.walk is None  # the field, not the property: this loop is hot
-        if product:
+        if block.product:
             factors = _block_factors(adjacency, n_values, ruleset, h, block, key)
             u = rng.uniform()
             digits = _digit_draw(factors, u)
             if digits is not None:
-                values.update(zip(block.layout, digits))
+                values.update(zip(block.layout.segments, digits))
                 continue
         state = _block_outcomes(adjacency, n_values, ruleset, h, block, key)
-        drawn = draw_index(state.cumulative, u if product else rng.uniform())
+        drawn = draw_index(state.cumulative, u if block.product else rng.uniform())
         # the block's own layout: a shared state keeps its first block's
-        values.update(decode_values(int(state.indices[drawn]), block.layout, n_values))
+        values.update(decode_values(int(state.indices[drawn]), block.layout.segments, n_values))
     return ContentInstance._adopt(values)
 
 
@@ -400,7 +384,7 @@ def hwfc_exact_distribution(
                 continue
             # blocks partition the segments, so each joint is reached once
             for basis, p in zip(state.indices.tolist(), state.probabilities.tolist()):
-                nxt[prior + decode_values(basis, block.layout, n_values)] = mass * p
+                nxt[prior + decode_values(basis, block.layout.segments, n_values)] = mass * p
         if not nxt:
             raise conflict
         outcomes = nxt

@@ -192,7 +192,7 @@ class Ruleset:
         return CompiledRuleset(self)
 
 
-# cells per compiled ruleset, shared by its seven caches; a cell costs up to
+# cells per compiled ruleset, shared by its six caches; a cell costs up to
 # ~300 B on the worlds measured (see CompiledRuleset), ~300 MB at the cap
 _CACHE_CAP = 1 << 20
 
@@ -208,7 +208,7 @@ class CompiledRuleset:
 
     def __init__(self, ruleset: Ruleset):
         m = len(ruleset.rules)
-        # Seven caches, each filled through _cache on a miss while cache_cells
+        # Six caches, each filled through _cache on a miss while cache_cells
         # stays within _CACHE_CAP, never evicted.  Per kept object its cells,
         # and the bytes per cell tracemalloc sees (CPython 3.11, 64-bit):
         # - dist_cache: signature_entry's by (signature, W, factor outputs), W
@@ -223,26 +223,26 @@ class CompiledRuleset:
         #   keys with "walked" appended; a dependency block's walked state,
         #   its entries: 40-60 B.  A state's support dict, once
         #   exact_distribution reads it, adds ~85 B an entry.  And the rows
-        #   (index, amplitude arrays) after step j of a dependency block's
-        #   walk, by (shape id, W, the interface values steps 1..j read, j),
-        #   one cell per row: 37-45 B
+        #   (index, amplitude arrays) after step j of a block's walk, by
+        #   (shape id, W, the interface values steps 1..j read, j), one cell
+        #   per row, for the steps before the one that has read the whole
+        #   interface: 37-45 B
         # - schedules: hybrid._schedule's by (adjacency, W, blocks), their
-        #   blocks' segments, and per dependency block's walk step one, its
-        #   recipe's cells, its dependency offsets and W lifted values:
-        #   22-65 B; shape_ids: its walk shapes interned to ids, counted as
-        #   plans are: 60-85 B
-        # - plans: quantum.order_plan's by (adjacency, order), per step one, its
-        #   dependencies and per direction one plus what it lists: ~60 B
+        #   blocks' segments, and per walk step of each block (once, whether
+        #   it walks or its factors read it) one, its dependencies, per
+        #   direction one plus what it lists, its dependency offsets and W
+        #   lifted values: 22-75 B; shape_ids: its walk shapes interned to
+        #   ids, counted as a step's dependencies and recipe are: 60-85 B
         # - cwfc_steps: classic._steps' tables by (adjacency, W), their
         #   segments plus their in-edges: ~95 B
-        # Keys that hold an AdjacencyConfig keep it alive uncharged, with the
-        # neighbour maps it builds: ~1.0 MB for checkerboard 32x32.
+        # Keys that hold an AdjacencyConfig (circuits, schedules, cwfc_steps)
+        # keep it alive uncharged, with the neighbour maps it builds: ~1.0 MB
+        # for checkerboard 32x32.
         self.dist_cache: dict[tuple, object] = {}
         self.circuits: dict[tuple, object] = {}
         self.block_cache: dict[tuple, object] = {}
         self.schedules: dict[tuple, tuple] = {}
         self.shape_ids: dict[tuple, int] = {}
-        self.plans: dict[tuple, tuple] = {}
         self.cwfc_steps: dict[tuple, tuple] = {}
         self.cache_cells = 0
         self.max_value = max(rule.value for rule in ruleset.rules)

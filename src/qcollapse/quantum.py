@@ -221,71 +221,29 @@ class CircuitProgram:
         return tuple(load for step in self.steps for load in step.loads())
 
 
-class OrderPlan(NamedTuple):
-    """What compiling an order reads of its adjacency.
-
-    ``deps[k]`` lists step k's dependencies: the sorted earlier segments
-    adjacent to its target in a direction some rule pattern uses (a static
-    over-approximation of what can influence its value).  ``recipes[k]``
-    holds, for each direction up to the ruleset's largest, the columns of
-    ``deps[k]`` adjacent there and the neighbours outside the order, which
-    only frozen values can fill.
-    """
-
-    deps: tuple[tuple[int, ...], ...]
-    recipes: tuple[tuple[tuple[tuple[int, ...], tuple[int, ...]], ...], ...]
-
-
-def order_plan(adjacency: AdjacencyConfig, ruleset: Ruleset, order: tuple[int, ...]) -> OrderPlan:
-    """The order's ``OrderPlan``, made once per (adjacency, order) and kept
-    on the compiled ruleset."""
-    comp = ruleset.compiled
-    key = (adjacency, order)
-    plan = comp.plans.get(key)
-    if plan is None:
-        comp.check(adjacency.n_directions)
-        step = {seg: k for k, seg in enumerate(order)}
-        deps, recipes = [], []
-        for k, target in enumerate(order):
-            adjacent = {s for d in comp.pattern_directions for s in adjacency.neighbors(target, d)}
-            dep = tuple(sorted(s for s in adjacent if step.get(s, k) < k))
-            column = {s: c for c, s in enumerate(dep)}
-            recipe = []
-            for d in range(1, comp.max_direction + 1):
-                near = adjacency.neighbors(target, d)
-                cols = tuple(column[s] for s in near if s in column)
-                recipe.append((cols, tuple(s for s in near if s not in step)))
-            deps.append(dep)
-            recipes.append(tuple(recipe))
-        plan = _cache(comp, comp.plans, key, OrderPlan(tuple(deps), tuple(recipes)), _cells(zip(deps, recipes)))
-    return plan
-
-
 def _cells(steps) -> int:
-    """Cache cells of an order plan's or a walk shape's (dependencies, recipe)
+    """Cache cells of a walk's or a walk shape's (dependencies, recipe)
     steps: per step one, its dependencies, per direction one and its lists."""
     return sum(1 + len(deps) + sum(1 + len(a) + len(b) for a, b in recipe) for deps, recipe in steps)
 
 
-def _walk_shape(
-    comp: CompiledRuleset, plan: OrderPlan, order: tuple[int, ...], placed: tuple[int, ...]
-) -> tuple:
-    """What ``build_circuit``'s walk of ``order`` reads under frozen values at
+def _walk_shape(comp: CompiledRuleset, steps: tuple[WalkStep, ...], placed: tuple[int, ...]) -> tuple:
+    """What a walk over ``steps`` reads under frozen values at
     the interface segments ``placed``, per step: the target's rank in the layout,
     its dependencies' ranks, for each direction of its recipe the dependency
     columns and the interface positions folded there, and the target's
     factor outputs.  Orders of equal shapes walk equal states under equal
     interface values, W and ruleset."""
-    rank = {s: r for r, s in enumerate(sorted(order))}
+    rank = {s: r for r, s in enumerate(sorted(step.target for step in steps))}
     position = {s: i for i, s in enumerate(placed)}
     return tuple(
         (
-            rank[target],
-            tuple(rank[s] for s in deps),
-            tuple((cols, tuple(position[s] for s in others if s in position)) for cols, others in recipe),
-            comp.segment_weights(target)[0],
+            rank[step.target],
+            tuple(rank[s] for s in step.deps),
+            tuple((cols, tuple(position[s] for s in others if s in position)) for cols, others in step.recipe),
+            comp.segment_weights(step.target)[0],
         )
-        for target, deps, recipe in zip(order, plan.deps, plan.recipes)
+        for step in steps
     )
 
 
@@ -307,10 +265,10 @@ def build_circuit(
     reachable partial assignment, its basis index in the layout and the real
     product of its amplitudes.  Each step (``walk_step``, which hwfc's
     resumed block walks run too) masks the rows down to its
-    ``order_plan`` dependency groups to find the control assignments, takes
+    ``walk_steps`` dependency groups to find the control assignments, takes
     each one's constraint signature from its dependency values and the
-    frozen neighbours over the plan's recipe (see ``_signature_codes``), so
-    no compile reads the adjacency's neighbours, looks each distinct
+    frozen neighbours over the step's recipe (see ``_signature_codes``), so
+    no step reads the adjacency's neighbours, looks each distinct
     signature up once in ``signature_entry`` and expands every row by the
     nonzero roots of its assignment's distribution (a step with no
     dependency has one, broadcast); ``DEFAULT_SUPPORT_CAP`` caps the row
@@ -344,9 +302,7 @@ def build_circuit(
     amp = np.ones(1)
     tables: list[StepTable] = []
 
-    plan = order_plan(adjacency, ruleset, order)
-    comp.check(adjacency.n_directions, n_values)
-    for k, step in enumerate(walk_steps(layout, order, plan), start=1):
+    for k, step in enumerate(walk_steps(adjacency, comp, layout, order), start=1):
         idx, amp, table = walk_step(comp, n_values, k, step, fixed, idx, amp)
         tables.append(table)
 
@@ -359,10 +315,14 @@ def build_circuit(
 
 
 class WalkStep(NamedTuple):
-    """What one step of a compile's walk reads: its target, its
-    ``order_plan`` dependencies and recipe, the dependencies' offsets in the
-    layout and the mask of their groups, and the target's alphabet as
-    basis-index bits at its offset (v - 1 for value v)."""
+    """What one step of a compile's walk reads: its target; ``deps``, the
+    sorted earlier segments adjacent to it in a direction some rule pattern
+    uses (a static over-approximation of what can influence its value);
+    ``recipe``, for each direction up to the ruleset's largest, the columns
+    of ``deps`` adjacent there and the neighbours outside the order, which
+    only frozen values can fill; the dependencies' offsets in the layout
+    and the mask of their groups; and the target's alphabet as basis-index
+    bits at its offset (v - 1 for value v)."""
 
     target: int
     deps: tuple[int, ...]
@@ -372,18 +332,31 @@ class WalkStep(NamedTuple):
     lifted: np.ndarray
 
 
-def walk_steps(layout: QubitLayout, order: tuple[int, ...], plan: OrderPlan) -> tuple[WalkStep, ...]:
-    """The steps of ``order``'s walk over ``layout`` under its ``plan``; past
-    INDEX_QUBIT_LIMIT qubits the lifted alphabets hold Python ints."""
+def walk_steps(
+    adjacency: AdjacencyConfig, comp: CompiledRuleset, layout: QubitLayout, order: tuple[int, ...]
+) -> tuple[WalkStep, ...]:
+    """The steps of ``order``'s walk over ``layout``, in one pass over the
+    adjacency, after ``comp.check``; past INDEX_QUBIT_LIMIT qubits the
+    lifted alphabets hold Python ints."""
+    comp.check(adjacency.n_directions, layout.n_values)
     group = (1 << layout.bits_per_value) - 1
     offset = layout.offsets
     dtype = np.int64 if layout.n_qubits <= INDEX_QUBIT_LIMIT else object
     alphabet = np.arange(layout.n_values, dtype=dtype)
+    position = {seg: k for k, seg in enumerate(order)}
     steps = []
-    for target, deps, recipe in zip(order, plan.deps, plan.recipes):
+    for k, target in enumerate(order):
+        adjacent = {s for d in comp.pattern_directions for s in adjacency.neighbors(target, d)}
+        deps = tuple(sorted(s for s in adjacent if position.get(s, k) < k))
+        column = {s: c for c, s in enumerate(deps)}
+        recipe = []
+        for d in range(1, comp.max_direction + 1):
+            near = adjacency.neighbors(target, d)
+            cols = tuple(column[s] for s in near if s in column)
+            recipe.append((cols, tuple(s for s in near if s not in position)))
         offsets = tuple(offset[s] for s in deps)
         mask = sum(group << o for o in offsets)
-        steps.append(WalkStep(target, deps, recipe, offsets, mask, alphabet << offset[target]))
+        steps.append(WalkStep(target, deps, tuple(recipe), offsets, mask, alphabet << offset[target]))
     return tuple(steps)
 
 
@@ -462,7 +435,7 @@ def _conflict(target: int, controls: tuple[tuple[int, int], ...], k: int) -> Con
 
 def _fixed_codes(recipe: tuple, fixed: Mapping[int, int]) -> list[int]:
     """Each direction's code of a step's target under the ``fixed``
-    neighbour values alone, over the step's ``OrderPlan`` recipe (see
+    neighbour values alone, over the step's ``WalkStep`` recipe (see
     ``_signature_codes``)."""
     codes = []
     for _, others in recipe:
@@ -482,7 +455,7 @@ def _signature_codes(
 ) -> tuple[list[tuple[int, ...]], list[int]]:
     """The distinct constraint signatures of a step's target under each list
     of dependency ``values`` plus the ``fixed`` neighbour values, over the
-    step's ``OrderPlan`` recipe, and the index of each list's signature
+    step's ``WalkStep`` recipe, and the index of each list's signature
     among them.
 
     A direction's code is 0 when no neighbour value is known there, v when

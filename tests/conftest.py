@@ -252,28 +252,20 @@ def conflict_free_ruleset(rules, n_values, floor=1e-6):
     return Ruleset(tuple(rules) + extra)
 
 
-def steps_cells(steps):
-    """The cells of (dependencies, recipe) steps, an order plan's or a walk
-    shape's: per step one, its dependencies, and per direction one plus the
-    columns and neighbours or interface positions it lists."""
+def walk_cells(walk):
+    """The cells of a walk's or a walk shape's steps, whose second and third
+    fields are the (dependencies, recipe): per step one, its dependencies,
+    and per direction one plus the columns and neighbours or interface
+    positions it lists."""
+    steps = (step[1:3] for step in walk)
     return sum(1 + len(deps) + sum(1 + len(cols) + len(more) for cols, more in recipe) for deps, recipe in steps)
 
 
-def plan_cells(plan):
-    return steps_cells(zip(plan.deps, plan.recipes))
-
-
-def walk_cells(walk):
-    return steps_cells(step[1:3] for step in walk)
-
-
-def _kept_walk_cells(walk):
-    """The cells of a scheduled dependency block's walk: per step those of
-    its (dependencies, recipe), its dependency offsets and its W lifted
+def _kept_walk_cells(steps):
+    """The cells of a scheduled block's walk steps: per step those of its
+    (dependencies, recipe), its dependency offsets and its W lifted
     values."""
-    return steps_cells((step.deps, step.recipe) for step in walk.steps) + sum(
-        len(step.offsets) + len(step.lifted) for step in walk.steps
-    )
+    return walk_cells(steps) + sum(len(step.offsets) + len(step.lifted) for step in steps)
 
 
 def _block_cells(key, kept):
@@ -287,13 +279,13 @@ def _block_cells(key, kept):
 
 
 def stated_cells(comp):
-    """The cells each of the seven caches on a compiled ruleset holds, as
+    """The cells each of the six caches on a compiled ruleset holds, as
     its kept objects state them; ``comp.cache_cells`` is their sum.  The
     block cache holds product blocks' factors, W cells per segment, walked
     states, one cell per entry (a dependency block's, and a product block's
     for a draw near a boundary or for ``hwfc_exact_distribution``), and the
-    rows of dependency blocks' walk prefixes, one cell per row.  A schedule
-    holds its blocks' segments and its dependency blocks' walks."""
+    rows of walk prefixes, one cell per row.  A schedule holds its blocks'
+    segments and every block's walk steps, product blocks' included."""
     return {
         "dist_cache": sum(1 if entry is _CONFLICT else key[1] for key, entry in comp.dist_cache.items()),
         "circuits": sum(
@@ -304,12 +296,11 @@ def stated_cells(comp):
         ),
         "block_cache": sum(_block_cells(key, kept) for key, kept in comp.block_cache.items()),
         "schedules": sum(
-            len(block.order) + (_kept_walk_cells(block.walk) if block.walk else 0)
+            len(block.order) + _kept_walk_cells(block.steps)
             for schedule in comp.schedules.values()
             for block in schedule
         ),
         "shape_ids": sum(map(walk_cells, comp.shape_ids)),
-        "plans": sum(map(plan_cells, comp.plans.values())),
         "cwfc_steps": sum(len(edges) + sum(map(len, edges)) for edges, _, _ in comp.cwfc_steps.values()),
     }
 

@@ -6,7 +6,6 @@ import pytest
 from conftest import (
     assert_walked_state_is_simulated,
     max_prob_deviation,
-    plan_cells,
     simulate_loads,
     stated_cells,
     walk_cells,
@@ -36,7 +35,7 @@ from qcollapse import (
 )
 from qcollapse import framework, hybrid, model, quantum
 from qcollapse.model import bits_per_value
-from qcollapse.quantum import SparseState, order_plan
+from qcollapse.quantum import QubitLayout, SparseState, walk_steps
 from qcollapse.topology import grid2d_topology
 from qcollapse.usecases import (
     checkerboard_usecase,
@@ -416,7 +415,7 @@ def test_a_warm_draw_resolves_nothing(world, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a warm draw resolved its partitioning again")
 
-    for name in ("order_plan", "_walk_shape", "validate_partitioning"):
+    for name in ("walk_steps", "_walk_shape", "validate_partitioning"):
         monkeypatch.setattr(hybrid, name, refuse)
     assert outputs() == cold
 
@@ -435,7 +434,7 @@ def test_block_states_equal_simulate(make):
     # every block walked for three instances, under its real frozen interface
     uc = make()
     n_values, blocks = uc.alphabet.n_values, uc.partitioning.blocks
-    if not any(dep for block in blocks for dep in order_plan(uc.adjacency, uc.ruleset, block).deps):
+    if all(block.product for block in hybrid._schedule(uc.adjacency, n_values, uc.ruleset, uc.partitioning)):
         # product blocks draw from their factors, so compile each one directly
         rng = RandomSource(2024)
         for _ in range(3):
@@ -507,7 +506,10 @@ def _resume_world(name):
     return adjacency, (n_values, (1 << bits_per_value(n_values)) + 1), ruleset, partitioning
 
 
-@pytest.mark.parametrize("world", ["pipes-10x4", "hexmap-r3-blocks8", "hexmap-r2", "several-directions"])
+@pytest.mark.parametrize(
+    "world",
+    ["pipes-10x4", "hexmap-r3-blocks8", "hexmap-r2", "several-directions", "platformer-10x10", "voxels-4x4x4"],
+)
 def test_resumed_walks_equal_fresh_compiles(world):
     adjacency, alphabets, rules, partitioning = _resume_world(world)
     shared = Ruleset(rules.rules)  # one cache across both alphabet sizes
@@ -516,7 +518,7 @@ def test_resumed_walks_equal_fresh_compiles(world):
     resumed = compared = 0
     for n_values in alphabets:
         schedule = hybrid._schedule(adjacency, n_values, shared, partitioning)
-        walked = [(h, b) for h, b in enumerate(schedule, start=1) if not b.product and b.placed]
+        walked = [(h, b) for h, b in enumerate(schedule, start=1) if b.placed]
         assert walked
 
         def cached(h, block, values):
@@ -545,9 +547,11 @@ def test_resumed_walks_equal_fresh_compiles(world):
             interfaces = {tuple(m[s] for s in block.placed) for m in drawn}
             interfaces.update(random_values(block) for _ in range(12))
             for values in sorted(interfaces):
-                reads, n = block.walk.reads, len(block.order)
+                reads, n = block.reads, len(block.order)
                 prefixes = [(block.shape, n_values, values[: reads[j - 1]], j) for j in range(1, n)]
-                resumed += (block.shape, n_values, values) not in comp.block_cache and any(
+                # a product block's walked state is kept beside its factors
+                state = (block.shape, n_values, values) + (("walked",) if block.product else ())
+                resumed += state not in comp.block_cache and any(
                     key in comp.block_cache for key in prefixes
                 )
                 got = _walk_or_refusal(cached, h, block, values)
@@ -695,11 +699,11 @@ def test_plan_boundary_gives_the_per_call_interface(world):
 
 def test_plan_steps_are_the_dependency_sets():
     for world in ("hexmap-r3-blocks8", "custom", "pipes-10x4"):
-        adjacency, _, ruleset, partitioning = PLAN_WORLDS[world]()
+        adjacency, n_values, ruleset, partitioning = PLAN_WORLDS[world]()
         for order in partitioning.blocks + (tuple(range(adjacency.n_segments, 0, -1)),):
-            steps = order_plan(adjacency, ruleset, order).deps
-            assert len(steps) == len(order)
-            for k, deps in enumerate(steps, start=1):
+            steps = walk_steps(adjacency, ruleset.compiled, QubitLayout(tuple(sorted(order)), n_values), order)
+            assert [step.target for step in steps] == list(order)
+            for k, deps in enumerate((step.deps for step in steps), start=1):
                 target, earlier = order[k - 1], set(order[: k - 1])
                 want = {
                     s
@@ -710,20 +714,21 @@ def test_plan_steps_are_the_dependency_sets():
                 assert deps == tuple(sorted(want))
 
 
-def test_plan_cache_cap_stops_growth_not_output(monkeypatch):
+def test_shape_id_cap_stops_growth_not_output(monkeypatch):
     uc = replace(hexmap_usecase(3), partitioning=equal_blocks(37, 8))
     args = (uc.adjacency, uc.alphabet.n_values)
     cold = _samples(*args, Ruleset(uc.ruleset.rules), uc.partitioning, 11, 6)
-    # a budget that the first three blocks' plans and shapes fill, as the schedule interleaves them
+    # a budget that the first three blocks' shapes fill, as the schedule interns them
     probe = Ruleset(uc.ruleset.rules)
     schedule = hybrid._schedule(*args, probe, uc.partitioning)
     assert [block.shape for block in schedule[:3]] == [0, 1, 2]
-    cap = sum(plan_cells(probe.compiled.plans[(uc.adjacency, block)]) for block in uc.partitioning.blocks[:3])
-    cap += sum(walk_cells(walk) for walk, shape in probe.compiled.shape_ids.items() if shape < 3)
+    cap = sum(walk_cells(walk) for walk, shape in probe.compiled.shape_ids.items() if shape < 3)
     monkeypatch.setattr(model, "_CACHE_CAP", cap)
     capped = Ruleset(uc.ruleset.rules)
     assert _samples(*args, capped, uc.partitioning, 11, 6) == cold
-    assert list(capped.compiled.plans) == [(uc.adjacency, block) for block in uc.partitioning.blocks[:3]]
+    comp = capped.compiled
+    assert sorted(comp.shape_ids.values()) == [0, 1, 2] and comp.cache_cells == cap
+    assert [block.shape for block in hybrid._schedule(*args, capped, uc.partitioning)] == [0, 1, 2] + [None] * 5
 
 
 # --------------------------------------------------------------------------
@@ -731,18 +736,18 @@ def test_plan_cache_cap_stops_growth_not_output(monkeypatch):
 # --------------------------------------------------------------------------
 
 
-def _without_outputs(comp, plan, block, placed):
-    return tuple(step[:3] for step in quantum._walk_shape(comp, plan, block, placed))
+def _without_outputs(comp, steps, placed):
+    return tuple(step[:3] for step in quantum._walk_shape(comp, steps, placed))
 
 
-def _without_positions(comp, plan, block, placed):
-    shape = quantum._walk_shape(comp, plan, block, placed)
+def _without_positions(comp, steps, placed):
+    shape = quantum._walk_shape(comp, steps, placed)
     return tuple((r, deps, tuple(cols for cols, _ in recipe), out) for r, deps, recipe, out in shape)
 
 
 def _shape_disagreements(world, shape_of):
     """(walks that differ, walks compared) between blocks of ``world`` that
-    ``shape_of(comp, plan, block, interface segments)`` groups together.
+    ``shape_of(comp, walk steps, interface segments)`` groups together.
 
     Each block is taken under several interface segment sets: the one its
     schedule gives it, its whole ``_boundary``, random halves of it and each
@@ -761,13 +766,12 @@ def _shape_disagreements(world, shape_of):
     groups = {}
     schedule = hybrid._schedule(adjacency, n_values, ruleset, partitioning)
     for block, scheduled in zip(blocks, schedule):
-        plan = order_plan(adjacency, ruleset, block)
         boundary = _boundary(adjacency, block)
         interfaces = {scheduled.placed, boundary}
         interfaces.update(tuple(s for s in boundary if pick.random() < 0.5) for _ in range(3))
         interfaces.update((s,) for s in boundary)
         for placed in sorted(interfaces):
-            key = (len(placed), shape_of(comp, plan, block, placed))
+            key = (len(placed), shape_of(comp, scheduled.steps, placed))
             groups.setdefault(key, []).append((block, placed))
 
     def walk(block, placed, values):
@@ -816,13 +820,12 @@ def test_a_shape_without_outputs_or_positions_joins_unequal_walks(world, shape_o
 
 def test_equal_shapes_share_one_id_and_state():
     uc = pipes_usecase(10, 4)
-    comp, blocks = uc.ruleset.compiled, uc.partitioning.blocks
+    comp = uc.ruleset.compiled
     ids = []
     schedule = hybrid._schedule(uc.adjacency, uc.alphabet.n_values, uc.ruleset, uc.partitioning)
-    for block, scheduled in zip(blocks, schedule):
-        plan = order_plan(uc.adjacency, uc.ruleset, block)
+    for scheduled in schedule:
         ids.append(scheduled.shape)
-        assert comp.shape_ids[quantum._walk_shape(comp, plan, block, scheduled.placed)] == ids[-1]
+        assert comp.shape_ids[quantum._walk_shape(comp, scheduled.steps, scheduled.placed)] == ids[-1]
     # the first column has no placed neighbour; columns 2-10 read theirs alike
     assert ids[0] != ids[1] and ids[1:] == [ids[1]] * 9
     _samples(uc.adjacency, uc.alphabet.n_values, uc.ruleset, uc.partitioning, 3, 20)
@@ -830,18 +833,24 @@ def test_equal_shapes_share_one_id_and_state():
     assert {key[0] for key in comp.block_cache} == set(ids)
 
 
-def test_a_schedule_keeps_no_walk_recipes():
-    # a scheduled block holds its ids, its shape id and whether it is a
-    # product block; a product block's factors read the plan's recipes on a
-    # miss, so the schedule keeps no copy of them
+def test_a_product_block_schedule_charges_its_steps_once():
+    # a product block keeps its walk steps on the schedule as a dependency
+    # block does: its factors read their recipes on a miss and its walked
+    # state resumes over them, and nothing else keeps a copy of them
     uc = platformer_usecase(10, 10)
     comp = uc.ruleset.compiled
-    schedule = hybrid._schedule(uc.adjacency, uc.alphabet.n_values, uc.ruleset, uc.partitioning)
+    n_values = uc.alphabet.n_values
+    schedule = hybrid._schedule(uc.adjacency, n_values, uc.ruleset, uc.partitioning)
     for block in schedule:
         assert block.product is True and block.shape is not None
-        assert all(type(s) is int for s in block.order + block.placed + block.layout)
-    assert len(schedule[0]) == 5
-    assert stated_cells(comp)["schedules"] == 100
+        assert all(type(s) is int for s in block.order + block.placed + block.layout.segments)
+        assert block.layout == QubitLayout(tuple(sorted(block.order)), n_values)
+        assert [step.target for step in block.steps] == list(block.order)
+        assert not any(step.deps or step.offsets or step.mask for step in block.steps)
+    steps = [step for block in schedule for step in block.steps]
+    # a segment each, and per step its recipe's cells and W = 8 lifted values
+    assert stated_cells(comp)["schedules"] == 100 + walk_cells(steps) + 8 * 100
+    assert comp.cache_cells == sum(stated_cells(comp).values())
 
 
 # sha256 of every load of every block of the instances RandomSource(2024) and
@@ -884,8 +893,8 @@ def test_broadcast_steps_give_the_loads_and_state_of_simulate(world):
     make, expected = BROADCAST_LOADS[world]
     uc = make()
     circuits = []
-    for block, circuit in _broadcast_circuits(uc):
-        assert not any(order_plan(uc.adjacency, uc.ruleset, block)[0])
+    for _, circuit in _broadcast_circuits(uc):
+        assert not any(table.deps for table in circuit.steps)
         assert_walked_state_is_simulated(circuit)
         circuits.append(circuit)
     assert _loads_digest(circuits) == expected
@@ -956,7 +965,8 @@ def test_digit_draw_agrees_with_the_walked_draw_at_every_boundary(world):
     for h, block, key in _scheduled_blocks(uc, instance):
         factors = hybrid._block_factors(uc.adjacency, n_values, uc.ruleset, h, block, key)
         state = hybrid._block_outcomes(uc.adjacency, n_values, uc.ruleset, h, block, key)
-        decode = lambda index: decode_values(index, block.layout, n_values)
+        layout = block.layout.segments
+        decode = lambda index: decode_values(index, layout, n_values)
         # every uniform whose walked target lands on an entry of the table and
         # its float neighbours: each lies within the margin of a boundary
         bounds = state.cumulative / state.cumulative[-1]
@@ -964,10 +974,10 @@ def test_digit_draw_agrees_with_the_walked_draw_at_every_boundary(world):
         near = near[near < 1.0]
         for u, want in zip(near.tolist(), _walked_draws(state, near)):
             assert hybrid._digit_draw(factors, u) is None
-            assert _product_draw(factors, state, u, block.layout, n_values) == decode(want)
+            assert _product_draw(factors, state, u, layout, n_values) == decode(want)
         uniforms = pick.random(10_000 // len(blocks))  # 10,000 per world
         for u, want in zip(uniforms.tolist(), _walked_draws(state, uniforms)):
-            assert _product_draw(factors, state, u, block.layout, n_values) == decode(want)
+            assert _product_draw(factors, state, u, layout, n_values) == decode(want)
             deferred += hybrid._digit_draw(factors, u) is None
     assert deferred <= 10  # about 2 * 2^-30 per outcome of a block's support
 
@@ -1026,7 +1036,7 @@ def test_positional_fold_equals_the_fold_by_segment(world):
             # each segment's factor, highest id first, is its entry under the
             # constraint signature of the interface values, folded by segment id
             fixed = dict(zip(block.placed, interface))
-            for target, (probs, cum) in zip(block.layout[::-1], factors):
+            for target, (probs, cum) in zip(block.layout.segments[::-1], factors):
                 signature = model.constraint_signature(target, adjacency, fixed)[: comp.max_direction]
                 entry = model.signature_entry(comp, signature, n_values, target)
                 assert probs == entry[0].tolist() and cum is entry[2]
@@ -1075,6 +1085,71 @@ def test_digit_draw_on_a_boundary_falls_back_to_the_walked_draw(monkeypatch):
         instance = hwfc_generate(adj, 4, rs, Partitioning(((1, 2),)), _Uniforms(u))
         assert len(walked) == falls_back
         assert [encode_values(instance.mapping, (1, 2), 4)] == _walked_draws(state, np.array([u]))
+
+
+def _recorded_compiles(monkeypatch):
+    """The (order, frozen) of every ``hybrid.build_circuit`` call from now on."""
+    calls = []
+
+    def recording(adjacency, n_values, ruleset, order, frozen=None):
+        calls.append((tuple(order), frozen))
+        return build_circuit(adjacency, n_values, ruleset, order, frozen)
+
+    monkeypatch.setattr(hybrid, "build_circuit", recording)
+    return calls
+
+
+def _assert_only_blocks_without_an_interface_compile(calls, adjacency, n_values, ruleset, partitioning):
+    schedule = hybrid._schedule(adjacency, n_values, ruleset, partitioning)
+    assert calls and all(frozen == ContentInstance() for _, frozen in calls)
+    assert {order for order, _ in calls} <= {block.order for block in schedule if not block.placed}
+
+
+@pytest.mark.parametrize("world", sorted(BROADCAST_LOADS))
+def test_product_draws_all_read_from_walked_states_change_nothing(world, monkeypatch):
+    make = BROADCAST_LOADS[world][0]
+
+    def outputs():
+        uc = make()
+        ruleset = Ruleset(uc.ruleset.rules)  # fresh: every block walks
+        args = (uc.adjacency, uc.alphabet.n_values, ruleset, uc.partitioning)
+        rng, out = RandomSource(41), []
+        for _ in range(100):
+            try:
+                out.append(hwfc_generate(*args, rng).entries)
+            except ConflictError as exc:
+                out.append(str(exc))
+        return (out, rng.uniform()), args
+
+    want, _ = outputs()
+    monkeypatch.setattr(hybrid, "_MARGIN", 1.0)  # no uniform lies far enough inside its outcome
+    calls = _recorded_compiles(monkeypatch)
+    got, args = outputs()
+    assert got == want
+    # every factors' key has its walked state beside it, resumed unless the
+    # block has no interface
+    cache = args[2].compiled.block_cache
+    factors = [key for key, kept in cache.items() if len(key) == 3 and not isinstance(kept, SparseState)]
+    assert factors and all(key + ("walked",) in cache for key in factors)
+    _assert_only_blocks_without_an_interface_compile(calls, *args)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: platformer_usecase(3, 2),
+        lambda: voxel_skyline_usecase(3, 3, 2),
+        lambda: pipes_usecase(3, 2),
+        lambda: replace(hexmap_usecase(1), partitioning=equal_blocks(7, 3)),
+    ],
+    ids=["platformer-3x2", "voxels-3x3x2", "pipes-3x2", "hexmap-r1-blocks3"],
+)
+def test_exact_distributions_compile_only_blocks_without_an_interface(make, monkeypatch):
+    uc = make()
+    args = (uc.adjacency, uc.alphabet.n_values, Ruleset(uc.ruleset.rules), uc.partitioning)
+    calls = _recorded_compiles(monkeypatch)
+    hwfc_exact_distribution(*args)
+    _assert_only_blocks_without_an_interface_compile(calls, *args)
 
 
 def _right_needs_two():
@@ -1159,7 +1234,7 @@ def test_dependency_refusals_read_as_the_compile_gives_them(case):
     make, text = DEPENDENCY_REFUSALS[case]
     adjacency, n_values, ruleset = make()
     block = tuple(range(2, adjacency.n_segments + 1))
-    assert any(order_plan(adjacency, ruleset, block).deps)
+    assert not hybrid._schedule(adjacency, n_values, ruleset, Partitioning(((1,), block)))[1].product
     # a stream whose first uniform draws value 1 for segment 1
     seed = next(s for s in range(100) if RandomSource(s).uniform() < 1 / n_values)
     rng = RandomSource(seed)

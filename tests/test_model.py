@@ -37,8 +37,8 @@ from qcollapse import (
     value_distribution,
     value_entropy,
 )
-from qcollapse import model
-from qcollapse.quantum import order_plan, walked_state
+from qcollapse import hybrid, model
+from qcollapse.quantum import QubitLayout, walk_steps, walked_state
 from qcollapse.topology import hexgrid_coordinates
 from qcollapse.usecases import (
     checkerboard_ruleset,
@@ -146,7 +146,7 @@ PAST_D_CALLS = {
     "build_circuit": lambda adj: build_circuit(adj, 2, PAST_D, (1, 2, 3, 4)),
     "cwfc_generate": lambda adj: cwfc_generate(adj, make_alphabet("a", "b"), PAST_D, RandomSource(1)),
     "hwfc_generate": lambda adj: hwfc_generate(adj, 2, PAST_D, equal_blocks(4, 2), RandomSource(1)),
-    "order_plan": lambda adj: order_plan(adj, PAST_D, (1, 2, 3, 4)),
+    "walk_steps": lambda adj: walk_steps(adj, PAST_D.compiled, QubitLayout((1, 2, 3, 4), 2), (1, 2, 3, 4)),
 }
 
 
@@ -525,21 +525,31 @@ def test_non_finite_factor_raises_on_a_cached_signature():
 # --------------------------------------------------------------------------
 
 
+def _resolved(schedule):
+    """What a schedule resolves per block, its steps without their lifted
+    alphabets (arrays)."""
+    return [(block[:4], block.reads, block.product, [step[:5] for step in block.steps]) for block in schedule]
+
+
 def test_the_cache_budget_bounds_what_a_ruleset_keeps(monkeypatch):
-    """One ruleset runs cwfc and builds whole-world plans over 20 distinct
-    large adjacencies under a budget of 2^13 cells.  What its caches keep
-    stays within the budget at ~300 B per cell, the most any kind costs
-    (see CompiledRuleset), and its outputs are a fresh ruleset's."""
-    cap = 1 << 13
+    """One ruleset runs cwfc and builds whole-world hwfc schedules, one
+    block per row, over 20 distinct large adjacencies under a budget of
+    2^14 cells.  What its caches keep stays within the budget at ~300 B per
+    cell, the most any kind costs (see CompiledRuleset), and its outputs
+    are a fresh ruleset's."""
+    cap = 1 << 14
     monkeypatch.setattr(model, "_CACHE_CAP", cap)
     alphabet = make_alphabet("black", "white")
     worlds = []
-    for i in range(20):  # 576 to 1,032 segments: each table and plan fills over a third of the budget
+    for i in range(20):  # 576 to 1,032 segments: each table and schedule fills over a sixth of the budget
         adjacency = grid2d_topology(24, 24 + i).adjacency
-        order = tuple(range(1, adjacency.n_segments + 1))
+        rows = equal_blocks(adjacency.n_segments, 24 + i)
         fresh = Ruleset(checkerboard_ruleset().rules)
-        want = (cwfc_generate(adjacency, alphabet, fresh, RandomSource(i)), order_plan(adjacency, fresh, order))
-        worlds.append((adjacency, order, want))
+        want = (
+            cwfc_generate(adjacency, alphabet, fresh, RandomSource(i)),
+            _resolved(hybrid._schedule(adjacency, 2, fresh, rows)),
+        )
+        worlds.append((adjacency, rows, want))
     shared = Ruleset(checkerboard_ruleset().rules)
     comp = shared.compiled
     del fresh
@@ -547,15 +557,18 @@ def test_the_cache_budget_bounds_what_a_ruleset_keeps(monkeypatch):
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        for i, (adjacency, order, want) in enumerate(worlds):
-            got = (cwfc_generate(adjacency, alphabet, shared, RandomSource(i)), order_plan(adjacency, shared, order))
+        for i, (adjacency, rows, want) in enumerate(worlds):
+            got = (
+                cwfc_generate(adjacency, alphabet, shared, RandomSource(i)),
+                _resolved(hybrid._schedule(adjacency, 2, shared, rows)),
+            )
             assert got == want
         del got
         gc.collect()
         kept = tracemalloc.get_traced_memory()[0] - base
     finally:
         tracemalloc.stop()
-    assert comp.plans and comp.cwfc_steps and 0 < comp.cache_cells <= cap
+    assert comp.schedules and comp.cwfc_steps and 0 < comp.cache_cells <= cap
     assert kept <= 300 * cap
 
 

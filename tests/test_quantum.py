@@ -43,7 +43,7 @@ from qcollapse import (
 )
 from qcollapse import model, quantum
 from qcollapse.model import constraint_signature
-from qcollapse.quantum import StepTable, order_plan, walked_state
+from qcollapse.quantum import StepTable, walk_steps, walked_state
 from qcollapse.usecases import checkerboard_ruleset, checkerboard_usecase
 
 DATA = Path(__file__).parent / "data"
@@ -91,11 +91,12 @@ def test_dependency_set_uses_rule_directions():
     adj = grid2d_topology(2, 2).adjacency
     rs = checkerboard_ruleset()  # patterns use all four directions
     order = (1, 2, 3, 4)
-    steps = order_plan(adj, rs, order).deps
-    assert steps[0] == () and steps[3] == (2, 3)
+    layout = QubitLayout(order, 2)
+    steps = walk_steps(adj, rs.compiled, layout, order)
+    assert steps[0].deps == () and steps[3].deps == (2, 3)
     # vertical-only rules ignore horizontal neighbors
     vert = Ruleset((Rule(1, 1.0, Pattern.of((2, 1))), Rule(2, 1.0, Pattern.of((4, 1)))))
-    assert order_plan(adj, vert, order)[0][3] == (2,)
+    assert walk_steps(adj, vert.compiled, layout, order)[3].deps == (2,)
 
 
 def test_build_circuit_checkerboard_2x2():
